@@ -4,9 +4,17 @@
 tree and reports the first defect it finds instead of raising, so a broken
 script always comes back as a ``Counterexample``.  Opponent moves that no
 active layer can still react to are grouped into equivalence classes and
-only one representative per class is explored; a per-class flag recording
-whether the class still has a free member is folded into the memo key so
-the pruning stays exact.
+only one representative per class is explored: its lowest free member, so
+the replies are played in ascending vertex order without walking every
+free vertex.  A per-class flag recording whether the class still has a
+free member is folded into the memo key so the pruning stays exact.
+
+Everything that depends only on the stack of active layers (how each real
+vertex resolves, the reply classes, the layers' fixed relevance) is
+computed once per stack.  Bounded-win search works from per-stack tables
+of the innermost board's edges in real coordinates: the edges within
+reach of a given Maker mask are cached with their real images, so whether
+such an edge is still winnable is one mask test against the real claims.
 
 Some opponent moves are *invisible* to the active layers: either the
 translation chain drops them before reaching the innermost layer, or they
@@ -29,7 +37,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Hypergraph, Position, Side
+from ..core import Hypergraph, Position, Side, iter_bits
 from .nodes import (
     BoundedWin,
     Claim,
@@ -114,22 +122,101 @@ def _bw_after(k: int) -> _BWAfter:
     return node
 
 
+class _Stack:
+    """One stack of active layers, outermost first, and what is known about
+    it independently of the claim masks.
+
+    The machine interns one object per distinct stack (a child per layer
+    pushed on top of it), so every per-stack table is an attribute reached
+    from the innermost frame instead of a dict entry keyed by a tuple of
+    layer ids.  Tables are filled lazily, on first use, so a malformed
+    layer fails on the first line that needs its table.
+    """
+
+    __slots__ = (
+        "layer",
+        "parent",
+        "layers",
+        "lid",
+        "children",
+        "veil",
+        "table",
+        "arrivals",
+        "classes",
+        "groups",
+        "veils",
+        "node_rel",
+        "fixed_rel",
+        "stateful_rel",
+        "real_rel",
+        "edges",
+        "bw",
+    )
+
+    def __init__(self, layer=None, parent: "_Stack | None" = None):
+        self.layer = layer
+        self.parent = parent
+        self.layers = () if parent is None else parent.layers + (layer,)
+        self.lid = id(layer)
+        self.children: dict = {}
+        layers = self.layers
+        self.veil = (
+            bool(layers)
+            and layers[-1].stateful
+            and all(not l.stateful for l in layers[:-1])
+        )
+        self.table = None
+        self.arrivals = None
+        self.classes = None
+        self.groups: dict = {}
+        self.veils: dict = {}
+        self.node_rel: dict = {}
+        self.fixed_rel = None
+        # (frame index, stack prefix ending at that frame) for each stateful
+        # layer whose relevance depends on its claim masks
+        self.stateful_rel = tuple(
+            (i, self._prefix(i))
+            for i, l in enumerate(layers)
+            if l.stateful and l.relevance is not None
+        )
+        # relevance mask on the parent board of ``layer`` -> its real image
+        self.real_rel: dict = {}
+        self.edges = None
+        self.bw: dict = {}
+
+    def _prefix(self, i: int) -> "_Stack":
+        stack = self
+        for _ in range(len(self.layers) - 1 - i):
+            stack = stack.parent
+        return stack
+
+    def push(self, layer) -> "_Stack":
+        child = self.children.get(layer)
+        if child is None:
+            child = self.children[layer] = _Stack(layer, self)
+        return child
+
+
 class _Frame:
-    """One active virtual layer: the layer plus its claim masks."""
+    """One active virtual layer: the layer plus its claim masks, and the
+    stack this frame closes."""
 
-    __slots__ = ("layer", "va", "vb")
+    __slots__ = ("layer", "va", "vb", "stack")
 
-    def __init__(self, layer, va: int, vb: int):
+    def __init__(self, layer, va: int, vb: int, stack: _Stack):
         self.layer = layer
         self.va = va
         self.vb = vb
+        self.stack = stack
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _sig(frames) -> tuple:
+    """The frames' contribution to a memo key: the identity of each layer,
+    with its claim masks when the layer is stateful."""
+    return tuple([
+        (f.stack.lid, f.va, f.vb) if f.layer.stateful else f.stack.lid
+        for f in frames
+    ])
 
 
 class _Machine:
@@ -144,16 +231,13 @@ class _Machine:
         self.expansions = 0
         self.max_depth = 0
         self.memo: dict = {}
-        self._tables: dict = {}
-        self._groups: dict = {}
+        self.root = _Stack()
         self._branch_maps: dict = {}
         self._dyn_maps: dict = {}
         self._embed_masks: dict = {}
-        self._rel_values: dict = {}
-        self._abs_masks: dict = {}
         self._residues: dict = {}
-        self._arrivals: dict = {}
-        self._veils: dict = {}
+        # (layer id, va, vb) -> relevance callback value, stateful layers only
+        self._rel_values: dict = {}
         self._layers_seen: set = set()
 
     # ------------------------------------------------------------------
@@ -181,6 +265,20 @@ class _Machine:
                 f"layer {layer.name!r}: embedding leaves the parent board",
             )
 
+    def _enter(self, node, frames):
+        """Push the frames of a run of ``EnterLayer`` nodes."""
+        while isinstance(node, EnterLayer):
+            if frames:
+                stack = frames[-1].stack
+                parent_n = stack.layer.board.vertex_count
+            else:
+                stack = self.root
+                parent_n = self.h.vertex_count
+            self._check_layer(node.layer, parent_n)
+            frames = frames + (_Frame(node.layer, 0, 0, stack.push(node.layer)),)
+            node = node.then
+        return node, frames
+
     def _dyn_map(self, layer) -> dict:
         got = self._dyn_maps.get(id(layer))
         if got is None:
@@ -198,14 +296,14 @@ class _Machine:
         if got is None:
             embed = layer.embed
             got = 0
-            for v in _mask_bits(mask):
+            for v in iter_bits(mask):
                 got |= 1 << embed[v]
             cache[mask] = got
         return got
 
-    def _to_real(self, mask: int, frames) -> int:
-        for frame in reversed(frames):
-            mask = self._embed_mask(frame.layer, mask)
+    def _to_real(self, mask: int, stack: _Stack) -> int:
+        for layer in reversed(stack.layers):
+            mask = self._embed_mask(layer, mask)
         return mask
 
     def _real_vertex(self, v: int, frames) -> int:
@@ -216,7 +314,7 @@ class _Machine:
     # ------------------------------------------------------------------
     # per-stack static analysis
 
-    def _table(self, frames):
+    def _table(self, stack: _Stack):
         """Per real vertex, how the active layers resolve an opponent claim.
 
         Entries are ("answer", real reply, effects), ("pass", effects),
@@ -224,26 +322,24 @@ class _Machine:
         effects, coordinate entering that frame); ``effects`` lists the
         (frame index, frame-board vertex) marks recorded along the walk.
         """
-        key = tuple(id(f.layer) for f in frames)
-        got = self._tables.get(key)
-        if got is not None:
-            return got
+        if stack.table is not None:
+            return stack.table
+        layers = stack.layers
         entries = []
         for rv in range(self.h.vertex_count):
             coord = rv
             effects: list = []
             entry = None
-            for fi, frame in enumerate(frames):
-                layer = frame.layer
+            for fi, layer in enumerate(layers):
                 ans = layer.answers.get(coord)
                 if ans is not None:
                     for j in range(fi - 1, -1, -1):
-                        ans = frames[j].layer.embed[ans]
+                        ans = layers[j].embed[ans]
                     entry = ("answer", ans, tuple(effects))
                     break
                 gi = self._dyn_map(layer).get(coord)
                 if gi is not None:
-                    if fi != len(frames) - 1:
+                    if fi != len(layers) - 1:
                         self._fail(
                             "ill_formed",
                             f"layer {layer.name!r}: state-dependent "
@@ -260,7 +356,7 @@ class _Machine:
             if entry is None:
                 entry = ("vertex", coord, tuple(effects))
             entries.append(entry)
-        self._tables[key] = entries
+        stack.table = entries
         return entries
 
     def _branch_map(self, node: Respond):
@@ -289,35 +385,25 @@ class _Machine:
             return ("d",)
         return ("u",)
 
-    def _node_groups(self, frames, node):
+    def _node_groups(self, stack: _Stack, node):
         """Merged out-of-relevance reply classes for (layer stack, node).
 
-        Returns (groups, group_of, pass_gi) where ``groups`` is a list of
-        member masks for the free-member profile, ``group_of`` maps each
-        real vertex to its group ordinal and ``pass_gi`` is the ordinal of
-        the invisible-move group (None if no vertex passes every layer).
-        Replies with equal recorded effects and equal handling are
+        Returns (groups, pass_gi) where ``groups`` is a tuple of disjoint
+        member masks covering every real vertex and ``pass_gi`` is the
+        ordinal of the invisible-move group (None if no vertex passes every
+        layer).  Replies with equal recorded effects and equal handling are
         interchangeable, so each group contributes one representative;
         state-dependent (dynamic) translation groups are kept separate
         since their handling resolves per state.
         """
-        key = (tuple(id(f.layer) for f in frames), id(node))
-        got = self._groups.get(key)
+        got = stack.groups.get(id(node))
         if got is not None:
             return got
-        entries = self._table(frames)
+        classes, dyn = self._static_classes(stack)
         merged: dict = {}
-        dyn: dict = {}
-        for rv, entry in enumerate(entries):
-            if entry[0] == "dyn":
-                dyn[(entry[1], entry[2])] = dyn.get((entry[1], entry[2]), 0) | (1 << rv)
-            else:
-                effects = entry[-1] if entry[0] != "vertex" else entry[2]
-                visible = tuple(
-                    (fi, c) for fi, c in effects if frames[fi].layer.stateful
-                )
-                tag = (visible, self._entry_tag(node, entry))
-                merged[tag] = merged.get(tag, 0) | (1 << rv)
+        for visible, entry, mask in classes:
+            tag = (visible, self._entry_tag(node, entry))
+            merged[tag] = merged.get(tag, 0) | mask
         order = sorted(merged, key=repr)
         masks = [merged[k] for k in order]
         pass_gi = None
@@ -325,106 +411,146 @@ class _Machine:
             if tag[0] == () and tag[1] in (("d",), ("p",)):
                 pass_gi = gi
                 break
-        masks.extend(dyn[k] for k in sorted(dyn))
-        group_of = [0] * self.h.vertex_count
-        for gi, mask in enumerate(masks):
-            for v in _mask_bits(mask):
-                group_of[v] = gi
-        got = (tuple(masks), group_of, pass_gi)
-        self._groups[key] = got
+        got = (tuple(masks) + dyn, pass_gi)
+        stack.groups[id(node)] = got
         return got
 
-    def _veil_active(self, frames) -> bool:
-        """Whether already-marked coordinates hide fresh claims.
+    def _static_classes(self, stack: _Stack):
+        """The node-independent part of ``_node_groups``.
+
+        Returns (classes, dyn): ``classes`` lists (visible effects, table
+        entry, member mask) for the real vertices that resolve statically
+        to the same place with the same effects on stateful layers, and
+        ``dyn`` the member masks of the dynamic translation groups.
+        """
+        if stack.classes is None:
+            layers = stack.layers
+            merged: dict = {}
+            dyn: dict = {}
+            for rv, entry in enumerate(self._table(stack)):
+                if entry[0] == "dyn":
+                    dyn[(entry[1], entry[2])] = dyn.get((entry[1], entry[2]), 0) | (1 << rv)
+                    continue
+                visible = tuple(
+                    (fi, c) for fi, c in entry[-1] if layers[fi].stateful
+                )
+                key = (visible, entry[0], entry[1])
+                got = merged.get(key)
+                merged[key] = (visible, entry, (got[2] if got else 0) | (1 << rv))
+            stack.classes = (
+                tuple(merged.values()),
+                tuple(dyn[k] for k in sorted(dyn)),
+            )
+        return stack.classes
+
+    def _veiled_mask(self, frames) -> int:
+        """Real vertices whose static resolution the innermost frame hides.
 
         Static resolution can land several real vertices on one coordinate
         (and imagined stand-ins mark coordinates no real claim covers), so a
         later claim may arrive somewhere the innermost layer already counts
         as the opponent's.  Such a claim carries nothing the layers can see
         and is handled as an invisible move.  The bookkeeping needs the
-        innermost state inside the memo signature, hence the stateful
-        requirement; deeper stateful frames would need their own veil state,
-        so resolution is taken at face value there.
+        innermost state inside the memo signature, so the veil is only
+        active (``_Stack.veil``) when the innermost layer is the single
+        stateful one; deeper stateful frames would need their own veil
+        state, so resolution is taken at face value there.
         """
-        return (
-            bool(frames)
-            and frames[-1].layer.stateful
-            and all(not f.layer.stateful for f in frames[:-1])
-        )
-
-    def _arrival_map(self, frames) -> dict:
-        """Innermost coordinate -> mask of real vertices statically landing there."""
-        key = tuple(id(f.layer) for f in frames)
-        got = self._arrivals.get(key)
-        if got is None:
-            got = {}
-            for rv, entry in enumerate(self._table(frames)):
-                if entry[0] == "vertex":
-                    got[entry[1]] = got.get(entry[1], 0) | (1 << rv)
-            self._arrivals[key] = got
-        return got
-
-    def _veiled_mask(self, frames) -> int:
-        """Real vertices whose static resolution the innermost frame hides."""
-        if not self._veil_active(frames):
+        if not frames:
             return 0
-        vb = frames[-1].vb
-        if vb == 0:
+        frame = frames[-1]
+        stack, vb = frame.stack, frame.vb
+        if not stack.veil or vb == 0:
             return 0
-        key = (tuple(id(f.layer) for f in frames), vb)
-        got = self._veils.get(key)
+        got = stack.veils.get(vb)
         if got is None:
-            arrivals = self._arrival_map(frames)
+            arrivals = stack.arrivals
+            if arrivals is None:
+                arrivals = stack.arrivals = {}
+                for rv, entry in enumerate(self._table(stack)):
+                    if entry[0] == "vertex":
+                        arrivals[entry[1]] = arrivals.get(entry[1], 0) | (1 << rv)
             got = 0
-            for q in _mask_bits(vb):
+            for q in iter_bits(vb):
                 got |= arrivals.get(q, 0)
-            self._veils[key] = got
+            stack.veils[vb] = got
         return got
 
     # ------------------------------------------------------------------
     # relevance
 
-    def _relevance(self, node, frames, ra: int, rb: int) -> int:
-        rel = 0
-        found = False
-        static = self.node_rel.get(id(node))
-        if static is not None:
-            rel |= self._to_real(static, frames)
-            found = True
-        for i, frame in enumerate(frames):
-            layer = frame.layer
-            if layer.relevance is not None:
-                if not layer.stateful:
-                    pmask = layer.relevance(frame.va, frame.vb)
-                else:
-                    rkey = (id(layer), frame.va, frame.vb)
-                    pmask = self._rel_values.get(rkey)
-                    if pmask is None:
-                        pmask = layer.relevance(frame.va, frame.vb)
-                        self._rel_values[rkey] = pmask
-            else:
-                pmask = self._abs_masks.get(id(layer))
-                if pmask is None:
-                    pmask = self._embed_mask(layer, layer.board.full_mask)
-                    self._abs_masks[id(layer)] = pmask
-            pmask |= self._win_residue(layer, frames[:i])
-            rel |= self._to_real(pmask, frames[:i])
-            found = True
-        if isinstance(node, (_BW, _BWAfter)):
-            rel |= self._bw_union(node.k, frames, ra, rb)
-            found = True
-        return rel if found else self.full
+    def _relevance(self, node, frames, sig: tuple, ra: int) -> int:
+        """Real vertices whose claims ``node`` may still react to.
 
-    def _win_residue(self, layer, outer) -> int:
+        The union of the node's own relevance, each active layer's
+        relevance (plus its win residue) and, for bounded-win nodes, the
+        edges within reach; the whole board when nothing bounds it.  Only
+        stateful layers with a relevance callback depend on the claim
+        masks: by the ``Layer.stateful`` contract the memo key ignores the
+        masks of stateless layers, so their relevance, like that of layers
+        without a callback, is computed once per stack.
+        """
+        stack = frames[-1].stack if frames else self.root
+        rel = stack.node_rel.get(id(node))
+        if rel is None:
+            static = self.node_rel.get(id(node))
+            if static is not None:
+                rel = self._to_real(static, stack)
+            elif frames or isinstance(node, (_BW, _BWAfter)):
+                rel = 0
+            else:
+                rel = self.full
+            stack.node_rel[id(node)] = rel
+        if frames:
+            fixed = stack.fixed_rel
+            if fixed is None:
+                fixed = stack.fixed_rel = self._fixed_relevance(frames)
+            rel |= fixed
+            for i, prefix in stack.stateful_rel:
+                pmask = self._rel_values.get(sig[i])
+                if pmask is None:
+                    frame = frames[i]
+                    pmask = frame.layer.relevance(frame.va, frame.vb)
+                    self._rel_values[sig[i]] = pmask
+                got = prefix.real_rel.get(pmask)
+                if got is None:
+                    got = prefix.real_rel[pmask] = self._frame_relevance(prefix, pmask)
+                rel |= got
+        if isinstance(node, (_BW, _BWAfter)):
+            va = frames[-1].va if frames else ra
+            rel |= self._bw_entry(stack, va, node.k)[0]
+        return rel
+
+    def _fixed_relevance(self, frames) -> int:
+        """Relevance of the layers whose relevance ignores their masks."""
+        rel = 0
+        for frame in frames:
+            layer = frame.layer
+            if layer.relevance is None:
+                pmask = self._embed_mask(layer, layer.board.full_mask)
+            elif not layer.stateful:
+                pmask = layer.relevance(frame.va, frame.vb)
+            else:
+                continue
+            rel |= self._frame_relevance(frame.stack, pmask)
+        return rel
+
+    def _frame_relevance(self, stack: _Stack, pmask: int) -> int:
+        """Real image of ``stack.layer``'s parent-board relevance mask,
+        with the layer's win residue added."""
+        return self._to_real(pmask | self._win_residue(stack), stack.parent)
+
+    def _win_residue(self, stack: _Stack) -> int:
         """Parent-board vertices of win edges that lie outside the layer.
 
         Completing a virtual edge only wins when its real counterpart is
         complete, so any extra vertices the real edge carries must stay in
         the memo key.
         """
+        layer = stack.layer
         got = self._residues.get(id(layer))
         if got is None:
-            parent = outer[-1].layer.board if outer else self.h
+            parent = stack.parent.layer.board if stack.parent.layer else self.h
             image = self._embed_mask(layer, layer.board.full_mask)
             got = 0
             for pe in layer.win_edges.values():
@@ -432,28 +558,44 @@ class _Machine:
             self._residues[id(layer)] = got
         return got
 
-    def _bw_union(self, k: int, frames, ra: int, rb: int) -> int:
-        """Vertices of edges within ``k`` of completion, killed or not.
+    def _bw_entry(self, stack: _Stack, va: int, k: int):
+        """Bounded-win data for Maker mask ``va`` on the innermost board.
 
-        The union takes whole edges: opponent stones that rule such an edge
-        out and Maker stones that brought it within reach must both stay
-        inside the memo key, so neither occupancy mask filters anything.
+        Returns (union, candidates).  ``union`` is the real image of every
+        edge within ``k`` of completion, killed or not: opponent stones
+        that rule such an edge out and Maker stones that brought it within
+        reach must both stay inside the memo key, so neither occupancy mask
+        filters it.  ``candidates`` lists (edge mask, needed vertices,
+        count, real image of the needed vertices) for the edges that need
+        between 1 and ``k`` more claims, in board order.
         """
-        if frames:
-            frame = frames[-1]
-            board, va = frame.layer.board, frame.va
-        else:
-            board, va = self.h, ra
-        union = 0
-        for mask in board.edge_masks:
-            if (mask & ~va).bit_count() <= k:
-                union |= mask
-        return self._to_real(union, frames)
+        key = (va, k)
+        got = stack.bw.get(key)
+        if got is None:
+            board = stack.layer.board if stack.layer else self.h
+            edges = stack.edges
+            if edges is None:
+                edges = stack.edges = tuple(
+                    self._to_real(mask, stack) for mask in board.edge_masks
+                )
+            free = ~self._to_real(va, stack)
+            union = 0
+            candidates = []
+            for mask, real in zip(board.edge_masks, edges):
+                needed = mask & ~va
+                u = needed.bit_count()
+                if u > k:
+                    continue
+                union |= real
+                if u:
+                    candidates.append((mask, tuple(iter_bits(needed)), u, real & free))
+            got = stack.bw[key] = (union, tuple(candidates))
+        return got
 
     # ------------------------------------------------------------------
     # Maker moves
 
-    def _claim(self, v: int, frames, ra: int, rb: int, then, turn_limit=True):
+    def _claim(self, v: int, frames, ra: int, rb: int, then):
         """Claim innermost-board vertex ``v`` for Maker and continue.
 
         Records the claim on every active layer, checks real then virtual
@@ -468,10 +610,10 @@ class _Machine:
             rv = frames[i].layer.embed[rv]
         if (ra | rb) >> rv & 1:
             self._fail("occupied_claim", f"strategy claims occupied vertex {rv}")
-        new_frames = tuple(
-            _Frame(f.layer, f.va | (1 << coords[i]), f.vb)
-            for i, f in enumerate(frames)
-        )
+        new_frames = tuple([
+            _Frame(f.layer, f.va | (1 << c), f.vb, f.stack)
+            for f, c in zip(frames, coords)
+        ])
         ra_new = ra | (1 << rv)
         self.path.append(("maker", rv))
         self.expansions += 1
@@ -509,11 +651,7 @@ class _Machine:
             self.path.pop()
 
     def _opponent_turn(self, node, frames, ra: int, rb: int):
-        while isinstance(node, EnterLayer):
-            parent_n = frames[-1].layer.board.vertex_count if frames else self.h.vertex_count
-            self._check_layer(node.layer, parent_n)
-            frames = frames + (_Frame(node.layer, 0, 0),)
-            node = node.then
+        node, frames = self._enter(node, frames)
         if isinstance(node, Respond) or isinstance(node, _BWAfter):
             self._expand_opponent(node, frames, ra, rb)
         elif node is None:
@@ -525,11 +663,7 @@ class _Machine:
             )
 
     def _maker_turn(self, node, frames, ra: int, rb: int):
-        while isinstance(node, EnterLayer):
-            parent_n = frames[-1].layer.board.vertex_count if frames else self.h.vertex_count
-            self._check_layer(node.layer, parent_n)
-            frames = frames + (_Frame(node.layer, 0, 0),)
-            node = node.then
+        node, frames = self._enter(node, frames)
         if isinstance(node, Claim):
             self._claim(node.vertex, frames, ra, rb, node.then)
         elif isinstance(node, ClaimFirstFree):
@@ -575,7 +709,7 @@ class _Machine:
         if missing:
             self._fail(
                 "leaf_without_win",
-                f"WinNow edge {e} is missing vertices {sorted(_mask_bits(missing))}",
+                f"WinNow edge {e} is missing vertices {sorted(iter_bits(missing))}",
             )
 
     # ------------------------------------------------------------------
@@ -585,27 +719,31 @@ class _Machine:
         unclaimed = self.full & ~(ra | rb)
         if unclaimed == 0:
             self._fail("leaf_without_win", "board exhausted before Maker won")
-        rel = self._relevance(node, frames, ra, rb)
+        stack = frames[-1].stack if frames else self.root
+        sig = _sig(frames)
+        rel = self._relevance(node, frames, sig, ra)
+        replies = unclaimed & rel
         out = unclaimed & ~rel
         if out:
-            masks, group_of, pass_gi = self._node_groups(frames, node)
+            # Each out-of-relevance class contributes its lowest free member;
+            # veiled claims join the invisible-move class, or form their own
+            # when no vertex passes every layer.
+            masks, pass_gi = self._node_groups(stack, node)
             hidden = out & self._veiled_mask(frames)
-            profile = tuple(1 if m & out & ~hidden else 0 for m in masks)
+            visible = out & ~hidden
+            profile = []
+            for gi, mask in enumerate(masks):
+                members = mask & visible
+                if gi == pass_gi:
+                    members |= hidden
+                replies |= members & -members
+                profile.append(1 if members else 0)
             if pass_gi is None:
-                profile += (1 if hidden else 0,)
-            elif hidden:
-                profile = (
-                    profile[:pass_gi] + (1,) + profile[pass_gi + 1 :]
-                )
+                replies |= hidden & -hidden
+                profile.append(1 if hidden else 0)
+            profile = tuple(profile)
         else:
-            group_of = None
-            hidden = 0
-            pass_gi = None
             profile = ()
-        sig = tuple(
-            (id(f.layer), f.va, f.vb) if f.layer.stateful else id(f.layer)
-            for f in frames
-        )
         key = (id(node), sig, ra & rel, rb & rel, profile)
         got = self.memo.get(key)
         if got is True:
@@ -614,28 +752,15 @@ class _Machine:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
         self.expansions += 1
         try:
-            seen: set = set()
-            m = unclaimed
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                if not (rel >> v & 1):
-                    if hidden >> v & 1:
-                        gi = -1 if pass_gi is None else pass_gi
-                    else:
-                        gi = group_of[v]
-                    if gi in seen:
-                        continue
-                    seen.add(gi)
-                self._reply(node, frames, ra, rb, v)
+            for v in iter_bits(replies):
+                self._reply(node, frames, stack, ra, rb, v)
         except _Fail as fail:
             self.memo[key] = (fail.cex.kind, fail.cex.detail)
             raise
         self.memo[key] = True
 
-    def _reply(self, node, frames, ra: int, rb: int, v: int):
-        entry = self._table(frames)[v]
+    def _reply(self, node, frames, stack: _Stack, ra: int, rb: int, v: int):
+        entry = self._table(stack)[v]
         kind = entry[0]
         rb2 = rb | (1 << v)
         self.path.append(("breaker", v))
@@ -665,7 +790,7 @@ class _Machine:
         new = list(frames)
         for fi, coord in effects:
             f = new[fi]
-            new[fi] = _Frame(f.layer, f.va, f.vb | (1 << coord))
+            new[fi] = _Frame(f.layer, f.va, f.vb | (1 << coord), f.stack)
         return tuple(new)
 
     def _answer_reply(self, node, frames, ra: int, rb2: int, entry):
@@ -691,7 +816,8 @@ class _Machine:
         invisible = entry[0] == "pass"
         if (
             not invisible
-            and self._veil_active(frames)
+            and frames
+            and frames[-1].stack.veil
             and frames[-1].vb >> entry[1] & 1
         ):
             # The resolved coordinate already counts as the opponent's, so
@@ -727,7 +853,7 @@ class _Machine:
                         f"stand-in vertex {stand_in} matches no reply class",
                     )
                 frames2 = frames2[:-1] + (
-                    _Frame(frame.layer, frame.va, frame.vb | (1 << stand_in)),
+                    _Frame(frame.layer, frame.va, frame.vb | (1 << stand_in), frame.stack),
                 )
                 child = node.branches[branch][1]
             else:
@@ -755,14 +881,11 @@ class _Machine:
         k = node.k
         if frames:
             frame = frames[-1]
-            board, va, vb = frame.layer.board, frame.va, frame.vb
+            stack, va, vb = frame.stack, frame.va, frame.vb
         else:
-            board, va, vb = self.h, ra, rb
-        rel = self._relevance(node, frames, ra, rb)
-        sig = tuple(
-            (id(f.layer), f.va, f.vb) if f.layer.stateful else id(f.layer)
-            for f in frames
-        )
+            stack, va, vb = self.root, ra, rb
+        sig = _sig(frames)
+        rel = self._relevance(node, frames, sig, ra)
         key = (id(node), sig, ra & rel, rb & rel)
         got = self.memo.get(key)
         if got is True:
@@ -772,21 +895,12 @@ class _Machine:
         self.expansions += 1
         occupied = ra | rb
         best: dict = {}
-        for mask in board.edge_masks:
-            if mask & vb:
+        for mask, needed, u, real_needed in self._bw_entry(stack, va, k)[1]:
+            # the edge is still winnable when the opponent holds none of its
+            # virtual or real vertices
+            if mask & vb or real_needed & occupied:
                 continue
-            needed = mask & ~va
-            u = needed.bit_count()
-            if u == 0 or u > k:
-                continue
-            free = True
-            for v in _mask_bits(needed):
-                if occupied >> self._real_vertex(v, frames) & 1:
-                    free = False
-                    break
-            if not free:
-                continue
-            for v in _mask_bits(needed):
+            for v in needed:
                 if u < best.get(v, k + 1):
                     best[v] = u
         detail = f"no win within {k} Maker moves from here"
@@ -878,7 +992,7 @@ def bounded_win(p: Position, k: int) -> bool:
                 done = True
                 break
             if u <= kk:
-                for v in _mask_bits(needed):
+                for v in iter_bits(needed):
                     if u < best.get(v, kk + 1):
                         best[v] = u
         if done:
@@ -904,7 +1018,7 @@ def bounded_win(p: Position, k: int) -> bool:
                 break
             if union == 0:
                 continue
-            if all(maker(a2, b | (1 << w), kk - 1) for w in _mask_bits(union)):
+            if all(maker(a2, b | (1 << w), kk - 1) for w in iter_bits(union)):
                 result = True
                 break
         memo[key] = result
@@ -920,10 +1034,10 @@ def audit_coverage(s: StrategyTree) -> dict:
     board vertex the way the verifier would, and maps it to the covering
     class name, ``"default"``, or ``None`` when nothing covers it.
     """
-    frames: list = []
+    layers: list = []
     node = s.root
     while isinstance(node, EnterLayer):
-        frames.append(_Frame(node.layer, 0, 0))
+        layers.append(node.layer)
         node = node.then
     if not isinstance(node, Respond):
         raise ValueError("the strategy root is not a Respond node")
@@ -931,8 +1045,7 @@ def audit_coverage(s: StrategyTree) -> dict:
     for v in range(s.board.vertex_count):
         coord = v
         resolved: int | None = coord
-        for frame in frames:
-            layer = frame.layer
+        for layer in layers:
             if coord in layer.answers:
                 resolved = None
                 break

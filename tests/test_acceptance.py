@@ -2,9 +2,10 @@
 
 One test per headline claim, in order: the G_CP verdict split between the
 two games, the first-offer case table, the three strategy verifications
-(pentagon board, gadget board, apex board), the degree bookkeeping, the
-multipartite fixtures, solver option equivalence, mutation sensitivity,
-and thread-count determinism.  Each test asserts its runtime budget.
+(pentagon board, gadget board, apex board), the verifier's pinned
+counters, the degree bookkeeping, the multipartite fixtures, solver option
+equivalence, mutation sensitivity, and thread-count determinism.  Each
+test asserts its runtime budget.
 """
 
 from __future__ import annotations
@@ -167,6 +168,20 @@ def test_apex_board_strategy_verifies():
     assert rep.verified, rep.counterexample
     assert rep.lines_checked < 10**7
     assert elapsed < 300
+
+
+def test_verifier_counters_are_pinned():
+    """Explored lines and deepest line of the four verifications.  Both are
+    deterministic, so a change means the traversal itself changed."""
+    expected = {
+        gamma_report: (20_806, 20),
+        gamma_prime_report: (211_872, 28),
+        g4_report: (661_671, 35),
+        g3_split_report: (256_247, 28),
+    }
+    for report, (lines, depth) in expected.items():
+        rep = report()
+        assert (rep.lines_checked, rep.max_depth) == (lines, depth), report
 
 
 def test_degree_bookkeeping():

@@ -3,7 +3,9 @@ their lifted versions, and the mutation suite."""
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,31 @@ def test_bounded_win_needs_three_on_tree_board():
     p = Position.make(h, [0, 2], [3, 4])
     assert bounded_win(p, 3)
     assert not bounded_win(p, 2)
+
+
+@pytest.mark.parametrize("layered", [False, True], ids=["plain", "split"])
+def test_bounded_win_search_matches_standalone(layered):
+    """A Breaker-first ``Respond((), BoundedWin(k))`` verifies exactly when
+    Maker wins within k moves after every opening reply.  Through
+    ``lift_split`` the same search runs inside a layer frame, from the
+    layer's real-coordinate edge table."""
+    rng = random.Random(9031)
+    outcomes = set()
+    for _ in range(40):
+        h = random_hypergraph(rng, max_vertices=9, max_edges=6)
+        for k in (1, 2, 3):
+            want = all(
+                bounded_win(Position.make(h, [], [b], Side.B), k)
+                for b in range(h.vertex_count)
+            )
+            s = StrategyTree(h, Side.B, Respond((), BoundedWin(k)))
+            if layered:
+                report = verify_maker_strategy(split_pendant(h), lift_split(s, h))
+            else:
+                report = verify_maker_strategy(h, s)
+            assert report.verified is want, (h.edges, k)
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_bounded_win_validates_arguments():
@@ -299,6 +326,29 @@ def test_every_mutation_is_rejected():
         report = verify_maker_strategy(board, tree)
         assert not report.verified, name
         assert report.counterexample is not None, name
+
+
+_MUTANT_SNAPSHOT = Path(__file__).with_name("mutant_counterexamples.json")
+
+
+def test_mutant_counterexamples_match_snapshot():
+    """Each mutant's first counterexample, full line included, and the work
+    spent finding it.  Reply order decides which line comes first, so this
+    pins the order in which the verifier explores replies."""
+    expected = json.loads(_MUTANT_SNAPSHOT.read_text())
+    mutations = named_mutations()
+    assert [name for name, _, _ in mutations] == [e["name"] for e in expected]
+    for (name, board, tree), want in zip(mutations, expected):
+        report = verify_maker_strategy(board, tree)
+        cex = report.counterexample
+        got = {
+            "name": name,
+            "kind": cex.kind,
+            "moves": [list(move) for move in cex.moves],
+            "detail": cex.detail,
+            "lines_checked": report.lines_checked,
+        }
+        assert got == want, name
 
 
 def test_counterexamples_are_deterministic():
