@@ -281,8 +281,21 @@ def _cmd_reduce(args, argv, start) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_report_flags(p, node_limit=True):
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=1,
+        metavar="N",
+        help="accepted for compatibility (N >= 1); the search is single-threaded",
+    )
     if node_limit:
         p.add_argument("--node-limit", type=int, default=None, metavar="N")
     p.add_argument("--out", metavar="FILE", help="write the report here")

@@ -12,12 +12,18 @@ number of unclaimed vertices outside them.  Unclaimed vertices outside every
 live edge are interchangeable, so offers touching them are explored through
 a single representative; a Chooser response taking a live vertex over a dead
 one dominates, so the dead branch of a mixed offer is skipped.
+
+A child's residuals are derived from its parent's canonical residuals rather
+than from every board edge: a superset the parent dropped either stays
+dominated in the child or dies with its subset, so the canonical set, and
+with it the memo key, is the same either way.  The search is single-threaded
+and deterministic: ``worker_count`` is accepted for interface symmetry and
+ignored.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +52,7 @@ class CPOptions:
 
     use_lemma23: bool = True
     node_limit: int | None = None
-    worker_count: int = 1
+    worker_count: int = 1  # accepted for interface symmetry; ignored
 
 
 def lemma23_offer(p: Position) -> tuple[int, int] | None:
@@ -73,26 +79,22 @@ class _CPSearch:
         self.masks = board.edge_masks
         self.full = board.full_mask
         self.memo: dict = {}
-        self.budget = _Budget(opts.node_limit, opts.worker_count > 1)
+        self.budget = _Budget(opts.node_limit)
 
-    def _analyze(self, a: int, b: int):
-        """("win", side) or ("open", memo_key, canon, unclaimed_mask)."""
-        rs = []
-        for m in self.masks:
-            if m & b:
-                continue
-            r = m & ~a
-            if not r:
-                return ("win", Side.A, None, None)
-            rs.append(r)
+    def _analyze(self, a: int, b: int, masks):
+        """("win", side) or ("open", memo_key, canon, unclaimed_mask) for the
+        position (a, b), whose residuals are read off ``masks``: the board's
+        edge masks, or the canonical residuals of an ancestor position."""
+        rs = [m & ~a for m in masks if not m & b]
         if not rs:
             return ("win", Side.B, None, None)
+        for r in rs:
+            if r & (r - 1) == 0:
+                # A completed edge, or a live edge one vertex short: Picker
+                # can never claim that vertex (Chooser takes it from any
+                # offer, or by the final odd-vertex rule), so Chooser wins.
+                return ("win", Side.A, None, None)
         canon = _canon(rs)
-        if canon[0].bit_count() == 1:
-            # A live edge one vertex short: Picker can never claim that
-            # vertex (Chooser takes it from any offer, or by the final
-            # odd-vertex rule), so Chooser wins.
-            return ("win", Side.A, None, None)
         unclaimed = self.full & ~(a | b)
         live = 0
         for r in canon:
@@ -130,8 +132,10 @@ class _CPSearch:
             offers.append([(a | ds[0], b | ds[1])])
         return offers
 
-    def value(self, a: int, b: int) -> Side:
-        state = self._analyze(a, b)
+    def value(self, a: int, b: int, masks=None) -> Side:
+        """Value of the position (a, b); ``masks`` as in :meth:`_analyze`,
+        the board's edge masks by default."""
+        state = self._analyze(a, b, self.masks if masks is None else masks)
         if state[0] == "win":
             return state[1]
         _tag, key, canon, unclaimed = state
@@ -141,7 +145,10 @@ class _CPSearch:
         self.budget.spend()
         result = Side.A
         for branches in self._offers(a, b, canon, unclaimed):
-            if all(self.value(a2, b2) is Side.B for a2, b2 in branches):
+            for a2, b2 in branches:
+                if self.value(a2, b2, canon) is not Side.B:
+                    break
+            else:
                 result = Side.B
                 break
         self.memo[key] = result
@@ -164,37 +171,10 @@ def solve_cp(h: Hypergraph, opts: CPOptions | None = None) -> SolveReport:
         )
 
     try:
-        state = search._analyze(0, 0)
-        if state[0] == "win":
-            return report(state[1])
-        _tag, _key, canon, unclaimed = state
-        search.budget.spend()
-        offers = search._offers(0, 0, canon, unclaimed)
-        if opts.worker_count == 1:
-            for branches in offers:
-                if all(search.value(a2, b2) is Side.B for a2, b2 in branches):
-                    return report(Side.B)
-            return report(Side.A)
-
-        def offer_is_picker_win(branches) -> bool:
-            return all(search.value(a2, b2) is Side.B for a2, b2 in branches)
-
-        with ThreadPoolExecutor(max_workers=opts.worker_count) as pool:
-            futures = [pool.submit(offer_is_picker_win, br) for br in offers]
-            exhausted = False
-            wins = []
-            for f in futures:
-                try:
-                    wins.append(f.result())
-                except _Exhausted:
-                    exhausted = True
-            if any(wins):
-                return report(Side.B)
-            if exhausted:
-                return report(None, exhausted=True)
-            return report(Side.A)
+        winner = search.value(0, 0)
     except _Exhausted:
         return report(None, exhausted=True)
+    return report(winner)
 
 
 def cp_winner_from(p: Position, opts: CPOptions | None = None) -> Side | None:
@@ -326,8 +306,11 @@ def validate_case_table(
     """Check a first-offer table against the exact solver: every unordered
     pair must be covered, the prescribed choice must be one of the offered
     vertices, and the position after the exchange must be a Chooser win."""
+    opts = opts or CPOptions()
+    if opts.worker_count < 1:
+        raise ValueError("worker_count must be positive")
     start = time.perf_counter()
-    search = _CPSearch(h, opts or CPOptions())
+    search = _CPSearch(h, opts)
     failures: list[CaseFailure] = []
     counts: dict[str, int] = {}
     total = 0

@@ -10,18 +10,25 @@ is a complete description of the game value.  Residual sets are canonicalized
 ignored), so transpositions collapse aggressively.  All reductions used are
 value-preserving; optional certificates give independently checkable
 Breaker-win proofs.
+
+Children are derived from their parent's canonical residuals and built
+lazily, one at a time, in search order, so a cutoff skips the siblings that
+follow it.  A Breaker claim only drops the residuals through the claimed
+vertex, which keeps the set canonical.  A Maker claim shrinks those
+residuals instead; only the untouched ones can become dominated, so only
+they are re-checked (:func:`_maker_claim`).  The search is single-threaded
+and deterministic: ``worker_count`` is accepted for interface symmetry and
+ignored.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import reduce_lemma21
-from .core import Hypergraph, Position, Side, iter_bits
+from .core import Hypergraph, Position, Side
 
 __all__ = [
     "MBOptions",
@@ -48,7 +55,7 @@ class MBOptions:
     use_lemma21: bool = True
     use_lemma22: bool = True
     node_limit: int | None = None
-    worker_count: int = 1
+    worker_count: int = 1  # accepted for interface symmetry; ignored
 
 
 @dataclass(frozen=True)
@@ -87,25 +94,18 @@ class _Exhausted(Exception):
 
 
 class _Budget:
-    """Node counter with an optional cap; lock-guarded when shared."""
+    """Node counter with an optional cap."""
 
-    __slots__ = ("limit", "count", "_lock")
+    __slots__ = ("limit", "count")
 
-    def __init__(self, limit: int | None, threaded: bool):
+    def __init__(self, limit: int | None):
         self.limit = limit
         self.count = 0
-        self._lock = threading.Lock() if threaded else None
 
     def spend(self) -> None:
-        if self._lock is None:
-            self.count += 1
-            if self.limit is not None and self.count > self.limit:
-                raise _Exhausted()
-        else:
-            with self._lock:
-                self.count += 1
-                if self.limit is not None and self.count > self.limit:
-                    raise _Exhausted()
+        self.count += 1
+        if self.limit is not None and self.count > self.limit:
+            raise _Exhausted()
 
 
 # ---------------------------------------------------------------------------
@@ -117,85 +117,107 @@ def _canon(masks) -> tuple[int, ...]:
     """Canonical residual set: deduplicated, supersets of other residuals
     dropped (they can neither be completed first nor blocked separately),
     sorted by (size, value)."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
-    for m in uniq:
-        if any(o & m == o for o in kept):
-            continue
-        kept.append(m)
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
+        for o in kept:
+            if o & m == o:
+                break
+        else:
+            kept.append(m)
     return tuple(kept)
 
 
-def _ordered_vertices(masks) -> list[int]:
-    """Candidate moves: vertices of live edges, most urgent first (weight
-    2^-size per incident edge), index ascending as the tie-break."""
+def _maker_claim(masks, bit: int) -> tuple[int, ...]:
+    """``_canon`` of the canonical set ``masks`` after Maker claims ``bit``,
+    given that every residual through ``bit`` keeps another vertex.
+
+    The shrunk residuals stay distinct and mutually undominated, and an
+    untouched residual cannot dominate a shrunk one (it would have dominated
+    it before the claim).  So only the untouched residuals are re-checked,
+    against the shrunk ones, and both runs keep their (size, value) order.
+    """
+    shrunk = []
+    rest = []
+    for m in masks:
+        if m & bit:
+            shrunk.append(m ^ bit)
+        else:
+            rest.append(m)
+    for s in shrunk:
+        rest = [m for m in rest if m & s != s]
+    return tuple(sorted(sorted(shrunk + rest), key=int.bit_count))
+
+
+def _breaker_claim(masks, bit: int) -> tuple[int, ...]:
+    """The canonical set ``masks`` after Breaker claims ``bit``: dropping
+    residuals keeps it canonical."""
+    return tuple([m for m in masks if not m & bit])
+
+
+def _ordered_bits(masks) -> list[int]:
+    """Candidate moves, as single-bit masks: vertices of live edges, most
+    urgent first (weight 2^-size per incident edge), index ascending as the
+    tie-break."""
     score: dict[int, int] = {}
     for m in masks:
-        w = 1 << max(0, 12 - m.bit_count())
-        for v in iter_bits(m):
-            score[v] = score.get(v, 0) + w
-    return sorted(score, key=lambda v: (-score[v], v))
+        size = m.bit_count()
+        w = 1 << (12 - size) if size < 12 else 1
+        while m:
+            bit = m & -m
+            score[bit] = score.get(bit, 0) + w
+            m ^= bit
+    return sorted(sorted(score), key=score.__getitem__, reverse=True)
 
 
 def _es_below_half(masks) -> bool:
-    """Integer-exact test of sum(2^-size) < 1/2 over the residual set."""
-    k = max(m.bit_count() for m in masks)
-    total = sum(1 << (k - m.bit_count()) for m in masks)
+    """Integer-exact test of sum(2^-size) < 1/2 over a canonical residual
+    set (its last residual is a largest one)."""
+    k = masks[-1].bit_count()
+    total = sum([1 << (k - m.bit_count()) for m in masks])
     return 2 * total < (1 << k)
 
 
 def _lemma22_vertex(masks) -> int | None:
     """In a residual set with an edge {x, y} where x lies in no other edge,
-    Maker may restrict the current move to y without changing the value."""
-    deg: dict[int, int] = {}
+    Maker may restrict the current move to y without changing the value.
+    Scans the 2-edges in order; when both vertices have degree 1 the
+    lower-indexed one is returned."""
+    seen = multi = 0
     for m in masks:
-        for v in iter_bits(m):
-            deg[v] = deg.get(v, 0) + 1
+        multi |= seen & m
+        seen |= m
+    pendant = seen & ~multi
     for m in masks:
-        if m.bit_count() == 2:
+        if m.bit_count() == 2 and m & pendant:
             lo = m & -m
-            a = lo.bit_length() - 1
-            b = (m ^ lo).bit_length() - 1
-            da, db = deg[a] == 1, deg[b] == 1
-            if da and db:
-                return a
-            if da:
-                return b
-            if db:
-                return a
+            # Only the lower vertex pendant: take the upper; else the lower.
+            pick = m ^ lo if m & pendant == lo else lo
+            return pick.bit_length() - 1
     return None
 
 
 def _expand(masks, to_move, opts):
-    """Shortcut or expand one node.  Returns ("win", side) or
-    ("moves", [(vertex, canonical child), ...])."""
+    """Shortcut or expand one canonical node.  Returns ("win", side) or
+    ("moves", children): the canonical children, built lazily in search
+    order."""
     if to_move is Side.A:
         if masks[0].bit_count() == 1:
             return "win", Side.A
         if opts.use_es_certificate and _es_below_half(masks):
             return "win", Side.B
+        # No residual is a singleton, so none can be emptied by the claim.
         forced = _lemma22_vertex(masks) if opts.use_lemma22 else None
-        cands = [forced] if forced is not None else _ordered_vertices(masks)
-        moves = []
-        for v in cands:
-            bit = 1 << v
-            child = [m & ~bit if m & bit else m for m in masks]
-            if any(c == 0 for c in child):
-                return "win", Side.A
-            moves.append((v, _canon(child)))
-        return "moves", moves
-    threats = [m for m in masks if m.bit_count() == 1]
-    if len(threats) >= 2:
-        return "win", Side.A
-    if len(threats) == 1:
-        cands = [threats[0].bit_length() - 1]
+        cands = [1 << forced] if forced is not None else _ordered_bits(masks)
+        return "moves", (_maker_claim(masks, bit) for bit in cands)
+    # Singletons sort first: two of them are a double threat, one forces
+    # Breaker's reply.
+    if masks[0].bit_count() == 1:
+        if len(masks) > 1 and masks[1].bit_count() == 1:
+            return "win", Side.A
+        cands = [masks[0]]
     else:
-        cands = _ordered_vertices(masks)
-    moves = []
-    for v in cands:
-        bit = 1 << v
-        moves.append((v, tuple(m for m in masks if not m & bit)))
-    return "moves", moves
+        cands = _ordered_bits(masks)
+    return "moves", (_breaker_claim(masks, bit) for bit in cands)
 
 
 def _value(masks, to_move, memo, budget, opts) -> Side:
@@ -210,9 +232,10 @@ def _value(masks, to_move, memo, budget, opts) -> Side:
     if kind == "win":
         memo[key] = data
         return data
-    result = to_move.other()
-    for _v, child in data:
-        if _value(child, to_move.other(), memo, budget, opts) is to_move:
+    other = to_move.other()
+    result = other
+    for child in data:
+        if _value(child, other, memo, budget, opts) is to_move:
             result = to_move
             break
     memo[key] = result
@@ -292,18 +315,7 @@ def maker_root_restriction(h: Hypergraph) -> int | None:
     """If some 2-edge {x, y} has degree(x) = 1, Maker (to move) may restrict
     the current move to y.  Scans edges in index order; when both vertices
     have degree 1 the lower-indexed one is returned."""
-    deg = h.degrees()
-    for e in h.edges:
-        if len(e) == 2:
-            a, b = e
-            da, db = deg[a] == 1, deg[b] == 1
-            if da and db:
-                return a
-            if da:
-                return b
-            if db:
-                return a
-    return None
+    return _lemma22_vertex(h.edge_masks)
 
 
 def check_certificate(
@@ -363,6 +375,16 @@ def check_report(h: Hypergraph, report: SolveReport) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _search(masks, to_move: Side, opts: MBOptions) -> tuple[Side | None, int]:
+    """Exact value of the residual set ``masks`` (no residual empty) and the
+    nodes expanded; the value is None when the node limit was hit."""
+    budget = _Budget(opts.node_limit)
+    try:
+        return _value(_canon(masks), to_move, {}, budget, opts), budget.count
+    except _Exhausted:
+        return None, budget.count
+
+
 def solve_winner(p: Position, opts: MBOptions | None = None) -> Side | None:
     """Game value from an arbitrary position (None only on node-limit
     exhaustion).  Used by tests and the strategy tooling; certificates are
@@ -376,11 +398,7 @@ def solve_winner(p: Position, opts: MBOptions | None = None) -> Side | None:
         if r == 0:
             return Side.A
         masks.append(r)
-    budget = _Budget(opts.node_limit, False)
-    try:
-        return _value(_canon(masks), p.to_move(), {}, budget, opts)
-    except _Exhausted:
-        return None
+    return _search(masks, p.to_move(), opts)[0]
 
 
 def solve_mb(
@@ -443,36 +461,5 @@ def solve_mb(
                 Side.B, 0, Certificate("erdos_selfridge", {"potential": str(pot)})
             )
 
-    masks0 = _canon(h.edge_masks)
-    budget = _Budget(opts.node_limit, opts.worker_count > 1)
-    memo: dict = {}
-    try:
-        budget.spend()
-        kind, data = _expand(masks0, first_mover, opts)
-        if kind == "win":
-            return report(data, budget.count)
-        other = first_mover.other()
-        if opts.worker_count == 1:
-            for _v, child in data:
-                if _value(child, other, memo, budget, opts) is first_mover:
-                    return report(first_mover, budget.count)
-            return report(other, budget.count)
-        with ThreadPoolExecutor(max_workers=opts.worker_count) as pool:
-            futures = [
-                pool.submit(_value, child, other, memo, budget, opts)
-                for _v, child in data
-            ]
-            exhausted = False
-            values = []
-            for f in futures:
-                try:
-                    values.append(f.result())
-                except _Exhausted:
-                    exhausted = True
-            if first_mover in values:
-                return report(first_mover, budget.count)
-            if exhausted:
-                return report(None, budget.count, exhausted=True)
-            return report(other, budget.count)
-    except _Exhausted:
-        return report(None, budget.count, exhausted=True)
+    winner, nodes = _search(h.edge_masks, first_mover, opts)
+    return report(winner, nodes, exhausted=winner is None)

@@ -2,10 +2,10 @@
 
 One test per headline claim, in order: the G_CP verdict split between the
 two games, the first-offer case table, the three strategy verifications
-(pentagon board, gadget board, apex board), the verifier's pinned
-counters, the degree bookkeeping, the multipartite fixtures, solver option
-equivalence, mutation sensitivity, and thread-count determinism.  Each
-test asserts its runtime budget.
+(pentagon board, gadget board, apex board), the verifier's and the
+solvers' pinned counters, the degree bookkeeping, the multipartite
+fixtures, solver option equivalence, mutation sensitivity, and thread-count
+determinism.  Each test asserts its runtime budget.
 """
 
 from __future__ import annotations
@@ -80,6 +80,18 @@ def _case_table(threads: int = 1):
 @lru_cache(maxsize=None)
 def _mb_g3(threads: int = 1):
     return solve_mb(gen_g3(), Side.A, MBOptions(worker_count=threads))
+
+
+@lru_cache(maxsize=None)
+def _mb_gamma_breaker(threads: int = 1):
+    return solve_mb(gen_gamma(), Side.B, MBOptions(worker_count=threads))
+
+
+@lru_cache(maxsize=None)
+def _cp_gcp_unrestricted(threads: int = 1):
+    return solve_cp(
+        gen_gcp(), CPOptions(use_lemma23=False, worker_count=threads)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -184,6 +196,29 @@ def test_verifier_counters_are_pinned():
         assert (rep.lines_checked, rep.max_depth) == (lines, depth), report
 
 
+def test_solver_counters_are_pinned():
+    """Verdicts and expanded nodes of the six exact solves on the shipped
+    boards.  The search is deterministic, so a change in a count means its
+    traversal, pruning or memo keys changed."""
+    expected = {
+        "mb gamma, Breaker first": (_mb_gamma_breaker, Side.A, 59_246),
+        "mb g3-split, Maker first": (
+            lambda: solve_mb(split_pendant(gen_g3()), Side.A),
+            Side.A,
+            66_827,
+        ),
+        "cp gcp without lemma 23": (_cp_gcp_unrestricted, Side.A, 13_287),
+        "mb gcp": (_mb_gcp, Side.B, 169),
+        "cp gcp": (_cp_gcp, Side.A, 267),
+    }
+    for name, (solve, winner, nodes) in expected.items():
+        rep, elapsed = _timed(solve)
+        assert (rep.winner, rep.nodes_expanded) == (winner, nodes), name
+        assert elapsed < 60, name
+    cases = _case_table()
+    assert (cases.passed, cases.nodes_expanded) == (True, 253)
+
+
 def test_degree_bookkeeping():
     """Maker wins the degree-2 3-graph outright; pairings always exist at
     half-uniformity degree; the pendant split lifts the win to 4 sets."""
@@ -257,3 +292,12 @@ def test_verdicts_identical_across_thread_counts():
         four = verify_maker_strategy(board, mutant, worker_count=4)
         assert four.verified is one.verified, name
         assert four.counterexample == one.counterexample, name
+
+
+def test_worker_count_leaves_node_counts_unchanged():
+    """The solvers run single-threaded whatever the worker count, so the
+    counters match exactly, not only the verdicts."""
+    for solve in (_mb_gamma_breaker, _cp_gcp_unrestricted, _mb_gcp, _cp_gcp):
+        two, one = solve(2), solve()
+        assert (two.winner, two.nodes_expanded) == (one.winner, one.nodes_expanded)
+    assert _case_table(2).nodes_expanded == _case_table().nodes_expanded

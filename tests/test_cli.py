@@ -172,6 +172,18 @@ class TestSolve:
             winners.append(_report(out)["payload"]["winner"])
         assert winners == ["breaker", "breaker"]
 
+    def test_threads_below_one_is_a_usage_error(self, capsys, tmp_path):
+        path = _gen(capsys, tmp_path, "gcp")
+        for argv in (
+            ("solve", "mb", path, "--first", "maker"),
+            ("solve", "cp", path),
+            ("validate-cases", "gcp"),
+            ("verify", "gamma"),
+        ):
+            code, out, err = _run(capsys, *argv, "--threads", "0")
+            assert (code, out) == (2, ""), argv
+            assert "--threads: must be at least 1" in err, argv
+
     def test_cp_two_vertex_edge_goes_to_picker(self, capsys, tmp_path):
         path = tmp_path / "pair.hg"
         path.write_text("p hg 2 1\ne 1 2\n", encoding="utf-8")

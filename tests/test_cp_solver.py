@@ -150,6 +150,12 @@ class TestOptions:
         with pytest.raises(ValueError):
             solve_cp(gen_gcp(), CPOptions(worker_count=0))
 
+    def test_case_validation_rejects_worker_count_below_one(self):
+        with pytest.raises(ValueError):
+            validate_case_table(
+                gen_gcp(), gcp_case_table(), CPOptions(worker_count=0)
+            )
+
 
 class TestCaseTable:
     def test_builtin_table_passes_all_offers(self):

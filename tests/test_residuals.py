@@ -1,0 +1,138 @@
+"""Differential property tests for the solvers' residual bookkeeping.
+
+The exact solvers derive each child's canonical residual set from its
+parent's instead of rebuilding it from every board edge.  These tests check
+each shortcut against a brute-force reference on random inputs.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posgames.core import Hypergraph, iter_bits
+from posgames.cp import CPOptions, _CPSearch
+from posgames.mb import (
+    _breaker_claim,
+    _canon,
+    _lemma22_vertex,
+    _maker_claim,
+    _ordered_bits,
+    maker_root_restriction,
+)
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# Residuals of at least two vertices over 12 vertices: what Maker faces
+# when no single-vertex threat is left.
+_residual_lists = st.lists(
+    st.integers(1, (1 << 12) - 1).filter(lambda m: m.bit_count() >= 2),
+    min_size=1,
+    max_size=14,
+)
+
+
+@st.composite
+def _boards(draw, max_vertices: int = 10, max_edges: int = 8) -> Hypergraph:
+    n = draw(st.integers(2, max_vertices))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(4, n))
+    edges = draw(st.lists(edge, max_size=max_edges, unique=True))
+    return Hypergraph(n, [sorted(e) for e in edges])
+
+
+def _reference_canon(masks) -> tuple[int, ...]:
+    """The minimal residuals, found by comparing every pair, in (size,
+    value) order."""
+    uniq = set(masks)
+    minimal = {m for m in uniq if not any(o != m and o & m == o for o in uniq)}
+    return tuple(sorted(minimal, key=lambda m: (m.bit_count(), m)))
+
+
+def _reference_lemma22(masks) -> int | None:
+    """Lemma 22's forced vertex from explicit degree counts."""
+    deg: dict[int, int] = {}
+    for m in masks:
+        for v in iter_bits(m):
+            deg[v] = deg.get(v, 0) + 1
+    for m in masks:
+        if m.bit_count() == 2:
+            a, b = iter_bits(m)
+            if deg[a] == 1 and deg[b] != 1:
+                return b
+            if deg[a] == 1 or deg[b] == 1:
+                return a
+    return None
+
+
+def _some_vertex(data, masks) -> int:
+    union = 0
+    for m in masks:
+        union |= m
+    return 1 << data.draw(st.sampled_from(list(iter_bits(union))))
+
+
+@_SETTINGS
+@given(_residual_lists)
+def test_canon_matches_brute_force(raw):
+    assert _canon(raw) == _reference_canon(raw)
+
+
+@_SETTINGS
+@given(_residual_lists, st.data())
+def test_incremental_maker_claim_equals_full_canon(raw, data):
+    canon = _canon(raw)
+    bit = _some_vertex(data, canon)
+    shrunk = _maker_claim(canon, bit)
+    assert shrunk == _canon([m & ~bit for m in canon])
+    # The claim commutes with canonicalisation of the uncanonical list.
+    assert shrunk == _reference_canon([m & ~bit for m in raw])
+
+
+@_SETTINGS
+@given(_residual_lists, st.data())
+def test_breaker_claim_equals_full_canon(raw, data):
+    canon = _canon(raw)
+    bit = _some_vertex(data, canon)
+    expected = _reference_canon([m for m in raw if not m & bit])
+    assert _breaker_claim(canon, bit) == expected
+
+
+@_SETTINGS
+@given(_residual_lists)
+def test_move_order_is_urgency_then_index(raw):
+    masks = _canon(raw)
+    score: dict[int, int] = {}
+    for m in masks:
+        for v in iter_bits(m):
+            score[v] = score.get(v, 0) + (1 << max(0, 12 - m.bit_count()))
+    expected = sorted(score, key=lambda v: (-score[v], v))
+    assert [bit.bit_length() - 1 for bit in _ordered_bits(masks)] == expected
+
+
+@_SETTINGS
+@given(_boards(max_vertices=8, max_edges=6))
+def test_lemma22_vertex_matches_degree_counts(h):
+    assert _lemma22_vertex(h.edge_masks) == _reference_lemma22(h.edge_masks)
+    assert maker_root_restriction(h) == _reference_lemma22(h.edge_masks)
+
+
+@_SETTINGS
+@given(_boards(), st.data())
+def test_cp_analyze_from_ancestor_canon_matches_board(h, data):
+    """Every position along a random line of exchanges is analysed the same
+    from the board's edges as from the canonical residuals of any earlier
+    open position on the line."""
+    order = data.draw(st.permutations(range(h.vertex_count)))
+    search = _CPSearch(h, CPOptions())
+    a = b = 0
+    ancestors = []
+    for i in range(0, len(order) - 1, 2):
+        state = search._analyze(a, b, h.edge_masks)
+        if state[0] != "open":
+            break
+        ancestors.append(state[2])
+        a |= 1 << order[i]
+        b |= 1 << order[i + 1]
+        expected = search._analyze(a, b, h.edge_masks)
+        for canon in ancestors:
+            assert search._analyze(a, b, canon) == expected
