@@ -34,6 +34,7 @@ from .core import (
     Hypergraph,
     Side,
     load_hypergraph,
+    max_degree,
     save_hypergraph,
     side_name,
 )
@@ -125,17 +126,13 @@ def _identify(h: Hypergraph) -> str | None:
 def _cmd_info(args, argv, start) -> int:
     h = _load_board(args.file)
     sizes = {len(e) for e in h.edges}
-    degree = [0] * h.vertex_count
-    for e in h.edges:
-        for v in e:
-            degree[v] += 1
     key = _identify(h)
     meta = CONSTRUCTIONS.get(key) if key else None
     payload = {
         "vertices": h.vertex_count,
         "edges": len(h.edges),
         "uniform": sizes.pop() if len(sizes) == 1 else None,
-        "max_degree": max(degree, default=0),
+        "max_degree": max_degree(h),
         "construction": key.replace("_", "-") if key else None,
         "erratum_note": meta.erratum_note if meta else None,
     }

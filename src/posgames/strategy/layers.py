@@ -48,9 +48,10 @@ class Layer:
         reads the masks.
     ``relevance``
         optional (virtual Maker mask, virtual opponent mask) -> parent-board
-        vertex mask of everything this layer may still react to.  When no
-        active layer leaves it None, the verifier collapses opponent moves
-        outside the union of these masks.  Parent vertices of ``win_edges``
+        vertex mask of everything this layer may still react to.  The
+        verifier collapses opponent moves outside the union of the active
+        layers' masks; a layer that leaves it None counts its whole
+        embedded board as relevant.  Parent vertices of ``win_edges``
         targets that lie outside the embedding are kept relevant
         automatically and need not be listed.  The layer's own virtual
         claim masks travel with the layer, so vertices whose effect is

@@ -9,12 +9,14 @@ the replies are played in ascending vertex order without walking every
 free vertex.  A per-class flag recording whether the class still has a
 free member is folded into the memo key so the pruning stays exact.
 
-Everything that depends only on the stack of active layers (how each real
+A line's layer state is the innermost active layer stack, interned as one
+object per distinct stack, plus a tuple of per-layer (Maker, opponent)
+claim masks.  Everything that depends only on the stack (how each real
 vertex resolves, the reply classes, the layers' fixed relevance) is
-computed once per stack.  Bounded-win search works from per-stack tables
-of the innermost board's edges in real coordinates: the edges within
-reach of a given Maker mask are cached with their real images, so whether
-such an edge is still winnable is one mask test against the real claims.
+computed once and kept on that object.  Bounded-win search works from
+per-stack tables of the innermost board's edges: the edges within reach of
+a given Maker mask are cached with their real images, which bound the memo
+key.
 
 Some opponent moves are *invisible* to the active layers: either the
 translation chain drops them before reaching the innermost layer, or they
@@ -27,8 +29,10 @@ every "wasted" opponent move share the memo entry of the matching direct
 reply.  The pretence is only used when the innermost layer is the single
 stateful one, so it is always reflected in the memo signature.
 
-``bounded_win`` is the standalone "Maker wins within k of his own moves"
-decision procedure used by ``BoundedWin`` defaults and by tests.
+``BoundedWin`` defaults are discharged by the machine's own search over
+those tables.  ``bounded_win`` is a standalone "Maker wins within k of his
+own moves" decision procedure on a plain position, kept as the reference
+that tests compare that search against.
 """
 
 from __future__ import annotations
@@ -126,20 +130,30 @@ class _Stack:
     """One stack of active layers, outermost first, and what is known about
     it independently of the claim masks.
 
-    The machine interns one object per distinct stack (a child per layer
-    pushed on top of it), so every per-stack table is an attribute reached
-    from the innermost frame instead of a dict entry keyed by a tuple of
-    layer ids.  Tables are filled lazily, on first use, so a malformed
-    layer fails on the first line that needs its table.
+    A line carries its layer state as the innermost ``_Stack`` plus one
+    tuple of per-layer ``(va, vb)`` claim masks, outermost first.  The
+    machine interns one object per distinct stack (a child per layer pushed
+    on top of it, its embedding checked against the parent board when the
+    child is created), so the object itself names the layers in a memo key
+    and every per-stack table is one of its attributes.  ``prefixes[i]`` is
+    the stack that closes ``layers[i]``.  Tables that need the board's
+    contents are filled lazily, on first use, so a malformed layer fails on
+    the first line that needs its table.
     """
 
     __slots__ = (
+        "board",
         "layer",
         "parent",
         "layers",
-        "lid",
+        "prefixes",
+        "real",
+        "image",
+        "residue",
+        "dyn",
         "children",
         "veil",
+        "stateful",
         "table",
         "arrivals",
         "classes",
@@ -153,18 +167,40 @@ class _Stack:
         "bw",
     )
 
-    def __init__(self, layer=None, parent: "_Stack | None" = None):
+    def __init__(self, board: Hypergraph, layer=None, parent: "_Stack | None" = None):
+        self.board = board
         self.layer = layer
         self.parent = parent
-        self.layers = () if parent is None else parent.layers + (layer,)
-        self.lid = id(layer)
         self.children: dict = {}
+        if parent is None:
+            self.layers = self.prefixes = ()
+            self.real = tuple(range(board.vertex_count))
+            self.image = 0
+            self.dyn: dict = {}
+        else:
+            self.layers = parent.layers + (layer,)
+            self.prefixes = parent.prefixes + (self,)
+            # real vertex of each vertex of ``board``
+            self.real = tuple([parent.real[v] for v in layer.embed])
+            # parent-board image of ``board``
+            self.image = 0
+            for v in layer.embed:
+                self.image |= 1 << v
+            # parent vertex -> dynamic group; only legal on the innermost layer
+            self.dyn = {
+                v: gi
+                for gi, members in enumerate(layer.dynamic_groups)
+                for v in members
+            }
+        self.residue = None
         layers = self.layers
         self.veil = (
             bool(layers)
             and layers[-1].stateful
             and all(not l.stateful for l in layers[:-1])
         )
+        # indices of the layers whose claim masks enter the memo key
+        self.stateful = tuple(i for i, l in enumerate(layers) if l.stateful)
         self.table = None
         self.arrivals = None
         self.classes = None
@@ -172,51 +208,17 @@ class _Stack:
         self.veils: dict = {}
         self.node_rel: dict = {}
         self.fixed_rel = None
-        # (frame index, stack prefix ending at that frame) for each stateful
-        # layer whose relevance depends on its claim masks
+        # (layer index, stack closing that layer) for each stateful layer
+        # whose relevance depends on its claim masks
         self.stateful_rel = tuple(
-            (i, self._prefix(i))
-            for i, l in enumerate(layers)
-            if l.stateful and l.relevance is not None
+            (i, self.prefixes[i])
+            for i in self.stateful
+            if layers[i].relevance is not None
         )
         # relevance mask on the parent board of ``layer`` -> its real image
         self.real_rel: dict = {}
         self.edges = None
         self.bw: dict = {}
-
-    def _prefix(self, i: int) -> "_Stack":
-        stack = self
-        for _ in range(len(self.layers) - 1 - i):
-            stack = stack.parent
-        return stack
-
-    def push(self, layer) -> "_Stack":
-        child = self.children.get(layer)
-        if child is None:
-            child = self.children[layer] = _Stack(layer, self)
-        return child
-
-
-class _Frame:
-    """One active virtual layer: the layer plus its claim masks, and the
-    stack this frame closes."""
-
-    __slots__ = ("layer", "va", "vb", "stack")
-
-    def __init__(self, layer, va: int, vb: int, stack: _Stack):
-        self.layer = layer
-        self.va = va
-        self.vb = vb
-        self.stack = stack
-
-
-def _sig(frames) -> tuple:
-    """The frames' contribution to a memo key: the identity of each layer,
-    with its claim masks when the layer is stateful."""
-    return tuple([
-        (f.stack.lid, f.va, f.vb) if f.layer.stateful else f.stack.lid
-        for f in frames
-    ])
 
 
 class _Machine:
@@ -231,14 +233,12 @@ class _Machine:
         self.expansions = 0
         self.max_depth = 0
         self.memo: dict = {}
-        self.root = _Stack()
+        self.root = _Stack(h)
         self._branch_maps: dict = {}
-        self._dyn_maps: dict = {}
-        self._embed_masks: dict = {}
-        self._residues: dict = {}
-        # (layer id, va, vb) -> relevance callback value, stateful layers only
+        # layer -> {(va, vb): relevance callback value}, shared by every
+        # stack that closes the layer; kept off the stacks, which form
+        # reference cycles, so that it is freed with the machine
         self._rel_values: dict = {}
-        self._layers_seen: set = set()
 
     # ------------------------------------------------------------------
     # failures
@@ -249,67 +249,46 @@ class _Machine:
     # ------------------------------------------------------------------
     # layer bookkeeping
 
-    def _check_layer(self, layer, parent_n: int) -> None:
-        if id(layer) in self._layers_seen:
-            return
-        self._layers_seen.add(id(layer))
-        if len(layer.embed) != layer.board.vertex_count:
-            self._fail(
-                "ill_formed",
-                f"layer {layer.name!r}: embedding names "
-                f"{len(layer.embed)} of {layer.board.vertex_count} vertices",
-            )
-        if any(not 0 <= v < parent_n for v in layer.embed):
-            self._fail(
-                "ill_formed",
-                f"layer {layer.name!r}: embedding leaves the parent board",
-            )
+    def _push(self, stack: _Stack, layer) -> _Stack:
+        """The interned stack that enters ``layer`` on top of ``stack``.
 
-    def _enter(self, node, frames):
-        """Push the frames of a run of ``EnterLayer`` nodes."""
+        The embedding is checked against ``stack``'s board when the child
+        is first created, so a layer reused under another parent is checked
+        again there.
+        """
+        child = stack.children.get(layer)
+        if child is None:
+            if len(layer.embed) != layer.board.vertex_count:
+                self._fail(
+                    "ill_formed",
+                    f"layer {layer.name!r}: embedding names "
+                    f"{len(layer.embed)} of {layer.board.vertex_count} vertices",
+                )
+            parent_n = stack.board.vertex_count
+            if any(not 0 <= v < parent_n for v in layer.embed):
+                self._fail(
+                    "ill_formed",
+                    f"layer {layer.name!r}: embedding leaves the parent board",
+                )
+            child = stack.children[layer] = _Stack(layer.board, layer, stack)
+            self._rel_values.setdefault(layer, {})
+        return child
+
+    def _enter(self, node, stack: _Stack, masks: tuple):
+        """Push the layers of a run of ``EnterLayer`` nodes."""
         while isinstance(node, EnterLayer):
-            if frames:
-                stack = frames[-1].stack
-                parent_n = stack.layer.board.vertex_count
-            else:
-                stack = self.root
-                parent_n = self.h.vertex_count
-            self._check_layer(node.layer, parent_n)
-            frames = frames + (_Frame(node.layer, 0, 0, stack.push(node.layer)),)
+            stack = self._push(stack, node.layer)
+            masks += ((0, 0),)
             node = node.then
-        return node, frames
-
-    def _dyn_map(self, layer) -> dict:
-        got = self._dyn_maps.get(id(layer))
-        if got is None:
-            got = {}
-            for gi, members in enumerate(layer.dynamic_groups):
-                for v in members:
-                    got[v] = gi
-            self._dyn_maps[id(layer)] = got
-        return got
-
-    def _embed_mask(self, layer, mask: int) -> int:
-        """Map a mask on ``layer.board`` to the parent board."""
-        cache = self._embed_masks.setdefault(id(layer), {})
-        got = cache.get(mask)
-        if got is None:
-            embed = layer.embed
-            got = 0
-            for v in iter_bits(mask):
-                got |= 1 << embed[v]
-            cache[mask] = got
-        return got
+        return node, stack, masks
 
     def _to_real(self, mask: int, stack: _Stack) -> int:
-        for layer in reversed(stack.layers):
-            mask = self._embed_mask(layer, mask)
-        return mask
-
-    def _real_vertex(self, v: int, frames) -> int:
-        for frame in reversed(frames):
-            v = frame.layer.embed[v]
-        return v
+        """Map a mask on ``stack.board`` to the real board."""
+        real = stack.real
+        out = 0
+        for v in iter_bits(mask):
+            out |= 1 << real[v]
+        return out
 
     # ------------------------------------------------------------------
     # per-stack static analysis
@@ -318,9 +297,9 @@ class _Machine:
         """Per real vertex, how the active layers resolve an opponent claim.
 
         Entries are ("answer", real reply, effects), ("pass", effects),
-        ("vertex", innermost vertex, effects) or ("dyn", frame index, group,
-        effects, coordinate entering that frame); ``effects`` lists the
-        (frame index, frame-board vertex) marks recorded along the walk.
+        ("vertex", innermost vertex, effects) or ("dyn", group, effects,
+        coordinate entering the innermost layer); ``effects`` lists the
+        (layer index, layer-board vertex) marks recorded along the walk.
         """
         if stack.table is not None:
             return stack.table
@@ -337,7 +316,7 @@ class _Machine:
                         ans = layers[j].embed[ans]
                     entry = ("answer", ans, tuple(effects))
                     break
-                gi = self._dyn_map(layer).get(coord)
+                gi = stack.prefixes[fi].dyn.get(coord)
                 if gi is not None:
                     if fi != len(layers) - 1:
                         self._fail(
@@ -345,7 +324,7 @@ class _Machine:
                             f"layer {layer.name!r}: state-dependent "
                             "translation below another layer",
                         )
-                    entry = ("dyn", fi, gi, tuple(effects), coord)
+                    entry = ("dyn", gi, tuple(effects), coord)
                     break
                 nxt = layer.translate(coord, 0, 0)
                 if nxt is None:
@@ -358,6 +337,16 @@ class _Machine:
             entries.append(entry)
         stack.table = entries
         return entries
+
+    def _resolve_dyn(self, stack: _Stack, masks: tuple, entry):
+        """The ("vertex", ...) or ("pass", ...) entry a ``dyn`` entry
+        resolves to at the innermost layer's claim masks."""
+        _kind, _gi, effects, coord = entry
+        va, vb = masks[-1]
+        target = stack.layer.translate(coord, va, vb)
+        if target is None:
+            return ("pass", effects)
+        return ("vertex", target, effects + ((len(masks) - 1, target),))
 
     def _branch_map(self, node: Respond):
         got = self._branch_maps.get(id(node))
@@ -429,7 +418,7 @@ class _Machine:
             dyn: dict = {}
             for rv, entry in enumerate(self._table(stack)):
                 if entry[0] == "dyn":
-                    dyn[(entry[1], entry[2])] = dyn.get((entry[1], entry[2]), 0) | (1 << rv)
+                    dyn[entry[1]] = dyn.get(entry[1], 0) | (1 << rv)
                     continue
                 visible = tuple(
                     (fi, c) for fi, c in entry[-1] if layers[fi].stateful
@@ -443,8 +432,8 @@ class _Machine:
             )
         return stack.classes
 
-    def _veiled_mask(self, frames) -> int:
-        """Real vertices whose static resolution the innermost frame hides.
+    def _veiled_mask(self, stack: _Stack, masks: tuple) -> int:
+        """Real vertices whose static resolution the innermost layer hides.
 
         Static resolution can land several real vertices on one coordinate
         (and imagined stand-ins mark coordinates no real claim covers), so a
@@ -453,14 +442,13 @@ class _Machine:
         and is handled as an invisible move.  The bookkeeping needs the
         innermost state inside the memo signature, so the veil is only
         active (``_Stack.veil``) when the innermost layer is the single
-        stateful one; deeper stateful frames would need their own veil
+        stateful one; deeper stateful layers would need their own veil
         state, so resolution is taken at face value there.
         """
-        if not frames:
+        if not stack.veil:
             return 0
-        frame = frames[-1]
-        stack, vb = frame.stack, frame.vb
-        if not stack.veil or vb == 0:
+        vb = masks[-1][1]
+        if vb == 0:
             return 0
         got = stack.veils.get(vb)
         if got is None:
@@ -479,7 +467,7 @@ class _Machine:
     # ------------------------------------------------------------------
     # relevance
 
-    def _relevance(self, node, frames, sig: tuple, ra: int) -> int:
+    def _relevance(self, node, stack: _Stack, masks: tuple, ra: int) -> int:
         """Real vertices whose claims ``node`` may still react to.
 
         The union of the node's own relevance, each active layer's
@@ -490,73 +478,66 @@ class _Machine:
         masks of stateless layers, so their relevance, like that of layers
         without a callback, is computed once per stack.
         """
-        stack = frames[-1].stack if frames else self.root
         rel = stack.node_rel.get(id(node))
         if rel is None:
             static = self.node_rel.get(id(node))
             if static is not None:
                 rel = self._to_real(static, stack)
-            elif frames or isinstance(node, (_BW, _BWAfter)):
+            elif masks or isinstance(node, (_BW, _BWAfter)):
                 rel = 0
             else:
                 rel = self.full
             stack.node_rel[id(node)] = rel
-        if frames:
+        if masks:
             fixed = stack.fixed_rel
             if fixed is None:
-                fixed = stack.fixed_rel = self._fixed_relevance(frames)
+                fixed = stack.fixed_rel = self._fixed_relevance(stack, masks)
             rel |= fixed
             for i, prefix in stack.stateful_rel:
-                pmask = self._rel_values.get(sig[i])
+                values = self._rel_values[prefix.layer]
+                pmask = values.get(masks[i])
                 if pmask is None:
-                    frame = frames[i]
-                    pmask = frame.layer.relevance(frame.va, frame.vb)
-                    self._rel_values[sig[i]] = pmask
+                    pmask = values[masks[i]] = prefix.layer.relevance(*masks[i])
                 got = prefix.real_rel.get(pmask)
                 if got is None:
-                    got = prefix.real_rel[pmask] = self._frame_relevance(prefix, pmask)
+                    got = prefix.real_rel[pmask] = self._layer_relevance(prefix, pmask)
                 rel |= got
         if isinstance(node, (_BW, _BWAfter)):
-            va = frames[-1].va if frames else ra
+            va = masks[-1][0] if masks else ra
             rel |= self._bw_entry(stack, va, node.k)[0]
         return rel
 
-    def _fixed_relevance(self, frames) -> int:
+    def _fixed_relevance(self, stack: _Stack, masks: tuple) -> int:
         """Relevance of the layers whose relevance ignores their masks."""
         rel = 0
-        for frame in frames:
-            layer = frame.layer
+        for prefix, (va, vb) in zip(stack.prefixes, masks):
+            layer = prefix.layer
             if layer.relevance is None:
-                pmask = self._embed_mask(layer, layer.board.full_mask)
+                pmask = prefix.image
             elif not layer.stateful:
-                pmask = layer.relevance(frame.va, frame.vb)
+                pmask = layer.relevance(va, vb)
             else:
                 continue
-            rel |= self._frame_relevance(frame.stack, pmask)
+            rel |= self._layer_relevance(prefix, pmask)
         return rel
 
-    def _frame_relevance(self, stack: _Stack, pmask: int) -> int:
+    def _layer_relevance(self, stack: _Stack, pmask: int) -> int:
         """Real image of ``stack.layer``'s parent-board relevance mask,
-        with the layer's win residue added."""
-        return self._to_real(pmask | self._win_residue(stack), stack.parent)
+        with the layer's win residue added.
 
-    def _win_residue(self, stack: _Stack) -> int:
-        """Parent-board vertices of win edges that lie outside the layer.
-
-        Completing a virtual edge only wins when its real counterpart is
-        complete, so any extra vertices the real edge carries must stay in
-        the memo key.
+        The residue is the parent-board vertices of win edges that lie
+        outside the layer: completing a virtual edge only wins when its
+        real counterpart is complete, so any extra vertices the real edge
+        carries must stay in the memo key.
         """
-        layer = stack.layer
-        got = self._residues.get(id(layer))
-        if got is None:
-            parent = stack.parent.layer.board if stack.parent.layer else self.h
-            image = self._embed_mask(layer, layer.board.full_mask)
-            got = 0
-            for pe in layer.win_edges.values():
-                got |= parent.edge_masks[pe] & ~image
-            self._residues[id(layer)] = got
-        return got
+        residue = stack.residue
+        if residue is None:
+            residue = 0
+            parent_edges = stack.parent.board.edge_masks
+            for pe in stack.layer.win_edges.values():
+                residue |= parent_edges[pe] & ~stack.image
+            stack.residue = residue
+        return self._to_real(pmask | residue, stack.parent)
 
     def _bw_entry(self, stack: _Stack, va: int, k: int):
         """Bounded-win data for Maker mask ``va`` on the innermost board.
@@ -566,19 +547,18 @@ class _Machine:
         that rule such an edge out and Maker stones that brought it within
         reach must both stay inside the memo key, so neither occupancy mask
         filters it.  ``candidates`` lists (edge mask, needed vertices,
-        count, real image of the needed vertices) for the edges that need
-        between 1 and ``k`` more claims, in board order.
+        count) for the edges that need between 1 and ``k`` more claims, in
+        board order.
         """
         key = (va, k)
         got = stack.bw.get(key)
         if got is None:
-            board = stack.layer.board if stack.layer else self.h
+            board = stack.board
             edges = stack.edges
             if edges is None:
                 edges = stack.edges = tuple(
                     self._to_real(mask, stack) for mask in board.edge_masks
                 )
-            free = ~self._to_real(va, stack)
             union = 0
             candidates = []
             for mask, real in zip(board.edge_masks, edges):
@@ -588,14 +568,14 @@ class _Machine:
                     continue
                 union |= real
                 if u:
-                    candidates.append((mask, tuple(iter_bits(needed)), u, real & free))
+                    candidates.append((mask, tuple(iter_bits(needed)), u))
             got = stack.bw[key] = (union, tuple(candidates))
         return got
 
     # ------------------------------------------------------------------
     # Maker moves
 
-    def _claim(self, v: int, frames, ra: int, rb: int, then):
+    def _claim(self, v: int, stack: _Stack, masks: tuple, ra: int, rb: int, then):
         """Claim innermost-board vertex ``v`` for Maker and continue.
 
         Records the claim on every active layer, checks real then virtual
@@ -603,17 +583,15 @@ class _Machine:
         the owning layer's parent context, and otherwise proceeds to
         ``then`` at the opponent's turn.
         """
-        coords = [0] * len(frames)
+        layers = stack.layers
+        coords = [0] * len(layers)
         rv = v
-        for i in range(len(frames) - 1, -1, -1):
+        for i in range(len(layers) - 1, -1, -1):
             coords[i] = rv
-            rv = frames[i].layer.embed[rv]
+            rv = layers[i].embed[rv]
         if (ra | rb) >> rv & 1:
             self._fail("occupied_claim", f"strategy claims occupied vertex {rv}")
-        new_frames = tuple([
-            _Frame(f.layer, f.va | (1 << c), f.vb, f.stack)
-            for f, c in zip(frames, coords)
-        ])
+        masks = tuple([(va | (1 << c), vb) for (va, vb), c in zip(masks, coords)])
         ra_new = ra | (1 << rv)
         self.path.append(("maker", rv))
         self.expansions += 1
@@ -625,13 +603,13 @@ class _Machine:
             for e in self.incidence[rv]:
                 if self.edge_masks[e] & ~ra_new == 0:
                     if isinstance(then, WinNow):
-                        self._win_now(then, new_frames, ra_new)
+                        self._win_now(then, stack, ra_new)
                     return
-            for i in range(len(new_frames) - 1, -1, -1):
-                layer = new_frames[i].layer
+            for i in range(len(layers) - 1, -1, -1):
+                layer = layers[i]
                 if not layer.on_win:
                     continue
-                va = new_frames[i].va
+                va = masks[i][0]
                 c = coords[i]
                 for e in layer.board.incidence[c]:
                     if layer.board.edge_masks[e] & ~va:
@@ -639,21 +617,22 @@ class _Machine:
                     cont = layer.on_win.get(e)
                     if cont is None:
                         continue
-                    self._opponent_turn(cont, new_frames[:i], ra_new, rb)
+                    outer = stack.prefixes[i].parent
+                    self._opponent_turn(cont, outer, masks[:i], ra_new, rb)
                     return
             if then is None:
                 self._fail(
                     "leaf_without_win",
                     f"leaf claims vertex {rv} without completing an edge",
                 )
-            self._opponent_turn(then, new_frames, ra_new, rb)
+            self._opponent_turn(then, stack, masks, ra_new, rb)
         finally:
             self.path.pop()
 
-    def _opponent_turn(self, node, frames, ra: int, rb: int):
-        node, frames = self._enter(node, frames)
+    def _opponent_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
+        node, stack, masks = self._enter(node, stack, masks)
         if isinstance(node, Respond) or isinstance(node, _BWAfter):
-            self._expand_opponent(node, frames, ra, rb)
+            self._expand_opponent(node, stack, masks, ra, rb)
         elif node is None:
             self._fail("leaf_without_win", "strategy ends while the game is open")
         else:
@@ -662,24 +641,24 @@ class _Machine:
                 f"{type(node).__name__} node reached at the opponent's turn",
             )
 
-    def _maker_turn(self, node, frames, ra: int, rb: int):
-        node, frames = self._enter(node, frames)
+    def _maker_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
+        node, stack, masks = self._enter(node, stack, masks)
         if isinstance(node, Claim):
-            self._claim(node.vertex, frames, ra, rb, node.then)
+            self._claim(node.vertex, stack, masks, ra, rb, node.then)
         elif isinstance(node, ClaimFirstFree):
             for v in node.vertices:
-                if (ra | rb) >> self._real_vertex(v, frames) & 1:
+                if (ra | rb) >> stack.real[v] & 1:
                     continue
-                self._claim(v, frames, ra, rb, node.then)
+                self._claim(v, stack, masks, ra, rb, node.then)
                 return
             self._fail(
                 "occupied_claim",
                 f"no free vertex among {tuple(node.vertices)}",
             )
         elif isinstance(node, WinNow):
-            self._win_now(node, frames, ra)
+            self._win_now(node, stack, ra)
         elif isinstance(node, _BW):
-            self._expand_bw(node, frames, ra, rb)
+            self._expand_bw(node, stack, masks, ra, rb)
         elif isinstance(node, Respond):
             self._fail("ill_formed", "Respond node reached at Maker's turn")
         elif node is None:
@@ -687,10 +666,9 @@ class _Machine:
         else:
             self._fail("ill_formed", f"unknown node {type(node).__name__}")
 
-    def _win_now(self, node: WinNow, frames, ra: int):
+    def _win_now(self, node: WinNow, stack: _Stack, ra: int):
         e = node.edge
-        for i in range(len(frames) - 1, -1, -1):
-            layer = frames[i].layer
+        for layer in reversed(stack.layers):
             if e in layer.on_win:
                 self._fail(
                     "ill_formed",
@@ -715,24 +693,22 @@ class _Machine:
     # ------------------------------------------------------------------
     # opponent expansion
 
-    def _expand_opponent(self, node, frames, ra: int, rb: int):
+    def _expand_opponent(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
         unclaimed = self.full & ~(ra | rb)
         if unclaimed == 0:
             self._fail("leaf_without_win", "board exhausted before Maker won")
-        stack = frames[-1].stack if frames else self.root
-        sig = _sig(frames)
-        rel = self._relevance(node, frames, sig, ra)
+        rel = self._relevance(node, stack, masks, ra)
         replies = unclaimed & rel
         out = unclaimed & ~rel
         if out:
             # Each out-of-relevance class contributes its lowest free member;
             # veiled claims join the invisible-move class, or form their own
             # when no vertex passes every layer.
-            masks, pass_gi = self._node_groups(stack, node)
-            hidden = out & self._veiled_mask(frames)
+            groups, pass_gi = self._node_groups(stack, node)
+            hidden = out & self._veiled_mask(stack, masks)
             visible = out & ~hidden
             profile = []
-            for gi, mask in enumerate(masks):
+            for gi, mask in enumerate(groups):
                 members = mask & visible
                 if gi == pass_gi:
                     members |= hidden
@@ -744,7 +720,8 @@ class _Machine:
             profile = tuple(profile)
         else:
             profile = ()
-        key = (id(node), sig, ra & rel, rb & rel, profile)
+        sig = tuple([masks[i] for i in stack.stateful])
+        key = (id(node), stack, sig, ra & rel, rb & rel, profile)
         got = self.memo.get(key)
         if got is True:
             return
@@ -753,13 +730,13 @@ class _Machine:
         self.expansions += 1
         try:
             for v in iter_bits(replies):
-                self._reply(node, frames, stack, ra, rb, v)
+                self._reply(node, stack, masks, ra, rb, v)
         except _Fail as fail:
             self.memo[key] = (fail.cex.kind, fail.cex.detail)
             raise
         self.memo[key] = True
 
-    def _reply(self, node, frames, stack: _Stack, ra: int, rb: int, v: int):
+    def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int):
         entry = self._table(stack)[v]
         kind = entry[0]
         rb2 = rb | (1 << v)
@@ -770,34 +747,29 @@ class _Machine:
             self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
         try:
             if kind == "dyn":
-                _kind, fi, _gi, effects, coord = entry
-                frame = frames[fi]
-                target = frame.layer.translate(coord, frame.va, frame.vb)
-                if target is not None:
-                    effects = effects + ((fi, target),)
-                resolved = ("vertex", target, effects) if target is not None else ("pass", effects)
-                self._resolved_reply(node, frames, ra, rb2, resolved)
+                entry = self._resolve_dyn(stack, masks, entry)
+                self._resolved_reply(node, stack, masks, ra, rb2, entry)
             elif kind == "answer":
-                self._answer_reply(node, frames, ra, rb2, entry)
+                self._answer_reply(node, stack, masks, ra, rb2, entry)
             else:
-                self._resolved_reply(node, frames, ra, rb2, entry)
+                self._resolved_reply(node, stack, masks, ra, rb2, entry)
         finally:
             self.path.pop()
 
-    def _apply_effects(self, frames, effects):
+    def _apply_effects(self, masks: tuple, effects) -> tuple:
         if not effects:
-            return frames
-        new = list(frames)
+            return masks
+        new = list(masks)
         for fi, coord in effects:
-            f = new[fi]
-            new[fi] = _Frame(f.layer, f.va, f.vb | (1 << coord), f.stack)
+            va, vb = new[fi]
+            new[fi] = (va, vb | (1 << coord))
         return tuple(new)
 
-    def _answer_reply(self, node, frames, ra: int, rb2: int, entry):
+    def _answer_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
         ans = entry[1]
-        frames2 = self._apply_effects(frames, entry[2])
+        masks2 = self._apply_effects(masks, entry[2])
         if (ra | rb2) >> ans & 1:
-            self._resolved_reply(node, frames2, ra, rb2, ("pass", ()))
+            self._resolved_reply(node, stack, masks2, ra, rb2, ("pass", ()))
             return
         ra2 = ra | (1 << ans)
         self.path.append(("maker", ans))
@@ -808,34 +780,30 @@ class _Machine:
             for e in self.incidence[ans]:
                 if self.edge_masks[e] & ~ra2 == 0:
                     return
-            self._expand_opponent(node, frames2, ra2, rb2)
+            self._expand_opponent(node, stack, masks2, ra2, rb2)
         finally:
             self.path.pop()
 
-    def _resolved_reply(self, node, frames, ra: int, rb2: int, entry):
+    def _resolved_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
         invisible = entry[0] == "pass"
-        if (
-            not invisible
-            and frames
-            and frames[-1].stack.veil
-            and frames[-1].vb >> entry[1] & 1
-        ):
+        if not invisible and stack.veil and masks[-1][1] >> entry[1] & 1:
             # The resolved coordinate already counts as the opponent's, so
             # this claim tells the layers nothing new.
             invisible = True
-        frames2 = self._apply_effects(frames, entry[-1])
+        masks2 = self._apply_effects(masks, entry[-1])
         if isinstance(node, _BWAfter):
-            self._maker_turn(_bw_node(node.k), frames2, ra, rb2)
+            self._maker_turn(_bw_node(node.k), stack, masks2, ra, rb2)
             return
         if invisible:
             if node.default is None:
-                if not frames2 or not frames2[-1].layer.stateful:
+                layer = stack.layer
+                if layer is None or not layer.stateful:
                     self._fail(
                         "ill_formed",
                         "opponent move invisible to a defaultless Respond",
                     )
-                frame = frames2[-1]
-                free = frame.layer.board.full_mask & ~(frame.va | frame.vb)
+                va, vb = masks2[-1]
+                free = layer.board.full_mask & ~(va | vb)
                 if free == 0:
                     self._fail(
                         "uncovered_reply",
@@ -852,9 +820,7 @@ class _Machine:
                         "uncovered_reply",
                         f"stand-in vertex {stand_in} matches no reply class",
                     )
-                frames2 = frames2[:-1] + (
-                    _Frame(frame.layer, frame.va, frame.vb | (1 << stand_in), frame.stack),
-                )
+                masks2 = masks2[:-1] + ((va, vb | (1 << stand_in)),)
                 child = node.branches[branch][1]
             else:
                 child = node.default
@@ -872,33 +838,29 @@ class _Machine:
                 )
         if isinstance(child, BoundedWin):
             child = _bw_node(child.k)
-        self._maker_turn(child, frames2, ra, rb2)
+        self._maker_turn(child, stack, masks2, ra, rb2)
 
     # ------------------------------------------------------------------
     # bounded-win search
 
-    def _expand_bw(self, node: _BW, frames, ra: int, rb: int):
+    def _expand_bw(self, node: _BW, stack: _Stack, masks: tuple, ra: int, rb: int):
         k = node.k
-        if frames:
-            frame = frames[-1]
-            stack, va, vb = frame.stack, frame.va, frame.vb
-        else:
-            stack, va, vb = self.root, ra, rb
-        sig = _sig(frames)
-        rel = self._relevance(node, frames, sig, ra)
-        key = (id(node), sig, ra & rel, rb & rel)
+        va, vb = masks[-1] if masks else (ra, rb)
+        rel = self._relevance(node, stack, masks, ra)
+        sig = tuple([masks[i] for i in stack.stateful])
+        key = (id(node), stack, sig, ra & rel, rb & rel)
         got = self.memo.get(key)
         if got is True:
             return
         if got is not None:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
         self.expansions += 1
-        occupied = ra | rb
         best: dict = {}
-        for mask, needed, u, real_needed in self._bw_entry(stack, va, k)[1]:
-            # the edge is still winnable when the opponent holds none of its
-            # virtual or real vertices
-            if mask & vb or real_needed & occupied:
+        for mask, needed, u in self._bw_entry(stack, va, k)[1]:
+            # An edge the opponent holds a virtual vertex of is dead; a
+            # claim on a vertex occupied only in real coordinates fails in
+            # ``_claim`` and is passed over below.
+            if mask & vb:
                 continue
             for v in needed:
                 if u < best.get(v, k + 1):
@@ -907,7 +869,7 @@ class _Machine:
         then = _bw_after(k - 1) if k > 1 else None
         for v in sorted(best, key=lambda v: (best[v], v)):
             try:
-                self._claim(v, frames, ra, rb, then)
+                self._claim(v, stack, masks, ra, rb, then)
             except _Fail:
                 continue
             self.memo[key] = True
@@ -944,9 +906,9 @@ def verify_maker_strategy(
     started = time.perf_counter()
     try:
         if mover is Side.A:
-            machine._maker_turn(s.root, (), 0, 0)
+            machine._maker_turn(s.root, machine.root, (), 0, 0)
         else:
-            machine._opponent_turn(s.root, (), 0, 0)
+            machine._opponent_turn(s.root, machine.root, (), 0, 0)
         verified, cex = True, None
     except _Fail as fail:
         verified, cex = False, fail.cex
@@ -1034,31 +996,22 @@ def audit_coverage(s: StrategyTree) -> dict:
     board vertex the way the verifier would, and maps it to the covering
     class name, ``"default"``, or ``None`` when nothing covers it.
     """
-    layers: list = []
-    node = s.root
-    while isinstance(node, EnterLayer):
-        layers.append(node.layer)
-        node = node.then
-    if not isinstance(node, Respond):
-        raise ValueError("the strategy root is not a Respond node")
+    machine = _Machine(s.board, s)
+    try:
+        node, stack, masks = machine._enter(s.root, machine.root, ())
+        if not isinstance(node, Respond):
+            raise ValueError("the strategy root is not a Respond node")
+        table = machine._table(stack)
+    except _Fail as fail:
+        raise ValueError(fail.cex.detail) from None
     coverage: dict = {}
-    for v in range(s.board.vertex_count):
-        coord = v
-        resolved: int | None = coord
-        for layer in layers:
-            if coord in layer.answers:
-                resolved = None
-                break
-            nxt = layer.translate(coord, 0, 0)
-            if nxt is None:
-                resolved = None
-                break
-            coord = nxt
-            resolved = coord
+    for v, entry in enumerate(table):
+        if entry[0] == "dyn":
+            entry = machine._resolve_dyn(stack, masks, entry)
         name = None
-        if resolved is not None:
+        if entry[0] == "vertex":
             for cls, _child in node.branches:
-                if resolved in cls:
+                if entry[1] in cls:
                     name = cls.name
                     break
         if name is None and node.default is not None:

@@ -28,6 +28,9 @@ from posgames.mb import solve_winner
 from posgames.strategy import (
     BoundedWin,
     Claim,
+    Counterexample,
+    EnterLayer,
+    Layer,
     ReplyClass,
     Respond,
     StrategyTree,
@@ -45,6 +48,7 @@ from posgames.strategy import (
     replace_first,
     verify_maker_strategy,
 )
+from posgames.strategy.lifts import _block_mask, _pentagon_relevance
 
 
 def _tiny_board() -> Hypergraph:
@@ -194,6 +198,37 @@ def test_verifier_rejects_board_mismatch():
         )
 
 
+def test_verifier_checks_each_entry_of_a_reused_layer():
+    """A layer whose embedding fits the real board but not a smaller
+    enclosing layer is ill-formed where it is entered under that layer,
+    even after an earlier line entered it legally."""
+    h = Hypergraph(8, [(5,)])
+    inner = Layer(
+        name="inner",
+        board=Hypergraph(2, [(0,)]),
+        embed=(5, 6),
+        translate=lambda p, va, vb: {5: 0, 6: 1}.get(p),
+        win_edges={0: 0},
+    )
+    small = Layer(
+        name="small",
+        board=Hypergraph(5, [(0, 1)]),
+        embed=(0, 1, 2, 3, 4),
+        translate=lambda p, va, vb: p if p < 5 else None,
+    )
+    root = Respond(
+        ((ReplyClass("zero", frozenset((0,))), EnterLayer(inner, Claim(0, None))),),
+        EnterLayer(small, EnterLayer(inner, Claim(0, None))),
+    )
+    report = verify_maker_strategy(h, StrategyTree(h, Side.B, root))
+    assert not report.verified
+    assert report.counterexample == Counterexample(
+        "ill_formed",
+        (("breaker", 1),),
+        "layer 'inner': embedding leaves the parent board",
+    )
+
+
 def test_winning_claim_accepts_matching_assertion():
     h = Hypergraph(3, [(0, 1), (0, 2)])
     root = Claim(0, Respond(
@@ -235,6 +270,31 @@ def test_pentagon_opening_coverage_is_complete():
     coverage = audit_coverage(build_gamma_strategy())
     assert len(coverage) == 35
     assert all(name is not None for name in coverage.values())
+
+
+def test_layered_opening_coverage_follows_the_base_strategy():
+    """Through a layer, each real vertex gets the class of the coordinate
+    it resolves to at the empty position: a gadget vertex (a dynamic-group
+    member) its spoke's tip, an answered pendant no class at all."""
+    s = build_gamma_strategy()
+    base = audit_coverage(s)
+    lifted = audit_coverage(lift_gamma_prime(s))
+    assert lifted == {
+        v: base[v if v < 35 else 20 + (v - 35) // 10] for v in range(185)
+    }
+    split = audit_coverage(lift_split(s, gen_gamma()))
+    assert split == {v: base.get(v) for v in range(35 + 2 * 20)}
+    with pytest.raises(ValueError):
+        audit_coverage(lift_split(build_g3_strategy(), gen_g3()))
+
+
+def test_pentagon_relevance_tracks_maker_tips_on_open_spokes():
+    for g in range(15):
+        hub, x, tip = g // 3, 5 + g, 20 + g
+        assert _pentagon_relevance(1 << tip, 0) == _block_mask(g)
+        for v in (hub, x, tip):
+            assert _pentagon_relevance(1 << tip, 1 << v) == 0
+    assert _pentagon_relevance(0, 0) == 0
 
 
 def test_gadget_board_lift_verifies():
