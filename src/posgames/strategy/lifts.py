@@ -30,7 +30,7 @@ from ..constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from ..core import Hypergraph, Side
+from ..core import Hypergraph, Side, iter_bits
 from .layers import Layer
 from .nodes import (
     BoundedWin,
@@ -88,10 +88,13 @@ def _pentagon_relevance(va: int, vb: int) -> int:
     tip claims the tip itself, so such gadgets stay empty and
     interchangeable until the tip is spoken for.
     """
+    tips = va >> 20 & 0x7FFF
+    if not tips:
+        return 0
     rel = 0
-    for g in range(15):
+    for g in iter_bits(tips):
         triple = (1 << (g // 3)) | (1 << (5 + g)) | (1 << (20 + g))
-        if not vb & triple and (va >> (20 + g)) & 1:
+        if not vb & triple:
             rel |= _block_mask(g)
     return rel
 

@@ -12,11 +12,16 @@ free member is folded into the memo key so the pruning stays exact.
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
 claim masks.  Everything that depends only on the stack (how each real
-vertex resolves, the reply classes, the layers' fixed relevance) is
-computed once and kept on that object.  Bounded-win search works from
-per-stack tables of the innermost board's edges: the edges within reach of
-a given Maker mask are cached with their real images, which bound the memo
-key.
+vertex resolves, the reply classes, the node's and the layers' fixed
+relevance) is computed once and kept on that object.  So is the claim
+table: per innermost-board vertex, its real vertex, the bit it sets in
+each layer's Maker mask, the real edges through it and the ``on_win``
+edges through its coordinate on each layer, so a Maker claim walks no
+embedding or incidence list.  Bounded-win search works from per-stack
+tables of the innermost board's edges: the edges within reach of a given
+Maker mask are cached with their real images, which bound the memo key,
+and the needed vertices of each edge as a mask, from which the claims are
+ordered by distance to a win, then by vertex.
 
 Some opponent moves are *invisible* to the active layers: either the
 translation chain drops them before reaching the innermost layer, or they
@@ -139,6 +144,18 @@ class _Stack:
     the stack that closes ``layers[i]``.  Tables that need the board's
     contents are filled lazily, on first use, so a malformed layer fails on
     the first line that needs its table.
+
+    ``claims`` maps an innermost-board vertex to (real vertex, per-layer
+    claim bits, masks of the real edges through it, ``on_win`` entries).
+    The claim bits are what a Maker claim of the vertex ORs into each
+    layer's Maker mask, outermost first.  An ``on_win`` entry is (layer
+    index, virtual edge mask, continuation, stack the continuation runs
+    on) for each edge through the vertex's coordinate on a layer that has
+    a continuation for it, innermost layer first and in incidence order.
+    The vertex is range-checked when its entry is built.
+
+    Stacks point at their children and the children back at them, so the
+    machine breaks those cycles when a run ends (``_Machine.release``).
     """
 
     __slots__ = (
@@ -159,7 +176,8 @@ class _Stack:
         "classes",
         "groups",
         "veils",
-        "node_rel",
+        "claims",
+        "static_rel",
         "fixed_rel",
         "stateful_rel",
         "real_rel",
@@ -206,7 +224,9 @@ class _Stack:
         self.classes = None
         self.groups: dict = {}
         self.veils: dict = {}
-        self.node_rel: dict = {}
+        self.claims: dict = {}
+        # id(node) -> real mask of the node's relevance and ``fixed_rel``
+        self.static_rel: dict = {}
         self.fixed_rel = None
         # (layer index, stack closing that layer) for each stateful layer
         # whose relevance depends on its claim masks
@@ -245,6 +265,21 @@ class _Machine:
 
     def _fail(self, kind: str, detail: str):
         raise _Fail(Counterexample(kind, tuple(self.path), detail))
+
+    def release(self):
+        """Break the reference cycles among the interned stacks.
+
+        A stack points at its children, each child back at it, and its
+        ``prefixes`` and ``stateful_rel`` at itself.  With those links cut
+        every remaining reference points outwards, so the stacks are freed
+        with the machine instead of waiting for the cyclic garbage
+        collector.
+        """
+        todo = [self.root]
+        while todo:
+            stack = todo.pop()
+            todo.extend(stack.children.values())
+            stack.children = stack.prefixes = stack.stateful_rel = None
 
     # ------------------------------------------------------------------
     # layer bookkeeping
@@ -467,44 +502,47 @@ class _Machine:
     # ------------------------------------------------------------------
     # relevance
 
-    def _relevance(self, node, stack: _Stack, masks: tuple, ra: int) -> int:
+    def _relevance(self, node, stack: _Stack, masks: tuple) -> int:
         """Real vertices whose claims ``node`` may still react to.
 
-        The union of the node's own relevance, each active layer's
-        relevance (plus its win residue) and, for bounded-win nodes, the
-        edges within reach; the whole board when nothing bounds it.  Only
-        stateful layers with a relevance callback depend on the claim
-        masks: by the ``Layer.stateful`` contract the memo key ignores the
-        masks of stateless layers, so their relevance, like that of layers
-        without a callback, is computed once per stack.
+        The union of the node's own relevance and each active layer's
+        relevance (plus its win residue); the whole board when nothing
+        bounds it.  Bounded-win nodes add the edges within reach
+        themselves.  Only stateful layers with a relevance callback depend
+        on the claim masks: by the ``Layer.stateful`` contract the memo key
+        ignores the masks of stateless layers, so their relevance, like
+        that of layers without a callback, is computed once per stack and
+        cached with the node's own relevance.
         """
-        rel = stack.node_rel.get(id(node))
+        rel = stack.static_rel.get(id(node))
         if rel is None:
-            static = self.node_rel.get(id(node))
-            if static is not None:
-                rel = self._to_real(static, stack)
-            elif masks or isinstance(node, (_BW, _BWAfter)):
-                rel = 0
-            else:
-                rel = self.full
-            stack.node_rel[id(node)] = rel
+            rel = self._static_relevance(node, stack, masks)
+        for i, prefix in stack.stateful_rel:
+            values = self._rel_values[prefix.layer]
+            pmask = values.get(masks[i])
+            if pmask is None:
+                pmask = values[masks[i]] = prefix.layer.relevance(*masks[i])
+            got = prefix.real_rel.get(pmask)
+            if got is None:
+                got = prefix.real_rel[pmask] = self._layer_relevance(prefix, pmask)
+            rel |= got
+        return rel
+
+    def _static_relevance(self, node, stack: _Stack, masks: tuple) -> int:
+        """The mask-independent part of ``_relevance``, cached per node."""
+        static = self.node_rel.get(id(node))
+        if static is not None:
+            rel = self._to_real(static, stack)
+        elif masks or isinstance(node, (_BW, _BWAfter)):
+            rel = 0
+        else:
+            rel = self.full
         if masks:
             fixed = stack.fixed_rel
             if fixed is None:
                 fixed = stack.fixed_rel = self._fixed_relevance(stack, masks)
             rel |= fixed
-            for i, prefix in stack.stateful_rel:
-                values = self._rel_values[prefix.layer]
-                pmask = values.get(masks[i])
-                if pmask is None:
-                    pmask = values[masks[i]] = prefix.layer.relevance(*masks[i])
-                got = prefix.real_rel.get(pmask)
-                if got is None:
-                    got = prefix.real_rel[pmask] = self._layer_relevance(prefix, pmask)
-                rel |= got
-        if isinstance(node, (_BW, _BWAfter)):
-            va = masks[-1][0] if masks else ra
-            rel |= self._bw_entry(stack, va, node.k)[0]
+        stack.static_rel[id(node)] = rel
         return rel
 
     def _fixed_relevance(self, stack: _Stack, masks: tuple) -> int:
@@ -542,13 +580,13 @@ class _Machine:
     def _bw_entry(self, stack: _Stack, va: int, k: int):
         """Bounded-win data for Maker mask ``va`` on the innermost board.
 
-        Returns (union, candidates).  ``union`` is the real image of every
+        Returns (union, levels).  ``union`` is the real image of every
         edge within ``k`` of completion, killed or not: opponent stones
         that rule such an edge out and Maker stones that brought it within
         reach must both stay inside the memo key, so neither occupancy mask
-        filters it.  ``candidates`` lists (edge mask, needed vertices,
-        count) for the edges that need between 1 and ``k`` more claims, in
-        board order.
+        filters it.  ``levels[u - 1]`` lists (edge mask, needed vertex
+        mask) for the edges that need exactly ``u`` more claims, in board
+        order, for u = 1..k.
         """
         key = (va, k)
         got = stack.bw.get(key)
@@ -560,7 +598,7 @@ class _Machine:
                     self._to_real(mask, stack) for mask in board.edge_masks
                 )
             union = 0
-            candidates = []
+            levels: list = [[] for _ in range(k)]
             for mask, real in zip(board.edge_masks, edges):
                 needed = mask & ~va
                 u = needed.bit_count()
@@ -568,12 +606,38 @@ class _Machine:
                     continue
                 union |= real
                 if u:
-                    candidates.append((mask, tuple(iter_bits(needed)), u))
-            got = stack.bw[key] = (union, tuple(candidates))
+                    levels[u - 1].append((mask, needed))
+            got = stack.bw[key] = (union, tuple(map(tuple, levels)))
         return got
 
     # ------------------------------------------------------------------
     # Maker moves
+
+    def _claim_entry(self, stack: _Stack, v: int):
+        """Build ``stack.claims[v]`` (see ``_Stack``)."""
+        if not 0 <= v < stack.board.vertex_count:
+            where = "the board" if stack.layer is None else f"layer {stack.layer.name!r}"
+            self._fail(
+                "ill_formed", f"strategy claims vertex {v}, which is not on {where}"
+            )
+        layers = stack.layers
+        bits = [0] * len(layers)
+        wins = []
+        c = v
+        for i in range(len(layers) - 1, -1, -1):
+            layer = layers[i]
+            bits[i] = 1 << c
+            if layer.on_win:
+                board = layer.board
+                for e in board.incidence[c]:
+                    cont = layer.on_win.get(e)
+                    if cont is not None:
+                        outer = stack.prefixes[i].parent
+                        wins.append((i, board.edge_masks[e], cont, outer))
+            c = layer.embed[c]
+        edges = tuple([self.edge_masks[e] for e in self.incidence[c]])
+        entry = stack.claims[v] = (c, tuple(bits), edges, tuple(wins))
+        return entry
 
     def _claim(self, v: int, stack: _Stack, masks: tuple, ra: int, rb: int, then):
         """Claim innermost-board vertex ``v`` for Maker and continue.
@@ -583,41 +647,29 @@ class _Machine:
         the owning layer's parent context, and otherwise proceeds to
         ``then`` at the opponent's turn.
         """
-        layers = stack.layers
-        coords = [0] * len(layers)
-        rv = v
-        for i in range(len(layers) - 1, -1, -1):
-            coords[i] = rv
-            rv = layers[i].embed[rv]
+        entry = stack.claims.get(v)
+        if entry is None:
+            entry = self._claim_entry(stack, v)
+        rv, bits, edges, wins = entry
         if (ra | rb) >> rv & 1:
             self._fail("occupied_claim", f"strategy claims occupied vertex {rv}")
-        masks = tuple([(va | (1 << c), vb) for (va, vb), c in zip(masks, coords)])
+        masks = tuple([(va | bit, vb) for (va, vb), bit in zip(masks, bits)])
         ra_new = ra | (1 << rv)
-        self.path.append(("maker", rv))
+        path = self.path
+        path.append(("maker", rv))
         self.expansions += 1
-        if len(self.path) > self.max_depth:
-            self.max_depth = len(self.path)
-        if len(self.path) > _LINE_LIMIT:
+        if len(path) > self.max_depth:
+            self.max_depth = len(path)
+        if len(path) > _LINE_LIMIT:
             self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
         try:
-            for e in self.incidence[rv]:
-                if self.edge_masks[e] & ~ra_new == 0:
+            for mask in edges:
+                if mask & ~ra_new == 0:
                     if isinstance(then, WinNow):
                         self._win_now(then, stack, ra_new)
                     return
-            for i in range(len(layers) - 1, -1, -1):
-                layer = layers[i]
-                if not layer.on_win:
-                    continue
-                va = masks[i][0]
-                c = coords[i]
-                for e in layer.board.incidence[c]:
-                    if layer.board.edge_masks[e] & ~va:
-                        continue
-                    cont = layer.on_win.get(e)
-                    if cont is None:
-                        continue
-                    outer = stack.prefixes[i].parent
+            for i, mask, cont, outer in wins:
+                if mask & ~masks[i][0] == 0:
                     self._opponent_turn(cont, outer, masks[:i], ra_new, rb)
                     return
             if then is None:
@@ -627,7 +679,7 @@ class _Machine:
                 )
             self._opponent_turn(then, stack, masks, ra_new, rb)
         finally:
-            self.path.pop()
+            path.pop()
 
     def _opponent_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
         node, stack, masks = self._enter(node, stack, masks)
@@ -647,7 +699,10 @@ class _Machine:
             self._claim(node.vertex, stack, masks, ra, rb, node.then)
         elif isinstance(node, ClaimFirstFree):
             for v in node.vertices:
-                if (ra | rb) >> stack.real[v] & 1:
+                entry = stack.claims.get(v)
+                if entry is None:
+                    entry = self._claim_entry(stack, v)
+                if (ra | rb) >> entry[0] & 1:
                     continue
                 self._claim(v, stack, masks, ra, rb, node.then)
                 return
@@ -657,8 +712,6 @@ class _Machine:
             )
         elif isinstance(node, WinNow):
             self._win_now(node, stack, ra)
-        elif isinstance(node, _BW):
-            self._expand_bw(node, stack, masks, ra, rb)
         elif isinstance(node, Respond):
             self._fail("ill_formed", "Respond node reached at Maker's turn")
         elif node is None:
@@ -697,9 +750,15 @@ class _Machine:
         unclaimed = self.full & ~(ra | rb)
         if unclaimed == 0:
             self._fail("leaf_without_win", "board exhausted before Maker won")
-        rel = self._relevance(node, stack, masks, ra)
+        rel = self._relevance(node, stack, masks)
+        if type(node) is _BWAfter:
+            va = masks[-1][0] if masks else ra
+            rel |= self._bw_entry(stack, va, node.k)[0]
         replies = unclaimed & rel
         out = unclaimed & ~rel
+        # One bit per out-of-relevance class that still has a free member,
+        # so the profile is 0 exactly when ``out`` is.
+        profile = 0
         if out:
             # Each out-of-relevance class contributes its lowest free member;
             # veiled claims join the invisible-move class, or form their own
@@ -707,19 +766,16 @@ class _Machine:
             groups, pass_gi = self._node_groups(stack, node)
             hidden = out & self._veiled_mask(stack, masks)
             visible = out & ~hidden
-            profile = []
             for gi, mask in enumerate(groups):
                 members = mask & visible
                 if gi == pass_gi:
                     members |= hidden
-                replies |= members & -members
-                profile.append(1 if members else 0)
-            if pass_gi is None:
+                if members:
+                    replies |= members & -members
+                    profile |= 1 << gi
+            if pass_gi is None and hidden:
                 replies |= hidden & -hidden
-                profile.append(1 if hidden else 0)
-            profile = tuple(profile)
-        else:
-            profile = ()
+                profile |= 1 << len(groups)
         sig = tuple([masks[i] for i in stack.stateful])
         key = (id(node), stack, sig, ra & rel, rb & rel, profile)
         got = self.memo.get(key)
@@ -729,15 +785,17 @@ class _Machine:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
         self.expansions += 1
         try:
+            table = stack.table
+            if table is None:
+                table = self._table(stack)
             for v in iter_bits(replies):
-                self._reply(node, stack, masks, ra, rb, v)
+                self._reply(node, stack, masks, ra, rb, v, table[v])
         except _Fail as fail:
             self.memo[key] = (fail.cex.kind, fail.cex.detail)
             raise
         self.memo[key] = True
 
-    def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int):
-        entry = self._table(stack)[v]
+    def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int, entry):
         kind = entry[0]
         rb2 = rb | (1 << v)
         self.path.append(("breaker", v))
@@ -785,16 +843,13 @@ class _Machine:
             self.path.pop()
 
     def _resolved_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
-        invisible = entry[0] == "pass"
-        if not invisible and stack.veil and masks[-1][1] >> entry[1] & 1:
-            # The resolved coordinate already counts as the opponent's, so
-            # this claim tells the layers nothing new.
-            invisible = True
         masks2 = self._apply_effects(masks, entry[-1])
-        if isinstance(node, _BWAfter):
-            self._maker_turn(_bw_node(node.k), stack, masks2, ra, rb2)
+        if type(node) is _BWAfter:
+            self._expand_bw(_bw_node(node.k), stack, masks2, ra, rb2)
             return
-        if invisible:
+        # A claim resolved to a coordinate that already counts as the
+        # opponent's tells the layers nothing new.
+        if entry[0] == "pass" or stack.veil and masks[-1][1] >> entry[1] & 1:
             if node.default is None:
                 layer = stack.layer
                 if layer is None or not layer.stateful:
@@ -837,8 +892,9 @@ class _Machine:
                     f"reply {v} matches no reply class and there is no default",
                 )
         if isinstance(child, BoundedWin):
-            child = _bw_node(child.k)
-        self._maker_turn(child, stack, masks2, ra, rb2)
+            self._expand_bw(_bw_node(child.k), stack, masks2, ra, rb2)
+        else:
+            self._maker_turn(child, stack, masks2, ra, rb2)
 
     # ------------------------------------------------------------------
     # bounded-win search
@@ -846,7 +902,8 @@ class _Machine:
     def _expand_bw(self, node: _BW, stack: _Stack, masks: tuple, ra: int, rb: int):
         k = node.k
         va, vb = masks[-1] if masks else (ra, rb)
-        rel = self._relevance(node, stack, masks, ra)
+        union, levels = self._bw_entry(stack, va, k)
+        rel = self._relevance(node, stack, masks) | union
         sig = tuple([masks[i] for i in stack.stateful])
         key = (id(node), stack, sig, ra & rel, rb & rel)
         got = self.memo.get(key)
@@ -855,27 +912,40 @@ class _Machine:
         if got is not None:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
         self.expansions += 1
-        best: dict = {}
-        for mask, needed, u in self._bw_entry(stack, va, k)[1]:
-            # An edge the opponent holds a virtual vertex of is dead; a
-            # claim on a vertex occupied only in real coordinates fails in
-            # ``_claim`` and is passed over below.
-            if mask & vb:
-                continue
-            for v in needed:
-                if u < best.get(v, k + 1):
-                    best[v] = u
-        detail = f"no win within {k} Maker moves from here"
         then = _bw_after(k - 1) if k > 1 else None
-        for v in sorted(best, key=lambda v: (best[v], v)):
+        # A claim on a vertex occupied only in real coordinates fails in
+        # ``_claim`` and is passed over.
+        for v in _bw_claims(levels, vb):
             try:
                 self._claim(v, stack, masks, ra, rb, then)
             except _Fail:
                 continue
             self.memo[key] = True
             return
+        detail = f"no win within {k} Maker moves from here"
         self.memo[key] = ("bounded_win_failure", detail)
         self._fail("bounded_win_failure", detail)
+
+
+def _bw_claims(levels, vb: int):
+    """Bounded-win claims in order of distance to a win, then of vertex.
+
+    ``levels`` is the second half of ``_Machine._bw_entry``.  A vertex's
+    distance is the fewest further claims that an edge through it still
+    needs; an edge the opponent holds a vertex of (in ``vb``) is dead.
+    """
+    seen = 0
+    for level in levels:
+        needed = 0
+        for mask, vertices in level:
+            if not mask & vb:
+                needed |= vertices
+        needed &= ~seen
+        seen |= needed
+        while needed:
+            low = needed & -needed
+            yield low.bit_length() - 1
+            needed ^= low
 
 
 def verify_maker_strategy(
@@ -914,6 +984,7 @@ def verify_maker_strategy(
         verified, cex = False, fail.cex
     finally:
         sys.setrecursionlimit(old_limit)
+        machine.release()
     elapsed = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         verified=verified,
@@ -1004,6 +1075,8 @@ def audit_coverage(s: StrategyTree) -> dict:
         table = machine._table(stack)
     except _Fail as fail:
         raise ValueError(fail.cex.detail) from None
+    finally:
+        machine.release()
     coverage: dict = {}
     for v, entry in enumerate(table):
         if entry[0] == "dyn":

@@ -301,3 +301,12 @@ class TestEnvelope:
             check=True,
         )
         assert load_hypergraph(proc.stdout).vertex_count == 15
+
+    def test_package_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "posgames", "gen", "g3"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert load_hypergraph(proc.stdout).vertex_count == 15

@@ -3,11 +3,14 @@ their lifted versions, and the mutation suite."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     g3_report,
@@ -23,11 +26,12 @@ from posgames.constructions import (
     gen_gamma,
     split_pendant,
 )
-from posgames.core import Hypergraph, Position, Side
+from posgames.core import Hypergraph, Position, Side, iter_bits
 from posgames.mb import solve_winner
 from posgames.strategy import (
     BoundedWin,
     Claim,
+    ClaimFirstFree,
     Counterexample,
     EnterLayer,
     Layer,
@@ -49,6 +53,9 @@ from posgames.strategy import (
     verify_maker_strategy,
 )
 from posgames.strategy.lifts import _block_mask, _pentagon_relevance
+from posgames.strategy.verifier import _bw_claims, _Machine, _Stack
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def _tiny_board() -> Hypergraph:
@@ -145,6 +152,38 @@ def test_bounded_win_search_matches_standalone(layered):
     assert outcomes == {True, False}
 
 
+@st.composite
+def _bw_positions(draw):
+    n = draw(st.integers(1, 10))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(4, n))
+    edges = draw(st.lists(edge, max_size=8, unique=True))
+    owner = draw(st.lists(st.sampled_from("-ab"), min_size=n, max_size=n))
+    va = sum(1 << v for v, o in enumerate(owner) if o == "a")
+    vb = sum(1 << v for v, o in enumerate(owner) if o == "b")
+    return Hypergraph(n, [sorted(e) for e in edges]), va, vb, draw(st.integers(1, 3))
+
+
+@_SETTINGS
+@given(_bw_positions())
+def test_bounded_win_claim_order_is_distance_then_vertex(position):
+    """The verifier's bounded-win claims come in the order of a dict of each
+    vertex's fewest missing claims over the live edges, sorted by
+    (distance, vertex)."""
+    h, va, vb, k = position
+    machine = _Machine(h, StrategyTree(h, Side.A, WinNow(0)))
+    got = list(_bw_claims(machine._bw_entry(machine.root, va, k)[1], vb))
+    best: dict = {}
+    for mask in h.edge_masks:
+        if mask & vb:
+            continue
+        needed = mask & ~va
+        u = needed.bit_count()
+        if 1 <= u <= k:
+            for v in iter_bits(needed):
+                best[v] = min(u, best.get(v, u))
+    assert got == sorted(best, key=lambda v: (best[v], v))
+
+
 def test_bounded_win_validates_arguments():
     h = _tiny_board()
     with pytest.raises(ValueError):
@@ -179,6 +218,44 @@ def test_verifier_reports_uncovered_reply():
     report = verify_maker_strategy(h, s)
     assert not report.verified
     assert report.counterexample.kind == "uncovered_reply"
+
+
+_SMALL = Layer(
+    name="small",
+    board=Hypergraph(2, [(0, 1)]),
+    embed=(0, 1),
+    translate=lambda p, va, vb: p if p < 2 else None,
+)
+
+
+@pytest.mark.parametrize(
+    "root, detail",
+    [
+        (Claim(7, None), "vertex 7, which is not on the board"),
+        (Claim(-1, None), "vertex -1, which is not on the board"),
+        (ClaimFirstFree((7,), None), "vertex 7, which is not on the board"),
+        (ClaimFirstFree((0, -1), None), "vertex -1, which is not on the board"),
+        (
+            EnterLayer(_SMALL, Claim(3, None)),
+            "vertex 3, which is not on layer 'small'",
+        ),
+        (
+            EnterLayer(_SMALL, ClaimFirstFree((-1,), None)),
+            "vertex -1, which is not on layer 'small'",
+        ),
+    ],
+    ids=["claim-7", "claim-neg", "first-free-7", "first-free-neg", "layer-3", "layer-neg"],
+)
+def test_verifier_reports_claims_off_the_board(root, detail):
+    """A scripted claim outside the active board is ill-formed, never an
+    ``IndexError`` or a claim of a vertex reached by negative indexing."""
+    h = Hypergraph(4, [(0, 1)])
+    s = StrategyTree(h, Side.A, Claim(0, Respond((), root)))
+    report = verify_maker_strategy(h, s)
+    assert not report.verified
+    cex = report.counterexample
+    assert (cex.kind, cex.detail) == ("ill_formed", f"strategy claims {detail}")
+    assert cex.moves == (("maker", 0), ("breaker", 1))
 
 
 def test_verifier_reports_ill_formed_win_assertion():
@@ -286,6 +363,21 @@ def test_layered_opening_coverage_follows_the_base_strategy():
     assert split == {v: base.get(v) for v in range(35 + 2 * 20)}
     with pytest.raises(ValueError):
         audit_coverage(lift_split(build_g3_strategy(), gen_g3()))
+
+
+def _pentagon_relevance_by_spoke(va: int, vb: int) -> int:
+    rel = 0
+    for g in range(15):
+        triple = (1 << (g // 3)) | (1 << (5 + g)) | (1 << (20 + g))
+        if not vb & triple and (va >> (20 + g)) & 1:
+            rel |= _block_mask(g)
+    return rel
+
+
+@_SETTINGS
+@given(st.integers(0, (1 << 40) - 1), st.integers(0, (1 << 40) - 1))
+def test_pentagon_relevance_matches_the_spoke_loop(va, vb):
+    assert _pentagon_relevance(va, vb) == _pentagon_relevance_by_spoke(va, vb)
 
 
 def test_pentagon_relevance_tracks_maker_tips_on_open_spokes():
@@ -409,6 +501,23 @@ def test_mutant_counterexamples_match_snapshot():
             "lines_checked": report.lines_checked,
         }
         assert got == want, name
+
+
+def test_verifier_leaves_no_stack_for_the_cyclic_gc():
+    """Every layer stack of a run is freed by reference counting when the
+    run ends, whether it verified, failed or only audited coverage."""
+    mutations = named_mutations()
+    lifted = lift_gamma_prime(build_gamma_strategy())
+    gc.collect()
+    gc.disable()
+    try:
+        for _name, board, tree in mutations:
+            verify_maker_strategy(board, tree)
+        audit_coverage(lifted)
+        left = sum(1 for obj in gc.get_objects() if type(obj) is _Stack)
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def test_counterexamples_are_deterministic():
