@@ -56,9 +56,7 @@ class Layer:
         automatically and need not be listed.  The layer's own virtual
         claim masks travel with the layer, so vertices whose effect is
         fully captured there may be omitted when the layer is the single
-        stateful one on its stack (several parent vertices may then also
-        share one virtual coordinate: a move onto an already-claimed
-        coordinate is handled as a pass).
+        stateful one on its stack.
     ``dynamic_groups``
         parent-vertex groups whose translation depends on the layer's claim
         masks (all members must translate identically in every state); the

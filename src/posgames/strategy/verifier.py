@@ -23,16 +23,13 @@ Maker mask are cached with their real images, which bound the memo key,
 and the needed vertices of each edge as a mask, from which the claims are
 ordered by distance to a win, then by vertex.
 
-Some opponent moves are *invisible* to the active layers: either the
-translation chain drops them before reaching the innermost layer, or they
-land on a virtual coordinate the layers already count as the opponent's.
-When the current node has no default branch such a move is answered as if
-the opponent had made the lowest free virtual move instead, and that
-imagined move is recorded on the layer's own board.  Later real moves that
-collide with the pretence are treated as invisible in turn, which lets
-every "wasted" opponent move share the memo entry of the matching direct
-reply.  The pretence is only used when the innermost layer is the single
-stateful one, so it is always reflected in the memo signature.
+Some opponent moves are *invisible* to the active layers: the translation
+chain drops them before reaching the innermost layer.  When the current
+node has no default branch such a move is answered as if the opponent had
+made the lowest free virtual move instead, and that imagined move is
+recorded on the innermost layer's own board.  The pretence is only used
+when the innermost layer is stateful, so the imagined move is always part
+of the memo signature.
 
 ``BoundedWin`` defaults are discharged by the machine's own search over
 those tables.  ``bounded_win`` is a standalone "Maker wins within k of his
@@ -169,13 +166,10 @@ class _Stack:
         "residue",
         "dyn",
         "children",
-        "veil",
         "stateful",
         "table",
-        "arrivals",
         "classes",
         "groups",
-        "veils",
         "claims",
         "static_rel",
         "fixed_rel",
@@ -212,18 +206,11 @@ class _Stack:
             }
         self.residue = None
         layers = self.layers
-        self.veil = (
-            bool(layers)
-            and layers[-1].stateful
-            and all(not l.stateful for l in layers[:-1])
-        )
         # indices of the layers whose claim masks enter the memo key
         self.stateful = tuple(i for i, l in enumerate(layers) if l.stateful)
         self.table = None
-        self.arrivals = None
         self.classes = None
         self.groups: dict = {}
-        self.veils: dict = {}
         self.claims: dict = {}
         # id(node) -> real mask of the node's relevance and ``fixed_rel``
         self.static_rel: dict = {}
@@ -412,10 +399,8 @@ class _Machine:
     def _node_groups(self, stack: _Stack, node):
         """Merged out-of-relevance reply classes for (layer stack, node).
 
-        Returns (groups, pass_gi) where ``groups`` is a tuple of disjoint
-        member masks covering every real vertex and ``pass_gi`` is the
-        ordinal of the invisible-move group (None if no vertex passes every
-        layer).  Replies with equal recorded effects and equal handling are
+        Returns a tuple of disjoint member masks covering every real
+        vertex.  Replies with equal recorded effects and equal handling are
         interchangeable, so each group contributes one representative;
         state-dependent (dynamic) translation groups are kept separate
         since their handling resolves per state.
@@ -428,14 +413,7 @@ class _Machine:
         for visible, entry, mask in classes:
             tag = (visible, self._entry_tag(node, entry))
             merged[tag] = merged.get(tag, 0) | mask
-        order = sorted(merged, key=repr)
-        masks = [merged[k] for k in order]
-        pass_gi = None
-        for gi, tag in enumerate(order):
-            if tag[0] == () and tag[1] in (("d",), ("p",)):
-                pass_gi = gi
-                break
-        got = (tuple(masks) + dyn, pass_gi)
+        got = tuple(merged.values()) + dyn
         stack.groups[id(node)] = got
         return got
 
@@ -466,38 +444,6 @@ class _Machine:
                 tuple(dyn[k] for k in sorted(dyn)),
             )
         return stack.classes
-
-    def _veiled_mask(self, stack: _Stack, masks: tuple) -> int:
-        """Real vertices whose static resolution the innermost layer hides.
-
-        Static resolution can land several real vertices on one coordinate
-        (and imagined stand-ins mark coordinates no real claim covers), so a
-        later claim may arrive somewhere the innermost layer already counts
-        as the opponent's.  Such a claim carries nothing the layers can see
-        and is handled as an invisible move.  The bookkeeping needs the
-        innermost state inside the memo signature, so the veil is only
-        active (``_Stack.veil``) when the innermost layer is the single
-        stateful one; deeper stateful layers would need their own veil
-        state, so resolution is taken at face value there.
-        """
-        if not stack.veil:
-            return 0
-        vb = masks[-1][1]
-        if vb == 0:
-            return 0
-        got = stack.veils.get(vb)
-        if got is None:
-            arrivals = stack.arrivals
-            if arrivals is None:
-                arrivals = stack.arrivals = {}
-                for rv, entry in enumerate(self._table(stack)):
-                    if entry[0] == "vertex":
-                        arrivals[entry[1]] = arrivals.get(entry[1], 0) | (1 << rv)
-            got = 0
-            for q in iter_bits(vb):
-                got |= arrivals.get(q, 0)
-            stack.veils[vb] = got
-        return got
 
     # ------------------------------------------------------------------
     # relevance
@@ -660,9 +606,9 @@ class _Machine:
         self.expansions += 1
         if len(path) > self.max_depth:
             self.max_depth = len(path)
-        if len(path) > _LINE_LIMIT:
-            self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
         try:
+            if len(path) > _LINE_LIMIT:
+                self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
             for mask in edges:
                 if mask & ~ra_new == 0:
                     if isinstance(then, WinNow):
@@ -760,22 +706,12 @@ class _Machine:
         # so the profile is 0 exactly when ``out`` is.
         profile = 0
         if out:
-            # Each out-of-relevance class contributes its lowest free member;
-            # veiled claims join the invisible-move class, or form their own
-            # when no vertex passes every layer.
-            groups, pass_gi = self._node_groups(stack, node)
-            hidden = out & self._veiled_mask(stack, masks)
-            visible = out & ~hidden
-            for gi, mask in enumerate(groups):
-                members = mask & visible
-                if gi == pass_gi:
-                    members |= hidden
+            # Each out-of-relevance class contributes its lowest free member.
+            for gi, mask in enumerate(self._node_groups(stack, node)):
+                members = mask & out
                 if members:
                     replies |= members & -members
                     profile |= 1 << gi
-            if pass_gi is None and hidden:
-                replies |= hidden & -hidden
-                profile |= 1 << len(groups)
         sig = tuple([masks[i] for i in stack.stateful])
         key = (id(node), stack, sig, ra & rel, rb & rel, profile)
         got = self.memo.get(key)
@@ -801,9 +737,9 @@ class _Machine:
         self.path.append(("breaker", v))
         if len(self.path) > self.max_depth:
             self.max_depth = len(self.path)
-        if len(self.path) > _LINE_LIMIT:
-            self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
         try:
+            if len(self.path) > _LINE_LIMIT:
+                self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
             if kind == "dyn":
                 entry = self._resolve_dyn(stack, masks, entry)
                 self._resolved_reply(node, stack, masks, ra, rb2, entry)
@@ -847,9 +783,7 @@ class _Machine:
         if type(node) is _BWAfter:
             self._expand_bw(_bw_node(node.k), stack, masks2, ra, rb2)
             return
-        # A claim resolved to a coordinate that already counts as the
-        # opponent's tells the layers nothing new.
-        if entry[0] == "pass" or stack.veil and masks[-1][1] >> entry[1] & 1:
+        if entry[0] == "pass":
             if node.default is None:
                 layer = stack.layer
                 if layer is None or not layer.stateful:

@@ -187,8 +187,8 @@ def test_verifier_counters_are_pinned():
     deterministic, so a change means the traversal itself changed."""
     expected = {
         gamma_report: (20_806, 20),
-        gamma_prime_report: (211_872, 28),
-        g4_report: (661_671, 35),
+        gamma_prime_report: (212_464, 28),
+        g4_report: (682_353, 35),
         g3_split_report: (256_247, 28),
     }
     for report, (lines, depth) in expected.items():

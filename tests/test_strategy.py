@@ -306,6 +306,64 @@ def test_verifier_checks_each_entry_of_a_reused_layer():
     )
 
 
+def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
+    """A layer may fold several real vertices onto one coordinate.  When the
+    opponent takes the second of them, the reply is dispatched like any
+    other: by the reply class that holds the coordinate, not as a pass.
+
+    On the board {2,3}, {2,4}, {5,6}, {5,7} the layer copies the real board
+    but translates real 1 onto coordinate 0.  After the opponent's 0 and
+    Maker's 2, the opponent's 1 must reach class "rest", whose claim of 3
+    wins.  The Respond has no default and no other class holds coordinate
+    1, so a pass there would end in an ``uncovered_reply``."""
+    h = Hypergraph(8, [(2, 3), (2, 4), (5, 6), (5, 7)])
+    fold = Layer(
+        name="fold",
+        board=h,
+        embed=tuple(range(8)),
+        translate=lambda p, va, vb: 0 if p == 1 else p,
+        win_edges={e: e for e in range(4)},
+    )
+    after2 = Respond(
+        (
+            (ReplyClass("three", frozenset((3,))), Claim(4, None)),
+            (ReplyClass("rest", frozenset((0, 4, 5, 6, 7))), Claim(3, None)),
+        ),
+        None,
+    )
+    after5 = Respond(((ReplyClass("six", frozenset((6,))), Claim(7, None)),), Claim(6, None))
+    root = Respond(
+        ((ReplyClass("left", frozenset((2, 3, 4))), Claim(5, after5)),),
+        Claim(2, after2),
+    )
+    report = verify_maker_strategy(h, StrategyTree(h, Side.B, EnterLayer(fold, root)))
+    assert report.verified, report.counterexample
+
+
+def test_line_limit_failure_leaves_no_unplayed_move():
+    """A claim past the line limit fails and is popped from the line, so a
+    bounded-win search that passes over it reports only the moves played.
+
+    Maker claims the even vertices 0..198 while the opponent, whose replies
+    all collapse into one class, answers with the odd ones.  The 200 moves
+    fill the line, so both bounded-win claims (250 and 251) exceed it."""
+    evens = list(range(0, 200, 2))
+    h = Hypergraph(260, [evens + [250], evens + [251]])
+    node = BoundedWin(1)
+    relevance = {}
+    for v in reversed(evens):
+        reply = Respond((), node)
+        relevance[id(reply)] = 0
+        node = Claim(v, reply)
+    report = verify_maker_strategy(h, StrategyTree(h, Side.A, node, relevance))
+    played = []
+    for v in evens:
+        played += [("maker", v), ("breaker", v + 1)]
+    cex = report.counterexample
+    assert cex.kind == "bounded_win_failure"
+    assert cex.moves == tuple(played)
+
+
 def test_winning_claim_accepts_matching_assertion():
     h = Hypergraph(3, [(0, 1), (0, 2)])
     root = Claim(0, Respond(
