@@ -149,7 +149,6 @@ def _cmd_solve_mb(args, argv, start) -> int:
         use_lemma21=prune,
         use_lemma22=prune,
         node_limit=args.node_limit,
-        worker_count=args.threads,
     )
     first = Side.A if args.first == "maker" else Side.B
     rep = solve_mb(h, first, opts)
@@ -174,11 +173,7 @@ def _cmd_solve_mb(args, argv, start) -> int:
 
 def _cmd_solve_cp(args, argv, start) -> int:
     h = _load_board(args.file)
-    opts = CPOptions(
-        use_lemma23=not args.no_lemma23,
-        node_limit=args.node_limit,
-        worker_count=args.threads,
-    )
+    opts = CPOptions(use_lemma23=not args.no_lemma23, node_limit=args.node_limit)
     rep = solve_cp(h, opts)
     payload = {
         "game": "cp",
@@ -208,7 +203,7 @@ def _verification_target(name: str):
 
 def _cmd_verify(args, argv, start) -> int:
     h, s = _verification_target(args.name)
-    rep = verify_maker_strategy(h, s, worker_count=args.threads)
+    rep = verify_maker_strategy(h, s)
     cex = rep.counterexample
     payload = {
         "name": args.name,
@@ -226,7 +221,7 @@ def _cmd_verify(args, argv, start) -> int:
 
 
 def _cmd_validate_cases(args, argv, start) -> int:
-    opts = CPOptions(node_limit=args.node_limit, worker_count=args.threads)
+    opts = CPOptions(node_limit=args.node_limit)
     try:
         rep = validate_case_table(gen_gcp(), gcp_case_table(), opts)
     except RuntimeError as exc:
@@ -278,21 +273,7 @@ def _cmd_reduce(args, argv, start) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _thread_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
-
-
 def _add_report_flags(p, node_limit=True):
-    p.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=1,
-        metavar="N",
-        help="accepted for compatibility (N >= 1); the search is single-threaded",
-    )
     if node_limit:
         p.add_argument("--node-limit", type=int, default=None, metavar="N")
     p.add_argument("--out", metavar="FILE", help="write the report here")
@@ -303,14 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="posgames",
         description="Exact solving and strategy verification for "
         "Maker-Breaker and Chooser-Picker games.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="S",
-        help="reserved for randomized tooling; every shipped subcommand "
-        "is deterministic and ignores it",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

@@ -145,7 +145,12 @@ class Hypergraph:
             for idx, name in names.items():
                 if not 0 <= idx < vertex_count:
                     raise ValueError(f"name index {idx} out of range")
-                nm[int(idx)] = str(name)
+                name = str(name)
+                # exactly the names an ``n`` line of a .hg file can carry; a
+                # text-mode read breaks lines at a lone "\r" as well
+                if not name or name != name.strip() or {"\n", "\r"} & set(name):
+                    raise ValueError(f"vertex name {name!r} cannot be saved")
+                nm[int(idx)] = name
         object.__setattr__(self, "names", nm)
 
         object.__setattr__(
@@ -342,7 +347,8 @@ def load_hypergraph(data: str | bytes) -> Hypergraph:
     """Parse the `.hg` text format.
 
     Format: a ``p hg <vertices> <edges>`` header, optional ``n <index> <name>``
-    lines, and ``e <v1> ... <vk>`` lines, all 1-based; ``#`` starts a comment.
+    lines, and ``e <v1> ... <vk>`` lines, all 1-based; a line starting with
+    ``#`` is a comment.
     Raises :class:`HgParseError` with the offending 1-based line number.
     """
     if isinstance(data, bytes):

@@ -17,8 +17,7 @@ A child's residuals are derived from its parent's canonical residuals rather
 than from every board edge: a superset the parent dropped either stays
 dominated in the child or dies with its subset, so the canonical set, and
 with it the memo key, is the same either way.  The search is single-threaded
-and deterministic: ``worker_count`` is accepted for interface symmetry and
-ignored.
+and deterministic.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ class CPOptions:
 
     use_lemma23: bool = True
     node_limit: int | None = None
-    worker_count: int = 1  # accepted for interface symmetry; ignored
 
 
 def lemma23_offer(p: Position) -> tuple[int, int] | None:
@@ -159,8 +157,6 @@ def solve_cp(h: Hypergraph, opts: CPOptions | None = None) -> SolveReport:
     """Decide the Chooser-Picker game on ``h`` (Picker always acts first,
     by offering)."""
     opts = opts or CPOptions()
-    if opts.worker_count < 1:
-        raise ValueError("worker_count must be positive")
     start = time.perf_counter()
     search = _CPSearch(h, opts)
 
@@ -307,8 +303,6 @@ def validate_case_table(
     pair must be covered, the prescribed choice must be one of the offered
     vertices, and the position after the exchange must be a Chooser win."""
     opts = opts or CPOptions()
-    if opts.worker_count < 1:
-        raise ValueError("worker_count must be positive")
     start = time.perf_counter()
     search = _CPSearch(h, opts)
     failures: list[CaseFailure] = []

@@ -17,8 +17,7 @@ follow it.  A Breaker claim only drops the residuals through the claimed
 vertex, which keeps the set canonical.  A Maker claim shrinks those
 residuals instead; only the untouched ones can become dominated, so only
 they are re-checked (:func:`_maker_claim`).  The search is single-threaded
-and deterministic: ``worker_count`` is accepted for interface symmetry and
-ignored.
+and deterministic.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class MBOptions:
     use_lemma21: bool = True
     use_lemma22: bool = True
     node_limit: int | None = None
-    worker_count: int = 1  # accepted for interface symmetry; ignored
 
 
 @dataclass(frozen=True)
@@ -408,8 +406,6 @@ def solve_mb(
     mover.  The verdict is exact for every option combination; options only
     select which shortcut certificates may be attached."""
     opts = opts or MBOptions()
-    if opts.worker_count < 1:
-        raise ValueError("worker_count must be positive")
     start = time.perf_counter()
 
     def report(winner, nodes, cert=None, exhausted=False):

@@ -242,10 +242,6 @@ class _Machine:
         self.memo: dict = {}
         self.root = _Stack(h)
         self._branch_maps: dict = {}
-        # layer -> {(va, vb): relevance callback value}, shared by every
-        # stack that closes the layer; kept off the stacks, which form
-        # reference cycles, so that it is freed with the machine
-        self._rel_values: dict = {}
 
     # ------------------------------------------------------------------
     # failures
@@ -293,7 +289,6 @@ class _Machine:
                     f"layer {layer.name!r}: embedding leaves the parent board",
                 )
             child = stack.children[layer] = _Stack(layer.board, layer, stack)
-            self._rel_values.setdefault(layer, {})
         return child
 
     def _enter(self, node, stack: _Stack, masks: tuple):
@@ -464,10 +459,7 @@ class _Machine:
         if rel is None:
             rel = self._static_relevance(node, stack, masks)
         for i, prefix in stack.stateful_rel:
-            values = self._rel_values[prefix.layer]
-            pmask = values.get(masks[i])
-            if pmask is None:
-                pmask = values[masks[i]] = prefix.layer.relevance(*masks[i])
+            pmask = prefix.layer.relevance(*masks[i])
             got = prefix.real_rel.get(pmask)
             if got is None:
                 got = prefix.real_rel[pmask] = self._layer_relevance(prefix, pmask)
@@ -886,19 +878,13 @@ def verify_maker_strategy(
     h: Hypergraph,
     s: StrategyTree,
     first_mover: Side | None = None,
-    worker_count: int = 1,
 ) -> VerificationReport:
     """Check ``s`` against every opponent line on ``h``.
 
     ``first_mover`` must match the strategy's declared first mover when
     given.  The result never raises for defects in the strategy itself:
     those are reported as the first counterexample in canonical move order.
-    ``worker_count`` is accepted for interface symmetry with the solvers;
-    lines are explored in canonical order regardless, so the whole report —
-    not just the verdict — is identical for every value.
     """
-    if worker_count < 1:
-        raise ValueError("worker_count must be positive")
     if s.board != h:
         raise ValueError("strategy board does not match the hypergraph")
     mover = s.first_mover if first_mover is None else first_mover

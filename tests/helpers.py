@@ -26,40 +26,32 @@ from posgames.strategy import (
 
 
 @lru_cache(maxsize=None)
-def gamma_report(worker_count: int = 1) -> VerificationReport:
-    return verify_maker_strategy(
-        gen_gamma(), build_gamma_strategy(), worker_count=worker_count
-    )
+def gamma_report() -> VerificationReport:
+    return verify_maker_strategy(gen_gamma(), build_gamma_strategy())
 
 
 @lru_cache(maxsize=None)
-def gamma_prime_report(worker_count: int = 1) -> VerificationReport:
+def gamma_prime_report() -> VerificationReport:
     s = lift_gamma_prime(build_gamma_strategy())
-    return verify_maker_strategy(
-        gen_gamma_prime(), s, worker_count=worker_count
-    )
+    return verify_maker_strategy(gen_gamma_prime(), s)
 
 
 @lru_cache(maxsize=None)
-def g4_report(worker_count: int = 1) -> VerificationReport:
+def g4_report() -> VerificationReport:
     s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
-    return verify_maker_strategy(gen_g4(), s, worker_count=worker_count)
+    return verify_maker_strategy(gen_g4(), s)
 
 
 @lru_cache(maxsize=None)
-def g3_report(worker_count: int = 1) -> VerificationReport:
-    return verify_maker_strategy(
-        gen_g3(), build_g3_strategy(), worker_count=worker_count
-    )
+def g3_report() -> VerificationReport:
+    return verify_maker_strategy(gen_g3(), build_g3_strategy())
 
 
 @lru_cache(maxsize=None)
-def g3_split_report(worker_count: int = 1) -> VerificationReport:
+def g3_split_report() -> VerificationReport:
     h = gen_g3()
     s = lift_split(build_g3_strategy(), h)
-    return verify_maker_strategy(
-        split_pendant(h), s, worker_count=worker_count
-    )
+    return verify_maker_strategy(split_pendant(h), s)
 
 
 def random_hypergraph(

@@ -4,8 +4,8 @@ One test per headline claim, in order: the G_CP verdict split between the
 two games, the first-offer case table, the three strategy verifications
 (pentagon board, gadget board, apex board), the verifier's and the
 solvers' pinned counters, the degree bookkeeping, the multipartite
-fixtures, solver option equivalence, mutation sensitivity, and thread-count
-determinism.  Each test asserts its runtime budget.
+fixtures, solver option equivalence and mutation sensitivity.  Each test
+asserts its runtime budget.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import lru_cache
 from itertools import product
 
 from helpers import (
-    g3_report,
     g3_split_report,
     g4_report,
     gamma_prime_report,
@@ -61,52 +60,26 @@ def _timed(fn):
 
 
 @lru_cache(maxsize=None)
-def _mb_gcp(threads: int = 1):
-    return solve_mb(gen_gcp(), Side.A, MBOptions(worker_count=threads))
+def _mb_gcp():
+    return solve_mb(gen_gcp(), Side.A)
 
 
 @lru_cache(maxsize=None)
-def _cp_gcp(threads: int = 1):
-    return solve_cp(gen_gcp(), CPOptions(worker_count=threads))
+def _cp_gcp():
+    return solve_cp(gen_gcp())
 
 
 @lru_cache(maxsize=None)
-def _case_table(threads: int = 1):
-    return validate_case_table(
-        gen_gcp(), gcp_case_table(), CPOptions(worker_count=threads)
-    )
+def _case_table():
+    return validate_case_table(gen_gcp(), gcp_case_table())
 
 
-@lru_cache(maxsize=None)
-def _mb_g3(threads: int = 1):
-    return solve_mb(gen_g3(), Side.A, MBOptions(worker_count=threads))
-
-
-@lru_cache(maxsize=None)
-def _mb_gamma_breaker(threads: int = 1):
-    return solve_mb(gen_gamma(), Side.B, MBOptions(worker_count=threads))
-
-
-@lru_cache(maxsize=None)
-def _cp_gcp_unrestricted(threads: int = 1):
-    return solve_cp(
-        gen_gcp(), CPOptions(use_lemma23=False, worker_count=threads)
-    )
-
-
-@lru_cache(maxsize=None)
-def _multipartite(threads: int = 1):
+def _multipartite():
     mb = {
-        (k, n): solve_mb(
-            gen_complete_multipartite(k, n),
-            Side.A,
-            MBOptions(worker_count=threads),
-        ).winner
+        (k, n): solve_mb(gen_complete_multipartite(k, n), Side.A).winner
         for (k, n) in ((2, 2), (2, 3), (3, 2))
     }
-    cp = solve_cp(
-        gen_complete_multipartite(4, 2), CPOptions(worker_count=threads)
-    ).winner
+    cp = solve_cp(gen_complete_multipartite(4, 2)).winner
     return mb, cp
 
 
@@ -201,13 +174,21 @@ def test_solver_counters_are_pinned():
     boards.  The search is deterministic, so a change in a count means its
     traversal, pruning or memo keys changed."""
     expected = {
-        "mb gamma, Breaker first": (_mb_gamma_breaker, Side.A, 59_246),
+        "mb gamma, Breaker first": (
+            lambda: solve_mb(gen_gamma(), Side.B),
+            Side.A,
+            59_246,
+        ),
         "mb g3-split, Maker first": (
             lambda: solve_mb(split_pendant(gen_g3()), Side.A),
             Side.A,
             66_827,
         ),
-        "cp gcp without lemma 23": (_cp_gcp_unrestricted, Side.A, 13_287),
+        "cp gcp without lemma 23": (
+            lambda: solve_cp(gen_gcp(), CPOptions(use_lemma23=False)),
+            Side.A,
+            13_287,
+        ),
         "mb gcp": (_mb_gcp, Side.B, 169),
         "cp gcp": (_cp_gcp, Side.A, 267),
     }
@@ -222,7 +203,7 @@ def test_solver_counters_are_pinned():
 def test_degree_bookkeeping():
     """Maker wins the degree-2 3-graph outright; pairings always exist at
     half-uniformity degree; the pendant split lifts the win to 4 sets."""
-    assert _mb_g3().winner is Side.A
+    assert solve_mb(gen_g3(), Side.A).winner is Side.A
     rng = random.Random(_ORACLE_SEED + 1)
     for i in range(50):
         n = 2 + i % 5
@@ -264,40 +245,3 @@ def test_every_strategy_mutation_is_caught():
         rep = verify_maker_strategy(board, mutant)
         assert not rep.verified, name
         assert rep.counterexample is not None, name
-
-
-def test_verdicts_identical_across_thread_counts():
-    assert _mb_gcp(4).winner is _mb_gcp().winner
-    assert _cp_gcp(4).winner is _cp_gcp().winner
-    assert _case_table(4).passed is _case_table().passed
-    for report in (gamma_report, gamma_prime_report, g4_report,
-                   g3_split_report):
-        one, four = report(), report(4)
-        assert four.verified is one.verified
-        assert four.counterexample == one.counterexample
-    assert _mb_g3(4).winner is _mb_g3().winner
-    assert _multipartite(4) == _multipartite()
-    for h in _oracle_boards():
-        for mover in (Side.A, Side.B):
-            assert (
-                solve_mb(h, mover, MBOptions(worker_count=4)).winner
-                is solve_mb(h, mover, MBOptions()).winner
-            )
-        assert (
-            solve_cp(h, CPOptions(worker_count=4)).winner
-            is solve_cp(h).winner
-        )
-    for name, board, mutant in named_mutations():
-        one = verify_maker_strategy(board, mutant)
-        four = verify_maker_strategy(board, mutant, worker_count=4)
-        assert four.verified is one.verified, name
-        assert four.counterexample == one.counterexample, name
-
-
-def test_worker_count_leaves_node_counts_unchanged():
-    """The solvers run single-threaded whatever the worker count, so the
-    counters match exactly, not only the verdicts."""
-    for solve in (_mb_gamma_breaker, _cp_gcp_unrestricted, _mb_gcp, _cp_gcp):
-        two, one = solve(2), solve()
-        assert (two.winner, two.nodes_expanded) == (one.winner, one.nodes_expanded)
-    assert _case_table(2).nodes_expanded == _case_table().nodes_expanded

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import io
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posgames.core import (
     ClaimError,
@@ -24,6 +30,21 @@ from posgames.core import (
 
 def _triangle() -> Hypergraph:
     return Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def _savable(name: str) -> bool:
+    """Whether an ``n`` line of a .hg file can carry ``name``: the parser
+    strips the line, and a text-mode read breaks lines at "\n" and "\r"."""
+    return bool(name) and name == name.strip() and not {"\n", "\r"} & set(name)
+
+
+@st.composite
+def _named_boards(draw):
+    n = draw(st.integers(1, 9))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=4)
+    edges = draw(st.lists(edge, max_size=8, unique=True))
+    names = draw(st.dictionaries(st.integers(0, n - 1), st.text(max_size=6)))
+    return n, [sorted(e) for e in edges], names
 
 
 class TestHypergraph:
@@ -175,6 +196,42 @@ class TestHgFormat:
         again = load_hypergraph(text)
         assert again == h
         assert save_hypergraph(again) == text
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_named_boards())
+    def test_every_constructible_board_round_trips(self, board):
+        n, edges, names = board
+        if not all(map(_savable, names.values())):
+            with pytest.raises(ValueError):
+                Hypergraph(n, edges, names)
+            return
+        h = Hypergraph(n, edges, names)
+        text = save_hypergraph(h)
+        again = load_hypergraph(text)
+        assert again == h
+        assert save_hypergraph(again) == text
+        # what reading the saved file in text mode, as the CLI does, gives
+        read_back = io.StringIO(text, newline=None).read()
+        assert load_hypergraph(read_back) == h
+
+    @pytest.mark.parametrize(
+        "name",
+        ["", " a", "a ", "a\nb", "a\rb", "\t"],
+        ids=["empty", "lead-space", "trail-space", "newline", "cr", "tab"],
+    )
+    def test_names_the_format_cannot_carry_are_rejected(self, name):
+        with pytest.raises(ValueError):
+            Hypergraph(2, [(0, 1)], names={0: name})
+
+    def test_readme_example_parses(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(
+            r"### Board file format\n.*?```\n(.*?)```",
+            readme.read_text(encoding="utf-8"),
+            re.DOTALL,
+        ).group(1)
+        h = load_hypergraph(block)
+        assert h == Hypergraph(5, [(0, 1, 2), (2, 3, 4)], names={0: "a"})
 
     def test_empty_board(self):
         assert save_hypergraph(Hypergraph(0)) == "p hg 0 0\n"

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from helpers import random_hypergraph
 from posgames.constructions import gen_complete_multipartite, gen_gcp
 from posgames.core import Hypergraph, Position, Side, apply_claim
@@ -139,22 +137,6 @@ class TestOptions:
     def test_node_limit_is_explicit(self):
         report = solve_cp(gen_gcp(), CPOptions(node_limit=2))
         assert report.exhausted and report.winner is None
-
-    def test_worker_count_does_not_change_verdict(self):
-        for h in (gen_gcp(), gen_complete_multipartite(4, 2)):
-            seq = solve_cp(h).winner
-            par = solve_cp(h, CPOptions(worker_count=4)).winner
-            assert par is seq
-
-    def test_worker_count_validation(self):
-        with pytest.raises(ValueError):
-            solve_cp(gen_gcp(), CPOptions(worker_count=0))
-
-    def test_case_validation_rejects_worker_count_below_one(self):
-        with pytest.raises(ValueError):
-            validate_case_table(
-                gen_gcp(), gcp_case_table(), CPOptions(worker_count=0)
-            )
 
 
 class TestCaseTable:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
 from helpers import random_hypergraph, random_uniform_low_degree
 from posgames.constructions import (
     gcp_rotation,
@@ -18,7 +16,6 @@ from posgames.core import (
     Hypergraph,
     Position,
     Side,
-    apply_claim,
     permute_hypergraph,
     residual,
 )
@@ -247,17 +244,6 @@ class TestInvariants:
         permuted = permute_hypergraph(gen_gcp(), rot)
         for first in (Side.A, Side.B):
             assert solve_mb(permuted, first).winner is solve_mb(gen_gcp(), first).winner
-
-    def test_worker_count_does_not_change_verdict(self):
-        boards = [gen_gcp(), gen_g3(), gen_complete_multipartite(3, 2)]
-        for h in boards:
-            seq = solve_mb(h, Side.A).winner
-            par = solve_mb(h, Side.A, MBOptions(worker_count=4)).winner
-            assert par is seq
-
-    def test_worker_count_validation(self):
-        with pytest.raises(ValueError):
-            solve_mb(gen_g3(), Side.A, MBOptions(worker_count=0))
 
 
 class TestDeterminism:

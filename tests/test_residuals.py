@@ -2,16 +2,20 @@
 
 The exact solvers derive each child's canonical residual set from its
 parent's instead of rebuilding it from every board edge.  These tests check
-each shortcut against a brute-force reference on random inputs.
+each shortcut against a brute-force reference on random inputs, and check
+that relabelling a board's vertices leaves both solvers' verdicts alone.
 """
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posgames.core import Hypergraph, iter_bits
-from posgames.cp import CPOptions, _CPSearch
+from helpers import random_hypergraph
+from posgames.core import Hypergraph, Side, iter_bits, permute_hypergraph
+from posgames.cp import CPOptions, _CPSearch, solve_cp
 from posgames.mb import (
     _breaker_claim,
     _canon,
@@ -19,6 +23,7 @@ from posgames.mb import (
     _maker_claim,
     _ordered_bits,
     maker_root_restriction,
+    solve_mb,
 )
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -136,3 +141,16 @@ def test_cp_analyze_from_ancestor_canon_matches_board(h, data):
         expected = search._analyze(a, b, h.edge_masks)
         for canon in ancestors:
             assert search._analyze(a, b, canon) == expected
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_verdicts_survive_relabelling(seed, data):
+    """Move order, residual order and memo keys all follow vertex indices;
+    the winner must not."""
+    h = random_hypergraph(random.Random(seed))
+    perm = data.draw(st.permutations(range(h.vertex_count)))
+    g = permute_hypergraph(h, perm)
+    for first in (Side.A, Side.B):
+        assert solve_mb(g, first).winner is solve_mb(h, first).winner
+    assert solve_cp(g).winner is solve_cp(h).winner

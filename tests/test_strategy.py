@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -559,6 +560,71 @@ def test_mutant_counterexamples_match_snapshot():
             "lines_checked": report.lines_checked,
         }
         assert got == want, name
+
+
+def _without_layer_relevance(tree: StrategyTree) -> tuple[StrategyTree, int]:
+    """A copy of ``tree`` whose layers all leave ``relevance`` None, and the
+    number of layers that had a callback to drop.
+
+    Every node with a child is rebuilt, so ``node_relevance`` is re-keyed
+    by the ids of the copies.  A shared node or layer is copied once, which
+    keeps it shared.
+    """
+    nodes: dict = {}
+    layers: dict = {}
+    dropped = 0
+
+    def copy_layer(layer):
+        nonlocal dropped
+        if id(layer) not in layers:
+            dropped += layer.relevance is not None
+            layers[id(layer)] = replace(
+                layer,
+                relevance=None,
+                on_win={e: copy(n) for e, n in layer.on_win.items()},
+            )
+        return layers[id(layer)]
+
+    def copy(node):
+        if id(node) in nodes:
+            return nodes[id(node)]
+        if isinstance(node, EnterLayer):
+            new = EnterLayer(copy_layer(node.layer), copy(node.then))
+        elif isinstance(node, (Claim, ClaimFirstFree)) and node.then is not None:
+            new = replace(node, then=copy(node.then))
+        elif isinstance(node, Respond):
+            default = node.default
+            if default is not None and not isinstance(default, BoundedWin):
+                default = copy(default)
+            branches = tuple((cls, copy(n)) for cls, n in node.branches)
+            new = Respond(branches, default)
+        else:
+            new = node
+        nodes[id(node)] = new
+        return new
+
+    root = copy(tree.root)
+    rel = {
+        id(nodes[key]): mask
+        for key, mask in (tree.node_relevance or {}).items()
+        if key in nodes
+    }
+    return StrategyTree(tree.board, tree.first_mover, root, rel), dropped
+
+
+def test_layer_relevance_leaves_mutant_counterexamples_unchanged():
+    """Layer relevance only collapses replies that cannot matter, so without
+    it every mutant still fails on the same first line.  Node relevance is
+    kept: without it the endgame mutants do not finish."""
+    expected = json.loads(_MUTANT_SNAPSHOT.read_text())
+    stripped = 0
+    for (name, board, tree), want in zip(named_mutations(), expected):
+        plain, dropped = _without_layer_relevance(tree)
+        stripped += dropped
+        cex = verify_maker_strategy(board, plain).counterexample
+        got = (cex.kind, [list(move) for move in cex.moves], cex.detail)
+        assert got == (want["kind"], want["moves"], want["detail"]), name
+    assert stripped
 
 
 def test_verifier_leaves_no_stack_for_the_cyclic_gc():
