@@ -104,8 +104,15 @@ def _gadget_endgame(i: int, j: int) -> Node:
 
     Maker owns w, x and t, so the three edges pairing consecutive y's are
     one move from double duty; whatever Breaker does first, two forced
-    trades leave both z-edges of one parity open.
+    trades leave both z-edges of one parity open.  Every reply dispatch
+    carries the gadget and its spoke as its relevance.
     """
+    rel = (
+        _block_mask(3 * (i - 1) + (j - 1))
+        | (1 << gamma_w(i))
+        | (1 << gamma_x(i, j))
+        | (1 << gamma_t(i, j))
+    )
 
     def y(k: int) -> int:
         return gadget_y(i, j, k)
@@ -114,11 +121,11 @@ def _gadget_endgame(i: int, j: int) -> Node:
         return gadget_z(i, j, k)
 
     def chain(steps, final: int) -> Node:
-        node: Node = Claim(final, Respond((), BoundedWin(2)))
+        node: Node = Claim(final, Respond((), BoundedWin(2), rel))
         for v, reply in reversed(steps):
             cls = ReplyClass(f"y{i}{j}{reply - gadget_y(i, j, 1) + 1}",
                              frozenset((reply,)))
-            node = Claim(v, Respond(((cls, node),), BoundedWin(2)))
+            node = Claim(v, Respond(((cls, node),), BoundedWin(2), rel))
         return node
 
     to_odd_a = chain([(y(3), y(4)), (y(5), y(6))], y(1))
@@ -136,6 +143,7 @@ def _gadget_endgame(i: int, j: int) -> Node:
             (ReplyClass("y6", frozenset((y(6),))), to_odd_f),
         ),
         default,
+        rel,
     )
 
 
@@ -152,29 +160,17 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
                 "base strategy must win on spoke or long edges only"
             )
     target = gen_gamma_prime()
-    node_rel = dict(s.node_relevance or {})
-    endgames = {}
-    for i in range(1, 6):
-        for j in range(1, 4):
-            g = 3 * (i - 1) + (j - 1)
-            endgame = _gadget_endgame(i, j)
-            mask = (
-                _block_mask(g)
-                | (1 << gamma_w(i))
-                | (1 << gamma_x(i, j))
-                | (1 << gamma_t(i, j))
-            )
-            for n in iter_nodes(endgame):
-                if isinstance(n, Respond):
-                    node_rel[id(n)] = mask
-            endgames[g] = endgame
     layer = Layer(
         name="pentagon-over-gadgets",
         board=base,
         embed=tuple(range(35)),
         translate=_pentagon_translate,
         win_edges={15 + k: 105 + k for k in range(5)},
-        on_win=endgames,
+        on_win={
+            3 * (i - 1) + (j - 1): _gadget_endgame(i, j)
+            for i in range(1, 6)
+            for j in range(1, 4)
+        },
         stateful=True,
         relevance=_pentagon_relevance,
         dynamic_groups=tuple(
@@ -185,7 +181,7 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
             for j in range(1, 4)
         ),
     )
-    return StrategyTree(target, Side.B, EnterLayer(layer, s.root), node_rel)
+    return StrategyTree(target, Side.B, EnterLayer(layer, s.root))
 
 
 def lift_g4(s: StrategyTree) -> StrategyTree:
@@ -196,7 +192,6 @@ def lift_g4(s: StrategyTree) -> StrategyTree:
     if s.first_mover is not Side.B:
         raise ValueError("expected a strategy with Breaker moving first")
     target = gen_g4()
-    node_rel = dict(s.node_relevance or {})
     copy_masks = []
     copy_layers = []
     for c in range(3):
@@ -224,13 +219,12 @@ def lift_g4(s: StrategyTree) -> StrategyTree:
             range(G4_COPY_OFFSETS[c - 1], G4_COPY_OFFSETS[c - 1] + 185)
         ) | {g4_s(c)}
         enter = Claim(g4_s(c), EnterLayer(copy_layers[c - 1], s.root))
-        respond = Respond(((ReplyClass(f"region-{c}", region), nxt),), enter)
         rel = _APEX_MASK
         for cc in range(c, 4):
             rel |= copy_masks[cc - 1]
-        node_rel[id(respond)] = rel
+        respond = Respond(((ReplyClass(f"region-{c}", region), nxt),), enter, rel)
         nxt = Claim(g4_v(c), respond)
-    return StrategyTree(target, Side.A, nxt, node_rel)
+    return StrategyTree(target, Side.A, nxt)
 
 
 def lift_split(s: StrategyTree, h: Hypergraph) -> StrategyTree:
@@ -255,9 +249,4 @@ def lift_split(s: StrategyTree, h: Hypergraph) -> StrategyTree:
         answers=answers,
         stateful=True,
     )
-    return StrategyTree(
-        target,
-        s.first_mover,
-        EnterLayer(layer, s.root),
-        dict(s.node_relevance or {}),
-    )
+    return StrategyTree(target, s.first_mover, EnterLayer(layer, s.root))

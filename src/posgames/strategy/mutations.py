@@ -43,14 +43,12 @@ def _edit(tree: StrategyTree, pred, repl) -> StrategyTree:
     root, found = replace_first(tree.root, pred, repl)
     if not found:
         raise AssertionError("mutation target not found")
-    return StrategyTree(tree.board, tree.first_mover, root,
-                        tree.node_relevance)
+    return StrategyTree(tree.board, tree.first_mover, root)
 
 
 def _edit_root_branches(tree: StrategyTree, fn) -> StrategyTree:
     root = replace(tree.root, branches=fn(tree.root.branches))
-    return StrategyTree(tree.board, tree.first_mover, root,
-                        tree.node_relevance)
+    return StrategyTree(tree.board, tree.first_mover, root)
 
 
 def _edit_layer(tree: StrategyTree, fn) -> StrategyTree:
@@ -58,8 +56,7 @@ def _edit_layer(tree: StrategyTree, fn) -> StrategyTree:
     if not isinstance(enter, EnterLayer):
         raise AssertionError("expected a layered strategy")
     return StrategyTree(tree.board, tree.first_mover,
-                        EnterLayer(fn(enter.layer), enter.then),
-                        tree.node_relevance)
+                        EnterLayer(fn(enter.layer), enter.then))
 
 
 def _pentagon_mutations() -> list:
@@ -196,8 +193,7 @@ def _apex_mutations() -> list:
 
     s = lifted()
     out.append(("missing-opening-claim", s.board,
-                StrategyTree(s.board, s.first_mover, s.root.then,
-                             s.node_relevance)))
+                StrategyTree(s.board, s.first_mover, s.root.then)))
 
     s = lifted()
     out.append(("switch-claims-apex", s.board, _edit(

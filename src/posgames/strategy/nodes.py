@@ -13,10 +13,10 @@ final ``Claim(v, WinNow(e))`` acts as "claim v, which completes e".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Union
 
-from ..core import Hypergraph, Side, is_automorphism
+from ..core import Hypergraph, Side, is_automorphism, iter_bits
 
 __all__ = [
     "Claim",
@@ -85,10 +85,15 @@ class ClaimFirstFree:
 class Respond:
     """Opponent to move: dispatch on the (translated) reply.  ``default``
     handles replies outside every branch: a node, a BoundedWin rule, or None
-    (in which case an unlisted reply is a verification failure)."""
+    (in which case an unlisted reply is a verification failure).
+
+    ``relevance`` optionally bounds, as a vertex mask on the node's own
+    board, which claims can still matter below this node; the verifier uses
+    it to collapse equivalent opponent deviations."""
 
     branches: tuple  # of (ReplyClass, Node)
     default: "Node | BoundedWin | None" = None
+    relevance: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +111,11 @@ Node = Union[Claim, ClaimFirstFree, Respond, WinNow, EnterLayer]
 @dataclass(frozen=True, eq=False)
 class StrategyTree:
     """A complete scripted strategy: the board it plays on, who moves first,
-    and the root node.  ``node_relevance`` optionally maps id(node) to a
-    vertex mask (in the node's own board coordinates) that bounds which
-    claims matter below that node; the verifier uses it to collapse
-    equivalent opponent deviations."""
+    and the root node."""
 
     board: Hypergraph
     first_mover: Side
     root: Node
-    node_relevance: dict | None = None
 
 
 def iter_nodes(node: Node) -> Iterator[Node]:
@@ -166,10 +167,9 @@ def replace_first(node: Node, pred: Callable[[Node], bool], repl: Callable[[Node
 
 def conjugate(s: StrategyTree, perm) -> StrategyTree:
     """Relabel a strategy through a board automorphism: claim vertices,
-    reply classes and win-edge indices all map through ``perm``.  The
-    verification verdict is invariant.  Layers are kept as-is (the built-in
-    layers commute with board automorphisms); any node-relevance table is
-    dropped (it is an optimization hint, not part of the strategy)."""
+    reply classes, node relevance masks and win-edge indices all map
+    through ``perm``.  The verification verdict is invariant.  Layers are
+    kept as-is (the built-in layers commute with board automorphisms)."""
     if not is_automorphism(s.board, perm):
         raise ValueError("permutation is not an automorphism of the board")
     perm = list(perm)
@@ -197,7 +197,10 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
             default = node.default
             if isinstance(default, (Claim, ClaimFirstFree, Respond, WinNow, EnterLayer)):
                 default = conv(default)
-            out = Respond(branches, default)
+            rel = node.relevance
+            if rel is not None:
+                rel = sum(1 << perm[v] for v in iter_bits(rel))
+            out = Respond(branches, default, rel)
         elif isinstance(node, EnterLayer):
             out = EnterLayer(node.layer, conv(node.then))
         else:  # pragma: no cover - exhaustive
@@ -205,4 +208,4 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
         cache[id(node)] = out
         return out
 
-    return StrategyTree(s.board, s.first_mover, conv(s.root), None)
+    return StrategyTree(s.board, s.first_mover, conv(s.root))

@@ -228,14 +228,16 @@ class _Stack:
         self.bw: dict = {}
 
 
+def _board_name(stack: _Stack) -> str:
+    return "the board" if stack.layer is None else f"layer {stack.layer.name!r}"
+
+
 class _Machine:
-    def __init__(self, h: Hypergraph, tree: StrategyTree):
+    def __init__(self, h: Hypergraph):
         self.h = h
-        self.tree = tree
         self.full = h.full_mask
         self.edge_masks = h.edge_masks
         self.incidence = h.incidence
-        self.node_rel = tree.node_relevance or {}
         self.path: list = []
         self.expansions = 0
         self.max_depth = 0
@@ -468,8 +470,12 @@ class _Machine:
 
     def _static_relevance(self, node, stack: _Stack, masks: tuple) -> int:
         """The mask-independent part of ``_relevance``, cached per node."""
-        static = self.node_rel.get(id(node))
+        static = node.relevance if type(node) is Respond else None
         if static is not None:
+            if static >> stack.board.vertex_count:
+                self._fail(
+                    "ill_formed", f"node relevance leaves {_board_name(stack)}"
+                )
             rel = self._to_real(static, stack)
         elif masks or isinstance(node, (_BW, _BWAfter)):
             rel = 0
@@ -506,6 +512,11 @@ class _Machine:
         real counterpart is complete, so any extra vertices the real edge
         carries must stay in the memo key.
         """
+        if pmask >> stack.parent.board.vertex_count:
+            self._fail(
+                "ill_formed",
+                f"layer {stack.layer.name!r}: relevance leaves the parent board",
+            )
         residue = stack.residue
         if residue is None:
             residue = 0
@@ -554,9 +565,9 @@ class _Machine:
     def _claim_entry(self, stack: _Stack, v: int):
         """Build ``stack.claims[v]`` (see ``_Stack``)."""
         if not 0 <= v < stack.board.vertex_count:
-            where = "the board" if stack.layer is None else f"layer {stack.layer.name!r}"
             self._fail(
-                "ill_formed", f"strategy claims vertex {v}, which is not on {where}"
+                "ill_formed",
+                f"strategy claims vertex {v}, which is not on {_board_name(stack)}",
             )
         layers = stack.layers
         bits = [0] * len(layers)
@@ -890,7 +901,7 @@ def verify_maker_strategy(
     mover = s.first_mover if first_mover is None else first_mover
     if mover is not s.first_mover:
         raise ValueError("first_mover does not match the strategy")
-    machine = _Machine(h, s)
+    machine = _Machine(h)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
     started = time.perf_counter()
@@ -987,7 +998,7 @@ def audit_coverage(s: StrategyTree) -> dict:
     board vertex the way the verifier would, and maps it to the covering
     class name, ``"default"``, or ``None`` when nothing covers it.
     """
-    machine = _Machine(s.board, s)
+    machine = _Machine(s.board)
     try:
         node, stack, masks = machine._enter(s.root, machine.root, ())
         if not isinstance(node, Respond):

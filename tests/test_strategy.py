@@ -110,6 +110,30 @@ def test_conjugated_pentagon_strategy_still_verifies():
     assert report.verified
 
 
+def test_conjugate_maps_respond_relevance():
+    """The relevance mask is relabelled with the rest of the node, so the
+    conjugate collapses the same replies and explores the same lines."""
+    h = Hypergraph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+    reply = Respond(
+        ((ReplyClass("one", frozenset((1,))), Claim(2, WinNow(1))),),
+        Claim(1, WinNow(0)),
+        0b110,
+    )
+    s = StrategyTree(h, Side.A, Claim(0, reply))
+    image = conjugate(s, [3, 4, 5, 0, 1, 2])
+    assert image.root.then.relevance == 0b110000
+    before = verify_maker_strategy(h, s)
+    after = verify_maker_strategy(h, image)
+    assert before.verified and after.verified
+    assert after.lines_checked == before.lines_checked
+
+
+def test_strategy_tree_takes_no_relevance_table():
+    h = _tiny_board()
+    with pytest.raises(TypeError):
+        StrategyTree(h, Side.B, Respond((), BoundedWin(2)), {})
+
+
 # ---------------------------------------------------------------------------
 # bounded win
 
@@ -171,7 +195,7 @@ def test_bounded_win_claim_order_is_distance_then_vertex(position):
     vertex's fewest missing claims over the live edges, sorted by
     (distance, vertex)."""
     h, va, vb, k = position
-    machine = _Machine(h, StrategyTree(h, Side.A, WinNow(0)))
+    machine = _Machine(h)
     got = list(_bw_claims(machine._bw_entry(machine.root, va, k)[1], vb))
     best: dict = {}
     for mask in h.edge_masks:
@@ -257,6 +281,43 @@ def test_verifier_reports_claims_off_the_board(root, detail):
     cex = report.counterexample
     assert (cex.kind, cex.detail) == ("ill_formed", f"strategy claims {detail}")
     assert cex.moves == (("maker", 0), ("breaker", 1))
+
+
+@pytest.mark.parametrize(
+    "root, detail",
+    [
+        (Respond((), BoundedWin(2), 1 << 5), "the board"),
+        (Respond((), BoundedWin(2), -1), "the board"),
+        (EnterLayer(_SMALL, Respond((), BoundedWin(1), 1 << 2)), "layer 'small'"),
+    ],
+    ids=["board-5", "board-neg", "layer-2"],
+)
+def test_verifier_reports_respond_relevance_off_the_board(root, detail):
+    """A node relevance mask naming a vertex outside the node's board is
+    ill-formed, never an ``IndexError``."""
+    h = Hypergraph(4, [(0, 1)])
+    report = verify_maker_strategy(h, StrategyTree(h, Side.B, root))
+    cex = report.counterexample
+    assert (cex.kind, cex.detail, cex.moves) == (
+        "ill_formed", f"node relevance leaves {detail}", ()
+    )
+
+
+@pytest.mark.parametrize("stateful", [True, False])
+def test_verifier_reports_layer_relevance_off_the_board(stateful):
+    """A layer relevance callback whose mask leaves the layer's parent board
+    is ill-formed, whether the mask is cached per state or per stack."""
+    s = lift_gamma_prime(build_gamma_strategy())
+    layer = replace(
+        s.root.layer, stateful=stateful, relevance=lambda va, vb: 1 << 400
+    )
+    tree = StrategyTree(s.board, s.first_mover, EnterLayer(layer, s.root.then))
+    cex = verify_maker_strategy(s.board, tree).counterexample
+    assert (cex.kind, cex.detail, cex.moves) == (
+        "ill_formed",
+        "layer 'pentagon-over-gadgets': relevance leaves the parent board",
+        (),
+    )
 
 
 def test_verifier_reports_ill_formed_win_assertion():
@@ -351,12 +412,9 @@ def test_line_limit_failure_leaves_no_unplayed_move():
     evens = list(range(0, 200, 2))
     h = Hypergraph(260, [evens + [250], evens + [251]])
     node = BoundedWin(1)
-    relevance = {}
     for v in reversed(evens):
-        reply = Respond((), node)
-        relevance[id(reply)] = 0
-        node = Claim(v, reply)
-    report = verify_maker_strategy(h, StrategyTree(h, Side.A, node, relevance))
+        node = Claim(v, Respond((), node, 0))
+    report = verify_maker_strategy(h, StrategyTree(h, Side.A, node))
     played = []
     for v in evens:
         played += [("maker", v), ("breaker", v + 1)]
@@ -566,9 +624,9 @@ def _without_layer_relevance(tree: StrategyTree) -> tuple[StrategyTree, int]:
     """A copy of ``tree`` whose layers all leave ``relevance`` None, and the
     number of layers that had a callback to drop.
 
-    Every node with a child is rebuilt, so ``node_relevance`` is re-keyed
-    by the ids of the copies.  A shared node or layer is copied once, which
-    keeps it shared.
+    Every node with a child is rebuilt; a ``Respond`` keeps its own
+    relevance.  A shared node or layer is copied once, which keeps it
+    shared.
     """
     nodes: dict = {}
     layers: dict = {}
@@ -597,19 +655,13 @@ def _without_layer_relevance(tree: StrategyTree) -> tuple[StrategyTree, int]:
             if default is not None and not isinstance(default, BoundedWin):
                 default = copy(default)
             branches = tuple((cls, copy(n)) for cls, n in node.branches)
-            new = Respond(branches, default)
+            new = replace(node, branches=branches, default=default)
         else:
             new = node
         nodes[id(node)] = new
         return new
 
-    root = copy(tree.root)
-    rel = {
-        id(nodes[key]): mask
-        for key, mask in (tree.node_relevance or {}).items()
-        if key in nodes
-    }
-    return StrategyTree(tree.board, tree.first_mover, root, rel), dropped
+    return StrategyTree(tree.board, tree.first_mover, copy(tree.root)), dropped
 
 
 def test_layer_relevance_leaves_mutant_counterexamples_unchanged():
@@ -625,6 +677,17 @@ def test_layer_relevance_leaves_mutant_counterexamples_unchanged():
         got = (cex.kind, [list(move) for move in cex.moves], cex.detail)
         assert got == (want["kind"], want["moves"], want["detail"]), name
     assert stripped
+
+
+def test_gamma_prime_verifies_without_layer_relevance():
+    """The pentagon layer's relevance only collapses replies that cannot
+    matter: without it the gadget-board lift still verifies, on many more
+    lines."""
+    plain, dropped = _without_layer_relevance(lift_gamma_prime(build_gamma_strategy()))
+    assert dropped == 1
+    report = verify_maker_strategy(plain.board, plain)
+    assert report.verified, report.counterexample
+    assert report.lines_checked > gamma_prime_report().lines_checked
 
 
 def test_verifier_leaves_no_stack_for_the_cyclic_gc():
