@@ -168,11 +168,17 @@ def replace_first(node: Node, pred: Callable[[Node], bool], repl: Callable[[Node
 def conjugate(s: StrategyTree, perm) -> StrategyTree:
     """Relabel a strategy through a board automorphism: claim vertices,
     reply classes, node relevance masks and win-edge indices all map
-    through ``perm``.  The verification verdict is invariant.  Layers are
-    kept as-is (the built-in layers commute with board automorphisms)."""
+    through ``perm``.  The verification verdict is invariant.
+
+    Raises ``ValueError`` when ``perm`` is not an automorphism, when the
+    script names a vertex or edge off the board (a relevance mask names
+    its bits), and on any ``EnterLayer``: the script under a layer names
+    vertices of the layer's board, which ``perm`` does not act on, so
+    relabelling it would need the layer itself conjugated too."""
     if not is_automorphism(s.board, perm):
         raise ValueError("permutation is not an automorphism of the board")
-    perm = list(perm)
+    # a dict, so that an off-board vertex is a KeyError, not a wrapped index
+    to = dict(enumerate(perm))
     edge_sets = {frozenset(e): i for i, e in enumerate(s.board.edges)}
     cache: dict[int, Node] = {}
 
@@ -183,15 +189,17 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
         if got is not None:
             return got
         if isinstance(node, Claim):
-            out: Node = Claim(perm[node.vertex], conv(node.then))
+            out: Node = Claim(to[node.vertex], conv(node.then))
         elif isinstance(node, ClaimFirstFree):
-            out = ClaimFirstFree(tuple(perm[v] for v in node.vertices), conv(node.then))
+            out = ClaimFirstFree(tuple(to[v] for v in node.vertices), conv(node.then))
         elif isinstance(node, WinNow):
-            image = frozenset(perm[v] for v in s.board.edges[node.edge])
+            if not 0 <= node.edge < len(s.board.edges):
+                raise ValueError(f"WinNow names edge {node.edge}, which is not on the board")
+            image = frozenset(to[v] for v in s.board.edges[node.edge])
             out = WinNow(edge_sets[image])
         elif isinstance(node, Respond):
             branches = tuple(
-                (ReplyClass(c.name, frozenset(perm[v] for v in c.vertices)), conv(child))
+                (ReplyClass(c.name, frozenset(to[v] for v in c.vertices)), conv(child))
                 for c, child in node.branches
             )
             default = node.default
@@ -199,13 +207,23 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
                 default = conv(default)
             rel = node.relevance
             if rel is not None:
-                rel = sum(1 << perm[v] for v in iter_bits(rel))
+                if rel < 0:
+                    raise ValueError("node relevance mask is negative")
+                rel = sum(1 << to[v] for v in iter_bits(rel))
             out = Respond(branches, default, rel)
         elif isinstance(node, EnterLayer):
-            out = EnterLayer(node.layer, conv(node.then))
+            raise ValueError(
+                f"cannot conjugate a script that enters layer {node.layer.name!r}"
+            )
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown node {node!r}")
         cache[id(node)] = out
         return out
 
-    return StrategyTree(s.board, s.first_mover, conv(s.root))
+    try:
+        root = conv(s.root)
+    except KeyError as missing:
+        raise ValueError(
+            f"strategy names vertex {missing.args[0]}, which is not on the board"
+        ) from None
+    return StrategyTree(s.board, s.first_mover, root)

@@ -23,6 +23,19 @@ Maker mask are cached with their real images, which bound the memo key,
 and the needed vertices of each edge as a mask, from which the claims are
 ordered by distance to a win, then by vertex.
 
+Sibling layers entered from the real board may share memo successes.  When
+a layer is entered beside an earlier one on the same board, the verifier
+derives the involution of the real board that swaps the two embeddings
+and the vertices each layer's win edges have outside it, and shares only
+if both layers are plain (stateless, no ``on_win``, ``answers`` or dynamic
+groups) and the swap is an automorphism that carries each win edge onto
+its partner, each translation onto the other's and the fixed relevance of
+one onto the other's.  The stack entered later then files its successes
+under the earlier stack's key, with its masks and reply profile mapped
+through the swap, and so do the stacks pushed on top of it.  Failures stay
+under each stack's own key, so a counterexample keeps its own coordinates
+and reply order, and a stack that shares nothing is searched as before.
+
 Some opponent moves are *invisible* to the active layers: the translation
 chain drops them before reaching the innermost layer.  When the current
 node has no default branch such a move is answered as if the opponent had
@@ -43,7 +56,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Hypergraph, Position, Side, iter_bits
+from ..core import Hypergraph, Position, Side, is_automorphism, iter_bits
 from .nodes import (
     BoundedWin,
     Claim,
@@ -151,6 +164,11 @@ class _Stack:
     a continuation for it, innermost layer first and in incidence order.
     The vertex is range-checked when its entry is built.
 
+    ``rep`` is the stack whose memo successes this one shares (see the
+    module docstring), never one that has a ``rep`` itself, and ``segs``
+    the automorphism carrying this stack onto it as (shift, source mask)
+    pairs.
+
     Stacks point at their children and the children back at them, so the
     machine breaks those cycles when a run ends (``_Machine.release``).
     """
@@ -177,6 +195,8 @@ class _Stack:
         "real_rel",
         "edges",
         "bw",
+        "rep",
+        "segs",
     )
 
     def __init__(self, board: Hypergraph, layer=None, parent: "_Stack | None" = None):
@@ -226,6 +246,8 @@ class _Stack:
         self.real_rel: dict = {}
         self.edges = None
         self.bw: dict = {}
+        self.rep = None
+        self.segs = None
 
 
 def _board_name(stack: _Stack) -> str:
@@ -291,7 +313,92 @@ class _Machine:
                     f"layer {layer.name!r}: embedding leaves the parent board",
                 )
             child = stack.children[layer] = _Stack(layer.board, layer, stack)
+            if stack.rep is not None:
+                child.rep = self._push(stack.rep, layer)
+                child.segs = stack.segs
+            elif stack is self.root:
+                self._share(child)
         return child
+
+    # ------------------------------------------------------------------
+    # sibling symmetry
+
+    def _share(self, child: _Stack):
+        """Let ``child`` share the memo successes of the first earlier
+        child of the root whose layer it is checked to mirror."""
+        for sibling in self.root.children.values():
+            if sibling is child:
+                return
+            if sibling.rep is not None:
+                continue
+            sigma = _sibling_sigma(self.h, child.layer, sibling.layer)
+            if sigma is not None and self._symmetric(child, sibling, sigma):
+                child.rep = sibling
+                child.segs = _segments(sigma)
+                return
+
+    def _symmetric(self, child: _Stack, sibling: _Stack, sigma) -> bool:
+        """Whether the real-board permutation ``sigma`` carries every line
+        played under ``child`` onto the same line under ``sibling``.
+
+        Both must be children of the root.  ``sigma`` must be an
+        involutive automorphism of the board that maps ``child``'s
+        embedding onto ``sibling``'s, each ``win_edges`` target onto its
+        partner, the layers' translations onto each other and ``child``'s
+        fixed relevance onto ``sibling``'s.  Neither layer may keep state,
+        answer moves, translate dynamically or hand over on a win.
+        """
+        layer, other = child.layer, sibling.layer
+        h = self.h
+        for l in (layer, other):
+            if l.stateful or l.on_win or l.answers or l.dynamic_groups:
+                return False
+        if layer.board is not other.board or layer.win_edges.keys() != other.win_edges.keys():
+            return False
+        n = h.vertex_count
+        if len(sigma) != n or any(sigma[sigma[v]] != v for v in range(n)):
+            return False
+        if not is_automorphism(h, sigma):
+            return False
+        if any(sigma[a] != b for a, b in zip(layer.embed, other.embed)):
+            return False
+        edges = h.edges
+        for k, e in layer.win_edges.items():
+            f = other.win_edges[k]
+            if not (0 <= e < len(edges) and 0 <= f < len(edges)):
+                return False
+            if {sigma[v] for v in edges[e]} != set(edges[f]):
+                return False
+        if any(
+            layer.translate(v, 0, 0) != other.translate(sigma[v], 0, 0)
+            for v in range(n)
+        ):
+            return False
+        try:
+            rel = self._fixed_relevance(child, ((0, 0),))
+            other_rel = self._fixed_relevance(sibling, ((0, 0),))
+        except _Fail:
+            return False
+        return _apply_segments(_segments(sigma), rel) == other_rel
+
+    def _shared_key(self, node, stack: _Stack, sig: tuple, a: int, b: int, out):
+        """The memo key of a success on ``stack`` in its representative's
+        frame: the claim masks are mapped onto the representative, and the
+        reply profile (when ``out`` is not None) is taken over the
+        representative's reply groups."""
+        segs = stack.segs
+        rep = stack.rep
+        a = _apply_segments(segs, a)
+        b = _apply_segments(segs, b)
+        if out is None:
+            return (id(node), rep, sig, a, b)
+        profile = 0
+        if out:
+            out = _apply_segments(segs, out)
+            for gi, mask in enumerate(self._node_groups(rep, node)):
+                if mask & out:
+                    profile |= 1 << gi
+        return (id(node), rep, sig, a, b, profile)
 
     def _enter(self, node, stack: _Stack, masks: tuple):
         """Push the layers of a run of ``EnterLayer`` nodes."""
@@ -722,6 +829,12 @@ class _Machine:
             return
         if got is not None:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
+        # successes on a stack with a representative are filed in its frame
+        success = key
+        if stack.segs is not None:
+            success = self._shared_key(node, stack, sig, ra & rel, rb & rel, out)
+            if self.memo.get(success) is True:
+                return
         self.expansions += 1
         try:
             table = stack.table
@@ -732,7 +845,7 @@ class _Machine:
         except _Fail as fail:
             self.memo[key] = (fail.cex.kind, fail.cex.detail)
             raise
-        self.memo[key] = True
+        self.memo[success] = True
 
     def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int, entry):
         kind = entry[0]
@@ -848,6 +961,11 @@ class _Machine:
             return
         if got is not None:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
+        success = key
+        if stack.segs is not None:
+            success = self._shared_key(node, stack, sig, ra & rel, rb & rel, None)
+            if self.memo.get(success) is True:
+                return
         self.expansions += 1
         then = _bw_after(k - 1) if k > 1 else None
         # A claim on a vertex occupied only in real coordinates fails in
@@ -857,7 +975,7 @@ class _Machine:
                 self._claim(v, stack, masks, ra, rb, then)
             except _Fail:
                 continue
-            self.memo[key] = True
+            self.memo[success] = True
             return
         detail = f"no win within {k} Maker moves from here"
         self.memo[key] = ("bounded_win_failure", detail)
@@ -883,6 +1001,57 @@ def _bw_claims(levels, vb: int):
             low = needed & -needed
             yield low.bit_length() - 1
             needed ^= low
+
+
+def _sibling_sigma(h: Hypergraph, layer, other):
+    """The involution of ``h`` that would swap two layers entered from the
+    real board, or None when the swap is not well defined.
+
+    It exchanges ``layer.embed[i]`` with ``other.embed[i]`` and, for each
+    ``win_edges`` key, the real vertices each layer's target edge has
+    outside its embedding (in ascending order), and fixes every other
+    vertex.  Nothing here checks that the result is an automorphism:
+    ``_Machine._symmetric`` does.
+    """
+    if len(layer.embed) != len(other.embed) or layer.win_edges.keys() != other.win_edges.keys():
+        return None
+    pairs = list(zip(layer.embed, other.embed))
+    image = sum(1 << v for v in layer.embed)
+    other_image = sum(1 << v for v in other.embed)
+    masks = h.edge_masks
+    for k, e in layer.win_edges.items():
+        f = other.win_edges[k]
+        if not (0 <= e < len(masks) and 0 <= f < len(masks)):
+            return None
+        mine = list(iter_bits(masks[e] & ~image))
+        theirs = list(iter_bits(masks[f] & ~other_image))
+        if len(mine) != len(theirs):
+            return None
+        pairs += zip(mine, theirs)
+    swap: dict = {}
+    for a, b in pairs:
+        if swap.setdefault(a, b) != b or swap.setdefault(b, a) != a:
+            return None
+    return [swap.get(v, v) for v in range(h.vertex_count)]
+
+
+def _segments(sigma) -> tuple:
+    """``sigma`` as (shift, source mask) pairs, one per distinct shift."""
+    by_shift: dict = {}
+    for v, w in enumerate(sigma):
+        by_shift[w - v] = by_shift.get(w - v, 0) | (1 << v)
+    return tuple(sorted(by_shift.items()))
+
+
+def _apply_segments(segs: tuple, mask: int) -> int:
+    """The image of a vertex mask under the permutation ``segs`` encodes."""
+    out = 0
+    for shift, source in segs:
+        if shift >= 0:
+            out |= (mask & source) << shift
+        else:
+            out |= (mask & source) >> -shift
+    return out
 
 
 def verify_maker_strategy(

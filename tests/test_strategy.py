@@ -22,8 +22,12 @@ from helpers import (
     random_hypergraph,
 )
 from posgames.constructions import (
+    G4_COPY_OFFSETS,
+    g4_s,
+    g4_v,
     gamma_rho,
     gen_g3,
+    gen_g4,
     gen_gamma,
     split_pendant,
 )
@@ -54,7 +58,7 @@ from posgames.strategy import (
     verify_maker_strategy,
 )
 from posgames.strategy.lifts import _block_mask, _pentagon_relevance
-from posgames.strategy.verifier import _bw_claims, _Machine, _Stack
+from posgames.strategy.verifier import _bw_claims, _Machine, _sibling_sigma, _Stack
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -126,6 +130,47 @@ def test_conjugate_maps_respond_relevance():
     after = verify_maker_strategy(h, image)
     assert before.verified and after.verified
     assert after.lines_checked == before.lines_checked
+
+
+def _copy_swap(a: int, b: int, *, switches: bool = True) -> list:
+    """The g4 permutation exchanging copies ``a`` and ``b`` (1..3) with
+    v_a and v_b and, when ``switches``, s_a and s_b."""
+    perm = list(range(gen_g4().vertex_count))
+    pairs = [(G4_COPY_OFFSETS[a - 1] + i, G4_COPY_OFFSETS[b - 1] + i) for i in range(185)]
+    pairs.append((g4_v(a), g4_v(b)))
+    if switches:
+        pairs.append((g4_s(a), g4_s(b)))
+    for x, y in pairs:
+        perm[x], perm[y] = y, x
+    return perm
+
+
+def test_conjugate_refuses_layered_strategies():
+    """A script under a layer names vertices of the layer's board, which a
+    real-board automorphism does not act on: relabelling the g4 strategy
+    through a copy swap would leave its layers pointing at the old copies."""
+    s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
+    with pytest.raises(ValueError, match="enters layer 'copy-"):
+        conjugate(s, _copy_swap(1, 2))
+
+
+@pytest.mark.parametrize(
+    "root, detail",
+    [
+        (Claim(-1, None), "vertex -1"),
+        (ClaimFirstFree((0, 3)), "vertex 3"),
+        (Respond(((ReplyClass("far", frozenset((4,))), Claim(0, None)),)), "vertex 4"),
+        (Respond((), Claim(0, None), 1 << 5), "vertex 5"),
+        (Respond((), Claim(0, None), -1), "negative"),
+        (Claim(0, WinNow(1)), "edge 1"),
+    ],
+)
+def test_conjugate_rejects_scripts_off_the_board(root, detail):
+    """An off-board vertex is reported, not wrapped onto the board by a
+    negative index nor left to fail with an ``IndexError``."""
+    s = StrategyTree(_tiny_board(), Side.A, root)
+    with pytest.raises(ValueError, match=detail):
+        conjugate(s, [1, 2, 0])
 
 
 def test_strategy_tree_takes_no_relevance_table():
@@ -517,6 +562,138 @@ def test_apex_board_lift_verifies():
     assert report.lines_checked < 10**7
 
 
+# ---------------------------------------------------------------------------
+# sibling symmetry
+
+
+def _twin_copies():
+    """Two copies of the board {0, 1}, {0, 2}, on vertices 0..2 and 3..5.
+    Breaker moves first and Maker plays in the copy Breaker left alone:
+    claim its 0, then whichever of 1 and 2 is still free."""
+    base = Hypergraph(3, [(0, 1), (0, 2)])
+    h = Hypergraph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+    script = Claim(
+        0,
+        Respond(
+            ((ReplyClass("one", frozenset((1,))), Claim(2, WinNow(1))),),
+            Claim(1, WinNow(0)),
+        ),
+    )
+    layers = [
+        Layer(
+            name=f"copy-{c + 1}",
+            board=base,
+            embed=(3 * c, 3 * c + 1, 3 * c + 2),
+            translate=lambda p, va, vb, off=3 * c: p - off if 0 <= p - off < 3 else None,
+            win_edges={0: 2 * c, 1: 2 * c + 1},
+            stateful=False,
+        )
+        for c in range(2)
+    ]
+    root = Respond(
+        ((ReplyClass("first", frozenset((0, 1, 2))), EnterLayer(layers[1], script)),),
+        EnterLayer(layers[0], script),
+    )
+    return h, StrategyTree(h, Side.B, root), layers
+
+
+def _refuse_every_pair(monkeypatch):
+    monkeypatch.setattr(_Machine, "_symmetric", lambda self, child, sibling, sigma: False)
+
+
+def test_sibling_copies_share_successes(monkeypatch):
+    """The copy entered second is checked against the first and hits its
+    memo entries; with sharing refused the same verdict takes more lines.
+    A representative has none of its own, so ``rep`` links never cycle."""
+    h, s, layers = _twin_copies()
+    machine = _Machine(h)
+    second = machine._push(machine.root, layers[1])
+    first = machine._push(machine.root, layers[0])
+    assert first.rep is second and second.rep is None
+    assert _sibling_sigma(h, layers[0], layers[1]) == [3, 4, 5, 0, 1, 2]
+    machine.release()
+    shared = verify_maker_strategy(h, s)
+    _refuse_every_pair(monkeypatch)
+    plain = verify_maker_strategy(h, s)
+    assert shared.verified and plain.verified
+    assert shared.lines_checked < plain.lines_checked
+
+
+def _copy_layers(s: StrategyTree) -> dict:
+    return {
+        node.layer.name: node.layer
+        for node in iter_nodes(s.root)
+        if isinstance(node, EnterLayer) and node.layer.name.startswith("copy-")
+    }
+
+
+def test_sibling_symmetry_refuses_a_swap_that_forgets_the_switches():
+    """Swapping copies 2 and 3 with v_2 and v_3 but not s_2 and s_3 is not
+    an automorphism of g4, so the checker refuses it; the derived swap,
+    which includes them, passes."""
+    h = gen_g4()
+    layers = _copy_layers(lift_g4(lift_gamma_prime(build_gamma_strategy())))
+    machine = _Machine(h)
+    two = machine._push(machine.root, layers["copy-2"])
+    three = machine._push(machine.root, layers["copy-3"])
+    assert three.rep is two
+    derived = _sibling_sigma(h, layers["copy-3"], layers["copy-2"])
+    assert derived == _copy_swap(2, 3)
+    assert machine._symmetric(three, two, derived)
+    assert not machine._symmetric(three, two, _copy_swap(2, 3, switches=False))
+    machine.release()
+
+
+def test_a_defect_in_one_copy_shares_nothing_and_is_caught(monkeypatch):
+    """Copy 3's layer maps long edge 106 onto copy 3's edge 105.  The
+    derived swap with copy 2 is still an automorphism, but it does not
+    carry that target onto copy 2's, so copy 3 shares nothing and is
+    searched itself, where the wrong win assertion fails."""
+    s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
+    h = gen_g4()
+    root, found = replace_first(
+        s.root,
+        lambda n: isinstance(n, EnterLayer) and n.layer.name == "copy-3",
+        lambda n: EnterLayer(
+            replace(n.layer, win_edges={**n.layer.win_edges, 106: 325}), n.then
+        ),
+    )
+    assert found
+    reps = []
+    share = _Machine._share
+
+    def spy(self, child):
+        share(self, child)
+        reps.append((child.layer.name, child.rep))
+
+    monkeypatch.setattr(_Machine, "_share", spy)
+    report = verify_maker_strategy(h, StrategyTree(h, Side.A, root))
+    assert reps == [("copy-2", None), ("copy-3", None)]
+    cex = report.counterexample
+    assert cex.kind == "leaf_without_win"
+    assert cex.detail.startswith("WinNow edge 325 is missing vertices")
+    assert cex.moves[:7] == (
+        ("maker", g4_v(1)),
+        ("breaker", 0),
+        ("maker", g4_v(2)),
+        ("breaker", 185),
+        ("maker", g4_v(3)),
+        ("breaker", 1),
+        ("maker", g4_s(3)),
+    )
+
+
+def test_g4_without_sharing_explores_the_unshared_lines(monkeypatch):
+    """Differential gate: with every sibling pair refused, g4 verifies on
+    exactly the lines it took before the copies shared, so sharing is the
+    only change to the search."""
+    _refuse_every_pair(monkeypatch)
+    s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
+    report = verify_maker_strategy(gen_g4(), s)
+    assert report.verified, report.counterexample
+    assert (report.lines_checked, report.max_depth) == (682_353, 35)
+
+
 def test_split_lift_verifies_on_tree_board():
     report = g3_split_report()
     assert report.verified
@@ -692,14 +869,17 @@ def test_gamma_prime_verifies_without_layer_relevance():
 
 def test_verifier_leaves_no_stack_for_the_cyclic_gc():
     """Every layer stack of a run is freed by reference counting when the
-    run ends, whether it verified, failed or only audited coverage."""
+    run ends, whether it verified, failed, shared a sibling's memo or only
+    audited coverage."""
     mutations = named_mutations()
     lifted = lift_gamma_prime(build_gamma_strategy())
+    twins, twin_tree, _layers = _twin_copies()
     gc.collect()
     gc.disable()
     try:
         for _name, board, tree in mutations:
             verify_maker_strategy(board, tree)
+        assert verify_maker_strategy(twins, twin_tree).verified
         audit_coverage(lifted)
         left = sum(1 for obj in gc.get_objects() if type(obj) is _Stack)
     finally:
