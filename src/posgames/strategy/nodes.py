@@ -194,7 +194,9 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
             out = ClaimFirstFree(tuple(to[v] for v in node.vertices), conv(node.then))
         elif isinstance(node, WinNow):
             if not 0 <= node.edge < len(s.board.edges):
-                raise ValueError(f"WinNow names edge {node.edge}, which is not on the board")
+                raise ValueError(
+                    f"WinNow names edge {node.edge}, which is not on the board"
+                )
             image = frozenset(to[v] for v in s.board.edges[node.edge])
             out = WinNow(edge_sets[image])
         elif isinstance(node, Respond):

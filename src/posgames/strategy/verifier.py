@@ -353,7 +353,9 @@ class _Machine:
         for l in (layer, other):
             if l.stateful or l.on_win or l.answers or l.dynamic_groups:
                 return False
-        if layer.board is not other.board or layer.win_edges.keys() != other.win_edges.keys():
+        if layer.board is not other.board:
+            return False
+        if layer.win_edges.keys() != other.win_edges.keys():
             return False
         n = h.vertex_count
         if len(sigma) != n or any(sigma[sigma[v]] != v for v in range(n)):
@@ -1013,7 +1015,9 @@ def _sibling_sigma(h: Hypergraph, layer, other):
     vertex.  Nothing here checks that the result is an automorphism:
     ``_Machine._symmetric`` does.
     """
-    if len(layer.embed) != len(other.embed) or layer.win_edges.keys() != other.win_edges.keys():
+    if len(layer.embed) != len(other.embed):
+        return None
+    if layer.win_edges.keys() != other.win_edges.keys():
         return None
     pairs = list(zip(layer.embed, other.embed))
     image = sum(1 << v for v in layer.embed)
