@@ -32,7 +32,8 @@ class Layer:
         (a pass).
     ``win_edges``
         virtual edge index -> parent edge index; completing such a virtual
-        edge delegates the win check one level up.
+        edge delegates the win check one level up.  Every target must be an
+        edge of the parent board.
     ``on_win``
         virtual edge index -> continuation node scripted on the *parent*
         board; completing such a virtual edge pops this layer and runs the
@@ -40,7 +41,8 @@ class Layer:
     ``answers``
         parent vertex -> parent vertex: an opponent move on a key is
         answered immediately by a Maker claim of the value and is otherwise
-        invisible to this layer and everything below it.
+        invisible to this layer and everything below it.  Every value must
+        be a vertex of the parent board.
     ``stateful``
         whether the layer's own claim masks can influence later play (they
         are then part of the verifier's memo key).  Set False only when
@@ -51,9 +53,10 @@ class Layer:
         vertex mask of everything this layer may still react to.  The
         verifier collapses opponent moves outside the union of the active
         layers' masks; a layer that leaves it None counts its whole
-        embedded board as relevant.  Parent vertices of ``win_edges``
-        targets that lie outside the embedding are kept relevant
-        automatically and need not be listed.  The layer's own virtual
+        embedded board as relevant.  A stateless layer's callback is read
+        once per layer stack, at empty masks.  Parent vertices of
+        ``win_edges`` targets that lie outside the embedding are kept
+        relevant automatically and need not be listed.  The layer's own virtual
         claim masks travel with the layer, so vertices whose effect is
         fully captured there may be omitted when the layer is the single
         stateful one on its stack.

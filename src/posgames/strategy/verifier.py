@@ -12,15 +12,17 @@ free member is folded into the memo key so the pruning stays exact.
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
 claim masks.  Everything that depends only on the stack (how each real
-vertex resolves, the reply classes, the node's and the layers' fixed
-relevance) is computed once and kept on that object.  So is the claim
-table: per innermost-board vertex, its real vertex, the bit it sets in
-each layer's Maker mask, the real edges through it and the ``on_win``
-edges through its coordinate on each layer, so a Maker claim walks no
-embedding or incidence list.  Bounded-win search works from per-stack
-tables of the innermost board's edges: the edges within reach of a given
-Maker mask are cached with their real images, which bound the memo key,
-and the needed vertices of each edge as a mask, from which the claims are
+vertex resolves, the reply classes, the layers' fixed relevance, the real
+images of the innermost board's edges) is built from the parent stack's
+tables when the stack is interned, so a malformed layer fails on the line
+that enters it.  Caches keyed by a vertex, a node or a claim mask fill on
+first use.  One of them is the claim table: per innermost-board vertex,
+its real vertex, the bit it sets in each layer's Maker mask, the real
+edges through it and the ``on_win`` edges through its coordinate on each
+layer, so a Maker claim walks no embedding or incidence list.  Another
+is the bounded-win table: the innermost board's edges within reach of a
+given Maker mask, with their real images, which bound the memo key, and
+the needed vertices of each edge as a mask, from which the claims are
 ordered by distance to a win, then by vertex.
 
 Sibling layers entered from the real board may share memo successes.  When
@@ -52,6 +54,7 @@ that tests compare that search against.
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -110,35 +113,14 @@ class _Fail(Exception):
 
 
 @dataclass(frozen=True, eq=False)
-class _BW:
-    """Internal Maker node: win within ``k`` own moves, found by search."""
-
-    k: int
-
-
-@dataclass(frozen=True, eq=False)
 class _BWAfter:
     """Internal opponent node between searched bounded-win moves."""
 
     k: int
 
 
-_BW_NODES: dict[int, _BW] = {}
-_BW_AFTER: dict[int, _BWAfter] = {}
-
-
-def _bw_node(k: int) -> _BW:
-    node = _BW_NODES.get(k)
-    if node is None:
-        node = _BW_NODES.setdefault(k, _BW(k))
-    return node
-
-
-def _bw_after(k: int) -> _BWAfter:
-    node = _BW_AFTER.get(k)
-    if node is None:
-        node = _BW_AFTER.setdefault(k, _BWAfter(k))
-    return node
+# one node per ``k``, so a memo key can name it by ``id``
+_bw_after = functools.cache(_BWAfter)
 
 
 class _Stack:
@@ -148,12 +130,20 @@ class _Stack:
     A line carries its layer state as the innermost ``_Stack`` plus one
     tuple of per-layer ``(va, vb)`` claim masks, outermost first.  The
     machine interns one object per distinct stack (a child per layer pushed
-    on top of it, its embedding checked against the parent board when the
-    child is created), so the object itself names the layers in a memo key
-    and every per-stack table is one of its attributes.  ``prefixes[i]`` is
-    the stack that closes ``layers[i]``.  Tables that need the board's
-    contents are filled lazily, on first use, so a malformed layer fails on
-    the first line that needs its table.
+    on top of it), so the object itself names the layers in a memo key and
+    every per-stack table is one of its attributes.  ``prefixes[i]`` is the
+    stack that closes ``layers[i]``.
+
+    The tables that do not depend on the claim masks are built with the
+    stack, from its parent's: ``table`` (see ``_layer_table``) and
+    ``classes`` (see ``_reply_classes``), ``edges`` (the real image of each
+    innermost-board edge), ``residue`` (see ``_Machine._layer_relevance``)
+    and ``stateful_rel``.  ``_Machine._push`` checks the layer against the
+    parent board before it builds the child and adds the layer's part of
+    ``fixed_rel`` after, so a malformed layer fails on the line that enters
+    it.  Only the caches keyed by a vertex, a node or a claim mask fill on
+    first use: ``claims``, ``groups``, ``static_rel``, ``real_rel`` and
+    ``bw``.
 
     ``claims`` maps an innermost-board vertex to (real vertex, per-layer
     claim bits, masks of the real edges through it, ``on_win`` entries).
@@ -182,7 +172,6 @@ class _Stack:
         "real",
         "image",
         "residue",
-        "dyn",
         "children",
         "stateful",
         "table",
@@ -205,11 +194,12 @@ class _Stack:
         self.parent = parent
         self.children: dict = {}
         if parent is None:
-            self.layers = self.prefixes = ()
+            self.layers = self.prefixes = self.stateful = self.stateful_rel = ()
             self.real = tuple(range(board.vertex_count))
-            self.image = 0
-            self.dyn: dict = {}
+            self.image = self.residue = self.fixed_rel = 0
+            self.table = [("vertex", v, ()) for v in self.real]
         else:
+            i = len(parent.layers)
             self.layers = parent.layers + (layer,)
             self.prefixes = parent.prefixes + (self,)
             # real vertex of each vertex of ``board``
@@ -218,36 +208,93 @@ class _Stack:
             self.image = 0
             for v in layer.embed:
                 self.image |= 1 << v
-            # parent vertex -> dynamic group; only legal on the innermost layer
-            self.dyn = {
-                v: gi
-                for gi, members in enumerate(layer.dynamic_groups)
-                for v in members
-            }
-        self.residue = None
-        layers = self.layers
-        # indices of the layers whose claim masks enter the memo key
-        self.stateful = tuple(i for i, l in enumerate(layers) if l.stateful)
-        self.table = None
-        self.classes = None
+            residue = 0
+            parent_edges = parent.board.edge_masks
+            for pe in layer.win_edges.values():
+                residue |= parent_edges[pe]
+            self.residue = residue & ~self.image
+            # indices of the layers whose claim masks enter the memo key, and
+            # (layer index, stack closing that layer) for those of them
+            # whose relevance depends on their claim masks
+            self.stateful = parent.stateful
+            self.stateful_rel = parent.stateful_rel
+            if layer.stateful:
+                self.stateful += (i,)
+                if layer.relevance is not None:
+                    self.stateful_rel += ((i, self),)
+            self.fixed_rel = parent.fixed_rel
+            self.table = _layer_table(parent, layer)
+        self.classes = _reply_classes(self.table, self.layers)
+        self.edges = tuple([self.to_real(mask) for mask in board.edge_masks])
         self.groups: dict = {}
         self.claims: dict = {}
         # id(node) -> real mask of the node's relevance and ``fixed_rel``
         self.static_rel: dict = {}
-        self.fixed_rel = None
-        # (layer index, stack closing that layer) for each stateful layer
-        # whose relevance depends on its claim masks
-        self.stateful_rel = tuple(
-            (i, self.prefixes[i])
-            for i in self.stateful
-            if layers[i].relevance is not None
-        )
         # relevance mask on the parent board of ``layer`` -> its real image
         self.real_rel: dict = {}
-        self.edges = None
         self.bw: dict = {}
         self.rep = None
         self.segs = None
+
+    def to_real(self, mask: int) -> int:
+        """Map a mask on ``board`` to the real board."""
+        real = self.real
+        out = 0
+        for v in iter_bits(mask):
+            out |= 1 << real[v]
+        return out
+
+
+def _layer_table(parent: _Stack, layer) -> list:
+    """Per real vertex, how the layers of ``parent`` and then ``layer``
+    resolve an opponent claim: ``parent.table`` continued through ``layer``.
+
+    Entries are ("answer", real reply, effects), ("pass", effects),
+    ("vertex", innermost vertex, effects) or ("dyn", group, effects,
+    coordinate entering the innermost layer); ``effects`` lists the (layer
+    index, layer-board vertex) marks recorded along the walk.  ``parent``
+    has no ``dyn`` entry: ``_Machine._push`` refuses a layer on top of one.
+    """
+    fi = len(parent.layers)
+    dyn = {v: gi for gi, members in enumerate(layer.dynamic_groups) for v in members}
+    entries = []
+    for entry in parent.table:
+        if entry[0] == "vertex":
+            _kind, coord, effects = entry
+            ans = layer.answers.get(coord)
+            if ans is not None:
+                entry = ("answer", parent.real[ans], effects)
+            elif coord in dyn:
+                entry = ("dyn", dyn[coord], effects, coord)
+            else:
+                nxt = layer.translate(coord, 0, 0)
+                if nxt is None:
+                    entry = ("pass", effects)
+                else:
+                    entry = ("vertex", nxt, effects + ((fi, nxt),))
+        entries.append(entry)
+    return entries
+
+
+def _reply_classes(table: list, layers: tuple) -> tuple:
+    """The node-independent part of ``_Machine._node_groups``.
+
+    Returns (classes, dyn): ``classes`` lists (visible effects, table
+    entry, member mask) for the real vertices that resolve statically to
+    the same place with the same effects on stateful layers, and ``dyn``
+    the member masks of the dynamic translation groups.
+    """
+    merged: dict = {}
+    dyn: dict = {}
+    for rv, entry in enumerate(table):
+        if entry[0] == "dyn":
+            dyn[entry[1]] = dyn.get(entry[1], 0) | (1 << rv)
+            continue
+        visible = tuple((fi, c) for fi, c in entry[-1] if layers[fi].stateful)
+        key = (visible, entry[0], entry[1])
+        got = merged.get(key)
+        merged[key] = (visible, entry, (got[2] if got else 0) | (1 << rv))
+    return tuple(merged.values()), tuple(dyn[k] for k in sorted(dyn))
 
 
 def _board_name(stack: _Stack) -> str:
@@ -294,25 +341,51 @@ class _Machine:
     def _push(self, stack: _Stack, layer) -> _Stack:
         """The interned stack that enters ``layer`` on top of ``stack``.
 
-        The embedding is checked against ``stack``'s board when the child
-        is first created, so a layer reused under another parent is checked
-        again there.
+        The layer is checked against ``stack``'s board, and the child's
+        tables are built, when the child is first created, so a layer
+        reused under another parent is checked again there.  A child whose
+        build fails is not interned.
         """
         child = stack.children.get(layer)
         if child is None:
+            name = layer.name
             if len(layer.embed) != layer.board.vertex_count:
                 self._fail(
                     "ill_formed",
-                    f"layer {layer.name!r}: embedding names "
+                    f"layer {name!r}: embedding names "
                     f"{len(layer.embed)} of {layer.board.vertex_count} vertices",
                 )
             parent_n = stack.board.vertex_count
             if any(not 0 <= v < parent_n for v in layer.embed):
                 self._fail(
-                    "ill_formed",
-                    f"layer {layer.name!r}: embedding leaves the parent board",
+                    "ill_formed", f"layer {name!r}: embedding leaves the parent board"
                 )
-            child = stack.children[layer] = _Stack(layer.board, layer, stack)
+            edge_count = len(stack.board.edges)
+            if any(not 0 <= pe < edge_count for pe in layer.win_edges.values()):
+                self._fail(
+                    "ill_formed", f"layer {name!r}: win edges leave the parent board"
+                )
+            if any(not 0 <= v < parent_n for v in layer.answers.values()):
+                self._fail(
+                    "ill_formed", f"layer {name!r}: answers leave the parent board"
+                )
+            if stack.classes[1]:  # masks of the parent's dynamic groups
+                self._fail(
+                    "ill_formed",
+                    f"layer {stack.layer.name!r}: state-dependent "
+                    "translation below another layer",
+                )
+            child = _Stack(layer.board, layer, stack)
+            rel = layer.relevance
+            if rel is None or not layer.stateful:
+                pmask = child.image if rel is None else rel(0, 0)
+                try:
+                    child.fixed_rel |= self._layer_relevance(child, pmask)
+                except _Fail:
+                    # nothing else holds the child: cut its self-references
+                    child.prefixes = child.stateful_rel = None
+                    raise
+            stack.children[layer] = child
             if stack.rep is not None:
                 child.rep = self._push(stack.rep, layer)
                 child.segs = stack.segs
@@ -341,12 +414,15 @@ class _Machine:
         """Whether the real-board permutation ``sigma`` carries every line
         played under ``child`` onto the same line under ``sibling``.
 
-        Both must be children of the root.  ``sigma`` must be an
-        involutive automorphism of the board that maps ``child``'s
-        embedding onto ``sibling``'s, each ``win_edges`` target onto its
-        partner, the layers' translations onto each other and ``child``'s
-        fixed relevance onto ``sibling``'s.  Neither layer may keep state,
-        answer moves, translate dynamically or hand over on a win.
+        Both must be children of the root, and ``sigma`` the swap
+        ``_sibling_sigma`` derives for their layers, which have the same
+        ``win_edges`` keys, each checked against the board by ``_push``.
+        ``sigma`` must be an involutive automorphism of the board that maps
+        ``child``'s embedding onto ``sibling``'s, each ``win_edges`` target
+        onto its partner, the layers' translations onto each other and
+        ``child``'s fixed relevance onto ``sibling``'s.  Neither layer may
+        keep state, answer moves, translate dynamically or hand over on a
+        win.
         """
         layer, other = child.layer, sibling.layer
         h = self.h
@@ -354,8 +430,6 @@ class _Machine:
             if l.stateful or l.on_win or l.answers or l.dynamic_groups:
                 return False
         if layer.board is not other.board:
-            return False
-        if layer.win_edges.keys() != other.win_edges.keys():
             return False
         n = h.vertex_count
         if len(sigma) != n or any(sigma[sigma[v]] != v for v in range(n)):
@@ -366,41 +440,33 @@ class _Machine:
             return False
         edges = h.edges
         for k, e in layer.win_edges.items():
-            f = other.win_edges[k]
-            if not (0 <= e < len(edges) and 0 <= f < len(edges)):
-                return False
-            if {sigma[v] for v in edges[e]} != set(edges[f]):
+            if {sigma[v] for v in edges[e]} != set(edges[other.win_edges[k]]):
                 return False
         if any(
             layer.translate(v, 0, 0) != other.translate(sigma[v], 0, 0)
             for v in range(n)
         ):
             return False
-        try:
-            rel = self._fixed_relevance(child, ((0, 0),))
-            other_rel = self._fixed_relevance(sibling, ((0, 0),))
-        except _Fail:
-            return False
-        return _apply_segments(_segments(sigma), rel) == other_rel
+        return _apply_segments(_segments(sigma), child.fixed_rel) == sibling.fixed_rel
 
-    def _shared_key(self, node, stack: _Stack, sig: tuple, a: int, b: int, out):
-        """The memo key of a success on ``stack`` in its representative's
-        frame: the claim masks are mapped onto the representative, and the
-        reply profile (when ``out`` is not None) is taken over the
-        representative's reply groups."""
+    def _shared_key(self, key: tuple, stack: _Stack, node=None, out=0):
+        """``key``, the memo key of a success on ``stack``, in its
+        representative's frame: the claim masks are mapped onto the
+        representative and, for an opponent ``node``, the reply profile is
+        taken over the representative's reply groups."""
         segs = stack.segs
-        rep = stack.rep
-        a = _apply_segments(segs, a)
-        b = _apply_segments(segs, b)
-        if out is None:
-            return (id(node), rep, sig, a, b)
+        head, _stack, sig, a, b = key[:5]
+        a, b = _apply_segments(segs, a), _apply_segments(segs, b)
+        shared = (head, stack.rep, sig, a, b)
+        if node is None:
+            return shared
         profile = 0
         if out:
             out = _apply_segments(segs, out)
-            for gi, mask in enumerate(self._node_groups(rep, node)):
+            for gi, mask in enumerate(self._node_groups(stack.rep, node)):
                 if mask & out:
                     profile |= 1 << gi
-        return (id(node), rep, sig, a, b, profile)
+        return shared + (profile,)
 
     def _enter(self, node, stack: _Stack, masks: tuple):
         """Push the layers of a run of ``EnterLayer`` nodes."""
@@ -410,61 +476,8 @@ class _Machine:
             node = node.then
         return node, stack, masks
 
-    def _to_real(self, mask: int, stack: _Stack) -> int:
-        """Map a mask on ``stack.board`` to the real board."""
-        real = stack.real
-        out = 0
-        for v in iter_bits(mask):
-            out |= 1 << real[v]
-        return out
-
     # ------------------------------------------------------------------
-    # per-stack static analysis
-
-    def _table(self, stack: _Stack):
-        """Per real vertex, how the active layers resolve an opponent claim.
-
-        Entries are ("answer", real reply, effects), ("pass", effects),
-        ("vertex", innermost vertex, effects) or ("dyn", group, effects,
-        coordinate entering the innermost layer); ``effects`` lists the
-        (layer index, layer-board vertex) marks recorded along the walk.
-        """
-        if stack.table is not None:
-            return stack.table
-        layers = stack.layers
-        entries = []
-        for rv in range(self.h.vertex_count):
-            coord = rv
-            effects: list = []
-            entry = None
-            for fi, layer in enumerate(layers):
-                ans = layer.answers.get(coord)
-                if ans is not None:
-                    for j in range(fi - 1, -1, -1):
-                        ans = layers[j].embed[ans]
-                    entry = ("answer", ans, tuple(effects))
-                    break
-                gi = stack.prefixes[fi].dyn.get(coord)
-                if gi is not None:
-                    if fi != len(layers) - 1:
-                        self._fail(
-                            "ill_formed",
-                            f"layer {layer.name!r}: state-dependent "
-                            "translation below another layer",
-                        )
-                    entry = ("dyn", gi, tuple(effects), coord)
-                    break
-                nxt = layer.translate(coord, 0, 0)
-                if nxt is None:
-                    entry = ("pass", tuple(effects))
-                    break
-                effects.append((fi, nxt))
-                coord = nxt
-            if entry is None:
-                entry = ("vertex", coord, tuple(effects))
-            entries.append(entry)
-        stack.table = entries
-        return entries
+    # reply classes
 
     def _resolve_dyn(self, stack: _Stack, masks: tuple, entry):
         """The ("vertex", ...) or ("pass", ...) entry a ``dyn`` entry
@@ -514,7 +527,7 @@ class _Machine:
         got = stack.groups.get(id(node))
         if got is not None:
             return got
-        classes, dyn = self._static_classes(stack)
+        classes, dyn = stack.classes
         merged: dict = {}
         for visible, entry, mask in classes:
             tag = (visible, self._entry_tag(node, entry))
@@ -522,34 +535,6 @@ class _Machine:
         got = tuple(merged.values()) + dyn
         stack.groups[id(node)] = got
         return got
-
-    def _static_classes(self, stack: _Stack):
-        """The node-independent part of ``_node_groups``.
-
-        Returns (classes, dyn): ``classes`` lists (visible effects, table
-        entry, member mask) for the real vertices that resolve statically
-        to the same place with the same effects on stateful layers, and
-        ``dyn`` the member masks of the dynamic translation groups.
-        """
-        if stack.classes is None:
-            layers = stack.layers
-            merged: dict = {}
-            dyn: dict = {}
-            for rv, entry in enumerate(self._table(stack)):
-                if entry[0] == "dyn":
-                    dyn[entry[1]] = dyn.get(entry[1], 0) | (1 << rv)
-                    continue
-                visible = tuple(
-                    (fi, c) for fi, c in entry[-1] if layers[fi].stateful
-                )
-                key = (visible, entry[0], entry[1])
-                got = merged.get(key)
-                merged[key] = (visible, entry, (got[2] if got else 0) | (1 << rv))
-            stack.classes = (
-                tuple(merged.values()),
-                tuple(dyn[k] for k in sorted(dyn)),
-            )
-        return stack.classes
 
     # ------------------------------------------------------------------
     # relevance
@@ -559,16 +544,19 @@ class _Machine:
 
         The union of the node's own relevance and each active layer's
         relevance (plus its win residue); the whole board when nothing
-        bounds it.  Bounded-win nodes add the edges within reach
-        themselves.  Only stateful layers with a relevance callback depend
-        on the claim masks: by the ``Layer.stateful`` contract the memo key
-        ignores the masks of stateless layers, so their relevance, like
-        that of layers without a callback, is computed once per stack and
-        cached with the node's own relevance.
+        bounds it.  ``node`` is None for a bounded-win search, which has no
+        relevance of its own and adds the edges within reach itself.  Only
+        stateful layers with a relevance callback depend on the claim
+        masks: by the ``Layer.stateful`` contract the memo key ignores the
+        masks of stateless layers, so their relevance, like that of layers
+        without a callback, is part of the stack's ``fixed_rel``.
         """
-        rel = stack.static_rel.get(id(node))
-        if rel is None:
-            rel = self._static_relevance(node, stack, masks)
+        if node is None:
+            rel = stack.fixed_rel
+        else:
+            rel = stack.static_rel.get(id(node))
+            if rel is None:
+                rel = self._static_relevance(node, stack)
         for i, prefix in stack.stateful_rel:
             pmask = prefix.layer.relevance(*masks[i])
             got = prefix.real_rel.get(pmask)
@@ -577,7 +565,7 @@ class _Machine:
             rel |= got
         return rel
 
-    def _static_relevance(self, node, stack: _Stack, masks: tuple) -> int:
+    def _static_relevance(self, node, stack: _Stack) -> int:
         """The mask-independent part of ``_relevance``, cached per node."""
         static = node.relevance if type(node) is Respond else None
         if static is not None:
@@ -585,31 +573,13 @@ class _Machine:
                 self._fail(
                     "ill_formed", f"node relevance leaves {_board_name(stack)}"
                 )
-            rel = self._to_real(static, stack)
-        elif masks or isinstance(node, (_BW, _BWAfter)):
+            rel = stack.to_real(static)
+        elif stack.layers or type(node) is _BWAfter:
             rel = 0
         else:
             rel = self.full
-        if masks:
-            fixed = stack.fixed_rel
-            if fixed is None:
-                fixed = stack.fixed_rel = self._fixed_relevance(stack, masks)
-            rel |= fixed
+        rel |= stack.fixed_rel
         stack.static_rel[id(node)] = rel
-        return rel
-
-    def _fixed_relevance(self, stack: _Stack, masks: tuple) -> int:
-        """Relevance of the layers whose relevance ignores their masks."""
-        rel = 0
-        for prefix, (va, vb) in zip(stack.prefixes, masks):
-            layer = prefix.layer
-            if layer.relevance is None:
-                pmask = prefix.image
-            elif not layer.stateful:
-                pmask = layer.relevance(va, vb)
-            else:
-                continue
-            rel |= self._layer_relevance(prefix, pmask)
         return rel
 
     def _layer_relevance(self, stack: _Stack, pmask: int) -> int:
@@ -626,14 +596,7 @@ class _Machine:
                 "ill_formed",
                 f"layer {stack.layer.name!r}: relevance leaves the parent board",
             )
-        residue = stack.residue
-        if residue is None:
-            residue = 0
-            parent_edges = stack.parent.board.edge_masks
-            for pe in stack.layer.win_edges.values():
-                residue |= parent_edges[pe] & ~stack.image
-            stack.residue = residue
-        return self._to_real(pmask | residue, stack.parent)
+        return stack.parent.to_real(pmask | stack.residue)
 
     def _bw_entry(self, stack: _Stack, va: int, k: int):
         """Bounded-win data for Maker mask ``va`` on the innermost board.
@@ -649,15 +612,9 @@ class _Machine:
         key = (va, k)
         got = stack.bw.get(key)
         if got is None:
-            board = stack.board
-            edges = stack.edges
-            if edges is None:
-                edges = stack.edges = tuple(
-                    self._to_real(mask, stack) for mask in board.edge_masks
-                )
             union = 0
             levels: list = [[] for _ in range(k)]
-            for mask, real in zip(board.edge_masks, edges):
+            for mask, real in zip(stack.board.edge_masks, stack.edges):
                 needed = mask & ~va
                 u = needed.bit_count()
                 if u > k:
@@ -834,14 +791,12 @@ class _Machine:
         # successes on a stack with a representative are filed in its frame
         success = key
         if stack.segs is not None:
-            success = self._shared_key(node, stack, sig, ra & rel, rb & rel, out)
+            success = self._shared_key(key, stack, node, out)
             if self.memo.get(success) is True:
                 return
         self.expansions += 1
         try:
             table = stack.table
-            if table is None:
-                table = self._table(stack)
             for v in iter_bits(replies):
                 self._reply(node, stack, masks, ra, rb, v, table[v])
         except _Fail as fail:
@@ -889,6 +844,8 @@ class _Machine:
         if len(self.path) > self.max_depth:
             self.max_depth = len(self.path)
         try:
+            if len(self.path) > _LINE_LIMIT:
+                self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
             for e in self.incidence[ans]:
                 if self.edge_masks[e] & ~ra2 == 0:
                     return
@@ -899,7 +856,7 @@ class _Machine:
     def _resolved_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
         masks2 = self._apply_effects(masks, entry[-1])
         if type(node) is _BWAfter:
-            self._expand_bw(_bw_node(node.k), stack, masks2, ra, rb2)
+            self._expand_bw(node.k, stack, masks2, ra, rb2)
             return
         if entry[0] == "pass":
             if node.default is None:
@@ -944,20 +901,23 @@ class _Machine:
                     f"reply {v} matches no reply class and there is no default",
                 )
         if isinstance(child, BoundedWin):
-            self._expand_bw(_bw_node(child.k), stack, masks2, ra, rb2)
+            self._expand_bw(child.k, stack, masks2, ra, rb2)
         else:
             self._maker_turn(child, stack, masks2, ra, rb2)
 
     # ------------------------------------------------------------------
     # bounded-win search
 
-    def _expand_bw(self, node: _BW, stack: _Stack, masks: tuple, ra: int, rb: int):
-        k = node.k
+    def _expand_bw(self, k: int, stack: _Stack, masks: tuple, ra: int, rb: int):
+        """Search for a Maker win within ``k`` own moves.
+
+        Its memo key starts with ``k``; being one entry shorter than an
+        opponent node's, it cannot collide with one."""
         va, vb = masks[-1] if masks else (ra, rb)
         union, levels = self._bw_entry(stack, va, k)
-        rel = self._relevance(node, stack, masks) | union
+        rel = self._relevance(None, stack, masks) | union
         sig = tuple([masks[i] for i in stack.stateful])
-        key = (id(node), stack, sig, ra & rel, rb & rel)
+        key = (k, stack, sig, ra & rel, rb & rel)
         got = self.memo.get(key)
         if got is True:
             return
@@ -965,7 +925,7 @@ class _Machine:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
         success = key
         if stack.segs is not None:
-            success = self._shared_key(node, stack, sig, ra & rel, rb & rel, None)
+            success = self._shared_key(key, stack)
             if self.memo.get(success) is True:
                 return
         self.expansions += 1
@@ -1012,8 +972,9 @@ def _sibling_sigma(h: Hypergraph, layer, other):
     It exchanges ``layer.embed[i]`` with ``other.embed[i]`` and, for each
     ``win_edges`` key, the real vertices each layer's target edge has
     outside its embedding (in ascending order), and fixes every other
-    vertex.  Nothing here checks that the result is an automorphism:
-    ``_Machine._symmetric`` does.
+    vertex.  Both layers' ``win_edges`` targets were checked against ``h``
+    when they were pushed.  Nothing here checks that the result is an
+    automorphism: ``_Machine._symmetric`` does.
     """
     if len(layer.embed) != len(other.embed):
         return None
@@ -1024,11 +985,8 @@ def _sibling_sigma(h: Hypergraph, layer, other):
     other_image = sum(1 << v for v in other.embed)
     masks = h.edge_masks
     for k, e in layer.win_edges.items():
-        f = other.win_edges[k]
-        if not (0 <= e < len(masks) and 0 <= f < len(masks)):
-            return None
         mine = list(iter_bits(masks[e] & ~image))
-        theirs = list(iter_bits(masks[f] & ~other_image))
+        theirs = list(iter_bits(masks[other.win_edges[k]] & ~other_image))
         if len(mine) != len(theirs):
             return None
         pairs += zip(mine, theirs)
@@ -1176,13 +1134,12 @@ def audit_coverage(s: StrategyTree) -> dict:
         node, stack, masks = machine._enter(s.root, machine.root, ())
         if not isinstance(node, Respond):
             raise ValueError("the strategy root is not a Respond node")
-        table = machine._table(stack)
     except _Fail as fail:
         raise ValueError(fail.cex.detail) from None
     finally:
         machine.release()
     coverage: dict = {}
-    for v, entry in enumerate(table):
+    for v, entry in enumerate(stack.table):
         if entry[0] == "dyn":
             entry = machine._resolve_dyn(stack, masks, entry)
         name = None

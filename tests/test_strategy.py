@@ -413,6 +413,107 @@ def test_verifier_checks_each_entry_of_a_reused_layer():
     )
 
 
+@pytest.mark.parametrize("target", [7, -1], ids=["edge-7", "edge-neg"])
+def test_verifier_reports_win_edge_targets_off_the_board(target):
+    """A layer whose win edge maps onto an edge the parent board lacks is
+    ill-formed where it is entered, never an ``IndexError`` or a target
+    reached by negative indexing."""
+    h = Hypergraph(4, [(0, 1), (2, 3)])
+    layer = replace(_SMALL, win_edges={0: target})
+    root = EnterLayer(layer, Claim(0, Respond((), BoundedWin(1))))
+    cex = verify_maker_strategy(h, StrategyTree(h, Side.A, root)).counterexample
+    assert cex == Counterexample(
+        "ill_formed", (), "layer 'small': win edges leave the parent board"
+    )
+
+
+def _answering_layer(answers: dict):
+    """The board {0, 1}, {0, 2} seen through an identity layer on its first
+    three vertices that answers the opponent's moves as ``answers`` says,
+    with Maker's script for the layer."""
+    base = Hypergraph(3, [(0, 1), (0, 2)])
+    h = Hypergraph(4, [(0, 1), (0, 2)])
+    layer = Layer(
+        name="answering",
+        board=base,
+        embed=(0, 1, 2),
+        translate=lambda p, va, vb: p if p < 3 else None,
+        win_edges={0: 0, 1: 1},
+        answers=answers,
+    )
+    script = Claim(
+        0,
+        Respond(
+            ((ReplyClass("one", frozenset((1,))), Claim(2, WinNow(1))),),
+            Claim(1, WinNow(0)),
+        ),
+    )
+    return h, StrategyTree(h, Side.A, EnterLayer(layer, script))
+
+
+@pytest.mark.parametrize("answer", [9, -1], ids=["answer-9", "answer-neg"])
+def test_verifier_reports_answers_off_the_board(answer):
+    """An ``answers`` value off the parent board is ill-formed where the
+    layer is entered, never an ``IndexError`` or a negative shift."""
+    h, s = _answering_layer({3: answer})
+    cex = verify_maker_strategy(h, s).counterexample
+    assert cex == Counterexample(
+        "ill_formed", (), "layer 'answering': answers leave the parent board"
+    )
+
+
+def test_a_failed_layer_build_leaves_no_stack_for_the_cyclic_gc():
+    """A layer refused where it is entered, before or after its stack is
+    built, leaves no ``_Stack`` behind for the cyclic gc."""
+    lifted = lift_gamma_prime(build_gamma_strategy())
+    layer = replace(
+        lifted.root.layer, stateful=False, relevance=lambda va, vb: 1 << 400
+    )
+    root = EnterLayer(layer, lifted.root.then)
+    runs = [
+        _answering_layer({3: 9}),
+        _answering_layer({3: -1}),
+        (lifted.board, StrategyTree(lifted.board, lifted.first_mover, root)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for board, tree in runs:
+            cex = verify_maker_strategy(board, tree).counterexample
+            assert cex.kind == "ill_formed"
+        left = sum(1 for obj in gc.get_objects() if type(obj) is _Stack)
+    finally:
+        gc.enable()
+    assert left == 0
+
+
+def test_an_answered_move_past_the_line_limit_is_ill_formed():
+    """Maker's answer to an opponent move counts against the line limit
+    like any other move: here the opponent's 100th move is the 200th move
+    of the line, and the answer that would win is the 201st."""
+    n = 201
+    evens = tuple(range(0, 200, 2))
+    h = Hypergraph(n, [evens + (199,), evens + (200,)])
+    answering = Layer(
+        name="answering",
+        board=h,
+        embed=tuple(range(n)),
+        translate=lambda p, va, vb: p,
+        answers={199: 200, 200: 199},
+        stateful=False,
+    )
+    node = Claim(198, EnterLayer(answering, Respond(())))
+    for v in reversed(evens[:-1]):
+        # relevance 0: one reply per node, the lowest free vertex
+        node = Claim(v, Respond((), node, 0))
+    report = verify_maker_strategy(h, StrategyTree(h, Side.A, node))
+    cex = report.counterexample
+    assert (cex.kind, cex.detail) == ("ill_formed", "line exceeds 200 real moves")
+    assert len(cex.moves) == 201
+    assert cex.moves[-2:] == (("breaker", 199), ("maker", 200))
+    assert report.max_depth == 201
+
+
 def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
     """A layer may fold several real vertices onto one coordinate.  When the
     opponent takes the second of them, the reply is dispatched like any
