@@ -8,12 +8,15 @@ Completing a virtual edge either maps to a parent edge whose completion is
 then checked for real, or hands control to a continuation script in the
 parent context (``on_win``), which is how a gadget endgame follows a virtual
 win.
+
+A layer is plain data: the verifier checks every field against the boards
+where the layer is entered and derives from it everything else it needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..core import Hypergraph
 
@@ -25,10 +28,11 @@ class Layer:
     """One virtual level.
 
     ``embed``
-        virtual vertex -> parent-board vertex (injective).
+        virtual vertex -> parent-board vertex.  It names every virtual
+        vertex and is injective.
     ``translate``
-        (parent vertex, virtual Maker mask, virtual opponent mask) ->
-        virtual vertex, or None when the move is invisible to this layer
+        parent vertex -> virtual vertex that an opponent move there counts
+        as.  A parent vertex that is not a key is invisible to this layer
         (a pass).
     ``win_edges``
         virtual edge index -> parent edge index; completing such a virtual
@@ -43,37 +47,41 @@ class Layer:
         answered immediately by a Maker claim of the value and is otherwise
         invisible to this layer and everything below it.  Every value must
         be a vertex of the parent board.
-    ``stateful``
-        whether the layer's own claim masks can influence later play (they
-        are then part of the verifier's memo key).  Set False only when
-        every virtual claim is a faithful image of a real claim and nothing
-        reads the masks.
     ``relevance``
-        optional (virtual Maker mask, virtual opponent mask) -> parent-board
-        vertex mask of everything this layer may still react to.  The
-        verifier collapses opponent moves outside the union of the active
-        layers' masks; a layer that leaves it None counts its whole
-        embedded board as relevant.  A stateless layer's callback is read
-        once per layer stack, at empty masks.  Parent vertices of
-        ``win_edges`` targets that lie outside the embedding are kept
-        relevant automatically and need not be listed.  The layer's own virtual
-        claim masks travel with the layer, so vertices whose effect is
-        fully captured there may be omitted when the layer is the single
-        stateful one on its stack.
+        parent-board vertex mask of everything this layer may react to, or
+        None for its whole embedded board.  The verifier collapses opponent
+        moves outside the union of the active layers' masks.  Parent
+        vertices of ``win_edges`` targets that lie outside the embedding
+        are kept relevant automatically and need not be listed.  Vertices
+        whose effect is fully captured by the layer's own claim masks may
+        be omitted when those masks are part of the memo key.
     ``dynamic_groups``
-        parent-vertex groups whose translation depends on the layer's claim
-        masks (all members must translate identically in every state); the
-        translation of every other vertex must be a pure function of the
-        vertex.  Dynamic groups are only supported on the innermost layer.
+        (members, home, fallbacks) triples: parent vertices whose opponent
+        move counts as the virtual vertex ``home`` while it is free in this
+        layer's claim masks, otherwise as the first free vertex of the
+        ordered ``fallbacks``, otherwise as a pass.  Groups are disjoint
+        from each other and from the keys of ``translate``, and are only
+        supported on the innermost layer.
+
+    ``answers`` take precedence over ``dynamic_groups``, which take
+    precedence over ``translate``.
+
+    Two properties are derived, not declared.  The layer's claim masks join
+    the verifier's memo key unless the layer has no ``dynamic_groups``,
+    ``on_win`` or ``answers`` and ``translate`` is the inverse of ``embed``:
+    every virtual claim is then the image of a real one.  And a group's
+    members are relevant while the layer's Maker mask holds the group's
+    home: until then the first move on any member takes the home, so the
+    members are interchangeable, but once Maker holds it, which members the
+    opponent has taken can matter to later play.
     """
 
     name: str
     board: Hypergraph
     embed: tuple
-    translate: Callable[[int, int, int], int | None]
+    translate: Mapping[int, int]
     win_edges: Mapping[int, int] = field(default_factory=dict)
     on_win: Mapping[int, object] = field(default_factory=dict)
     answers: Mapping[int, int] = field(default_factory=dict)
-    stateful: bool = True
-    relevance: Callable[[int, int], int] | None = None
+    relevance: int | None = None
     dynamic_groups: tuple = ()

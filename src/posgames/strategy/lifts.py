@@ -30,7 +30,7 @@ from ..constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from ..core import Hypergraph, Side, iter_bits
+from ..core import Hypergraph, Side
 from .layers import Layer
 from .nodes import (
     BoundedWin,
@@ -53,50 +53,6 @@ _APEX_MASK = ((1 << 7) - 1) << 555
 def _block_mask(g: int) -> int:
     """Gadget-board mask of the ten fresh vertices of spoke ``g`` (0..14)."""
     return ((1 << 10) - 1) << (35 + 10 * g)
-
-
-def _pentagon_translate(p: int, va: int, vb: int) -> int | None:
-    """Gadget-board vertex -> pentagon vertex.
-
-    Hubs and x-vertices carry over; a spoke tip or anything in its gadget
-    counts as the tip.  When the tip is already spoken for, the move counts
-    as a free x-vertex instead (lowest spoke position, then lowest hub), and
-    as a pass if none is left.
-    """
-    if p < 20:
-        return p
-    g = p - 20 if p < 35 else (p - 35) // 10
-    tip = 20 + g
-    taken = va | vb
-    if not (taken >> tip) & 1:
-        return tip
-    for j in range(3):
-        for i in range(5):
-            xv = 5 + 3 * i + j
-            if not (taken >> xv) & 1:
-                return xv
-    return None
-
-
-def _pentagon_relevance(va: int, vb: int) -> int:
-    """Gadget interiors whose state can still matter.
-
-    The pentagon vertices themselves travel in the layer's own (va, vb)
-    state, so only gadget interiors need raw-board relevance.  A gadget's
-    interior only matters while its spoke can still complete *and* its tip
-    already belongs to Maker: any opponent move into a gadget with a free
-    tip claims the tip itself, so such gadgets stay empty and
-    interchangeable until the tip is spoken for.
-    """
-    tips = va >> 20 & 0x7FFF
-    if not tips:
-        return 0
-    rel = 0
-    for g in iter_bits(tips):
-        triple = (1 << (g // 3)) | (1 << (5 + g)) | (1 << (20 + g))
-        if not vb & triple:
-            rel |= _block_mask(g)
-    return rel
 
 
 def _gadget_endgame(i: int, j: int) -> Node:
@@ -160,23 +116,31 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
                 "base strategy must win on spoke or long edges only"
             )
     target = gen_gamma_prime()
+    # a move on a gadget whose tip is taken counts as a free x-vertex:
+    # lowest spoke position first, then lowest hub
+    fallbacks = tuple(gamma_x(i, j) for j in range(1, 4) for i in range(1, 6))
     layer = Layer(
         name="pentagon-over-gadgets",
         board=base,
         embed=tuple(range(35)),
-        translate=_pentagon_translate,
+        translate={p: p for p in range(20)},
         win_edges={15 + k: 105 + k for k in range(5)},
         on_win={
             3 * (i - 1) + (j - 1): _gadget_endgame(i, j)
             for i in range(1, 6)
             for j in range(1, 4)
         },
-        stateful=True,
-        relevance=_pentagon_relevance,
+        # the pentagon vertices travel in the layer's own claim masks, and
+        # the gadget interiors are relevant through their groups
+        relevance=0,
         dynamic_groups=tuple(
-            (gamma_t(i, j),)
-            + tuple(gadget_y(i, j, k) for k in range(1, 7))
-            + tuple(gadget_z(i, j, k) for k in range(1, 5))
+            (
+                (gamma_t(i, j),)
+                + tuple(gadget_y(i, j, k) for k in range(1, 7))
+                + tuple(gadget_z(i, j, k) for k in range(1, 5)),
+                gamma_t(i, j),
+                fallbacks,
+            )
             for i in range(1, 6)
             for j in range(1, 4)
         ),
@@ -196,20 +160,14 @@ def lift_g4(s: StrategyTree) -> StrategyTree:
     copy_layers = []
     for c in range(3):
         off = G4_COPY_OFFSETS[c]
-
-        def translate(p: int, va: int, vb: int, off=off) -> int | None:
-            q = p - off
-            return q if 0 <= q < 185 else None
-
         copy_layers.append(
             Layer(
                 name=f"copy-{c + 1}",
                 board=base,
                 embed=tuple(range(off, off + 185)),
-                translate=translate,
+                translate={off + q: q for q in range(185)},
                 win_edges={l: 110 * c + l for l in range(110)},
-                stateful=False,
-                relevance=lambda va, vb: 0,
+                relevance=0,
             )
         )
         copy_masks.append(((1 << 185) - 1) << off | (1 << g4_s(c + 1)))
@@ -244,9 +202,8 @@ def lift_split(s: StrategyTree, h: Hypergraph) -> StrategyTree:
         name="pendant-split",
         board=h,
         embed=tuple(range(n)),
-        translate=lambda p, va, vb: p if p < n else None,
+        translate={p: p for p in range(n)},
         on_win=on_win,
         answers=answers,
-        stateful=True,
     )
     return StrategyTree(target, s.first_mover, EnterLayer(layer, s.root))

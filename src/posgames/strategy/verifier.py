@@ -11,7 +11,10 @@ free member is folded into the memo key so the pruning stays exact.
 
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
-claim masks.  Everything that depends only on the stack (how each real
+claim masks.  Layers are data, which the verifier checks where a layer is
+entered and resolves itself: a static translation table, a constant
+relevance mask and dynamic groups that each name a home and ordered
+fallbacks.  Everything that depends only on the stack (how each real
 vertex resolves, the reply classes, the layers' fixed relevance, the real
 images of the innermost board's edges) is built from the parent stack's
 tables when the stack is interned, so a malformed layer fails on the line
@@ -29,10 +32,10 @@ Sibling layers entered from the real board may share memo successes.  When
 a layer is entered beside an earlier one on the same board, the verifier
 derives the involution of the real board that swaps the two embeddings
 and the vertices each layer's win edges have outside it, and shares only
-if both layers are plain (stateless, no ``on_win``, ``answers`` or dynamic
-groups) and the swap is an automorphism that carries each win edge onto
-its partner, each translation onto the other's and the fixed relevance of
-one onto the other's.  The stack entered later then files its successes
+if both layers keep no state (see ``_stateful``) and the swap is an
+automorphism that carries each win edge onto its partner, each stack's
+resolution table onto the other's and the fixed relevance of one onto the
+other's.  The stack entered later then files its successes
 under the earlier stack's key, with its masks and reply profile mapped
 through the swap, and so do the stacks pushed on top of it.  Failures stay
 under each stack's own key, so a counterexample keeps its own coordinates
@@ -137,13 +140,17 @@ class _Stack:
     The tables that do not depend on the claim masks are built with the
     stack, from its parent's: ``table`` (see ``_layer_table``) and
     ``classes`` (see ``_reply_classes``), ``edges`` (the real image of each
-    innermost-board edge), ``residue`` (see ``_Machine._layer_relevance``)
-    and ``stateful_rel``.  ``_Machine._push`` checks the layer against the
-    parent board before it builds the child and adds the layer's part of
-    ``fixed_rel`` after, so a malformed layer fails on the line that enters
+    innermost-board edge), ``stateful`` (the indices of the layers whose
+    claim masks enter the memo key), ``fixed_rel`` (the real image of every
+    layer's relevance mask and residue) and ``homes``/``home_rel`` (see
+    ``_Machine._relevance``).  The residue of a layer is the parent-board
+    vertices of its win edges that lie outside it: completing a virtual
+    edge only wins when its real counterpart is complete, so any extra
+    vertices the real edge carries must stay in the memo key.
+    ``_Machine._push`` checks the layer against the parent board before it
+    builds the child, so a malformed layer fails on the line that enters
     it.  Only the caches keyed by a vertex, a node or a claim mask fill on
-    first use: ``claims``, ``groups``, ``static_rel``, ``real_rel`` and
-    ``bw``.
+    first use: ``claims``, ``groups``, ``static_rel`` and ``bw``.
 
     ``claims`` maps an innermost-board vertex to (real vertex, per-layer
     claim bits, masks of the real edges through it, ``on_win`` entries).
@@ -180,8 +187,8 @@ class _Stack:
         "claims",
         "static_rel",
         "fixed_rel",
-        "stateful_rel",
-        "real_rel",
+        "homes",
+        "home_rel",
         "edges",
         "bw",
         "rep",
@@ -193,8 +200,10 @@ class _Stack:
         self.layer = layer
         self.parent = parent
         self.children: dict = {}
+        self.homes = 0
+        self.home_rel: dict = {}
         if parent is None:
-            self.layers = self.prefixes = self.stateful = self.stateful_rel = ()
+            self.layers = self.prefixes = self.stateful = ()
             self.real = tuple(range(board.vertex_count))
             self.image = self.residue = self.fixed_rel = 0
             self.table = [("vertex", v, ()) for v in self.real]
@@ -213,25 +222,21 @@ class _Stack:
             for pe in layer.win_edges.values():
                 residue |= parent_edges[pe]
             self.residue = residue & ~self.image
-            # indices of the layers whose claim masks enter the memo key, and
-            # (layer index, stack closing that layer) for those of them
-            # whose relevance depends on their claim masks
-            self.stateful = parent.stateful
-            self.stateful_rel = parent.stateful_rel
-            if layer.stateful:
-                self.stateful += (i,)
-                if layer.relevance is not None:
-                    self.stateful_rel += ((i, self),)
-            self.fixed_rel = parent.fixed_rel
+            self.stateful = parent.stateful + ((i,) if _stateful(layer) else ())
+            rel = self.image if layer.relevance is None else layer.relevance
+            self.fixed_rel = parent.fixed_rel | parent.to_real(rel | self.residue)
+            for members, home, _fallbacks in layer.dynamic_groups:
+                self.homes |= 1 << home
+                self.home_rel[home] = self.home_rel.get(home, 0) | parent.to_real(
+                    sum(1 << v for v in members)
+                )
             self.table = _layer_table(parent, layer)
-        self.classes = _reply_classes(self.table, self.layers)
+        self.classes = _reply_classes(self.table, self.stateful)
         self.edges = tuple([self.to_real(mask) for mask in board.edge_masks])
         self.groups: dict = {}
         self.claims: dict = {}
         # id(node) -> real mask of the node's relevance and ``fixed_rel``
         self.static_rel: dict = {}
-        # relevance mask on the parent board of ``layer`` -> its real image
-        self.real_rel: dict = {}
         self.bw: dict = {}
         self.rep = None
         self.segs = None
@@ -250,13 +255,13 @@ def _layer_table(parent: _Stack, layer) -> list:
     resolve an opponent claim: ``parent.table`` continued through ``layer``.
 
     Entries are ("answer", real reply, effects), ("pass", effects),
-    ("vertex", innermost vertex, effects) or ("dyn", group, effects,
-    coordinate entering the innermost layer); ``effects`` lists the (layer
-    index, layer-board vertex) marks recorded along the walk.  ``parent``
-    has no ``dyn`` entry: ``_Machine._push`` refuses a layer on top of one.
+    ("vertex", innermost vertex, effects) or ("dyn", group index, effects);
+    ``effects`` lists the (layer index, layer-board vertex) marks recorded
+    along the walk.  ``parent`` has no ``dyn`` entry: ``_Machine._push``
+    refuses a layer on top of one.
     """
     fi = len(parent.layers)
-    dyn = {v: gi for gi, members in enumerate(layer.dynamic_groups) for v in members}
+    dyn = {v: gi for gi, group in enumerate(layer.dynamic_groups) for v in group[0]}
     entries = []
     for entry in parent.table:
         if entry[0] == "vertex":
@@ -265,9 +270,9 @@ def _layer_table(parent: _Stack, layer) -> list:
             if ans is not None:
                 entry = ("answer", parent.real[ans], effects)
             elif coord in dyn:
-                entry = ("dyn", dyn[coord], effects, coord)
+                entry = ("dyn", dyn[coord], effects)
             else:
-                nxt = layer.translate(coord, 0, 0)
+                nxt = layer.translate.get(coord)
                 if nxt is None:
                     entry = ("pass", effects)
                 else:
@@ -276,13 +281,13 @@ def _layer_table(parent: _Stack, layer) -> list:
     return entries
 
 
-def _reply_classes(table: list, layers: tuple) -> tuple:
+def _reply_classes(table: list, stateful: tuple) -> tuple:
     """The node-independent part of ``_Machine._node_groups``.
 
     Returns (classes, dyn): ``classes`` lists (visible effects, table
     entry, member mask) for the real vertices that resolve statically to
-    the same place with the same effects on stateful layers, and ``dyn``
-    the member masks of the dynamic translation groups.
+    the same place with the same effects on the layers whose indices are
+    in ``stateful``, and ``dyn`` the member masks of the dynamic groups.
     """
     merged: dict = {}
     dyn: dict = {}
@@ -290,11 +295,32 @@ def _reply_classes(table: list, layers: tuple) -> tuple:
         if entry[0] == "dyn":
             dyn[entry[1]] = dyn.get(entry[1], 0) | (1 << rv)
             continue
-        visible = tuple((fi, c) for fi, c in entry[-1] if layers[fi].stateful)
+        visible = tuple((fi, c) for fi, c in entry[-1] if fi in stateful)
         key = (visible, entry[0], entry[1])
         got = merged.get(key)
         merged[key] = (visible, entry, (got[2] if got else 0) | (1 << rv))
     return tuple(merged.values()), tuple(dyn[k] for k in sorted(dyn))
+
+
+def _stateful(layer) -> bool:
+    """Whether ``layer``'s claim masks must enter the memo key.
+
+    They need not when every virtual claim is the image of a real claim
+    the key already holds and nothing else reads them: the layer has no
+    dynamic groups, ``on_win`` or ``answers``, and its translation table is
+    the inverse of its embedding.
+    """
+    if layer.dynamic_groups or layer.on_win or layer.answers:
+        return True
+    table = layer.translate
+    return len(table) != len(layer.embed) or any(
+        table.get(p) != c for c, p in enumerate(layer.embed)
+    )
+
+
+def _off(values, size: int) -> bool:
+    """Whether any of ``values`` is not a vertex of a ``size``-vertex board."""
+    return any(not 0 <= v < size for v in values)
 
 
 def _board_name(stack: _Stack) -> str:
@@ -324,16 +350,15 @@ class _Machine:
         """Break the reference cycles among the interned stacks.
 
         A stack points at its children, each child back at it, and its
-        ``prefixes`` and ``stateful_rel`` at itself.  With those links cut
-        every remaining reference points outwards, so the stacks are freed
-        with the machine instead of waiting for the cyclic garbage
-        collector.
+        ``prefixes`` at itself.  With those links cut every remaining
+        reference points outwards, so the stacks are freed with the machine
+        instead of waiting for the cyclic garbage collector.
         """
         todo = [self.root]
         while todo:
             stack = todo.pop()
             todo.extend(stack.children.values())
-            stack.children = stack.prefixes = stack.stateful_rel = None
+            stack.children = stack.prefixes = None
 
     # ------------------------------------------------------------------
     # layer bookkeeping
@@ -343,48 +368,12 @@ class _Machine:
 
         The layer is checked against ``stack``'s board, and the child's
         tables are built, when the child is first created, so a layer
-        reused under another parent is checked again there.  A child whose
-        build fails is not interned.
+        reused under another parent is checked again there.
         """
         child = stack.children.get(layer)
         if child is None:
-            name = layer.name
-            if len(layer.embed) != layer.board.vertex_count:
-                self._fail(
-                    "ill_formed",
-                    f"layer {name!r}: embedding names "
-                    f"{len(layer.embed)} of {layer.board.vertex_count} vertices",
-                )
-            parent_n = stack.board.vertex_count
-            if any(not 0 <= v < parent_n for v in layer.embed):
-                self._fail(
-                    "ill_formed", f"layer {name!r}: embedding leaves the parent board"
-                )
-            edge_count = len(stack.board.edges)
-            if any(not 0 <= pe < edge_count for pe in layer.win_edges.values()):
-                self._fail(
-                    "ill_formed", f"layer {name!r}: win edges leave the parent board"
-                )
-            if any(not 0 <= v < parent_n for v in layer.answers.values()):
-                self._fail(
-                    "ill_formed", f"layer {name!r}: answers leave the parent board"
-                )
-            if stack.classes[1]:  # masks of the parent's dynamic groups
-                self._fail(
-                    "ill_formed",
-                    f"layer {stack.layer.name!r}: state-dependent "
-                    "translation below another layer",
-                )
+            self._check_layer(stack, layer)
             child = _Stack(layer.board, layer, stack)
-            rel = layer.relevance
-            if rel is None or not layer.stateful:
-                pmask = child.image if rel is None else rel(0, 0)
-                try:
-                    child.fixed_rel |= self._layer_relevance(child, pmask)
-                except _Fail:
-                    # nothing else holds the child: cut its self-references
-                    child.prefixes = child.stateful_rel = None
-                    raise
             stack.children[layer] = child
             if stack.rep is not None:
                 child.rep = self._push(stack.rep, layer)
@@ -392,6 +381,47 @@ class _Machine:
             elif stack is self.root:
                 self._share(child)
         return child
+
+    def _check_layer(self, stack: _Stack, layer):
+        """Fail unless every field of ``layer`` fits ``stack``'s board and
+        the layer's own, and ``stack`` leaves dynamic groups to it."""
+
+        def bad(what: str):
+            self._fail("ill_formed", f"layer {layer.name!r}: {what}")
+
+        parent_n = stack.board.vertex_count
+        n = layer.board.vertex_count
+        embed = layer.embed
+        if len(embed) != n:
+            bad(f"embedding names {len(embed)} of {n} vertices")
+        if _off(embed, parent_n):
+            bad("embedding leaves the parent board")
+        if len(set(embed)) != n:
+            bad("embedding is not injective")
+        if _off(layer.win_edges.values(), len(stack.board.edges)):
+            bad("win edges leave the parent board")
+        if _off(layer.answers.values(), parent_n):
+            bad("answers leave the parent board")
+        if _off(layer.translate, parent_n) or _off(layer.translate.values(), n):
+            bad("translation table leaves its boards")
+        members = [v for group in layer.dynamic_groups for v in group[0]]
+        if _off(members, parent_n) or any(
+            _off((home, *fallbacks), n)
+            for _members, home, fallbacks in layer.dynamic_groups
+        ):
+            bad("dynamic groups leave their boards")
+        if len(set(members)) != len(members) or any(
+            v in layer.translate for v in members
+        ):
+            bad("dynamic groups overlap each other or the translation table")
+        if layer.relevance is not None and layer.relevance >> parent_n:
+            bad("relevance leaves the parent board")
+        if stack.classes[1]:  # masks of the parent's dynamic groups
+            self._fail(
+                "ill_formed",
+                f"layer {stack.layer.name!r}: state-dependent "
+                "translation below another layer",
+            )
 
     # ------------------------------------------------------------------
     # sibling symmetry
@@ -419,16 +449,14 @@ class _Machine:
         ``win_edges`` keys, each checked against the board by ``_push``.
         ``sigma`` must be an involutive automorphism of the board that maps
         ``child``'s embedding onto ``sibling``'s, each ``win_edges`` target
-        onto its partner, the layers' translations onto each other and
-        ``child``'s fixed relevance onto ``sibling``'s.  Neither layer may
-        keep state, answer moves, translate dynamically or hand over on a
-        win.
+        onto its partner, ``child``'s resolution table onto ``sibling``'s
+        and ``child``'s fixed relevance onto ``sibling``'s.  Neither layer
+        may keep state (see ``_stateful``).
         """
         layer, other = child.layer, sibling.layer
         h = self.h
-        for l in (layer, other):
-            if l.stateful or l.on_win or l.answers or l.dynamic_groups:
-                return False
+        if child.stateful or sibling.stateful:
+            return False
         if layer.board is not other.board:
             return False
         n = h.vertex_count
@@ -442,10 +470,8 @@ class _Machine:
         for k, e in layer.win_edges.items():
             if {sigma[v] for v in edges[e]} != set(edges[other.win_edges[k]]):
                 return False
-        if any(
-            layer.translate(v, 0, 0) != other.translate(sigma[v], 0, 0)
-            for v in range(n)
-        ):
+        table, other_table = child.table, sibling.table
+        if any(table[v] != other_table[sigma[v]] for v in range(n)):
             return False
         return _apply_segments(_segments(sigma), child.fixed_rel) == sibling.fixed_rel
 
@@ -481,13 +507,16 @@ class _Machine:
 
     def _resolve_dyn(self, stack: _Stack, masks: tuple, entry):
         """The ("vertex", ...) or ("pass", ...) entry a ``dyn`` entry
-        resolves to at the innermost layer's claim masks."""
-        _kind, _gi, effects, coord = entry
+        resolves to at the innermost layer's claim masks: the group's home
+        if it is free there, otherwise its first free fallback."""
+        _kind, gi, effects = entry
+        _members, home, fallbacks = stack.layer.dynamic_groups[gi]
         va, vb = masks[-1]
-        target = stack.layer.translate(coord, va, vb)
-        if target is None:
-            return ("pass", effects)
-        return ("vertex", target, effects + ((len(masks) - 1, target),))
+        taken = va | vb
+        for c in (home, *fallbacks):
+            if not taken >> c & 1:
+                return ("vertex", c, effects + ((len(masks) - 1, c),))
+        return ("pass", effects)
 
     def _branch_map(self, node: Respond):
         got = self._branch_maps.get(id(node))
@@ -543,13 +572,13 @@ class _Machine:
         """Real vertices whose claims ``node`` may still react to.
 
         The union of the node's own relevance and each active layer's
-        relevance (plus its win residue); the whole board when nothing
-        bounds it.  ``node`` is None for a bounded-win search, which has no
-        relevance of its own and adds the edges within reach itself.  Only
-        stateful layers with a relevance callback depend on the claim
-        masks: by the ``Layer.stateful`` contract the memo key ignores the
-        masks of stateless layers, so their relevance, like that of layers
-        without a callback, is part of the stack's ``fixed_rel``.
+        relevance (plus its win residue), and the real members of each of
+        the innermost layer's dynamic groups whose home its Maker mask
+        holds; the whole board when nothing bounds it.  ``node`` is None
+        for a bounded-win search, which has no relevance of its own and
+        adds the edges within reach itself.  ``stack.homes`` is the mask of
+        the group homes and ``stack.home_rel`` maps each home to the real
+        members of its groups.
         """
         if node is None:
             rel = stack.fixed_rel
@@ -557,12 +586,11 @@ class _Machine:
             rel = stack.static_rel.get(id(node))
             if rel is None:
                 rel = self._static_relevance(node, stack)
-        for i, prefix in stack.stateful_rel:
-            pmask = prefix.layer.relevance(*masks[i])
-            got = prefix.real_rel.get(pmask)
-            if got is None:
-                got = prefix.real_rel[pmask] = self._layer_relevance(prefix, pmask)
-            rel |= got
+        if stack.homes:
+            held = masks[-1][0] & stack.homes
+            if held:
+                for c in iter_bits(held):
+                    rel |= stack.home_rel[c]
         return rel
 
     def _static_relevance(self, node, stack: _Stack) -> int:
@@ -581,22 +609,6 @@ class _Machine:
         rel |= stack.fixed_rel
         stack.static_rel[id(node)] = rel
         return rel
-
-    def _layer_relevance(self, stack: _Stack, pmask: int) -> int:
-        """Real image of ``stack.layer``'s parent-board relevance mask,
-        with the layer's win residue added.
-
-        The residue is the parent-board vertices of win edges that lie
-        outside the layer: completing a virtual edge only wins when its
-        real counterpart is complete, so any extra vertices the real edge
-        carries must stay in the memo key.
-        """
-        if pmask >> stack.parent.board.vertex_count:
-            self._fail(
-                "ill_formed",
-                f"layer {stack.layer.name!r}: relevance leaves the parent board",
-            )
-        return stack.parent.to_real(pmask | stack.residue)
 
     def _bw_entry(self, stack: _Stack, va: int, k: int):
         """Bounded-win data for Maker mask ``va`` on the innermost board.
@@ -860,14 +872,13 @@ class _Machine:
             return
         if entry[0] == "pass":
             if node.default is None:
-                layer = stack.layer
-                if layer is None or not layer.stateful:
+                if len(masks2) - 1 not in stack.stateful:
                     self._fail(
                         "ill_formed",
                         "opponent move invisible to a defaultless Respond",
                     )
                 va, vb = masks2[-1]
-                free = layer.board.full_mask & ~(va | vb)
+                free = stack.board.full_mask & ~(va | vb)
                 if free == 0:
                     self._fail(
                         "uncovered_reply",

@@ -3,6 +3,7 @@ their lifted versions, and the mutation suite."""
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import random
@@ -29,6 +30,7 @@ from posgames.constructions import (
     gen_g3,
     gen_g4,
     gen_gamma,
+    gen_gamma_prime,
     split_pendant,
 )
 from posgames.core import Hypergraph, Position, Side, iter_bits
@@ -57,8 +59,14 @@ from posgames.strategy import (
     replace_first,
     verify_maker_strategy,
 )
-from posgames.strategy.lifts import _block_mask, _pentagon_relevance
-from posgames.strategy.verifier import _bw_claims, _Machine, _sibling_sigma, _Stack
+from posgames.strategy.lifts import _block_mask
+from posgames.strategy.verifier import (
+    _bw_claims,
+    _Machine,
+    _sibling_sigma,
+    _Stack,
+    _stateful,
+)
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -294,7 +302,7 @@ _SMALL = Layer(
     name="small",
     board=Hypergraph(2, [(0, 1)]),
     embed=(0, 1),
-    translate=lambda p, va, vb: p if p < 2 else None,
+    translate={0: 0, 1: 1},
 )
 
 
@@ -348,20 +356,23 @@ def test_verifier_reports_respond_relevance_off_the_board(root, detail):
     )
 
 
-@pytest.mark.parametrize("stateful", [True, False])
-def test_verifier_reports_layer_relevance_off_the_board(stateful):
-    """A layer relevance callback whose mask leaves the layer's parent board
-    is ill-formed, whether the mask is cached per state or per stack."""
-    s = lift_gamma_prime(build_gamma_strategy())
-    layer = replace(
-        s.root.layer, stateful=stateful, relevance=lambda va, vb: 1 << 400
-    )
-    tree = StrategyTree(s.board, s.first_mover, EnterLayer(layer, s.root.then))
-    cex = verify_maker_strategy(s.board, tree).counterexample
+@pytest.mark.parametrize("name", ["pentagon-over-gadgets", "copy-2"])
+def test_verifier_reports_layer_relevance_off_the_board(name):
+    """A layer relevance mask that leaves the layer's parent board is
+    ill-formed where the layer is entered, on a stateful layer (the
+    pentagon's) and on a stateless one (a g4 copy)."""
+    lifted = lift_gamma_prime(build_gamma_strategy())
+    if name == "copy-2":
+        board, layer = gen_g4(), _copy_layers(lift_g4(lifted))[name]
+        script = lifted.root
+    else:
+        board, layer, script = lifted.board, lifted.root.layer, lifted.root.then
+    # the first vertex past the parent board
+    layer = replace(layer, relevance=1 << board.vertex_count)
+    tree = StrategyTree(board, Side.B, EnterLayer(layer, script))
+    cex = verify_maker_strategy(board, tree).counterexample
     assert (cex.kind, cex.detail, cex.moves) == (
-        "ill_formed",
-        "layer 'pentagon-over-gadgets': relevance leaves the parent board",
-        (),
+        "ill_formed", f"layer {name!r}: relevance leaves the parent board", ()
     )
 
 
@@ -391,14 +402,14 @@ def test_verifier_checks_each_entry_of_a_reused_layer():
         name="inner",
         board=Hypergraph(2, [(0,)]),
         embed=(5, 6),
-        translate=lambda p, va, vb: {5: 0, 6: 1}.get(p),
+        translate={5: 0, 6: 1},
         win_edges={0: 0},
     )
     small = Layer(
         name="small",
         board=Hypergraph(5, [(0, 1)]),
         embed=(0, 1, 2, 3, 4),
-        translate=lambda p, va, vb: p if p < 5 else None,
+        translate={p: p for p in range(5)},
     )
     root = Respond(
         ((ReplyClass("zero", frozenset((0,))), EnterLayer(inner, Claim(0, None))),),
@@ -437,7 +448,7 @@ def _answering_layer(answers: dict):
         name="answering",
         board=base,
         embed=(0, 1, 2),
-        translate=lambda p, va, vb: p if p < 3 else None,
+        translate={0: 0, 1: 1, 2: 2},
         win_edges={0: 0, 1: 1},
         answers=answers,
     )
@@ -462,13 +473,51 @@ def test_verifier_reports_answers_off_the_board(answer):
     )
 
 
+_OVERLAP = "dynamic groups overlap each other or the translation table"
+
+
+@pytest.mark.parametrize(
+    "fields, detail",
+    [
+        ({"translate": {0: 0, 1: 1, 2: 2, 3: 7}}, "translation table leaves its boards"),
+        ({"translate": {0: 0, 1: 1, 2: 2, 3: -1}}, "translation table leaves its boards"),
+        ({"translate": {0: 0, 1: 1, 2: 2, 4: 0}}, "translation table leaves its boards"),
+        ({"embed": (0, 0, 2)}, "embedding is not injective"),
+        ({"dynamic_groups": (((3,), 0, ()), ((3,), 1, ()))}, _OVERLAP),
+        ({"dynamic_groups": (((2, 3), 0, ()),)}, _OVERLAP),
+        ({"dynamic_groups": (((3,), 3, ()),)}, "dynamic groups leave their boards"),
+        ({"dynamic_groups": (((3,), 0, (1, -1)),)}, "dynamic groups leave their boards"),
+        ({"dynamic_groups": (((4,), 0, ()),)}, "dynamic groups leave their boards"),
+    ],
+    ids=[
+        "translate-7",
+        "translate-neg",
+        "translate-from-4",
+        "embed-twice",
+        "groups-overlap",
+        "group-on-table",
+        "home-3",
+        "fallback-neg",
+        "member-4",
+    ],
+)
+def test_verifier_reports_malformed_layer_data(fields, detail):
+    """A translation table or dynamic group that leaves its boards,
+    dynamic groups that overlap, and an embedding that is not injective
+    are ill-formed where the layer is entered, never a negative shift, a
+    silently recorded move off the board or an ``occupied_claim`` later."""
+    h, s = _answering_layer({})
+    layer = replace(s.root.layer, **fields)
+    tree = StrategyTree(h, Side.A, EnterLayer(layer, s.root.then))
+    cex = verify_maker_strategy(h, tree).counterexample
+    assert cex == Counterexample("ill_formed", (), f"layer 'answering': {detail}")
+
+
 def test_a_failed_layer_build_leaves_no_stack_for_the_cyclic_gc():
-    """A layer refused where it is entered, before or after its stack is
-    built, leaves no ``_Stack`` behind for the cyclic gc."""
+    """A layer refused where it is entered leaves no ``_Stack`` behind for
+    the cyclic gc."""
     lifted = lift_gamma_prime(build_gamma_strategy())
-    layer = replace(
-        lifted.root.layer, stateful=False, relevance=lambda va, vb: 1 << 400
-    )
+    layer = replace(lifted.root.layer, relevance=1 << 400)
     root = EnterLayer(layer, lifted.root.then)
     runs = [
         _answering_layer({3: 9}),
@@ -498,10 +547,10 @@ def test_an_answered_move_past_the_line_limit_is_ill_formed():
         name="answering",
         board=h,
         embed=tuple(range(n)),
-        translate=lambda p, va, vb: p,
+        translate={p: p for p in range(n)},
         answers={199: 200, 200: 199},
-        stateful=False,
     )
+    assert _stateful(answering)
     node = Claim(198, EnterLayer(answering, Respond(())))
     for v in reversed(evens[:-1]):
         # relevance 0: one reply per node, the lowest free vertex
@@ -529,7 +578,7 @@ def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
         name="fold",
         board=h,
         embed=tuple(range(8)),
-        translate=lambda p, va, vb: 0 if p == 1 else p,
+        translate={p: 0 if p == 1 else p for p in range(8)},
         win_edges={e: e for e in range(4)},
     )
     after2 = Respond(
@@ -544,6 +593,7 @@ def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
         ((ReplyClass("left", frozenset((2, 3, 4))), Claim(5, after5)),),
         Claim(2, after2),
     )
+    assert _stateful(fold)
     report = verify_maker_strategy(h, StrategyTree(h, Side.B, EnterLayer(fold, root)))
     assert report.verified, report.counterexample
 
@@ -637,19 +687,23 @@ def _pentagon_relevance_by_spoke(va: int, vb: int) -> int:
     return rel
 
 
+@functools.cache
+def _pentagon_layer():
+    return lift_gamma_prime(build_gamma_strategy()).root.layer
+
+
 @_SETTINGS
-@given(st.integers(0, (1 << 40) - 1), st.integers(0, (1 << 40) - 1))
-def test_pentagon_relevance_matches_the_spoke_loop(va, vb):
-    assert _pentagon_relevance(va, vb) == _pentagon_relevance_by_spoke(va, vb)
-
-
-def test_pentagon_relevance_tracks_maker_tips_on_open_spokes():
-    for g in range(15):
-        hub, x, tip = g // 3, 5 + g, 20 + g
-        assert _pentagon_relevance(1 << tip, 0) == _block_mask(g)
-        for v in (hub, x, tip):
-            assert _pentagon_relevance(1 << tip, 1 << v) == 0
-    assert _pentagon_relevance(0, 0) == 0
+@given(st.integers(0, (1 << 35) - 1), st.integers(0, (1 << 35) - 1))
+def test_derived_relevance_covers_the_gadgets_of_held_tips(va, vb):
+    """On the pentagon stack the verifier's relevance holds the gadget of
+    every open spoke whose tip Maker holds: the gadget interior can matter
+    to that spoke's endgame."""
+    machine = _Machine(gen_gamma_prime())
+    stack = machine._push(machine.root, _pentagon_layer())
+    rel = machine._relevance(None, stack, ((va, vb),))
+    machine.release()
+    want = _pentagon_relevance_by_spoke(va, vb)
+    assert rel & want == want
 
 
 def test_gadget_board_lift_verifies():
@@ -685,9 +739,8 @@ def _twin_copies():
             name=f"copy-{c + 1}",
             board=base,
             embed=(3 * c, 3 * c + 1, 3 * c + 2),
-            translate=lambda p, va, vb, off=3 * c: p - off if 0 <= p - off < 3 else None,
+            translate={3 * c + q: q for q in range(3)},
             win_edges={0: 2 * c, 1: 2 * c + 1},
-            stateful=False,
         )
         for c in range(2)
     ]
@@ -696,6 +749,22 @@ def _twin_copies():
         EnterLayer(layers[0], script),
     )
     return h, StrategyTree(h, Side.B, root), layers
+
+
+def test_layers_keep_state_unless_they_invert_their_embedding():
+    """Whether a layer's claim masks enter the memo key is derived: the
+    pentagon layer (dynamic groups) and the pendant-split layer (answers
+    and ``on_win``) keep state; the g4 copies and the twin copies, whose
+    tables invert their embeddings, do not, and a twin copy that also
+    translates a vertex outside its embedding does."""
+    lifted = lift_gamma_prime(build_gamma_strategy())
+    assert _stateful(lifted.root.layer)
+    assert _stateful(lift_split(build_g3_strategy(), gen_g3()).root.layer)
+    copies = list(_copy_layers(lift_g4(lifted)).values())
+    twins = _twin_copies()[2]
+    assert len(copies) == 3
+    assert not any(_stateful(layer) for layer in copies + twins)
+    assert _stateful(replace(twins[0], translate={**twins[0].translate, 3: 0}))
 
 
 def _refuse_every_pair(monkeypatch):
@@ -900,7 +969,7 @@ def test_mutant_counterexamples_match_snapshot():
 
 def _without_layer_relevance(tree: StrategyTree) -> tuple[StrategyTree, int]:
     """A copy of ``tree`` whose layers all leave ``relevance`` None, and the
-    number of layers that had a callback to drop.
+    number of layers that had a mask to drop.
 
     Every node with a child is rebuilt; a ``Respond`` keeps its own
     relevance.  A shared node or layer is copied once, which keeps it
@@ -958,14 +1027,14 @@ def test_layer_relevance_leaves_mutant_counterexamples_unchanged():
 
 
 def test_gamma_prime_verifies_without_layer_relevance():
-    """The pentagon layer's relevance only collapses replies that cannot
-    matter: without it the gadget-board lift still verifies, on many more
-    lines."""
+    """The pentagon layer's relevance mask only collapses replies that
+    cannot matter: without it the gadget-board lift still verifies, on
+    3,126,911 lines instead of 212,464."""
     plain, dropped = _without_layer_relevance(lift_gamma_prime(build_gamma_strategy()))
     assert dropped == 1
     report = verify_maker_strategy(plain.board, plain)
     assert report.verified, report.counterexample
-    assert report.lines_checked > gamma_prime_report().lines_checked
+    assert (report.lines_checked, report.max_depth) == (3_126_911, 28)
 
 
 def test_verifier_leaves_no_stack_for_the_cyclic_gc():
