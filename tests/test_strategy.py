@@ -692,18 +692,47 @@ def _pentagon_layer():
     return lift_gamma_prime(build_gamma_strategy()).root.layer
 
 
+def _pentagon_relevance(va: int, vb: int) -> int:
+    """The verifier's relevance on the pentagon stack at masks (va, vb)."""
+    machine = _Machine(gen_gamma_prime())
+    try:
+        stack = machine._push(machine.root, _pentagon_layer())
+        return machine._relevance(None, stack, ((va, vb),))
+    finally:
+        machine.release()
+
+
+def _spoke(g: int) -> int:
+    """Spoke ``g`` of the pentagon board (hub, x, tip) with its gadget block."""
+    triple = (1 << (g // 3)) | (1 << (5 + g)) | (1 << (20 + g))
+    return triple | _block_mask(g)
+
+
 @_SETTINGS
 @given(st.integers(0, (1 << 35) - 1), st.integers(0, (1 << 35) - 1))
-def test_derived_relevance_covers_the_gadgets_of_held_tips(va, vb):
-    """On the pentagon stack the verifier's relevance holds the gadget of
-    every open spoke whose tip Maker holds: the gadget interior can matter
-    to that spoke's endgame."""
-    machine = _Machine(gen_gamma_prime())
-    stack = machine._push(machine.root, _pentagon_layer())
-    rel = machine._relevance(None, stack, ((va, vb),))
-    machine.release()
+def test_pentagon_relevance_matches_the_spoke_loop(va, vb):
+    """The derived relevance holds the gadget of every open spoke whose tip
+    Maker holds (the gadget interior can matter to that spoke's endgame),
+    and nothing outside the spokes whose tip Maker holds."""
+    rel = _pentagon_relevance(va, vb)
     want = _pentagon_relevance_by_spoke(va, vb)
     assert rel & want == want
+    bound = 0
+    for g in range(15):
+        if (va >> (20 + g)) & 1:
+            bound |= _spoke(g)
+    assert rel & ~bound == 0
+
+
+def test_pentagon_relevance_tracks_maker_tips_on_open_spokes():
+    for g in range(15):
+        hub, x, tip = g // 3, 5 + g, 20 + g
+        rel = _pentagon_relevance(1 << tip, 0)
+        assert rel & _block_mask(g) == _block_mask(g)
+        assert rel & ~_spoke(g) == 0
+        for v in (hub, x, tip):
+            assert _pentagon_relevance(1 << tip, 1 << v) & ~_spoke(g) == 0
+    assert _pentagon_relevance(0, 0) == 0
 
 
 def test_gadget_board_lift_verifies():
