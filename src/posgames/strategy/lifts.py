@@ -116,9 +116,15 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
                 "base strategy must win on spoke or long edges only"
             )
     target = gen_gamma_prime()
-    # a move on a gadget whose tip is taken counts as a free x-vertex:
-    # lowest spoke position first, then lowest hub
-    fallbacks = tuple(gamma_x(i, j) for j in range(1, 4) for i in range(1, 6))
+
+    def fallbacks(i: int) -> tuple:
+        # a move on gadget (i, j) whose tip is taken counts as a free
+        # x-vertex: lowest spoke position first, then hubs i, i+1, ... mod 5,
+        # so the order rotates with the gadget
+        return tuple(
+            gamma_x((i + d - 1) % 5 + 1, jj) for jj in range(1, 4) for d in range(5)
+        )
+
     layer = Layer(
         name="pentagon-over-gadgets",
         board=base,
@@ -139,7 +145,7 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
                 + tuple(gadget_y(i, j, k) for k in range(1, 7))
                 + tuple(gadget_z(i, j, k) for k in range(1, 5)),
                 gamma_t(i, j),
-                fallbacks,
+                fallbacks(i),
             )
             for i in range(1, 6)
             for j in range(1, 4)
