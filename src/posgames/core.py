@@ -36,6 +36,7 @@ __all__ = [
     "residual",
     "permute_hypergraph",
     "is_automorphism",
+    "Automorphisms",
     "load_hypergraph",
     "save_hypergraph",
 ]
@@ -341,6 +342,196 @@ def is_automorphism(h: Hypergraph, perm: Sequence[int]) -> bool:
         return False
     edge_set = {frozenset(e) for e in h.edges}
     return all(frozenset(perm[v] for v in e) in edge_set for e in h.edges)
+
+
+def _dense(keys: list) -> list[int]:
+    """Each key's rank among the distinct keys."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+class Automorphisms:
+    """The automorphism group of a hypergraph, searched by individualising
+    vertices and refining colourings (McKay, "Practical graph isomorphism",
+    1981), so the group is held by generators and never listed.
+
+    A colouring gives each vertex a colour 0..k-1.  Refinement recolours a
+    vertex by its colour and the multiset of the colour multisets of its
+    edges until no colour class splits; colours are ranked by sorting, so
+    the result commutes with relabelling the board.  Individualising a
+    vertex gives it a colour of its own and refines.  The first search
+    path (``_first_path``) individualises the lowest vertex of the smallest
+    non-singleton class until every class is a singleton; any path that
+    individualises counterpart vertices ends in a leaf that, with the first
+    leaf, defines a permutation, which is kept when it maps every edge onto
+    an edge and each required vertex onto its image.
+
+    ``generators`` generate the whole group: level by level from the
+    deepest, each vertex of the first path's target class that is not yet
+    known to lie in the base vertex's orbit is tried, and one automorphism
+    found below it is kept.  ``find(pairs)`` is an automorphism that maps
+    each ``p`` onto its ``q`` for ``(p, q)`` in ``pairs``, or None.
+    """
+
+    __slots__ = (
+        "board",
+        "_edges",
+        "_edge_set",
+        "_bits",
+        "_root",
+        "_generators",
+        "_orbits",
+    )
+
+    def __init__(self, h: Hypergraph):
+        self.board = h
+        self._edges = h.edges
+        self._edge_set = h._edge_set
+        self._bits = (
+            max(map(len, h.edges), default=0).bit_length(),
+            max_degree(h).bit_length(),
+        )
+        self._root = self._refine([0] * h.vertex_count)
+        self._generators = None
+        self._orbits = None
+
+    def _refine(self, col: list[int]) -> list[int]:
+        # A multiset of ranks is a sum of one counter per rank, each wide
+        # enough for an edge's size or a vertex's degree.
+        edges, incidence = self._edges, self.board.incidence
+        vbits, ebits = self._bits
+        cells = len(set(col))
+        while True:
+            edge_col = _dense([sum([1 << col[v] * vbits for v in e]) for e in edges])
+            new = _dense(
+                [
+                    (c, sum([1 << edge_col[e] * ebits for e in incidence[v]]))
+                    for v, c in enumerate(col)
+                ]
+            )
+            k = max(new, default=-1) + 1
+            if k == cells:
+                return col
+            col, cells = new, k
+
+    def _individualise(self, col: list[int], v: int) -> list[int]:
+        return self._refine(_dense([(c, u != v) for u, c in enumerate(col)]))
+
+    @staticmethod
+    def _sizes(col: list[int]) -> list[int]:
+        sizes = [0] * len(col)
+        for c in col:
+            sizes[c] += 1
+        return sizes
+
+    def _first_path(self, col: list[int]):
+        """The search path below ``col`` that always individualises the
+        lowest vertex of the smallest non-singleton class (the lowest-ranked
+        one among equals): its nodes as (colouring, target class) pairs, and
+        its leaf."""
+        path = []
+        while True:
+            sizes = self._sizes(col)
+            split = [(size, c) for c, size in enumerate(sizes) if size > 1]
+            if not split:
+                return path, col
+            target = min(split)[1]
+            cell = [v for v, c in enumerate(col) if c == target]
+            path.append((col, cell))
+            col = self._individualise(col, cell[0])
+
+    def _match(self, col, path, depth: int, leaf, pairs):
+        """An automorphism mapping ``leaf`` onto a leaf below ``col`` (the
+        counterpart of ``path[depth]``'s colouring) that maps each pair's
+        first vertex onto its second, or None."""
+        if depth == len(path):
+            if len(set(col)) != len(col):
+                return None
+            at = [0] * len(col)
+            for v, c in enumerate(col):
+                at[c] = v
+            g = [at[c] for c in leaf]
+            if all(g[p] == q for p, q in pairs) and all(
+                frozenset([g[v] for v in e]) in self._edge_set for e in self._edges
+            ):
+                return g
+            return None
+        node, cell = path[depth]
+        if self._sizes(col) != self._sizes(node):
+            return None
+        target = node[cell[0]]
+        for v, c in enumerate(col):
+            if c == target:
+                g = self._match(self._individualise(col, v), path, depth + 1, leaf, pairs)
+                if g is not None:
+                    return g
+        return None
+
+    @property
+    def generators(self) -> tuple:
+        """Automorphisms that generate the group, as permutation lists."""
+        if self._generators is None:
+            path, leaf = self._first_path(self._root)
+            gens: list = []
+            for depth in range(len(path) - 1, -1, -1):
+                col, cell = path[depth]
+                fixed = [(node_cell[0], node_cell[0]) for _node, node_cell in path[:depth]]
+                orbit = {cell[0]}
+                for x in cell[1:]:
+                    if x in orbit:
+                        continue
+                    g = self._match(
+                        self._individualise(col, x),
+                        path,
+                        depth + 1,
+                        leaf,
+                        fixed + [(cell[0], x)],
+                    )
+                    if g is not None:
+                        gens.append(g)
+                        orbit = _orbit(cell[0], gens)
+            self._generators = tuple(gens)
+        return self._generators
+
+    @property
+    def orbits(self) -> tuple:
+        """Per vertex, the lowest vertex of its orbit."""
+        if self._orbits is None:
+            low = list(range(self.board.vertex_count))
+            for v in range(len(low)):
+                if low[v] == v:
+                    for u in _orbit(v, self.generators):
+                        low[u] = v
+            self._orbits = tuple(low)
+        return self._orbits
+
+    def find(self, pairs) -> list[int] | None:
+        """An automorphism mapping ``p`` onto ``q`` for every ``(p, q)`` in
+        ``pairs``, or None when there is none: both sides individualise
+        their vertices in order, and the right side is searched for a leaf
+        that matches the first leaf below the left side."""
+        left = right = self._root
+        for p, q in pairs:
+            if left[p] != right[q]:
+                return None
+            if left.count(left[p]) > 1:
+                left = self._individualise(left, p)
+                right = self._individualise(right, q)
+        path, leaf = self._first_path(left)
+        return self._match(right, path, 0, leaf, list(pairs))
+
+
+def _orbit(v: int, gens) -> set:
+    orbit = {v}
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for g in gens:
+            w = g[u]
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    return orbit
 
 
 def load_hypergraph(data: str | bytes) -> Hypergraph:

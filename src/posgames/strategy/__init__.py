@@ -23,6 +23,7 @@ from .nodes import (
     StrategyTree,
     WinNow,
     conjugate,
+    is_conjugate,
     iter_nodes,
     replace_first,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "build_g3_strategy",
     "build_gamma_strategy",
     "conjugate",
+    "is_conjugate",
     "iter_nodes",
     "lift_g4",
     "lift_gamma_prime",

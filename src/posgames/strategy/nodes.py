@@ -31,6 +31,7 @@ __all__ = [
     "iter_nodes",
     "replace_first",
     "conjugate",
+    "is_conjugate",
 ]
 
 
@@ -229,3 +230,63 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
             f"strategy names vertex {missing.args[0]}, which is not on the board"
         ) from None
     return StrategyTree(s.board, s.first_mover, root)
+
+
+def is_conjugate(a, b, perm, board: Hypergraph) -> bool:
+    """Whether script ``b`` is script ``a`` relabelled through the
+    permutation ``perm`` of ``board``, as ``conjugate`` relabels it, except
+    that reply classes are compared by vertex set and not by name.  A
+    script that enters a layer or names anything off the board is never
+    the image of another."""
+    to = dict(enumerate(perm))
+    edge_masks = board.edge_masks
+    seen: dict = {}
+
+    def image(mask: int):
+        if mask < 0 or mask >> len(perm):
+            return None
+        return sum(1 << to[v] for v in iter_bits(mask))
+
+    def vertices(vs) -> list:
+        return [to.get(v) for v in vs]
+
+    def same(a, b) -> bool:
+        key = (id(a), id(b))
+        got = seen.get(key)
+        if got is None:
+            got = seen[key] = compare(a, b)
+        return got
+
+    def compare(a, b) -> bool:
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if a is None or kind is BoundedWin:
+            return a == b
+        if kind is Claim:
+            return to.get(a.vertex) == b.vertex and same(a.then, b.then)
+        if kind is ClaimFirstFree:
+            return vertices(a.vertices) == list(b.vertices) and same(a.then, b.then)
+        if kind is WinNow:
+            m = len(edge_masks)
+            return (
+                0 <= a.edge < m
+                and 0 <= b.edge < m
+                and image(edge_masks[a.edge]) == edge_masks[b.edge]
+            )
+        if kind is Respond:
+            if len(a.branches) != len(b.branches):
+                return False
+            if (a.relevance is None) != (b.relevance is None) or (
+                a.relevance is not None and image(a.relevance) != b.relevance
+            ):
+                return False
+            for (cls_a, child_a), (cls_b, child_b) in zip(a.branches, b.branches):
+                if set(vertices(cls_a.vertices)) != cls_b.vertices:
+                    return False
+                if not same(child_a, child_b):
+                    return False
+            return same(a.default, b.default)
+        return False
+
+    return same(a, b)

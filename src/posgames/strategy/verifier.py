@@ -41,6 +41,34 @@ through the swap, and so do the stacks pushed on top of it.  Failures stay
 under each stack's own key, so a counterexample keeps its own coordinates
 and reply order, and a stack that shares nothing is searched as before.
 
+At an opponent node whose innermost board holds no stones (the root of a
+Breaker-first script, or the first opponent turn in a freshly entered
+layer) the replies are still explored in ascending order, but a reply w
+is skipped when a derived permutation σ maps a reply u that is known to
+succeed onto w and w's child is the σ-image of u's, reply classes compared
+by vertex set.  σ is an automorphism of the innermost board, found by
+``core.Automorphisms``, lifted through each layer's embedding and its
+dynamic groups' member order, and fixing every other vertex.  It is used
+only if it fixes the real and every layer's claim masks, is an
+automorphism of the real board once the state's Maker stones are taken
+off every edge, and maps the stack's resolution table, fixed relevance,
+dynamic groups with their fallback orders, ``win_edges`` and ``on_win``
+continuations onto themselves (see ``_Symmetry``).  This is sound by
+monotonicity: an extra Maker stone never hurts Maker, so an edge is won
+once its vertices outside Maker's stones are claimed, and a residual
+automorphism that fixes the state maps every line after u, and every win
+on it, onto a line after w and a win on it.  Every rule the verifier
+applies commutes with σ, because σ maps its tables and both scripts onto
+themselves, except two choices of a lowest free vertex: the member that
+stands for an out-of-relevance class and the stand-in for an invisible
+move (below).  In a pruned branch those are the σ-images of Maker's
+choices in the branch that was explored, which Maker may make as well:
+the image of a class's member is a member of the image class, which the
+relevance hint treats as interchangeable, and the image of a stand-in is
+another pretence.  So w succeeds exactly when u does.  Only replies that
+would succeed are skipped, so memo keys, the copy sharing and every
+counterexample are unchanged.
+
 Some opponent moves are *invisible* to the active layers: the translation
 chain drops them before reaching the innermost layer.  When the current
 node has no default branch such a move is answered as if the opponent had
@@ -62,7 +90,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Hypergraph, Position, Side, is_automorphism, iter_bits
+from ..core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
 from .nodes import (
     BoundedWin,
     Claim,
@@ -71,6 +99,7 @@ from .nodes import (
     Respond,
     StrategyTree,
     WinNow,
+    is_conjugate,
 )
 
 __all__ = [
@@ -164,7 +193,9 @@ class _Stack:
     ``rep`` is the stack whose memo successes this one shares (see the
     module docstring), never one that has a ``rep`` itself, and ``segs``
     the automorphism carrying this stack onto it as (shift, source mask)
-    pairs.
+    pairs.  ``sym`` holds, once a stone-free node on the stack needs them,
+    the innermost board's ``Automorphisms``, ``_spots`` and the lifts that
+    passed ``_fits_stack`` (see ``_Symmetry``).
 
     Stacks point at their children and the children back at them, so the
     machine breaks those cycles when a run ends (``_Machine.release``).
@@ -193,6 +224,7 @@ class _Stack:
         "bw",
         "rep",
         "segs",
+        "sym",
     )
 
     def __init__(self, board: Hypergraph, layer=None, parent: "_Stack | None" = None):
@@ -240,14 +272,11 @@ class _Stack:
         self.bw: dict = {}
         self.rep = None
         self.segs = None
+        self.sym = None
 
     def to_real(self, mask: int) -> int:
         """Map a mask on ``board`` to the real board."""
-        real = self.real
-        out = 0
-        for v in iter_bits(mask):
-            out |= 1 << real[v]
-        return out
+        return _image(self.real, mask)
 
 
 def _layer_table(parent: _Stack, layer) -> list:
@@ -808,13 +837,41 @@ class _Machine:
                 return
         self.expansions += 1
         try:
-            table = stack.table
-            for v in iter_bits(replies):
-                self._reply(node, stack, masks, ra, rb, v, table[v])
+            if type(node) is Respond and not (
+                masks[-1][0] | masks[-1][1] if masks else ra | rb
+            ):
+                self._expand_stone_free(node, stack, masks, ra, rb, replies)
+            else:
+                table = stack.table
+                for v in iter_bits(replies):
+                    self._reply(node, stack, masks, ra, rb, v, table[v])
         except _Fail as fail:
             self.memo[key] = (fail.cex.kind, fail.cex.detail)
             raise
         self.memo[success] = True
+
+    def _expand_stone_free(self, node, stack, masks, ra, rb, replies: int):
+        """Explore the replies at an opponent node whose innermost board
+        holds no stones, in ascending order, skipping each reply that a
+        derived symmetry maps a reply known to succeed onto (see
+        ``_Symmetry``).  The symmetry is derived when the first reply has
+        succeeded, so a node that fails there pays nothing for it."""
+        table = stack.table
+        sym = None  # False once the node is known to have no symmetry
+        done: list = []
+        for v in iter_bits(replies):
+            if done:
+                if sym is None:
+                    sym = self._symmetry(node, stack, masks, ra, rb) or False
+                if sym and sym.covers(v, done):
+                    done.append(v)
+                    continue
+            self._reply(node, stack, masks, ra, rb, v, table[v])
+            done.append(v)
+
+    def _symmetry(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
+        """The symmetries of a stone-free opponent node, or None for none."""
+        return _Symmetry(self, node, stack, masks, ra, rb)
 
     def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int, entry):
         kind = entry[0]
@@ -974,6 +1031,310 @@ def _bw_claims(levels, vb: int):
             low = needed & -needed
             yield low.bit_length() - 1
             needed ^= low
+
+
+class _Symmetry:
+    """The symmetries of one stone-free opponent node, derived on demand.
+
+    A candidate ``g`` is an automorphism of the innermost board, found by
+    ``Automorphisms.find`` from a reply known to succeed, the reply it
+    should map onto and the claims along both children's first lines.
+    ``_lift`` carries ``g`` to every board of the stack, and the candidate
+    is accepted only if the lift passes ``_fits_stack`` (checked once per
+    stack) and ``_fits_state`` (checked once per node).  A reply ``w`` is
+    covered when an accepted ``g`` maps a reply ``u`` known to succeed
+    onto ``w`` on the real board and the child ``w`` dispatches to is the
+    ``g``-image of ``u``'s (``is_conjugate``).  A reply covered this way is
+    known to succeed as well.
+    """
+
+    __slots__ = (
+        "machine",
+        "node",
+        "stack",
+        "masks",
+        "ra",
+        "rb",
+        "autos",
+        "spots",
+        "fits",
+        "tried",
+        "accepted",
+        "children",
+    )
+
+    def __init__(self, machine: _Machine, node, stack: _Stack, masks, ra: int, rb: int):
+        self.machine = machine
+        self.node = node
+        self.stack = stack
+        self.masks = masks
+        self.ra = ra
+        self.rb = rb
+        if stack.sym is None:
+            stack.sym = (Automorphisms(stack.board), _spots(stack), {})
+        self.autos, self.spots, self.fits = stack.sym
+        # tuple(g) -> the lift of g when it is accepted here, else None
+        self.tried: dict = {}
+        # (lift, inverse of its real permutation) per accepted candidate
+        self.accepted: list = []
+        self.children: dict = {}
+
+    def child(self, v: int):
+        """(innermost coordinate, child) that reply ``v`` dispatches to, or
+        None when it passes, is answered or reaches no child: such a reply
+        is always searched."""
+        got = self.children.get(v, False)
+        if got is False:
+            machine, stack = self.machine, self.stack
+            entry = stack.table[v]
+            if entry[0] == "dyn":
+                entry = machine._resolve_dyn(stack, self.masks, entry)
+            got = None
+            if entry[0] == "vertex":
+                branch = machine._branch_map(self.node).get(entry[1])
+                node = self.node
+                child = node.default if branch is None else node.branches[branch][1]
+                if child is not None:
+                    got = (entry[1], child)
+            self.children[v] = got
+        return got
+
+    def covers(self, w: int, done: list) -> bool:
+        """Whether reply ``w`` is the image of one of the replies ``done``,
+        known to succeed, under an accepted candidate: one accepted
+        already, or one ``find`` builds from a reply in the same orbit."""
+        spot_w = self.spots.get(w)
+        child_w = self.child(w)
+        if spot_w is None or child_w is None:
+            return False
+        board = self.stack.board
+        for perms, inverse in self.accepted:
+            u = inverse[w]
+            if u in done:
+                child_u = self.child(u)
+                if child_u is not None and is_conjugate(
+                    child_u[1], child_w[1], perms[-1], board
+                ):
+                    return True
+        orbits = self.autos.orbits
+        for u in done:
+            spot_u = self.spots.get(u)
+            child_u = self.child(u)
+            if (
+                spot_u is None
+                or child_u is None
+                or spot_u[1] != spot_w[1]
+                or orbits[spot_u[0]] != orbits[spot_w[0]]
+            ):
+                continue
+            pairs = [(spot_u[0], spot_w[0]), (child_u[0], child_w[0])]
+            pairs += _spine_pairs(child_u[1], child_w[1], board.vertex_count)
+            g = self.autos.find(pairs)
+            if g is None:
+                continue
+            perms = self.accept(g)
+            if perms is None or perms[0][u] != w:
+                continue
+            if is_conjugate(child_u[1], child_w[1], g, board):
+                return True
+        return False
+
+    def accept(self, g):
+        """The lift of ``g`` if it passes every check at this node, else
+        None; a candidate accepted for the first time joins ``accepted``."""
+        key = tuple(g)
+        if key in self.tried:
+            return self.tried[key]
+        stack = self.stack
+        perms = self.fits.get(key, False)
+        if perms is False:
+            perms = _lift(stack, g)
+            if perms is not None and not _fits_stack(stack, perms):
+                perms = None
+            self.fits[key] = perms
+        if perms is not None and not _fits_state(
+            stack, perms, self.machine.edge_masks, self.masks, self.ra, self.rb
+        ):
+            perms = None
+        self.tried[key] = perms
+        if perms is not None:
+            inverse = [0] * len(perms[0])
+            for v, image in enumerate(perms[0]):
+                inverse[image] = v
+            self.accepted.append((perms, inverse))
+        return perms
+
+
+def _spots(stack: _Stack) -> dict:
+    """Where each real vertex sits relative to the innermost board: (its
+    coordinate, -1) for the image of a coordinate, (the group's home, its
+    position among the members) for a member of a dynamic group.  A lift
+    maps a vertex to the vertex of the same kind at the image coordinate
+    and fixes the vertices that are neither."""
+    spots = {}
+    layer = stack.layer
+    if layer is not None:
+        real = stack.parent.real
+        for members, home, _fallbacks in layer.dynamic_groups:
+            for m, v in enumerate(members):
+                spots[real[v]] = (home, m)
+    for c, v in enumerate(stack.real):
+        spots[v] = (c, -1)
+    return spots
+
+
+def _lift(stack: _Stack, g) -> tuple | None:
+    """``g``, a permutation of the innermost board, carried outwards layer
+    by layer: a layer's parent vertex ``embed[c]`` goes to
+    ``embed[g(c)]``, the members of the dynamic group at home ``h`` go in
+    order to those of the group at home ``g(h)``, and every other parent
+    vertex stays put.  Returns the permutation of each board, real board
+    first, or None when that is not a well-defined permutation."""
+    perms = [list(g)]
+    for i in range(len(stack.layers) - 1, -1, -1):
+        layer = stack.layers[i]
+        sigma = perms[0]
+        n = stack.prefixes[i].parent.board.vertex_count
+        embed = layer.embed
+        p = list(range(n))
+        placed = set(embed)
+        for c, v in enumerate(embed):
+            p[v] = embed[sigma[c]]
+        groups = layer.dynamic_groups
+        by_home = {home: members for members, home, _fallbacks in groups}
+        if len(by_home) != len(groups):
+            return None
+        for members, home, _fallbacks in groups:
+            image = by_home.get(sigma[home])
+            if image is None or len(image) != len(members):
+                return None
+            for a, b in zip(members, image):
+                if a in placed and p[a] != b:
+                    return None
+                placed.add(a)
+                p[a] = b
+        if len(set(p)) != n:
+            return None
+        perms.insert(0, p)
+    return tuple(perms)
+
+
+def _image(perm, mask: int) -> int:
+    """The image of a vertex mask under the vertex map ``perm``."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= 1 << perm[v]
+    return out
+
+
+def _edge_image(board: Hypergraph, perm, e: int):
+    """The index of the edge ``perm`` maps edge ``e`` of ``board`` onto,
+    or None when either is not an edge (``on_win`` and ``win_edges`` keys
+    are not range-checked: a key off the board never fires)."""
+    if not 0 <= e < len(board.edges):
+        return None
+    image = _image(perm, board.edge_masks[e])
+    for f in board.incidence[perm[board.edges[e][0]]]:
+        if board.edge_masks[f] == image:
+            return f
+    return None
+
+
+def _fits_stack(stack: _Stack, perms: tuple) -> bool:
+    """Whether the lifted ``perms`` map every claim-independent part of
+    ``stack`` onto itself: the resolution table, the fixed relevance, the
+    dynamic groups' fallback orders and every layer's ``on_win``
+    continuations, compared through ``is_conjugate``."""
+    real, inner = perms[0], perms[-1]
+    if _image(real, stack.fixed_rel) != stack.fixed_rel:
+        return False
+    layer = stack.layer
+    gi_of = {}
+    if layer is not None:
+        groups = layer.dynamic_groups
+        gi_of = {home: gi for gi, (_m, home, _f) in enumerate(groups)}
+        for _members, home, fallbacks in groups:
+            other = groups[gi_of[inner[home]]][2]
+            if tuple([inner[c] for c in fallbacks]) != tuple(other):
+                return False
+
+    def effects(effs):
+        return tuple([(fi, perms[fi + 1][c]) for fi, c in effs])
+
+    table = stack.table
+    for v, entry in enumerate(table):
+        kind = entry[0]
+        if kind == "vertex":
+            image = ("vertex", inner[entry[1]], effects(entry[2]))
+        elif kind == "pass":
+            image = ("pass", effects(entry[1]))
+        elif kind == "answer":
+            image = ("answer", real[entry[1]], effects(entry[2]))
+        else:
+            home = layer.dynamic_groups[entry[1]][1]
+            image = ("dyn", gi_of[inner[home]], effects(entry[2]))
+        if table[real[v]] != image:
+            return False
+    for i, layer in enumerate(stack.layers):
+        board, parent = layer.board, stack.prefixes[i].parent.board
+        for e, cont in layer.on_win.items():
+            f = _edge_image(board, perms[i + 1], e)
+            if f not in layer.on_win or not is_conjugate(
+                cont, layer.on_win[f], perms[i], parent
+            ):
+                return False
+    return True
+
+
+def _fits_state(
+    stack: _Stack, perms: tuple, edges: tuple, masks: tuple, ra: int, rb: int
+) -> bool:
+    """Whether the lifted ``perms`` fix the claims of a state on ``stack``
+    and, once Maker's stones are taken off every edge, map the real board
+    (whose edge masks are ``edges``) and every layer's ``win_edges`` onto
+    themselves."""
+    real = perms[0]
+    if _image(real, ra) != ra or _image(real, rb) != rb:
+        return False
+    for perm, (va, vb) in zip(perms[1:], masks):
+        if _image(perm, va) != va or _image(perm, vb) != vb:
+            return False
+    moved = 0
+    for v, image in enumerate(real):
+        if image != v:
+            moved |= 1 << v
+    residual = {mask & ~ra for mask in edges}
+    for mask in edges:
+        if mask & moved and _image(real, mask & ~ra) not in residual:
+            return False
+    for i, layer in enumerate(stack.layers):
+        board = layer.board
+        parent_edges = stack.prefixes[i].parent.board.edge_masks
+        maker = masks[i - 1][0] if i else ra
+        for e, pe in layer.win_edges.items():
+            f = _edge_image(board, perms[i + 1], e)
+            target = layer.win_edges.get(f)
+            if target is None or _image(perms[i], parent_edges[pe] & ~maker) != (
+                parent_edges[target] & ~maker
+            ):
+                return False
+    return True
+
+
+def _spine_pairs(a, b, n: int) -> list:
+    """The claims two scripts make along their first lines, paired, while
+    both take the same shape and name vertices of an ``n``-vertex board."""
+    pairs = []
+    while True:
+        if type(a) is Claim and type(b) is Claim:
+            if not (0 <= a.vertex < n and 0 <= b.vertex < n):
+                return pairs
+            pairs.append((a.vertex, b.vertex))
+            a, b = a.then, b.then
+        elif type(a) is Respond and type(b) is Respond and a.branches and b.branches:
+            a, b = a.branches[0][1], b.branches[0][1]
+        else:
+            return pairs
 
 
 def _sibling_sigma(h: Hypergraph, layer, other):

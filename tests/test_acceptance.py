@@ -164,13 +164,19 @@ def test_verifier_counters_are_pinned():
     entries, and the 35-move line that ran inside copy 3 (entered after
     seven moves) is now a memo hit at its entry.
 
-    The pentagon fallback order rotates with each gadget, which moved
-    gamma-prime from 212,464 lines and g4 from 228,831: a move inside a
-    gadget whose tip is taken lands on x-vertices in a different order."""
+    At an opponent node whose innermost board holds no stones (the
+    pentagon's first move, and copy 2's) only one opening per symmetry
+    orbit is explored: gamma 6 of 35, gamma-prime 7 of 35 and g4 8 of 36.
+    Without that pruning the counts were gamma 20,806, gamma-prime 212,418
+    and g4 228,708 (see ``test_without_symmetry_the_unpruned_lines_come_back``);
+    g3-split has no such node.  Before that, the pentagon fallback order
+    was made to rotate with each gadget, which moved gamma-prime from
+    212,464 lines and g4 from 228,831: a move inside a gadget whose tip is
+    taken lands on x-vertices in a different order."""
     expected = {
-        gamma_report: (20_806, 20),
-        gamma_prime_report: (212_418, 28),
-        g4_report: (228_708, 33),
+        gamma_report: (3_865, 20),
+        gamma_prime_report: (46_639, 28),
+        g4_report: (51_927, 33),
         g3_split_report: (256_247, 28),
     }
     for report, (lines, depth) in expected.items():

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import io
+import itertools
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posgames.constructions import compose_perms, gamma_rho, gamma_sigma, gen_gamma
 from posgames.core import (
+    Automorphisms,
     ClaimError,
     HgParseError,
     Hypergraph,
@@ -187,6 +191,75 @@ class TestPermutations:
         assert is_automorphism(h, [2, 3, 0, 1])
         assert not is_automorphism(h, [0, 2, 1, 3])
         assert not is_automorphism(h, [0, 1, 2, 2])
+
+
+def _closure(n: int, gens) -> set:
+    """Every element of the group the permutations ``gens`` generate."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+@st.composite
+def _small_boards(draw):
+    n = draw(st.integers(1, 7))
+    edge = st.frozensets(st.integers(0, n - 1), min_size=1)
+    edges = draw(st.lists(edge, max_size=8, unique=True))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)
+    )
+    return Hypergraph(n, edges), pairs
+
+
+class TestAutomorphisms:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_small_boards())
+    def test_search_matches_brute_force(self, case):
+        """The generators generate exactly the automorphisms found by trying
+        every permutation, and ``find`` maps the pairs exactly when some
+        automorphism does."""
+        h, pairs = case
+        n = h.vertex_count
+        brute = {p for p in itertools.permutations(range(n)) if is_automorphism(h, p)}
+        autos = Automorphisms(h)
+        assert _closure(n, autos.generators) == brute
+        for v in range(n):
+            assert autos.orbits[v] == min(p[v] for p in brute)
+        g = autos.find(pairs)
+        if g is None:
+            assert not any(all(p[a] == b for a, b in pairs) for p in brute)
+        else:
+            assert tuple(g) in brute
+            assert all(g[a] == b for a, b in pairs)
+
+    def test_pentagon_has_the_ten_rotations_and_reflections(self):
+        rho, sigma = gamma_rho(), gamma_sigma()
+        rotations = [list(range(35))]
+        for _ in range(4):
+            rotations.append(compose_perms(rho, rotations[-1]))
+        want = {tuple(r) for r in rotations}
+        want |= {tuple(compose_perms(r, sigma)) for r in rotations}
+        autos = Automorphisms(gen_gamma())
+        assert _closure(35, autos.generators) == want
+        assert autos.find([(0, 1), (1, 2)]) == rho
+
+    def test_a_group_too_large_to_list_is_held_by_generators(self):
+        """Twelve disjoint edges have 2**12 * 12! automorphisms; the search
+        finds generators for them without listing any."""
+        h = Hypergraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
+        started = time.perf_counter()
+        autos = Automorphisms(h)
+        assert len(autos.generators) <= 23
+        assert set(autos.orbits) == {0}
+        assert autos.find([(0, 23), (2, 3)]) is not None
+        assert time.perf_counter() - started < 1.0
 
 
 class TestHgFormat:

@@ -7,6 +7,7 @@ import functools
 import gc
 import json
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +25,12 @@ from helpers import (
 )
 from posgames.constructions import (
     G4_COPY_OFFSETS,
+    compose_perms,
     g4_s,
     g4_v,
     gamma_rho,
+    gamma_sigma,
+    gamma_x,
     gen_g3,
     gen_g4,
     gen_gamma,
@@ -51,6 +55,7 @@ from posgames.strategy import (
     build_g3_strategy,
     build_gamma_strategy,
     conjugate,
+    is_conjugate,
     iter_nodes,
     lift_g4,
     lift_gamma_prime,
@@ -62,10 +67,14 @@ from posgames.strategy import (
 from posgames.strategy.lifts import _block_mask
 from posgames.strategy.verifier import (
     _bw_claims,
+    _fits_stack,
+    _fits_state,
+    _lift,
     _Machine,
     _sibling_sigma,
     _Stack,
     _stateful,
+    _Symmetry,
 )
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -151,6 +160,26 @@ def _copy_swap(a: int, b: int, *, switches: bool = True) -> list:
     for x, y in pairs:
         perm[x], perm[y] = y, x
     return perm
+
+
+def test_is_conjugate_compares_classes_by_vertex_set():
+    s = build_gamma_strategy()
+    rho = gamma_rho()
+    image = conjugate(s, rho).root
+    renamed = replace(
+        image,
+        branches=tuple(
+            (ReplyClass(f"c{k}", cls.vertices), child)
+            for k, (cls, child) in enumerate(image.branches)
+        ),
+    )
+    assert is_conjugate(s.root, renamed, rho, s.board)
+    assert not is_conjugate(s.root, s.root, rho, s.board)
+    h = _tiny_board()
+    assert is_conjugate(Claim(0, WinNow(0)), Claim(1, WinNow(0)), [1, 0, 2], h)
+    assert not is_conjugate(Claim(-1), Claim(-1), [1, 0, 2], h)
+    layered = EnterLayer(object(), None)
+    assert not is_conjugate(layered, layered, [0, 1, 2], h)
 
 
 def test_conjugate_refuses_layered_strategies():
@@ -884,14 +913,253 @@ def test_a_defect_in_one_copy_shares_nothing_and_is_caught(monkeypatch):
 
 def test_g4_without_sharing_explores_the_unshared_lines(monkeypatch):
     """Differential gate: with every sibling pair refused, g4 verifies on
-    exactly the lines it took before the copies shared, so sharing is the
-    only change to the search.  (682,353 lines before the pentagon
-    fallback order was made to rotate with each gadget.)"""
+    exactly the lines it takes when each copy is searched on its own.
+
+    Each copy explores one opening per rotation orbit of its pentagon.
+    Before that symmetry pruning this took 681,984 lines, and 682,353
+    before the pentagon fallback order rotated with each gadget."""
     _refuse_every_pair(monkeypatch)
     s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
     report = verify_maker_strategy(gen_g4(), s)
     assert report.verified, report.counterexample
-    assert (report.lines_checked, report.max_depth) == (681_984, 35)
+    assert (report.lines_checked, report.max_depth) == (151_635, 35)
+
+
+# ---------------------------------------------------------------------------
+# rotation symmetry at stone-free opponent nodes
+
+
+def _refuse_every_symmetry(monkeypatch):
+    monkeypatch.setattr(_Machine, "_symmetry", lambda self, *state: None)
+
+
+def _rotation(k: int) -> list:
+    perm = list(range(35))
+    for _ in range(k):
+        perm = compose_perms(gamma_rho(), perm)
+    return perm
+
+
+def _pentagon_targets():
+    g3 = gen_g3()
+    gamma = build_gamma_strategy()
+    lifted = lift_gamma_prime(gamma)
+    return {
+        "gamma": (gen_gamma(), gamma),
+        "gamma-prime": (gen_gamma_prime(), lifted),
+        "g4": (gen_g4(), lift_g4(lifted)),
+        "g3-split": (split_pendant(g3), lift_split(build_g3_strategy(), g3)),
+    }
+
+
+def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
+    """Differential gate: with no symmetry derived, every target explores
+    exactly the lines it took before the pruning, and every mutant fails on
+    the same line; the pruning only skips work, most on
+    ``opening-class-gap``."""
+    pruned = [
+        (name, verify_maker_strategy(board, tree))
+        for name, board, tree in named_mutations()
+    ]
+    _refuse_every_symmetry(monkeypatch)
+    want = {
+        "gamma": (20_806, 20),
+        "gamma-prime": (212_418, 28),
+        "g4": (228_708, 33),
+        "g3-split": (256_247, 28),
+    }
+    for name, (board, tree) in _pentagon_targets().items():
+        report = verify_maker_strategy(board, tree)
+        assert report.verified, name
+        assert (report.lines_checked, report.max_depth) == want[name], name
+    drops = {}
+    for (name, board, tree), (_name, fast) in zip(named_mutations(), pruned):
+        slow = verify_maker_strategy(board, tree)
+        a, b = fast.counterexample, slow.counterexample
+        assert (a.kind, a.moves, a.detail) == (b.kind, b.moves, b.detail), name
+        assert fast.lines_checked <= slow.lines_checked, name
+        drops[name] = slow.lines_checked - fast.lines_checked
+    assert max(drops, key=drops.get) == "opening-class-gap"
+    assert drops["opening-class-gap"] == 15_889 - 3_496
+
+
+def _stone_free(h, tree, ra: int = 0, rb: int = 0, enter=None):
+    """The symmetry of the first opponent node of ``tree`` (or of the
+    ``EnterLayer`` node ``enter`` in it) at real claims ``ra``/``rb``."""
+    machine = _Machine(h)
+    node, stack, masks = machine._enter(enter or tree.root, machine.root, ())
+    return machine, _Symmetry(machine, node, stack, masks, ra, rb)
+
+
+def test_symmetry_needs_the_fallback_order_to_rotate():
+    """The rotation is accepted on gamma-prime and the reflection, which
+    no fallback order follows, is refused there though it is accepted on
+    the plain pentagon.  With one fallback order shared by every gadget
+    the rotation is refused too, so nothing is pruned and gamma-prime
+    takes its unpruned 212,464 lines."""
+    gamma = build_gamma_strategy()
+    machine, plain = _stone_free(gen_gamma(), gamma)
+    assert plain.accept(gamma_sigma()) is not None
+    assert plain.accept(gamma_rho()) is not None
+    machine.release()
+    lifted = lift_gamma_prime(gamma)
+    machine, sym = _stone_free(gen_gamma_prime(), lifted)
+    assert sym.accept(gamma_rho()) is not None
+    assert sym.accept(gamma_sigma()) is None
+    machine.release()
+    layer = lifted.root.layer
+    shared = tuple(gamma_x(i, j) for j in range(1, 4) for i in range(1, 6))
+    old = StrategyTree(
+        lifted.board,
+        Side.B,
+        EnterLayer(
+            replace(
+                layer,
+                dynamic_groups=tuple(
+                    (members, home, shared)
+                    for members, home, _fallbacks in layer.dynamic_groups
+                ),
+            ),
+            lifted.root.then,
+        ),
+    )
+    machine, sym = _stone_free(old.board, old)
+    assert all(sym.accept(_rotation(k)) is None for k in range(1, 5))
+    machine.release()
+    report = verify_maker_strategy(old.board, old)
+    assert report.verified
+    assert (report.lines_checked, report.max_depth) == (212_464, 28)
+
+
+def test_copy_rotation_needs_the_switch_to_be_makers():
+    """Copy 2 of g4 is entered once Maker holds v_1, v_2 and s_2.  The
+    rotation of its pentagon, lifted through both layers, maps the copy's
+    two v_2 long edges onto s_2 ones, so it is an automorphism of g4 only
+    once Maker's stones are off the edges: with s_2 still free the
+    residual check refuses it."""
+    h = gen_g4()
+    s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
+    enter = next(
+        n for n in iter_nodes(s.root)
+        if isinstance(n, EnterLayer) and n.layer.name == "copy-2"
+    )
+    rb = 1 << 0 | 1 << G4_COPY_OFFSETS[2]
+    v12 = 1 << g4_v(1) | 1 << g4_v(2)
+    for ra, accepted in ((v12 | 1 << g4_s(2), True), (v12, False)):
+        machine, sym = _stone_free(h, s, ra, rb, enter)
+        perms = _lift(sym.stack, gamma_rho())
+        assert perms[0][G4_COPY_OFFSETS[1]] == G4_COPY_OFFSETS[1] + 1
+        assert _fits_stack(sym.stack, perms)
+        assert _fits_state(sym.stack, perms, h.edge_masks, sym.masks, ra, rb) is accepted
+        assert (sym.accept(gamma_rho()) is not None) is accepted
+        machine.release()
+
+
+def _layer_edits():
+    """Pentagon layers with one piece of data that the rotation does not
+    map onto itself: the ``endgame-*`` mutants edit the continuation of
+    spoke (1, 1) only, one layer adds a continuation keyed by an edge the
+    pentagon lacks (it never fires), and one leaves x_11 out of the
+    translation table."""
+    mutants = {name: tree for name, _board, tree in named_mutations()}
+    for name in ("endgame-wrong-opening", "endgame-branch-dropped", "endgame-bound-zero"):
+        yield name, mutants[name]
+    lifted = lift_gamma_prime(build_gamma_strategy())
+    layer = lifted.root.layer
+    edits = {
+        "off-board-continuation": {"on_win": {**layer.on_win, 99: layer.on_win[0]}},
+        "x11-untranslated": {
+            "translate": {p: c for p, c in layer.translate.items() if p != gamma_x(1, 1)}
+        },
+    }
+    for name, fields in edits.items():
+        yield name, StrategyTree(
+            lifted.board,
+            Side.B,
+            EnterLayer(replace(layer, **fields), lifted.root.then),
+        )
+
+
+def test_layer_data_the_rotation_does_not_map_refuses_it():
+    """A layer whose data no rotation maps onto itself gets nothing
+    pruned."""
+    for name, tree in _layer_edits():
+        machine, sym = _stone_free(tree.board, tree)
+        for k in range(1, 5):
+            perms = _lift(sym.stack, _rotation(k))
+            assert not _fits_stack(sym.stack, perms), (name, k)
+        machine.release()
+
+
+def test_a_board_the_layer_hides_refuses_its_symmetry():
+    """Real edges {2, 3} and {2, 4} lie outside the layer's board, whose
+    swap of 1 and 2 is then no automorphism of the real board.  The script
+    answers an opening on 1 by taking 2 and forking, and one on 2 by its
+    mirror image, taking 1, which loses; the residual check refuses the
+    swap, so the opening on 2 is searched and fails."""
+    base = Hypergraph(5, [(0, 1), (0, 2)])
+    h = Hypergraph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
+    layer = Layer(
+        name="hiding", board=base, embed=tuple(range(5)),
+        translate={v: v for v in range(5)}, relevance=0,
+    )
+
+    def fork(v: int):
+        return Claim(v, Respond(((ReplyClass("three", frozenset((3,))), Claim(4)),), Claim(3)))
+
+    root = Respond(
+        (
+            (ReplyClass("one", frozenset((1,))), fork(2)),
+            (ReplyClass("two", frozenset((2,))), fork(1)),
+        ),
+        fork(2),
+        relevance=0b110,
+    )
+    s = StrategyTree(h, Side.B, EnterLayer(layer, root))
+    machine, sym = _stone_free(h, s)
+    perms = _lift(sym.stack, [0, 2, 1, 3, 4])
+    assert _fits_stack(sym.stack, perms)
+    assert not _fits_state(sym.stack, perms, h.edge_masks, sym.masks, 0, 0)
+    machine.release()
+    cex = verify_maker_strategy(h, s).counterexample
+    assert cex.kind == "leaf_without_win"
+    assert cex.moves == (("breaker", 2), ("maker", 1), ("breaker", 0), ("maker", 3))
+
+
+def test_a_defect_in_one_rotated_case_is_searched():
+    """Hub w_2's case drops its toward-e2 branch, deep below the claims
+    that pick the rotation.  Its child is then no rotation of hub w_1's, so
+    the opening on w_2 is searched and fails as ``case-branch-dropped``
+    does on w_1."""
+    s = build_gamma_strategy()
+    cls, child = s.root.branches[1]
+    child, found = replace_first(
+        child,
+        lambda n: isinstance(n, Respond) and len(n.branches) == 2
+        and n.branches[1][0].name == "toward-e2",
+        lambda n: replace(n, branches=n.branches[:1]),
+    )
+    assert found
+    branches = s.root.branches[:1] + ((cls, child),) + s.root.branches[2:]
+    tree = StrategyTree(s.board, Side.B, replace(s.root, branches=branches))
+    cex = verify_maker_strategy(s.board, tree).counterexample
+    assert cex.kind == "occupied_claim"
+    assert cex.moves[:2] == (("breaker", 1), ("maker", 2))
+
+
+def test_a_group_too_large_to_list_prunes_to_one_opening(monkeypatch):
+    """Breaker opens on one of twelve disjoint edges and Maker completes
+    another.  The board has 12! automorphisms; one opening is explored and
+    the other eleven are its images."""
+    h = Hypergraph(12, [(v,) for v in range(12)])
+    s = StrategyTree(h, Side.B, Respond((), BoundedWin(1)))
+    started = time.perf_counter()
+    report = verify_maker_strategy(h, s)
+    assert time.perf_counter() - started < 0.5
+    assert report.verified
+    assert report.lines_checked == 3
+    _refuse_every_symmetry(monkeypatch)
+    assert verify_maker_strategy(h, s).lines_checked == 1 + 12 * 2
 
 
 def test_split_lift_verifies_on_tree_board():
@@ -984,7 +1252,9 @@ def test_mutant_counterexamples_match_snapshot():
 
     The three ``endgame-*`` mutants took 10,911, 10,999 and 10,955 lines
     before the pentagon fallback order was made to rotate with each
-    gadget; their counterexamples did not change."""
+    gadget, and ``opening-class-gap`` 15,889 before symmetry pruning let it
+    explore 6 of the 22 openings it searched up to its gap; no
+    counterexample changed."""
     expected = json.loads(_MUTANT_SNAPSHOT.read_text())
     mutations = named_mutations()
     assert [name for name, _, _ in mutations] == [e["name"] for e in expected]
@@ -1063,15 +1333,15 @@ def test_layer_relevance_leaves_mutant_counterexamples_unchanged():
 def test_gamma_prime_verifies_without_layer_relevance():
     """The pentagon layer's relevance mask only collapses replies that
     cannot matter: without it the gadget-board lift still verifies, on
-    3,411,063 lines instead of 212,418.  The fallback order that rotates
-    with each gadget took this from 3,126,911 lines: it changes which
-    x-vertex a move inside a gadget whose tip is taken counts as, and so
-    which lines follow."""
+    700,572 lines instead of 46,639.  Symmetry pruning explores one opening
+    per rotation orbit; without it this took 3,411,063 lines, and 3,126,911
+    before the fallback order rotated with each gadget, which changes the
+    x-vertex a move inside a gadget whose tip is taken counts as."""
     plain, dropped = _without_layer_relevance(lift_gamma_prime(build_gamma_strategy()))
     assert dropped == 1
     report = verify_maker_strategy(plain.board, plain)
     assert report.verified, report.counterexample
-    assert (report.lines_checked, report.max_depth) == (3_411_063, 28)
+    assert (report.lines_checked, report.max_depth) == (700_572, 28)
 
 
 def test_verifier_leaves_no_stack_for_the_cyclic_gc():
