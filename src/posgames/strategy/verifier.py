@@ -367,6 +367,8 @@ class _Machine:
         self.max_depth = 0
         self.memo: dict = {}
         self.root = _Stack(h)
+        # the profile bit of a stack's first multi-member reply group
+        self.group_bit = 1 << h.vertex_count
         self._branch_maps: dict = {}
 
     # ------------------------------------------------------------------
@@ -517,10 +519,7 @@ class _Machine:
             return shared
         profile = 0
         if out:
-            out = _apply_segments(segs, out)
-            for gi, mask in enumerate(self._node_groups(stack.rep, node)):
-                if mask & out:
-                    profile |= 1 << gi
+            profile = self._profile(stack.rep, node, _apply_segments(segs, out))[1]
         return shared + (profile,)
 
     def _enter(self, node, stack: _Stack, masks: tuple):
@@ -576,11 +575,13 @@ class _Machine:
     def _node_groups(self, stack: _Stack, node):
         """Merged out-of-relevance reply classes for (layer stack, node).
 
-        Returns a tuple of disjoint member masks covering every real
-        vertex.  Replies with equal recorded effects and equal handling are
-        interchangeable, so each group contributes one representative;
-        state-dependent (dynamic) translation groups are kept separate
-        since their handling resolves per state.
+        Returns (singles, groups): the mask of the real vertices that form
+        a group on their own, and the member masks of the other groups.
+        Together they cover every real vertex, disjointly.  Replies with
+        equal recorded effects and equal handling are interchangeable, so
+        each group contributes one representative; state-dependent
+        (dynamic) translation groups are kept separate since their
+        handling resolves per state.
         """
         got = stack.groups.get(id(node))
         if got is not None:
@@ -590,9 +591,33 @@ class _Machine:
         for visible, entry, mask in classes:
             tag = (visible, self._entry_tag(node, entry))
             merged[tag] = merged.get(tag, 0) | mask
-        got = tuple(merged.values()) + dyn
-        stack.groups[id(node)] = got
+        singles = 0
+        groups = []
+        for mask in (*merged.values(), *dyn):
+            if mask & (mask - 1):
+                groups.append(mask)
+            else:
+                singles |= mask
+        got = stack.groups[id(node)] = (singles, tuple(groups))
         return got
+
+    def _profile(self, stack: _Stack, node, out: int):
+        """(replies, profile) for the free out-of-relevance vertices ``out``
+        at (stack, node): the lowest member of each group that meets
+        ``out``, and which groups those are.  A single-vertex group is its
+        own vertex bit; the other groups take one bit each above the real
+        vertices, in ``_node_groups`` order.  So the profile is 0 exactly
+        when ``out`` is."""
+        singles, groups = self._node_groups(stack, node)
+        profile = replies = out & singles
+        bit = self.group_bit
+        for mask in groups:
+            members = mask & out
+            if members:
+                replies |= members & -members
+                profile |= bit
+            bit <<= 1
+        return replies, profile
 
     # ------------------------------------------------------------------
     # relevance
@@ -812,16 +837,10 @@ class _Machine:
             rel |= self._bw_entry(stack, va, node.k)[0]
         replies = unclaimed & rel
         out = unclaimed & ~rel
-        # One bit per out-of-relevance class that still has a free member,
-        # so the profile is 0 exactly when ``out`` is.
         profile = 0
         if out:
-            # Each out-of-relevance class contributes its lowest free member.
-            for gi, mask in enumerate(self._node_groups(stack, node)):
-                members = mask & out
-                if members:
-                    replies |= members & -members
-                    profile |= 1 << gi
+            collapsed, profile = self._profile(stack, node, out)
+            replies |= collapsed
         sig = tuple([masks[i] for i in stack.stateful])
         key = (id(node), stack, sig, ra & rel, rb & rel, profile)
         got = self.memo.get(key)
