@@ -431,6 +431,10 @@ class _Machine:
             bad("embedding is not injective")
         if _off(layer.win_edges.values(), len(stack.board.edges)):
             bad("win edges leave the parent board")
+        if _off(layer.win_edges, len(layer.board.edges)):
+            bad("win edges name no edge of the layer board")
+        if _off(layer.on_win, len(layer.board.edges)):
+            bad("on_win names no edge of the layer board")
         if _off(layer.answers.values(), parent_n):
             bad("answers leave the parent board")
         if _off(layer.translate, parent_n) or _off(layer.translate.values(), n):
@@ -1248,10 +1252,9 @@ def _image(perm, mask: int) -> int:
 
 def _edge_image(board: Hypergraph, perm, e: int):
     """The index of the edge ``perm`` maps edge ``e`` of ``board`` onto,
-    or None when either is not an edge (``on_win`` and ``win_edges`` keys
-    are not range-checked: a key off the board never fires)."""
-    if not 0 <= e < len(board.edges):
-        return None
+    or None when the image is not an edge.  ``e`` is an ``on_win`` or
+    ``win_edges`` key, which ``_Machine._check_layer`` has checked to be an
+    edge of ``board``."""
     image = _image(perm, board.edge_masks[e])
     for f in board.incidence[perm[board.edges[e][0]]]:
         if board.edge_masks[f] == image:

@@ -503,6 +503,7 @@ def test_verifier_reports_answers_off_the_board(answer):
 
 
 _OVERLAP = "dynamic groups overlap each other or the translation table"
+_NO_EDGE = "on_win names no edge of the layer board"
 
 
 @pytest.mark.parametrize(
@@ -517,6 +518,10 @@ _OVERLAP = "dynamic groups overlap each other or the translation table"
         ({"dynamic_groups": (((3,), 3, ()),)}, "dynamic groups leave their boards"),
         ({"dynamic_groups": (((3,), 0, (1, -1)),)}, "dynamic groups leave their boards"),
         ({"dynamic_groups": (((4,), 0, ()),)}, "dynamic groups leave their boards"),
+        ({"win_edges": {0: 0, 2: 1}}, "win edges name no edge of the layer board"),
+        ({"win_edges": {-1: 0, 1: 1}}, "win edges name no edge of the layer board"),
+        ({"on_win": {2: Respond((), BoundedWin(1))}}, _NO_EDGE),
+        ({"on_win": {-1: Respond((), BoundedWin(1))}}, _NO_EDGE),
     ],
     ids=[
         "translate-7",
@@ -528,18 +533,48 @@ _OVERLAP = "dynamic groups overlap each other or the translation table"
         "home-3",
         "fallback-neg",
         "member-4",
+        "win-edge-key-2",
+        "win-edge-key-neg",
+        "on-win-key-2",
+        "on-win-key-neg",
     ],
 )
 def test_verifier_reports_malformed_layer_data(fields, detail):
     """A translation table or dynamic group that leaves its boards,
-    dynamic groups that overlap, and an embedding that is not injective
+    dynamic groups that overlap, an embedding that is not injective and a
+    ``win_edges`` or ``on_win`` key that names no edge of the layer board
     are ill-formed where the layer is entered, never a negative shift, a
-    silently recorded move off the board or an ``occupied_claim`` later."""
+    silently recorded move off the board, a key that never fires or an
+    ``occupied_claim`` later."""
     h, s = _answering_layer({})
     layer = replace(s.root.layer, **fields)
     tree = StrategyTree(h, Side.A, EnterLayer(layer, s.root.then))
     cex = verify_maker_strategy(h, tree).counterexample
     assert cex == Counterexample("ill_formed", (), f"layer 'answering': {detail}")
+
+
+@pytest.mark.parametrize(
+    "field, detail",
+    [
+        ("win_edges", "win edges name no edge of the layer board"),
+        ("on_win", _NO_EDGE),
+    ],
+    ids=["win_edges", "on_win"],
+)
+def test_edge_keys_off_the_gadget_layer_are_ill_formed(field, detail):
+    """A ``win_edges`` key 99 (onto the real long edge 105) or an
+    ``on_win`` key 99 on the pentagon layer of gamma-prime names no edge of
+    the 20-edge pentagon, so it could never fire.  Both used to verify, in
+    212,418 lines each; now the layer is refused where it is entered."""
+    lifted = lift_gamma_prime(build_gamma_strategy())
+    layer = lifted.root.layer
+    extra = {99: 105} if field == "win_edges" else {99: layer.on_win[0]}
+    bad = replace(layer, **{field: {**getattr(layer, field), **extra}})
+    tree = StrategyTree(lifted.board, Side.B, EnterLayer(bad, lifted.root.then))
+    report = verify_maker_strategy(lifted.board, tree)
+    assert report.counterexample == Counterexample(
+        "ill_formed", (), f"layer 'pentagon-over-gadgets': {detail}"
+    )
 
 
 def test_a_failed_layer_build_leaves_no_stack_for_the_cyclic_gc():
@@ -1058,16 +1093,15 @@ def test_copy_rotation_needs_the_switch_to_be_makers():
 def _layer_edits():
     """Pentagon layers with one piece of data that the rotation does not
     map onto itself: the ``endgame-*`` mutants edit the continuation of
-    spoke (1, 1) only, one layer adds a continuation keyed by an edge the
-    pentagon lacks (it never fires), and one leaves x_11 out of the
-    translation table."""
+    spoke (1, 1) only, one layer adds a continuation on the long edge 15
+    alone, and one leaves x_11 out of the translation table."""
     mutants = {name: tree for name, _board, tree in named_mutations()}
     for name in ("endgame-wrong-opening", "endgame-branch-dropped", "endgame-bound-zero"):
         yield name, mutants[name]
     lifted = lift_gamma_prime(build_gamma_strategy())
     layer = lifted.root.layer
     edits = {
-        "off-board-continuation": {"on_win": {**layer.on_win, 99: layer.on_win[0]}},
+        "long-edge-continuation": {"on_win": {**layer.on_win, 15: layer.on_win[0]}},
         "x11-untranslated": {
             "translate": {p: c for p, c in layer.translate.items() if p != gamma_x(1, 1)}
         },
