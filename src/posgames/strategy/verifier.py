@@ -6,8 +6,32 @@ script always comes back as a ``Counterexample``.  Opponent moves that no
 active layer can still react to are grouped into equivalence classes and
 only one representative per class is explored: its lowest free member, so
 the replies are played in ascending vertex order without walking every
-free vertex.  A per-class flag recording whether the class still has a
-free member is folded into the memo key so the pruning stays exact.
+free vertex.  Which classes still have a free member is folded into the
+memo key as a profile so the pruning stays exact.  A class of one vertex
+shows as that vertex's bit, so all of them come from one mask AND; each
+larger class has one flag bit above the real vertices.
+
+A layer's ``answers`` pair the opponent's move on a vertex with a Maker
+claim of its partner, as a pairing strategy does (Hefetz, Krivelevich,
+Stojaković & Szabó, *Positional Games*, 2014).  At a ``Respond`` node,
+a free out-of-relevance pair {v, a} is taken out of the replies and the
+profile once it is dead (see ``_answered_pairs``): v and a answer each
+other alone and mark no layer, neither lies in the real image of the
+innermost board, and a Breaker stone inside the relevance meets each
+kill mask.  The kill masks are the real edges through v or a without the
+pair, and the real image of each virtual edge whose ``on_win``
+continuation may claim v or a.  A pair is kept when dropping it would
+leave no reply.  This is exact.  Let S' be the state S after the
+opponent plays v and Maker answers a; replies v and a lead to S' and its
+mirror image, which share its memo key.  Every other reply r leads to
+children of S and S' that differ only in the dead pair, which stays
+dead: no script on the stack or above it and no bounded-win search
+claims a vertex outside the innermost image, no live continuation names
+the pair, no edge through it can still be won and no other reply is
+answered with it.  So, by induction on the free vertices, S succeeds
+exactly when every other reply does, and S and S' may share a key.
+Scripts' reactions to a move outside the relevance are left to the
+relevance masks the scripts and layers declare, as for the classes.
 
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
@@ -100,6 +124,7 @@ from .nodes import (
     StrategyTree,
     WinNow,
     is_conjugate,
+    iter_nodes,
 )
 
 __all__ = [
@@ -181,6 +206,12 @@ class _Stack:
     it.  Only the caches keyed by a vertex, a node or a claim mask fill on
     first use: ``claims``, ``groups``, ``static_rel`` and ``bw``.
 
+    ``pairs`` is None or the stack's table of answered pairs (see
+    ``_answered_pairs``): per pair the kill masks that must all meet
+    Breaker's stones before ``_drop_dead_pairs`` drops it at a ``Respond``
+    node, the partner map as ``_segments`` and a cache of the dead pairs
+    per set of Breaker stones.
+
     ``claims`` maps an innermost-board vertex to (real vertex, per-layer
     claim bits, masks of the real edges through it, ``on_win`` entries).
     The claim bits are what a Maker claim of the vertex ORs into each
@@ -221,6 +252,7 @@ class _Stack:
         "homes",
         "home_rel",
         "edges",
+        "pairs",
         "bw",
         "rep",
         "segs",
@@ -265,6 +297,7 @@ class _Stack:
             self.table = _layer_table(parent, layer)
         self.classes = _reply_classes(self.table, self.stateful)
         self.edges = tuple([self.to_real(mask) for mask in board.edge_masks])
+        self.pairs = _answered_pairs(self)
         self.groups: dict = {}
         self.claims: dict = {}
         # id(node) -> real mask of the node's relevance and ``fixed_rel``
@@ -329,6 +362,79 @@ def _reply_classes(table: list, stateful: tuple) -> tuple:
         got = merged.get(key)
         merged[key] = (visible, entry, (got[2] if got else 0) | (1 << rv))
     return tuple(merged.values()), tuple(dyn[k] for k in sorted(dyn))
+
+
+def _answered_pairs(stack: _Stack) -> tuple | None:
+    """The pairs ``_drop_dead_pairs`` may drop on ``stack``, or None.
+
+    A pair is two real vertices v and a that ``stack`` answers with each
+    other, marking no layer, outside the real image of its innermost
+    board, that answer no other vertex.  It is dead once a Breaker stone
+    meets every kill mask: each real edge through v or a without the pair,
+    and the real image of each virtual edge whose ``on_win`` continuation
+    names v or a (see ``_named``).  Returns (kills, partner, union,
+    by_killed): ``kills`` lists (pair mask, kill masks) without duplicate
+    masks, ``partner`` maps each paired vertex to its partner in
+    ``_segments`` form, ``union`` is the union of the kill masks and
+    ``by_killed`` caches the pairs that Breaker's stones kill.
+    """
+    table = stack.table
+    if not any(layer.answers for layer in stack.layers):
+        return None
+    answering: dict = {}  # real vertex -> how many vertices it answers
+    for entry in table:
+        if entry[0] == "answer":
+            answering[entry[1]] = answering.get(entry[1], 0) + 1
+    real_board = stack.prefixes[0].parent.board
+    edge_masks, incidence = real_board.edge_masks, real_board.incidence
+    wins = []  # (real image of an on_win edge, real vertices it names)
+    for i, layer in enumerate(stack.layers):
+        inner, outer = stack.prefixes[i], stack.prefixes[i].parent
+        for e, cont in layer.on_win.items():
+            wins.append((inner.to_real(layer.board.edge_masks[e]), _named(cont, outer)))
+    image = stack.to_real(stack.board.full_mask)
+    kills = []
+    partner: dict = {}
+    union = 0
+    for v, entry in enumerate(table):
+        a = entry[1]
+        if entry != ("answer", a, ()) or a <= v or table[a] != ("answer", v, ()):
+            continue
+        pair = 1 << v | 1 << a
+        if pair & image or answering[v] != 1 or answering[a] != 1:
+            continue
+        masks = {edge_masks[e] & ~pair for e in (*incidence[v], *incidence[a])}
+        masks.update(edge for edge, named in wins if named & pair)
+        kills.append((pair, tuple(sorted(masks))))
+        partner[a - v] = partner.get(a - v, 0) | 1 << v
+        partner[v - a] = partner.get(v - a, 0) | 1 << a
+        for mask in masks:
+            union |= mask
+    if not kills:
+        return None
+    return tuple(kills), tuple(sorted(partner.items())), union, {}
+
+
+def _named(cont, outer: _Stack) -> int:
+    """The real vertices an ``on_win`` continuation that runs on ``outer``
+    may claim: its ``Claim`` and ``ClaimFirstFree`` vertices, or every
+    vertex when it enters a layer or searches a bounded win."""
+    named = 0
+    for node in iter_nodes(cont):
+        if type(node) is Respond:
+            node = node.default
+        if isinstance(node, (EnterLayer, BoundedWin)):
+            return -1
+        if isinstance(node, Claim):
+            vertices = (node.vertex,)
+        elif isinstance(node, ClaimFirstFree):
+            vertices = node.vertices
+        else:
+            continue
+        for c in vertices:
+            if 0 <= c < len(outer.real):
+                named |= 1 << outer.real[c]
+    return named
 
 
 def _stateful(layer) -> bool:
@@ -843,6 +949,8 @@ class _Machine:
         out = unclaimed & ~rel
         profile = 0
         if out:
+            if stack.pairs is not None and type(node) is Respond:
+                out = _drop_dead_pairs(stack.pairs, out, rb & rel, replies)
             collapsed, profile = self._profile(stack, node, out)
             replies |= collapsed
         sig = tuple([masks[i] for i in stack.stateful])
@@ -1033,6 +1141,30 @@ class _Machine:
         detail = f"no win within {k} Maker moves from here"
         self.memo[key] = ("bounded_win_failure", detail)
         self._fail("bounded_win_failure", detail)
+
+
+def _drop_dead_pairs(pairs: tuple, out: int, killed: int, replies: int) -> int:
+    """``out`` without the free pairs of ``pairs`` (see ``_answered_pairs``)
+    that are dead: a vertex of ``killed``, Breaker's stones in the memo
+    key, meets each of their kill masks.  ``out`` is kept whole when that
+    would leave no reply besides ``replies``, so a board that only dead
+    pairs leave open is still exhausted."""
+    kills, partner, union, by_killed = pairs
+    free = out & _apply_segments(partner, out)
+    if not free:
+        return out
+    killed &= union
+    dead = by_killed.get(killed)
+    if dead is None:
+        dead = 0
+        for pair, masks in kills:
+            if all(mask & killed for mask in masks):
+                dead |= pair
+        by_killed[killed] = dead
+    dead &= free
+    if dead and (replies or out != dead):
+        return out & ~dead
+    return out
 
 
 def _bw_claims(levels, vb: int):

@@ -172,12 +172,18 @@ def test_verifier_counters_are_pinned():
     g3-split has no such node.  Before that, the pentagon fallback order
     was made to rotate with each gadget, which moved gamma-prime from
     212,464 lines and g4 from 228,831: a move inside a gadget whose tip is
-    taken lands on x-vertices in a different order."""
+    taken lands on x-vertices in a different order.
+
+    On g3-split an opponent node on the pendant layer drops each free
+    pendant pair whose base edge holds a Breaker stone from its replies and
+    memo key: that exchange changes nothing for either side.  This took
+    g3-split from 256,247 lines to 130,807 (see
+    ``test_without_dead_pairs_the_unpruned_lines_come_back``)."""
     expected = {
         gamma_report: (3_865, 20),
         gamma_prime_report: (46_639, 28),
         g4_report: (51_927, 33),
-        g3_split_report: (256_247, 28),
+        g3_split_report: (130_807, 28),
     }
     for report, (lines, depth) in expected.items():
         rep = report()

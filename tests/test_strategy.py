@@ -64,6 +64,7 @@ from posgames.strategy import (
     replace_first,
     verify_maker_strategy,
 )
+from posgames.strategy import verifier
 from posgames.strategy.lifts import _block_mask
 from posgames.strategy.verifier import (
     _bw_claims,
@@ -991,7 +992,9 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     """Differential gate: with no symmetry derived, every target explores
     exactly the lines it took before the pruning, and every mutant fails on
     the same line; the pruning only skips work, most on
-    ``opening-class-gap``."""
+    ``opening-class-gap``.  The gate refuses only symmetry, so g3-split,
+    which has no stone-free node, keeps the dead-pair rule and its 130,807
+    lines (256,247 without that rule)."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
         for name, board, tree in named_mutations()
@@ -1001,7 +1004,7 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
         "gamma": (20_806, 20),
         "gamma-prime": (212_418, 28),
         "g4": (228_708, 33),
-        "g3-split": (256_247, 28),
+        "g3-split": (130_807, 28),
     }
     for name, (board, tree) in _pentagon_targets().items():
         report = verify_maker_strategy(board, tree)
@@ -1405,3 +1408,218 @@ def test_counterexamples_are_deterministic():
     second = verify_maker_strategy(board, tree)
     assert first.counterexample == second.counterexample
     assert first.lines_checked == second.lines_checked
+
+
+# ----------------------------------------------------------------------
+# dead answered pairs
+
+
+def _rule_off(monkeypatch):
+    monkeypatch.setattr(verifier, "_drop_dead_pairs", lambda pairs, out, killed, replies: out)
+
+
+_DROP_DEAD_PAIRS = verifier._drop_dead_pairs
+
+
+def _drops(monkeypatch) -> list:
+    """Record (out, kept) for every call of ``_drop_dead_pairs``."""
+    calls = []
+
+    def spy(pairs, out, killed, replies):
+        kept = _DROP_DEAD_PAIRS(pairs, out, killed, replies)
+        calls.append((out, kept))
+        return kept
+
+    monkeypatch.setattr(verifier, "_drop_dead_pairs", spy)
+    return calls
+
+
+def test_without_dead_pairs_the_unpruned_lines_come_back(monkeypatch):
+    """Differential gate: with dead answered pairs kept, g3-split explores
+    exactly its 256,247 lines again, the other targets do not move, and
+    every mutant fails on the same line with the same detail; the rule
+    only skips work."""
+    pruned = [
+        (name, verify_maker_strategy(board, tree))
+        for name, board, tree in named_mutations()
+    ]
+    _rule_off(monkeypatch)
+    want = {
+        "gamma": (3_865, 20),
+        "gamma-prime": (46_639, 28),
+        "g4": (51_927, 33),
+        "g3-split": (256_247, 28),
+    }
+    for name, (board, tree) in _pentagon_targets().items():
+        report = verify_maker_strategy(board, tree)
+        assert report.verified, name
+        assert (report.lines_checked, report.max_depth) == want[name], name
+    for (name, board, tree), (_name, fast) in zip(named_mutations(), pruned):
+        slow = verify_maker_strategy(board, tree)
+        a, b = fast.counterexample, slow.counterexample
+        assert (a.kind, a.moves, a.detail) == (b.kind, b.moves, b.detail), name
+        assert fast.lines_checked <= slow.lines_checked, name
+
+
+def _random_maker_node(rng: random.Random, free: list, depth: int):
+    """A Maker move on vertices drawn from ``free`` and, below it,
+    ``depth`` more rounds of a defaultful ``Respond`` and a Maker move,
+    ending in a claim that must win or a bounded-win search."""
+    free = rng.sample(free, len(free))
+    if rng.random() < 0.5:
+        claim = functools.partial(Claim, free.pop())
+    else:
+        claim = functools.partial(ClaimFirstFree, (free.pop(), free.pop()))
+    if depth == 0 or len(free) < 2:
+        bound = rng.randint(2, 4)
+        return claim(None if rng.random() < 0.2 else Respond((), BoundedWin(bound)))
+    return claim(Respond((), _random_maker_node(rng, free, depth - 1)))
+
+
+_SPLIT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def test_dead_pairs_keep_every_verdict_on_random_split_boards(monkeypatch):
+    """On random pendant splits of small boards, scripts of two or three
+    levels of claims, defaultful ``Respond`` nodes and bounded wins get the
+    same verdict and counterexample kind with and without the dead-pair
+    rule, and the rule fires on some of them."""
+    fired = []
+
+    @_SPLIT_SETTINGS
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        h = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
+        root = _random_maker_node(rng, list(range(h.vertex_count)), rng.randint(1, 2))
+        first = rng.choice((Side.A, Side.B))
+        if first is Side.B:
+            root = Respond((), root)
+        tree = lift_split(StrategyTree(h, first, root), h)
+        calls = _drops(monkeypatch)
+        fast = verify_maker_strategy(tree.board, tree)
+        _rule_off(monkeypatch)
+        slow = verify_maker_strategy(tree.board, tree)
+        assert fast.verified == slow.verified
+        if not fast.verified:
+            assert fast.counterexample.kind == slow.counterexample.kind
+        assert fast.lines_checked <= slow.lines_checked
+        fired.append(any(out != kept for out, kept in calls))
+
+    check()
+    assert any(fired)
+
+
+def _pairs(h: Hypergraph, *layers):
+    """``_answered_pairs`` of the stack that enters ``layers`` on ``h``."""
+    machine = _Machine(h)
+    stack = machine.root
+    for layer in layers:
+        stack = machine._push(stack, layer)
+    machine.release()
+    return stack.pairs
+
+
+def test_a_pair_named_by_a_live_continuation_is_kept():
+    """On the ``completion-leaves-shifted`` mutant, the continuation of base
+    edge 0 claims the pendants of edge 1, so that pair is dead only once
+    both base edges hold a Breaker stone; on the shipped lift the pair's
+    own edge is enough."""
+    g3 = gen_g3()
+    mutants = {name: tree for name, _board, tree in named_mutations()}
+    shifted = mutants["completion-leaves-shifted"]
+    shipped = lift_split(build_g3_strategy(), g3)
+    pair = 1 << 17 | 1 << 18  # the pendants of base edge 1
+    edge0, edge1 = g3.edge_masks[0], g3.edge_masks[1]
+    kills = dict(_pairs(shifted.board, shifted.root.layer)[0])
+    assert kills[pair] == tuple(sorted((edge0, edge1)))
+    assert dict(_pairs(shipped.board, shipped.root.layer)[0])[pair] == (edge1,)
+    out = pair | 1 << 19
+    breaker = 1 << 6  # a cell of base edge 1
+    assert _DROP_DEAD_PAIRS(_pairs(shifted.board, shifted.root.layer), out, breaker, 1) == out
+    shipped_pairs = _pairs(shipped.board, shipped.root.layer)
+    assert _DROP_DEAD_PAIRS(shipped_pairs, out, breaker, 1) == 1 << 19
+    breaker |= 1 << 3  # and one of base edge 0
+    assert _DROP_DEAD_PAIRS(_pairs(shifted.board, shifted.root.layer), out, breaker, 1) == 1 << 19
+
+
+def test_a_board_left_to_dead_pairs_is_still_exhausted():
+    """After Breaker 0 and Maker 1 on the split of the edge {0, 1}, only
+    the pendants 2 and 3 are free and their pair is dead.  Dropping it
+    would leave no reply, so it is kept and the line still runs out of
+    board."""
+    h = Hypergraph(2, [(0, 1)])
+    script = Respond(
+        (
+            (ReplyClass("zero", frozenset((0,))), Claim(1, Respond(()))),
+            (ReplyClass("one", frozenset((1,))), Claim(0, Respond(()))),
+        )
+    )
+    tree = lift_split(StrategyTree(h, Side.B, script), h)
+    report = verify_maker_strategy(tree.board, tree)
+    assert report.counterexample == Counterexample(
+        "leaf_without_win",
+        (("breaker", 0), ("maker", 1), ("breaker", 2), ("maker", 3)),
+        "board exhausted before Maker won",
+    )
+
+
+def _killer_layer(relevance):
+    """The edge {1, 2} under an identity layer that pairs 3 with 4, on a
+    real board where the pair's edges {0, 3} and {0, 4} die only at 0,
+    Breaker's lowest reply."""
+    h = Hypergraph(5, [(1, 2), (0, 3), (0, 4)])
+    layer = Layer(
+        name="pairs",
+        board=Hypergraph(2, [(0, 1)]),
+        embed=(1, 2),
+        translate={1: 0, 2: 1},
+        win_edges={0: 0},
+        answers={3: 4, 4: 3},
+        relevance=relevance,
+    )
+    script = Respond((), Claim(0, Respond((), Claim(1, WinNow(0)))))
+    return h, StrategyTree(h, Side.B, EnterLayer(layer, script))
+
+
+def test_a_pair_killed_outside_the_relevance_is_kept(monkeypatch):
+    """Breaker's first stone, on 0, kills the pair {3, 4}.  While 0 lies
+    outside the relevance the memo key cannot see it, so the next opponent
+    node keeps the pair; with 0 relevant the same node drops it."""
+    pair = 1 << 3 | 1 << 4
+    h, tree = _killer_layer(None)
+    assert _pairs(h, tree.root.layer)[0] == ((pair, (1 << 0,)),)
+    calls = _drops(monkeypatch)
+    verify_maker_strategy(h, tree)
+    assert calls[1] == (pair, pair)
+    h, tree = _killer_layer(0b111)
+    calls.clear()
+    verify_maker_strategy(h, tree)
+    assert calls[1] == (pair, 0)
+
+
+def test_answered_pairs_answer_each_other_alone_outside_the_image():
+    """A pair is two vertices that answer each other, marking no layer,
+    that no third vertex is answered with, outside the image of the
+    innermost board."""
+    h, tree = _killer_layer(None)
+    layer = tree.root.layer
+    pair = 1 << 3 | 1 << 4
+    assert [p for p, _kills in _pairs(h, layer)[0]] == [pair]
+    assert _pairs(h, replace(layer, answers={3: 4})) is None
+    assert _pairs(h, replace(layer, answers={3: 4, 4: 3, 0: 4})) is None
+    inside = replace(
+        layer,
+        board=Hypergraph(3, [(0, 1)]),
+        embed=(1, 2, 3),
+        translate={1: 0, 2: 1, 3: 2},
+    )
+    assert _pairs(h, inside) is None
+    whole = Layer(
+        name="whole",
+        board=h,
+        embed=tuple(range(5)),
+        translate={v: v for v in range(5)},
+        win_edges={e: e for e in range(3)},
+    )
+    assert _pairs(h, whole, layer) is None
