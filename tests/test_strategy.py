@@ -1543,6 +1543,18 @@ def test_a_pair_named_by_a_live_continuation_is_kept():
     assert _DROP_DEAD_PAIRS(_pairs(shifted.board, shifted.root.layer), out, breaker, 1) == 1 << 19
 
 
+def test_a_continuation_that_searches_names_every_pair():
+    """A continuation that ends in a bounded-win search may claim any
+    vertex, so every pair then dies only with every base edge."""
+    g3 = gen_g3()
+    shipped = lift_split(build_g3_strategy(), g3)
+    layer = shipped.root.layer
+    searching = replace(layer, on_win={e: Respond((), BoundedWin(1)) for e in layer.on_win})
+    every = tuple(sorted(set(g3.edge_masks)))
+    for _pair, kills in _pairs(shipped.board, searching)[0]:
+        assert kills == every
+
+
 def test_a_board_left_to_dead_pairs_is_still_exhausted():
     """After Breaker 0 and Maker 1 on the split of the edge {0, 1}, only
     the pendants 2 and 3 are free and their pair is dead.  Dropping it
