@@ -20,18 +20,21 @@ other alone and mark no layer, neither lies in the real image of the
 innermost board, and a Breaker stone inside the relevance meets each
 kill mask.  The kill masks are the real edges through v or a without the
 pair, and the real image of each virtual edge whose ``on_win``
-continuation may claim v or a.  A pair is kept when dropping it would
-leave no reply.  This is exact.  Let S' be the state S after the
-opponent plays v and Maker answers a; replies v and a lead to S' and its
-mirror image, which share its memo key.  Every other reply r leads to
-children of S and S' that differ only in the dead pair, which stays
-dead: no script on the stack or above it and no bounded-win search
-claims a vertex outside the innermost image, no live continuation names
-the pair, no edge through it can still be won and no other reply is
-answered with it.  So, by induction on the free vertices, S succeeds
-exactly when every other reply does, and S and S' may share a key.
-Scripts' reactions to a move outside the relevance are left to the
-relevance masks the scripts and layers declare, as for the classes.
+continuation may read v or a: it may claim them, or it runs where the
+pair is not answered and does not end the line at Maker's next claim.
+A pair is kept when dropping it would leave no reply.  This is exact.
+Let S' be the state S after the opponent plays v and Maker answers a;
+replies v and a lead to S' and its mirror image, which share its memo
+key.  Every other reply r leads to children of S and S' that differ
+only in the dead pair, which stays dead: no script on the stack or above
+it and no bounded-win search claims a vertex outside the innermost
+image, no live continuation reads the pair, no edge through it can still
+be won and no other reply is answered with it.  A continuation that
+ends the line at once may run where the opponent can still play v, but
+such a move only passes, and the line fails only when Maker's every
+finishing claim is taken.  So, by induction on the free vertices, S
+succeeds exactly when every other reply does, and S and S' may share a
+key.
 
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
@@ -372,10 +375,13 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
     board, that answer no other vertex.  It is dead once a Breaker stone
     meets every kill mask: each real edge through v or a without the pair,
     and the real image of each virtual edge whose ``on_win`` continuation
-    names v or a (see ``_named``).  Returns (kills, partner, union,
-    by_killed): ``kills`` lists (pair mask, kill masks) without duplicate
-    masks, ``partner`` maps each paired vertex to its partner in
-    ``_segments`` form, ``union`` is the union of the kill masks and
+    may read v or a.  A continuation reads the vertices it claims (see
+    ``_named``).  When it runs on a stack that does not answer the pair,
+    where the opponent may still play v, it reads every vertex unless it
+    ends the line at once (see ``_finishes``).  Returns (kills, partner,
+    union, by_killed): ``kills`` lists (pair mask, kill masks) without
+    duplicate masks, ``partner`` maps each paired vertex to its partner
+    in ``_segments`` form, ``union`` is the union of the kill masks and
     ``by_killed`` caches the pairs that Breaker's stones kill.
     """
     table = stack.table
@@ -387,11 +393,15 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
             answering[entry[1]] = answering.get(entry[1], 0) + 1
     real_board = stack.prefixes[0].parent.board
     edge_masks, incidence = real_board.edge_masks, real_board.incidence
-    wins = []  # (real image of an on_win edge, real vertices it names)
+    # (real image of an on_win edge, real vertices its continuation claims,
+    # whether it finishes, the table of the stack it runs on)
+    wins = []
     for i, layer in enumerate(stack.layers):
         inner, outer = stack.prefixes[i], stack.prefixes[i].parent
         for e, cont in layer.on_win.items():
-            wins.append((inner.to_real(layer.board.edge_masks[e]), _named(cont, outer)))
+            edge = inner.to_real(layer.board.edge_masks[e])
+            finish = _finishes(cont, outer, edge, edge_masks, incidence)
+            wins.append((edge, _named(cont, outer), finish, outer.table))
     image = stack.to_real(stack.board.full_mask)
     kills = []
     partner: dict = {}
@@ -404,7 +414,11 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
         if pair & image or answering[v] != 1 or answering[a] != 1:
             continue
         masks = {edge_masks[e] & ~pair for e in (*incidence[v], *incidence[a])}
-        masks.update(edge for edge, named in wins if named & pair)
+        masks.update(
+            edge
+            for edge, named, finish, outer_table in wins
+            if named & pair or not (finish or outer_table[v] == entry)
+        )
         kills.append((pair, tuple(sorted(masks))))
         partner[a - v] = partner.get(a - v, 0) | 1 << v
         partner[v - a] = partner.get(v - a, 0) | 1 << a
@@ -435,6 +449,33 @@ def _named(cont, outer: _Stack) -> int:
             if 0 <= c < len(outer.real):
                 named |= 1 << outer.real[c]
     return named
+
+
+def _finishes(cont, outer: _Stack, edge: int, edge_masks, incidence) -> bool:
+    """Whether an ``on_win`` continuation that runs on ``outer`` once
+    Maker holds the real edge mask ``edge`` ends the line at Maker's next
+    claim, whatever the opponent plays: a ``Respond`` without branches
+    whose default claims, with nothing after it, vertices that each
+    complete a real edge inside ``edge`` and the vertex itself.  The line
+    then fails only when every such vertex is taken, which a move off them
+    does not change."""
+    if type(cont) is not Respond or cont.branches:
+        return False
+    claim = cont.default
+    if isinstance(claim, Claim):
+        vertices = (claim.vertex,)
+    elif isinstance(claim, ClaimFirstFree):
+        vertices = claim.vertices
+    else:
+        return False
+    if claim.then is not None or _off(vertices, len(outer.real)):
+        return False
+    for c in vertices:
+        u = outer.real[c]
+        inside = edge | 1 << u
+        if not any(edge_masks[f] & ~inside == 0 for f in incidence[u]):
+            return False
+    return True
 
 
 def _stateful(layer) -> bool:

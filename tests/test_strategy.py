@@ -1522,37 +1522,110 @@ def _pairs(h: Hypergraph, *layers):
 
 def test_a_pair_named_by_a_live_continuation_is_kept():
     """On the ``completion-leaves-shifted`` mutant, the continuation of base
-    edge 0 claims the pendants of edge 1, so that pair is dead only once
-    both base edges hold a Breaker stone; on the shipped lift the pair's
-    own edge is enough."""
+    edge 0 claims the pendants of edge 1, so that pair is kept while base
+    edge 0 holds no Breaker stone; on the shipped lift the pair's own edge
+    is enough.  The mutant's continuations no longer end the line at once,
+    so each of them keeps every pair alive until its edge is dead."""
     g3 = gen_g3()
     mutants = {name: tree for name, _board, tree in named_mutations()}
     shifted = mutants["completion-leaves-shifted"]
     shipped = lift_split(build_g3_strategy(), g3)
     pair = 1 << 17 | 1 << 18  # the pendants of base edge 1
-    edge0, edge1 = g3.edge_masks[0], g3.edge_masks[1]
-    kills = dict(_pairs(shifted.board, shifted.root.layer)[0])
-    assert kills[pair] == tuple(sorted((edge0, edge1)))
-    assert dict(_pairs(shipped.board, shipped.root.layer)[0])[pair] == (edge1,)
+    shifted_pairs = _pairs(shifted.board, shifted.root.layer)
+    shipped_pairs = _pairs(shipped.board, shipped.root.layer)
+    assert dict(shifted_pairs[0])[pair] == tuple(sorted(set(g3.edge_masks)))
+    assert dict(shipped_pairs[0])[pair] == (g3.edge_masks[1],)
     out = pair | 1 << 19
     breaker = 1 << 6  # a cell of base edge 1
-    assert _DROP_DEAD_PAIRS(_pairs(shifted.board, shifted.root.layer), out, breaker, 1) == out
-    shipped_pairs = _pairs(shipped.board, shipped.root.layer)
+    assert _DROP_DEAD_PAIRS(shifted_pairs, out, breaker, 1) == out
     assert _DROP_DEAD_PAIRS(shipped_pairs, out, breaker, 1) == 1 << 19
-    breaker |= 1 << 3  # and one of base edge 0
-    assert _DROP_DEAD_PAIRS(_pairs(shifted.board, shifted.root.layer), out, breaker, 1) == 1 << 19
+    every = 0b1001001001111  # 0, 1, 2, 3, 6, 9 and 12 meet every base edge
+    assert _DROP_DEAD_PAIRS(shifted_pairs, out, every & ~(1 << 3), 1) == out
+    assert _DROP_DEAD_PAIRS(shifted_pairs, out, every, 1) == 1 << 19
 
 
-def test_a_continuation_that_searches_names_every_pair():
-    """A continuation that ends in a bounded-win search may claim any
-    vertex, so every pair then dies only with every base edge."""
-    g3 = gen_g3()
-    shipped = lift_split(build_g3_strategy(), g3)
-    layer = shipped.root.layer
-    searching = replace(layer, on_win={e: Respond((), BoundedWin(1)) for e in layer.on_win})
-    every = tuple(sorted(set(g3.edge_masks)))
-    for _pair, kills in _pairs(shipped.board, searching)[0]:
-        assert kills == every
+def _inner_continuation(cont):
+    """An outer layer that answers 4 with 5 and back over the whole real
+    board, and an inner layer on 0, 1 and 2 whose edge {0, 1} continues
+    with ``cont`` on the outer layer, where the pair is still answered."""
+    h = Hypergraph(6, [(0, 1), (1, 4), (2, 5), (3,)])
+    outer = Layer(
+        name="outer",
+        board=h,
+        embed=tuple(range(6)),
+        translate={v: v for v in range(6)},
+        win_edges={e: e for e in range(4)},
+        answers={4: 5, 5: 4},
+    )
+    inner = Layer(
+        name="inner",
+        board=Hypergraph(3, [(0, 1)]),
+        embed=(0, 1, 2),
+        translate={0: 0, 1: 1, 2: 2},
+        on_win={0: cont},
+    )
+    return h, outer, inner
+
+
+@pytest.mark.parametrize(
+    "cont, named",
+    [
+        (Respond((), Claim(4)), True),
+        (Respond((), ClaimFirstFree((3, 5))), True),
+        (Respond((), BoundedWin(1)), True),
+        (Respond((), Claim(3)), False),
+    ],
+    ids=["claim", "claim-first-free", "bounded-win", "claim-elsewhere"],
+)
+def test_a_continuation_that_may_claim_a_pair_keeps_it(cont, named):
+    """A continuation that runs where the pair is still answered reads the
+    pair only by claiming it: by name, or anywhere through a bounded-win
+    search.  The pair's real edges {1, 4} and {2, 5} give the kill masks
+    {1} and {2}; a continuation that may claim the pair adds its edge's
+    image {0, 1}."""
+    h, outer, inner = _inner_continuation(cont)
+    kills = {0b10, 0b100} | ({0b11} if named else set())
+    assert _pairs(h, outer, inner)[0] == ((1 << 4 | 1 << 5, tuple(sorted(kills))),)
+
+
+def test_a_pair_an_open_continuation_may_read_is_kept(monkeypatch):
+    """The continuations of the virtual edges {1} and {3} (real 3 and 8)
+    run on the real board, where 0 and 1 are plain moves, and the one for
+    a move on 0 claims 2 or 5.  After Breaker 2 the pair {0, 1} is dead
+    by its real edge {0, 2}, but a continuation that branches on 0 may
+    still read it, so the pair is kept and the line that plays 0 there
+    fails as it does with the rule off.  Were the pair dropped, the state
+    would share the memo success of the same state after the exchange on
+    the pair, and the script would verify."""
+    edges = [(0, 2), (2, 3), (2, 8)] + [(w, u) for w in (3, 8) for u in (4, 6, 9, 10)]
+    h = Hypergraph(11, edges)
+    finish = Respond(
+        ((ReplyClass("x", frozenset((0,))), ClaimFirstFree((2, 5))),),
+        ClaimFirstFree((4, 6, 9, 10)),
+    )
+    layer = Layer(
+        name="open",
+        board=Hypergraph(4, [(1,), (3,)]),
+        embed=(2, 3, 7, 8),
+        translate={2: 0, 3: 1, 7: 2, 8: 3},
+        on_win={0: finish, 1: finish},
+        answers={0: 1, 1: 0},
+    )
+    after_kill = Respond((), ClaimFirstFree((1, 3)))
+    script = Respond(
+        ((ReplyClass("c0", frozenset((0,))), Claim(2, after_kill)),),
+        ClaimFirstFree((1, 3)),
+    )
+    tree = StrategyTree(h, Side.B, EnterLayer(layer, script))
+    assert _pairs(h, layer)[0] == ((0b11, (1 << 2, 1 << 3, 1 << 8)),)
+    fast = verify_maker_strategy(h, tree)
+    _rule_off(monkeypatch)
+    slow = verify_maker_strategy(h, tree)
+    assert fast.counterexample == slow.counterexample == Counterexample(
+        "leaf_without_win",
+        (("breaker", 2), ("maker", 7), ("breaker", 3), ("maker", 8), ("breaker", 0), ("maker", 5)),
+        "leaf claims vertex 5 without completing an edge",
+    )
 
 
 def test_a_board_left_to_dead_pairs_is_still_exhausted():
