@@ -565,8 +565,8 @@ def test_verifier_reports_malformed_layer_data(fields, detail):
 def test_edge_keys_off_the_gadget_layer_are_ill_formed(field, detail):
     """A ``win_edges`` key 99 (onto the real long edge 105) or an
     ``on_win`` key 99 on the pentagon layer of gamma-prime names no edge of
-    the 20-edge pentagon, so it could never fire.  Both used to verify, in
-    212,418 lines each; now the layer is refused where it is entered."""
+    the 20-edge pentagon and could never fire, so the layer is refused
+    where it is entered rather than verified without it."""
     lifted = lift_gamma_prime(build_gamma_strategy())
     layer = lifted.root.layer
     extra = {99: 105} if field == "win_edges" else {99: layer.on_win[0]}
