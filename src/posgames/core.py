@@ -351,9 +351,9 @@ def _dense(keys: list) -> list[int]:
 
 
 class Automorphisms:
-    """The automorphism group of a hypergraph, searched by individualising
-    vertices and refining colourings (McKay, "Practical graph isomorphism",
-    1981), so the group is held by generators and never listed.
+    """Automorphisms of a hypergraph, searched by individualising vertices
+    and refining colourings (McKay, "Practical graph isomorphism", 1981),
+    so the group is never listed.
 
     A colouring gives each vertex a colour 0..k-1.  Refinement recolours a
     vertex by its colour and the multiset of the colour multisets of its
@@ -366,11 +366,8 @@ class Automorphisms:
     leaf, defines a permutation, which is kept when it maps every edge onto
     an edge and each required vertex onto its image.
 
-    ``generators`` generate the whole group: level by level from the
-    deepest, each vertex of the first path's target class that is not yet
-    known to lie in the base vertex's orbit is tried, and one automorphism
-    found below it is kept.  ``find(pairs)`` is an automorphism that maps
-    each ``p`` onto its ``q`` for ``(p, q)`` in ``pairs``, or None.
+    ``find(pairs)`` is an automorphism that maps each ``p`` onto its ``q``
+    for ``(p, q)`` in ``pairs``, or None.
     """
 
     __slots__ = (
@@ -379,8 +376,6 @@ class Automorphisms:
         "_edge_set",
         "_bits",
         "_root",
-        "_generators",
-        "_orbits",
     )
 
     def __init__(self, h: Hypergraph):
@@ -392,8 +387,6 @@ class Automorphisms:
             max_degree(h).bit_length(),
         )
         self._root = self._refine([0] * h.vertex_count)
-        self._generators = None
-        self._orbits = None
 
     def _refine(self, col: list[int]) -> list[int]:
         # A multiset of ranks is a sum of one counter per rank, each wide
@@ -467,44 +460,6 @@ class Automorphisms:
                     return g
         return None
 
-    @property
-    def generators(self) -> tuple:
-        """Automorphisms that generate the group, as permutation lists."""
-        if self._generators is None:
-            path, leaf = self._first_path(self._root)
-            gens: list = []
-            for depth in range(len(path) - 1, -1, -1):
-                col, cell = path[depth]
-                fixed = [(node_cell[0], node_cell[0]) for _node, node_cell in path[:depth]]
-                orbit = {cell[0]}
-                for x in cell[1:]:
-                    if x in orbit:
-                        continue
-                    g = self._match(
-                        self._individualise(col, x),
-                        path,
-                        depth + 1,
-                        leaf,
-                        fixed + [(cell[0], x)],
-                    )
-                    if g is not None:
-                        gens.append(g)
-                        orbit = _orbit(cell[0], gens)
-            self._generators = tuple(gens)
-        return self._generators
-
-    @property
-    def orbits(self) -> tuple:
-        """Per vertex, the lowest vertex of its orbit."""
-        if self._orbits is None:
-            low = list(range(self.board.vertex_count))
-            for v in range(len(low)):
-                if low[v] == v:
-                    for u in _orbit(v, self.generators):
-                        low[u] = v
-            self._orbits = tuple(low)
-        return self._orbits
-
     def find(self, pairs) -> list[int] | None:
         """An automorphism mapping ``p`` onto ``q`` for every ``(p, q)`` in
         ``pairs``, or None when there is none: both sides individualise
@@ -519,19 +474,6 @@ class Automorphisms:
                 right = self._individualise(right, q)
         path, leaf = self._first_path(left)
         return self._match(right, path, 0, leaf, list(pairs))
-
-
-def _orbit(v: int, gens) -> set:
-    orbit = {v}
-    todo = [v]
-    while todo:
-        u = todo.pop()
-        for g in gens:
-            w = g[u]
-            if w not in orbit:
-                orbit.add(w)
-                todo.append(w)
-    return orbit
 
 
 def load_hypergraph(data: str | bytes) -> Hypergraph:

@@ -30,7 +30,6 @@ from .nodes import (
 from .verifier import (
     Counterexample,
     VerificationReport,
-    audit_coverage,
     bounded_win,
     verify_maker_strategy,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "StrategyTree",
     "VerificationReport",
     "WinNow",
-    "audit_coverage",
     "bounded_win",
     "build_g3_strategy",
     "build_gamma_strategy",

@@ -58,11 +58,14 @@ ordered by distance to a win, then by vertex.
 Sibling layers entered from the real board may share memo successes.  When
 a layer is entered beside an earlier one on the same board, the verifier
 derives the involution of the real board that swaps the two embeddings
-and the vertices each layer's win edges have outside it, and shares only
-if both layers keep no state (see ``_stateful``) and the swap is an
-automorphism that carries each win edge onto its partner, each stack's
-resolution table onto the other's and the fixed relevance of one onto the
-other's.  The stack entered later then files its successes
+and the vertices each layer's win edges have outside it.  It shares only
+if both layers keep no state (see ``_stateful``) and the swap, with the
+identity on the layers' common board, passes the two checks that accept a
+symmetry at a stone-free node (below), with the later stack carried onto
+the earlier one rather than onto itself: it maps each stack's resolution
+table and fixed relevance onto the other's and, at the empty position, is
+an automorphism of the real board that carries each win edge onto its
+partner.  The stack entered later then files its successes
 under the earlier stack's key, with its masks and reply profile mapped
 through the swap, and so do the stacks pushed on top of it.  Failures stay
 under each stack's own key, so a counterexample keeps its own coordinates
@@ -74,8 +77,9 @@ layer) the replies are still explored in ascending order, but a reply w
 is skipped when a derived permutation σ maps a reply u that is known to
 succeed onto w and w's child is the σ-image of u's, reply classes compared
 by vertex set.  σ is an automorphism of the innermost board, found by
-``core.Automorphisms``, lifted through each layer's embedding and its
-dynamic groups' member order, and fixing every other vertex.  It is used
+``core.Automorphisms.find`` to map u's coordinate onto w's, lifted
+through each layer's embedding and its dynamic groups' member order, and
+fixing every other vertex.  It is used
 only if it fixes the real and every layer's claim masks, is an
 automorphism of the real board once the state's Maker stones are taken
 off every edge, and maps the stack's resolution table, fixed relevance,
@@ -117,7 +121,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
+from ..core import Automorphisms, Hypergraph, Position, Side, iter_bits
 from .nodes import (
     BoundedWin,
     Claim,
@@ -133,7 +137,6 @@ from .nodes import (
 __all__ = [
     "Counterexample",
     "VerificationReport",
-    "audit_coverage",
     "bounded_win",
     "verify_maker_strategy",
 ]
@@ -228,8 +231,9 @@ class _Stack:
     module docstring), never one that has a ``rep`` itself, and ``segs``
     the automorphism carrying this stack onto it as (shift, source mask)
     pairs.  ``sym`` holds, once a stone-free node on the stack needs them,
-    the innermost board's ``Automorphisms``, ``_spots`` and the lifts that
-    passed ``_fits_stack`` (see ``_Symmetry``).
+    the innermost board's ``Automorphisms``, whose ``find`` proposes the
+    candidates, ``_spots`` and, per candidate tried, its lift if that
+    passed ``_fits_stack`` and else None (see ``_Symmetry``).
 
     Stacks point at their children and the children back at them, so the
     machine breaks those cycles when a run ends (``_Machine.release``).
@@ -629,33 +633,27 @@ class _Machine:
         Both must be children of the root, and ``sigma`` the swap
         ``_sibling_sigma`` derives for their layers, which have the same
         ``win_edges`` keys, each checked against the board by ``_push``.
-        ``sigma`` must be an involutive automorphism of the board that maps
-        ``child``'s embedding onto ``sibling``'s, each ``win_edges`` target
-        onto its partner, ``child``'s resolution table onto ``sibling``'s
-        and ``child``'s fixed relevance onto ``sibling``'s.  Neither layer
-        may keep state (see ``_stateful``).
+        Neither layer may keep state (see ``_stateful``), so each table
+        inverts its embedding and neither has dynamic groups or ``on_win``.
+        The layers must share one board, ``sigma`` must be an involution,
+        and ``sigma`` with the identity on that board must carry ``child``
+        onto ``sibling`` at the empty position (``_fits_stack`` and
+        ``_fits_state``).  The table check then maps each embedding onto
+        the other, and the state check makes ``sigma`` an automorphism of
+        the board that maps each ``win_edges`` target onto its partner.
         """
-        layer, other = child.layer, sibling.layer
-        h = self.h
         if child.stateful or sibling.stateful:
             return False
-        if layer.board is not other.board:
+        board = child.layer.board
+        if board is not sibling.layer.board:
             return False
-        n = h.vertex_count
+        n = self.h.vertex_count
         if len(sigma) != n or any(sigma[sigma[v]] != v for v in range(n)):
             return False
-        if not is_automorphism(h, sigma):
-            return False
-        if any(sigma[a] != b for a, b in zip(layer.embed, other.embed)):
-            return False
-        edges = h.edges
-        for k, e in layer.win_edges.items():
-            if {sigma[v] for v in edges[e]} != set(edges[other.win_edges[k]]):
-                return False
-        table, other_table = child.table, sibling.table
-        if any(table[v] != other_table[sigma[v]] for v in range(n)):
-            return False
-        return _apply_segments(_segments(sigma), child.fixed_rel) == sibling.fixed_rel
+        perms = (sigma, range(board.vertex_count))
+        return _fits_stack(child, perms, sibling) and _fits_state(
+            child, perms, self.edge_masks, ((0, 0),), 0, 0, sibling
+        )
 
     def _shared_key(self, key: tuple, stack: _Stack, node=None, out=0):
         """``key``, the memo key of a success on ``stack``, in its
@@ -1232,16 +1230,17 @@ def _bw_claims(levels, vb: int):
 class _Symmetry:
     """The symmetries of one stone-free opponent node, derived on demand.
 
-    A candidate ``g`` is an automorphism of the innermost board, found by
-    ``Automorphisms.find`` from a reply known to succeed, the reply it
-    should map onto and the claims along both children's first lines.
-    ``_lift`` carries ``g`` to every board of the stack, and the candidate
-    is accepted only if the lift passes ``_fits_stack`` (checked once per
-    stack) and ``_fits_state`` (checked once per node).  A reply ``w`` is
-    covered when an accepted ``g`` maps a reply ``u`` known to succeed
-    onto ``w`` on the real board and the child ``w`` dispatches to is the
-    ``g``-image of ``u``'s (``is_conjugate``).  A reply covered this way is
-    known to succeed as well.
+    A candidate ``g`` is an automorphism of the innermost board that
+    ``Automorphisms.find`` builds to map a reply known to succeed, and the
+    coordinate it dispatches on, onto the reply to cover and its
+    coordinate.  ``_lift`` carries ``g`` to every board of the stack, and
+    the candidate is accepted only if the lift passes ``_fits_stack``
+    (checked once per stack) and ``_fits_state`` (checked once per node),
+    the two checks that also decide copy sharing (``_Machine._symmetric``).
+    A reply ``w`` is covered when an accepted ``g`` maps a reply ``u``
+    known to succeed onto ``w`` on the real board and the child ``w``
+    dispatches to is the ``g``-image of ``u``'s (``is_conjugate``).  A
+    reply covered this way is known to succeed as well.
     """
 
     __slots__ = (
@@ -1298,7 +1297,8 @@ class _Symmetry:
     def covers(self, w: int, done: list) -> bool:
         """Whether reply ``w`` is the image of one of the replies ``done``,
         known to succeed, under an accepted candidate: one accepted
-        already, or one ``find`` builds from a reply in the same orbit."""
+        already, or one ``find`` builds from ``w`` and a reply in
+        ``done``."""
         spot_w = self.spots.get(w)
         child_w = self.child(w)
         if spot_w is None or child_w is None:
@@ -1312,20 +1312,12 @@ class _Symmetry:
                     child_u[1], child_w[1], perms[-1], board
                 ):
                     return True
-        orbits = self.autos.orbits
         for u in done:
             spot_u = self.spots.get(u)
             child_u = self.child(u)
-            if (
-                spot_u is None
-                or child_u is None
-                or spot_u[1] != spot_w[1]
-                or orbits[spot_u[0]] != orbits[spot_w[0]]
-            ):
+            if spot_u is None or child_u is None or spot_u[1] != spot_w[1]:
                 continue
-            pairs = [(spot_u[0], spot_w[0]), (child_u[0], child_w[0])]
-            pairs += _spine_pairs(child_u[1], child_w[1], board.vertex_count)
-            g = self.autos.find(pairs)
+            g = self.autos.find([(spot_u[0], spot_w[0]), (child_u[0], child_w[0])])
             if g is None:
                 continue
             perms = self.accept(g)
@@ -1435,29 +1427,32 @@ def _edge_image(board: Hypergraph, perm, e: int):
     return None
 
 
-def _fits_stack(stack: _Stack, perms: tuple) -> bool:
+def _fits_stack(stack: _Stack, perms: tuple, other: _Stack | None = None) -> bool:
     """Whether the lifted ``perms`` map every claim-independent part of
-    ``stack`` onto itself: the resolution table, the fixed relevance, the
-    dynamic groups' fallback orders and every layer's ``on_win``
-    continuations, compared through ``is_conjugate``."""
+    ``stack`` onto ``other``, by default ``stack`` itself: the resolution
+    table, the fixed relevance, the dynamic groups' fallback orders and
+    every layer's ``on_win`` continuations, compared through
+    ``is_conjugate``.  ``other`` has the same boards as ``stack``."""
+    if other is None:
+        other = stack
     real, inner = perms[0], perms[-1]
-    if _image(real, stack.fixed_rel) != stack.fixed_rel:
+    if _image(real, stack.fixed_rel) != other.fixed_rel:
         return False
     layer = stack.layer
     gi_of = {}
     if layer is not None:
-        groups = layer.dynamic_groups
+        groups = other.layer.dynamic_groups
         gi_of = {home: gi for gi, (_m, home, _f) in enumerate(groups)}
-        for _members, home, fallbacks in groups:
-            other = groups[gi_of[inner[home]]][2]
-            if tuple([inner[c] for c in fallbacks]) != tuple(other):
+        for _members, home, fallbacks in layer.dynamic_groups:
+            image = groups[gi_of[inner[home]]][2]
+            if tuple([inner[c] for c in fallbacks]) != tuple(image):
                 return False
 
     def effects(effs):
         return tuple([(fi, perms[fi + 1][c]) for fi, c in effs])
 
-    table = stack.table
-    for v, entry in enumerate(table):
+    other_table = other.table
+    for v, entry in enumerate(stack.table):
         kind = entry[0]
         if kind == "vertex":
             image = ("vertex", inner[entry[1]], effects(entry[2]))
@@ -1468,26 +1463,33 @@ def _fits_stack(stack: _Stack, perms: tuple) -> bool:
         else:
             home = layer.dynamic_groups[entry[1]][1]
             image = ("dyn", gi_of[inner[home]], effects(entry[2]))
-        if table[real[v]] != image:
+        if other_table[real[v]] != image:
             return False
     for i, layer in enumerate(stack.layers):
         board, parent = layer.board, stack.prefixes[i].parent.board
+        on_win = other.layers[i].on_win
         for e, cont in layer.on_win.items():
             f = _edge_image(board, perms[i + 1], e)
-            if f not in layer.on_win or not is_conjugate(
-                cont, layer.on_win[f], perms[i], parent
-            ):
+            if f not in on_win or not is_conjugate(cont, on_win[f], perms[i], parent):
                 return False
     return True
 
 
 def _fits_state(
-    stack: _Stack, perms: tuple, edges: tuple, masks: tuple, ra: int, rb: int
+    stack: _Stack,
+    perms: tuple,
+    edges: tuple,
+    masks: tuple,
+    ra: int,
+    rb: int,
+    other: _Stack | None = None,
 ) -> bool:
     """Whether the lifted ``perms`` fix the claims of a state on ``stack``
     and, once Maker's stones are taken off every edge, map the real board
-    (whose edge masks are ``edges``) and every layer's ``win_edges`` onto
-    themselves."""
+    (whose edge masks are ``edges``) onto itself and every layer's
+    ``win_edges`` onto those of ``other``, by default ``stack`` itself."""
+    if other is None:
+        other = stack
     real = perms[0]
     if _image(real, ra) != ra or _image(real, rb) != rb:
         return False
@@ -1506,30 +1508,14 @@ def _fits_state(
         board = layer.board
         parent_edges = stack.prefixes[i].parent.board.edge_masks
         maker = masks[i - 1][0] if i else ra
+        targets = other.layers[i].win_edges
         for e, pe in layer.win_edges.items():
-            f = _edge_image(board, perms[i + 1], e)
-            target = layer.win_edges.get(f)
+            target = targets.get(_edge_image(board, perms[i + 1], e))
             if target is None or _image(perms[i], parent_edges[pe] & ~maker) != (
                 parent_edges[target] & ~maker
             ):
                 return False
     return True
-
-
-def _spine_pairs(a, b, n: int) -> list:
-    """The claims two scripts make along their first lines, paired, while
-    both take the same shape and name vertices of an ``n``-vertex board."""
-    pairs = []
-    while True:
-        if type(a) is Claim and type(b) is Claim:
-            if not (0 <= a.vertex < n and 0 <= b.vertex < n):
-                return pairs
-            pairs.append((a.vertex, b.vertex))
-            a, b = a.then, b.then
-        elif type(a) is Respond and type(b) is Respond and a.branches and b.branches:
-            a, b = a.branches[0][1], b.branches[0][1]
-        else:
-            return pairs
 
 
 def _sibling_sigma(h: Hypergraph, layer, other):
@@ -1687,35 +1673,3 @@ def bounded_win(p: Position, k: int) -> bool:
         return result
 
     return maker(p.a_mask, p.b_mask, k)
-
-
-def audit_coverage(s: StrategyTree) -> dict:
-    """Which reply class handles each vertex as the opponent's first move.
-
-    Descends through any initial layers at the empty position, resolves each
-    board vertex the way the verifier would, and maps it to the covering
-    class name, ``"default"``, or ``None`` when nothing covers it.
-    """
-    machine = _Machine(s.board)
-    try:
-        node, stack, masks = machine._enter(s.root, machine.root, ())
-        if not isinstance(node, Respond):
-            raise ValueError("the strategy root is not a Respond node")
-    except _Fail as fail:
-        raise ValueError(fail.cex.detail) from None
-    finally:
-        machine.release()
-    coverage: dict = {}
-    for v, entry in enumerate(stack.table):
-        if entry[0] == "dyn":
-            entry = machine._resolve_dyn(stack, masks, entry)
-        name = None
-        if entry[0] == "vertex":
-            for cls, _child in node.branches:
-                if entry[1] in cls:
-                    name = cls.name
-                    break
-        if name is None and node.default is not None:
-            name = "default"
-        coverage[v] = name
-    return coverage

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posgames.constructions import compose_perms, gamma_rho, gamma_sigma, gen_gamma
+from posgames.constructions import (
+    compose_perms,
+    gamma_rho,
+    gamma_sigma,
+    gamma_w,
+    gamma_x,
+    gen_gamma,
+)
 from posgames.core import (
     Automorphisms,
     ClaimError,
@@ -193,20 +200,6 @@ class TestPermutations:
         assert not is_automorphism(h, [0, 1, 2, 2])
 
 
-def _closure(n: int, gens) -> set:
-    """Every element of the group the permutations ``gens`` generate."""
-    seen = {tuple(range(n))}
-    todo = list(seen)
-    while todo:
-        p = todo.pop()
-        for g in gens:
-            q = tuple(g[v] for v in p)
-            if q not in seen:
-                seen.add(q)
-                todo.append(q)
-    return seen
-
-
 @st.composite
 def _small_boards(draw):
     n = draw(st.integers(1, 7))
@@ -222,17 +215,12 @@ class TestAutomorphisms:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_small_boards())
     def test_search_matches_brute_force(self, case):
-        """The generators generate exactly the automorphisms found by trying
-        every permutation, and ``find`` maps the pairs exactly when some
-        automorphism does."""
+        """``find`` maps the pairs exactly when some automorphism found by
+        trying every permutation does."""
         h, pairs = case
         n = h.vertex_count
         brute = {p for p in itertools.permutations(range(n)) if is_automorphism(h, p)}
-        autos = Automorphisms(h)
-        assert _closure(n, autos.generators) == brute
-        for v in range(n):
-            assert autos.orbits[v] == min(p[v] for p in brute)
-        g = autos.find(pairs)
+        g = Automorphisms(h).find(pairs)
         if g is None:
             assert not any(all(p[a] == b for a, b in pairs) for p in brute)
         else:
@@ -240,25 +228,31 @@ class TestAutomorphisms:
             assert all(g[a] == b for a, b in pairs)
 
     def test_pentagon_has_the_ten_rotations_and_reflections(self):
+        """The images of w1 and x12 pick out each of the ten elements of
+        the dihedral group D5; those of w1 and x11 do not, as the
+        reflections fix spoke position 1.  No element fixes w1 and moves
+        x11 to x12."""
         rho, sigma = gamma_rho(), gamma_sigma()
         rotations = [list(range(35))]
         for _ in range(4):
             rotations.append(compose_perms(rho, rotations[-1]))
-        want = {tuple(r) for r in rotations}
-        want |= {tuple(compose_perms(r, sigma)) for r in rotations}
+        group = rotations + [compose_perms(r, sigma) for r in rotations]
+        assert len({tuple(p) for p in group}) == 10
         autos = Automorphisms(gen_gamma())
-        assert _closure(35, autos.generators) == want
-        assert autos.find([(0, 1), (1, 2)]) == rho
+        w1, x11, x12 = gamma_w(1), gamma_x(1, 1), gamma_x(1, 2)
+        for p in group:
+            assert autos.find([(w1, p[w1]), (x12, p[x12])]) == p
+        assert {p[x11] for p in group if p[w1] == w1} == {x11}
+        assert autos.find([(w1, w1), (x11, x12)]) is None
 
-    def test_a_group_too_large_to_list_is_held_by_generators(self):
-        """Twelve disjoint edges have 2**12 * 12! automorphisms; the search
-        finds generators for them without listing any."""
+    def test_a_group_too_large_to_list_is_searched_without_listing_it(self):
+        """Twelve disjoint edges have 2**12 * 12! automorphisms; ``find``
+        maps one edge onto another without listing any."""
         h = Hypergraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
         started = time.perf_counter()
-        autos = Automorphisms(h)
-        assert len(autos.generators) <= 23
-        assert set(autos.orbits) == {0}
-        assert autos.find([(0, 23), (2, 3)]) is not None
+        g = Automorphisms(h).find([(0, 23), (2, 3)])
+        assert g is not None and is_automorphism(h, g)
+        assert g[0] == 23 and g[2] == 3
         assert time.perf_counter() - started < 1.0
 
 

@@ -28,8 +28,10 @@ from posgames.constructions import (
     compose_perms,
     g4_s,
     g4_v,
+    gadget_y,
     gamma_rho,
     gamma_sigma,
+    gamma_t,
     gamma_x,
     gen_g3,
     gen_g4,
@@ -37,7 +39,7 @@ from posgames.constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from posgames.core import Hypergraph, Position, Side, iter_bits
+from posgames.core import Hypergraph, Position, Side, is_automorphism, iter_bits
 from posgames.mb import solve_winner
 from posgames.strategy import (
     BoundedWin,
@@ -50,7 +52,6 @@ from posgames.strategy import (
     Respond,
     StrategyTree,
     WinNow,
-    audit_coverage,
     bounded_win,
     build_g3_strategy,
     build_gamma_strategy,
@@ -721,26 +722,27 @@ def test_pentagon_strategy_verifies():
     assert report.lines_checked > 0
 
 
-def test_pentagon_opening_coverage_is_complete():
-    coverage = audit_coverage(build_gamma_strategy())
-    assert len(coverage) == 35
-    assert all(name is not None for name in coverage.values())
-
-
 def test_layered_opening_coverage_follows_the_base_strategy():
-    """Through a layer, each real vertex gets the class of the coordinate
-    it resolves to at the empty position: a gadget vertex (a dynamic-group
-    member) its spoke's tip, an answered pendant no class at all."""
+    """Through a layer, each real vertex resolves at the empty position to
+    the coordinate whose reply class the base strategy gives it: a gadget
+    vertex (a dynamic-group member) to its spoke's tip.  An answered
+    pendant is a Maker claim of its twin, which no reply class sees."""
     s = build_gamma_strategy()
-    base = audit_coverage(s)
-    lifted = audit_coverage(lift_gamma_prime(s))
-    assert lifted == {
-        v: base[v if v < 35 else 20 + (v - 35) // 10] for v in range(185)
-    }
-    split = audit_coverage(lift_split(s, gen_gamma()))
-    assert split == {v: base.get(v) for v in range(35 + 2 * 20)}
-    with pytest.raises(ValueError):
-        audit_coverage(lift_split(build_g3_strategy(), gen_g3()))
+    machine = _Machine(gen_gamma_prime())
+    _node, stack, masks = machine._enter(lift_gamma_prime(s).root, machine.root, ())
+    y, tip = gadget_y(4, 2, 3), gamma_t(4, 2)
+    assert stack.table[y] == ("dyn", 3 * 3 + 1, ())
+    assert machine._resolve_dyn(stack, masks, stack.table[y]) == (
+        "vertex", tip, ((0, tip),)
+    )
+    machine.release()
+    machine = _Machine(split_pendant(gen_gamma()))
+    lifted = lift_split(s, gen_gamma())
+    _node, stack, _masks = machine._enter(lifted.root, machine.root, ())
+    pendant = 35 + 2 * 6  # x_e of edge 6; its twin y_e follows it
+    assert stack.table[pendant] == ("answer", pendant + 1, ())
+    assert stack.table[pendant + 1] == ("answer", pendant, ())
+    machine.release()
 
 
 def _pentagon_relevance_by_spoke(va: int, vb: int) -> int:
@@ -908,6 +910,47 @@ def test_sibling_symmetry_refuses_a_swap_that_forgets_the_switches():
     machine.release()
 
 
+def test_sibling_sharing_refuses_a_relevance_one_vertex_short():
+    """Copy 1's relevance leaves out vertex 2 of its embedding, so the
+    derived swap maps its fixed relevance onto one vertex less than copy
+    2's, and copy 1 shares nothing."""
+    h, _s, layers = _twin_copies()
+    machine = _Machine(h)
+    second = machine._push(machine.root, layers[1])
+    first = machine._push(machine.root, replace(layers[0], relevance=0b011))
+    assert second.fixed_rel == 0b111000 and first.fixed_rel == 0b011
+    assert first.rep is None
+    machine.release()
+
+
+def test_sibling_symmetry_refuses_an_automorphism_that_misses_the_table():
+    """Two copies of the edge {0, 1, 2}.  Swapping them with 1 and 2
+    crossed is an involutive automorphism that carries the win edge and
+    the fixed relevance across, but it sends copy 1's coordinate 1 onto
+    copy 2's coordinate 2, so it does not carry the resolution table and
+    is refused.  The derived swap is accepted."""
+    base = Hypergraph(3, [(0, 1, 2)])
+    h = Hypergraph(6, [(0, 1, 2), (3, 4, 5)])
+    layers = [
+        Layer(
+            name=f"copy-{c + 1}",
+            board=base,
+            embed=(3 * c, 3 * c + 1, 3 * c + 2),
+            translate={3 * c + q: q for q in range(3)},
+            win_edges={0: c},
+        )
+        for c in range(2)
+    ]
+    machine = _Machine(h)
+    second = machine._push(machine.root, layers[1])
+    first = machine._push(machine.root, layers[0])
+    assert first.rep is second
+    crossed = [3, 5, 4, 0, 2, 1]
+    assert is_automorphism(h, crossed)
+    assert not machine._symmetric(first, second, crossed)
+    machine.release()
+
+
 def test_a_defect_in_one_copy_shares_nothing_and_is_caught(monkeypatch):
     """Copy 3's layer maps long edge 106 onto copy 3's edge 105.  The
     derived swap with copy 2 is still an automorphism, but it does not
@@ -959,6 +1002,53 @@ def test_g4_without_sharing_explores_the_unshared_lines(monkeypatch):
     report = verify_maker_strategy(gen_g4(), s)
     assert report.verified, report.counterexample
     assert (report.lines_checked, report.max_depth) == (151_635, 35)
+
+
+def test_an_answer_that_completes_an_edge_wins_the_line():
+    """Maker holds 0 of the edges {0, 1} and {0, 2}, and the layer answers
+    each of 1 and 2 with the other.  Either answer completes an edge, so
+    the line ends there: the opponent node after it, which would find the
+    board exhausted, is never reached."""
+    h = Hypergraph(3, [(0, 1), (0, 2)])
+    layer = Layer(
+        name="answers",
+        board=Hypergraph(1, [(0,)]),
+        embed=(0,),
+        translate={0: 0},
+        answers={1: 2, 2: 1},
+    )
+    s = StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, Respond((), None))))
+    report = verify_maker_strategy(h, s)
+    assert report.verified, report.counterexample
+    assert (report.lines_checked, report.max_depth) == (4, 3)
+
+
+def test_an_answer_on_a_taken_vertex_is_a_pass():
+    """The layer answers 0 with 2.  Once Breaker holds 2, Maker cannot
+    answer there, so Breaker's move on 0 counts as a pass.  At a Respond
+    without a default on a full layer board that is an uncovered reply,
+    not a Maker claim of Breaker's 2 that would complete the edge
+    {1, 2}."""
+    h = Hypergraph(4, [(1, 2)])
+    layer = Layer(
+        name="answers",
+        board=Hypergraph(3, [(0, 1)]),
+        embed=(1, 2, 3),
+        translate={1: 0, 2: 1, 3: 2},
+        answers={0: 2},
+    )
+    script = Claim(
+        0,
+        Respond(
+            ((ReplyClass("two", frozenset((1,))), Claim(2, Respond((), None))),),
+            Claim(1, None),
+        ),
+    )
+    s = StrategyTree(h, Side.A, EnterLayer(layer, script))
+    cex = verify_maker_strategy(h, s).counterexample
+    assert cex.kind == "uncovered_reply"
+    assert cex.moves == (("maker", 1), ("breaker", 2), ("maker", 3), ("breaker", 0))
+    assert cex.detail == "invisible move reaches a defaultless Respond on a full board"
 
 
 # ---------------------------------------------------------------------------
@@ -1383,10 +1473,8 @@ def test_gamma_prime_verifies_without_layer_relevance():
 
 def test_verifier_leaves_no_stack_for_the_cyclic_gc():
     """Every layer stack of a run is freed by reference counting when the
-    run ends, whether it verified, failed, shared a sibling's memo or only
-    audited coverage."""
+    run ends, whether it verified, failed or shared a sibling's memo."""
     mutations = named_mutations()
-    lifted = lift_gamma_prime(build_gamma_strategy())
     twins, twin_tree, _layers = _twin_copies()
     gc.collect()
     gc.disable()
@@ -1394,7 +1482,6 @@ def test_verifier_leaves_no_stack_for_the_cyclic_gc():
         for _name, board, tree in mutations:
             verify_maker_strategy(board, tree)
         assert verify_maker_strategy(twins, twin_tree).verified
-        audit_coverage(lifted)
         left = sum(1 for obj in gc.get_objects() if type(obj) is _Stack)
     finally:
         gc.enable()
