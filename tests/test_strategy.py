@@ -731,7 +731,7 @@ def test_layered_opening_coverage_follows_the_base_strategy():
     machine = _Machine(gen_gamma_prime())
     _node, stack, masks = machine._enter(lift_gamma_prime(s).root, machine.root, ())
     y, tip = gadget_y(4, 2, 3), gamma_t(4, 2)
-    assert stack.table[y] == ("dyn", 3 * 3 + 1, ())
+    assert stack.table[y] == ("dyn", 3 * (4 - 1) + (2 - 1), ())  # spoke (4, 2)
     assert machine._resolve_dyn(stack, masks, stack.table[y]) == (
         "vertex", tip, ((0, tip),)
     )
