@@ -104,7 +104,10 @@ def _cmd_gen(args, argv, start) -> int:
     if args.name == "kpartite":
         if args.k is None or args.n is None:
             raise _UsageError("gen kpartite requires --k and --n")
-        h = gen_complete_multipartite(args.k, args.n)
+        try:
+            h = gen_complete_multipartite(args.k, args.n)
+        except ValueError as exc:
+            raise _UsageError(f"gen kpartite: {exc}") from None
         banner = f"# construction: kpartite k={args.k} n={args.n}\n"
     else:
         if args.k is not None or args.n is not None:
@@ -362,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HgParseError as exc:
+    except (HgParseError, UnicodeDecodeError) as exc:
+        # only ``_load_board`` parses or decodes input
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -59,18 +59,16 @@ def _edit_layer(tree: StrategyTree, fn) -> StrategyTree:
                         EnterLayer(fn(enter.layer), enter.then))
 
 
-def _pentagon_mutations() -> list:
+def _pentagon_mutations(s: StrategyTree) -> list:
     w, x, t = gamma_w, gamma_x, gamma_t
     out = []
 
-    s = build_gamma_strategy()
     out.append(("case-claims-wrong-hub", s.board, _edit(
         s,
         lambda n: isinstance(n, Claim) and n.vertex == w(2),
         lambda n: replace(n, vertex=w(3)),
     )))
 
-    s = build_gamma_strategy()
     out.append(("forced-reply-swapped", s.board, _edit(
         s,
         lambda n: isinstance(n, Respond) and len(n.branches) == 1
@@ -80,15 +78,12 @@ def _pentagon_mutations() -> list:
         )),
     )))
 
-    s = build_gamma_strategy()
     out.append(("case-branch-dropped", s.board, _edit(
         s,
         lambda n: isinstance(n, Respond) and len(n.branches) == 2
         and n.branches[1][0].name == "toward-e2",
         lambda n: replace(n, branches=n.branches[:1]),
     )))
-
-    s = build_gamma_strategy()
 
     def _shrink_hub_class(branches):
         cls, child = branches[0]
@@ -98,14 +93,12 @@ def _pentagon_mutations() -> list:
     out.append(("opening-class-gap", s.board,
                 _edit_root_branches(s, _shrink_hub_class)))
 
-    s = build_gamma_strategy()
     out.append(("wrong-win-assertion", s.board, _edit(
         s,
         lambda n: isinstance(n, WinNow) and n.edge == 16,
         lambda n: WinNow(19),
     )))
 
-    s = build_gamma_strategy()
     out.append(("default-claims-taken-vertex", s.board, _edit(
         s,
         lambda n: isinstance(n, Respond) and len(n.branches) == 2
@@ -113,15 +106,12 @@ def _pentagon_mutations() -> list:
         lambda n: replace(n, default=Claim(w(1), n.default)),
     )))
 
-    s = build_gamma_strategy()
     out.append(("win-asserted-too-early", s.board, _edit(
         s,
         lambda n: isinstance(n, Claim) and n.vertex == x(4, 2)
         and isinstance(n.then, WinNow),
         lambda n: n.then,
     )))
-
-    s = build_gamma_strategy()
 
     def _swap_case(branches):
         cls, _ = branches[1]
@@ -132,11 +122,8 @@ def _pentagon_mutations() -> list:
     return out
 
 
-def _gadget_mutations() -> list:
+def _gadget_mutations(s: StrategyTree) -> list:
     out = []
-
-    def lifted() -> StrategyTree:
-        return lift_gamma_prime(build_gamma_strategy())
 
     def d_opening(layer: Layer) -> Layer:
         eg = layer.on_win[0]
@@ -144,7 +131,6 @@ def _gadget_mutations() -> list:
         return replace(layer, on_win={**layer.on_win,
                                       0: replace(eg, default=opener)})
 
-    s = lifted()
     out.append(("endgame-wrong-opening", s.board, _edit_layer(s, d_opening)))
 
     def d_branch(layer: Layer) -> Layer:
@@ -152,7 +138,6 @@ def _gadget_mutations() -> list:
         pruned = replace(eg, branches=eg.branches[:1] + eg.branches[2:])
         return replace(layer, on_win={**layer.on_win, 0: pruned})
 
-    s = lifted()
     out.append(("endgame-branch-dropped", s.board, _edit_layer(s, d_branch)))
 
     def d_bound(layer: Layer) -> Layer:
@@ -166,43 +151,34 @@ def _gadget_mutations() -> list:
             raise AssertionError("mutation target not found")
         return replace(layer, on_win={**layer.on_win, 0: eg})
 
-    s = lifted()
     out.append(("endgame-bound-zero", s.board, _edit_layer(s, d_bound)))
 
     def d_win_edge(layer: Layer) -> Layer:
         return replace(layer, win_edges={**layer.win_edges, 19: 105})
 
-    s = lifted()
     out.append(("long-edge-mapped-wrong", s.board,
                 _edit_layer(s, d_win_edge)))
     return out
 
 
-def _apex_mutations() -> list:
+def _apex_mutations(s: StrategyTree) -> list:
     out = []
 
-    def lifted() -> StrategyTree:
-        return lift_g4(lift_gamma_prime(build_gamma_strategy()))
-
-    s = lifted()
     out.append(("advance-claims-occupied", s.board, _edit(
         s,
         lambda n: isinstance(n, Claim) and n.vertex == g4_v(2),
         lambda n: replace(n, vertex=g4_v(1)),
     )))
 
-    s = lifted()
     out.append(("missing-opening-claim", s.board,
                 StrategyTree(s.board, s.first_mover, s.root.then)))
 
-    s = lifted()
     out.append(("switch-claims-apex", s.board, _edit(
         s,
         lambda n: isinstance(n, Claim) and n.vertex == g4_s(2),
         lambda n: replace(n, vertex=g4_v(1)),
     )))
 
-    s = lifted()
     out.append(("switch-claimed-twice", s.board, _edit(
         s,
         lambda n: isinstance(n, Claim) and n.vertex == g4_s(2),
@@ -211,10 +187,9 @@ def _apex_mutations() -> list:
     return out
 
 
-def _tree_mutations() -> list:
+def _tree_mutations(s: StrategyTree) -> list:
     out = []
 
-    s = build_g3_strategy()
     out.append(("class-includes-own-claim", s.board, _edit(
         s,
         lambda n: isinstance(n, Respond) and n.branches
@@ -226,7 +201,6 @@ def _tree_mutations() -> list:
         )),
     )))
 
-    s = build_g3_strategy()
     out.append(("insufficient-bound", s.board, _edit(
         s,
         lambda n: isinstance(n, Respond) and not n.branches
@@ -236,13 +210,9 @@ def _tree_mutations() -> list:
     return out
 
 
-def _split_mutations() -> list:
+def _split_mutations(s: StrategyTree) -> list:
     out = []
 
-    def lifted() -> StrategyTree:
-        return lift_split(build_g3_strategy(), gen_g3())
-
-    s = lifted()
     out.append(("completion-leaves-dropped", s.board,
                 _edit_layer(s, lambda layer: replace(layer, on_win={}))))
 
@@ -256,7 +226,6 @@ def _split_mutations() -> list:
                 (), ClaimFirstFree((n + 2 * f, n + 2 * f + 1)))
         return replace(layer, on_win=shifted)
 
-    s = lifted()
     out.append(("completion-leaves-shifted", s.board,
                 _edit_layer(s, d_shift)))
     return out
@@ -266,12 +235,17 @@ def named_mutations() -> list[tuple[str, Hypergraph, StrategyTree]]:
     """Twenty broken strategies as (name, board, tree) triples.
 
     Every entry is a correct shipped strategy with exactly one defect
-    injected; verification must fail on each of them.
+    injected; verification must fail on each of them.  Trees are
+    immutable, so each shipped strategy is built once and every edit
+    rebuilds only the spine it changes.
     """
+    gamma = build_gamma_strategy()
+    gamma_prime = lift_gamma_prime(gamma)
+    g3 = build_g3_strategy()
     return (
-        _pentagon_mutations()
-        + _gadget_mutations()
-        + _apex_mutations()
-        + _tree_mutations()
-        + _split_mutations()
+        _pentagon_mutations(gamma)
+        + _gadget_mutations(gamma_prime)
+        + _apex_mutations(lift_g4(gamma_prime))
+        + _tree_mutations(g3)
+        + _split_mutations(lift_split(g3, gen_g3()))
     )

@@ -13,7 +13,7 @@ final ``Claim(v, WinNow(e))`` acts as "claim v, which completes e".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Union
 
 from ..core import Hypergraph, Side, is_automorphism, iter_bits
@@ -38,9 +38,10 @@ __all__ = [
 @dataclass(frozen=True)
 class ReplyClass:
     """A named set of opponent replies (in the coordinates of the board the
-    surrounding script plays on)."""
+    surrounding script plays on).  Classes compare by vertex set: the name
+    is a label for readers and reports."""
 
-    name: str
+    name: str = field(compare=False)
     vertices: frozenset
 
     def __contains__(self, v: int) -> bool:
@@ -166,26 +167,24 @@ def replace_first(node: Node, pred: Callable[[Node], bool], repl: Callable[[Node
     return node, False
 
 
-def conjugate(s: StrategyTree, perm) -> StrategyTree:
-    """Relabel a strategy through a board automorphism: claim vertices,
-    reply classes, node relevance masks and win-edge indices all map
-    through ``perm``.  The verification verdict is invariant.
+def _relabel(root: Node, perm, board: Hypergraph) -> Node:
+    """``root``, a script on ``board``, relabelled through the vertex map
+    ``perm``: claim vertices, reply classes, node relevance masks and
+    win-edge indices all map through it, and a shared subtree stays shared.
 
-    Raises ``ValueError`` when ``perm`` is not an automorphism, when the
-    script names a vertex or edge off the board (a relevance mask names
-    its bits), and on any ``EnterLayer``: the script under a layer names
-    vertices of the layer's board, which ``perm`` does not act on, so
-    relabelling it would need the layer itself conjugated too."""
-    if not is_automorphism(s.board, perm):
-        raise ValueError("permutation is not an automorphism of the board")
+    Raises ``KeyError`` on a vertex off the board or an edge that ``perm``
+    maps off it, and ``ValueError`` on an edge index off the board, a
+    negative relevance mask and any ``EnterLayer``: the script under a
+    layer names vertices of the layer's board, which ``perm`` does not act
+    on."""
     # a dict, so that an off-board vertex is a KeyError, not a wrapped index
     to = dict(enumerate(perm))
-    edge_sets = {frozenset(e): i for i, e in enumerate(s.board.edges)}
+    masks = board.edge_masks
     cache: dict[int, Node] = {}
 
-    def conv(node: Node | None) -> Node | None:
-        if node is None:
-            return None
+    def conv(node):
+        if node is None or type(node) is BoundedWin:
+            return node
         got = cache.get(id(node))
         if got is not None:
             return got
@@ -194,38 +193,50 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
         elif isinstance(node, ClaimFirstFree):
             out = ClaimFirstFree(tuple(to[v] for v in node.vertices), conv(node.then))
         elif isinstance(node, WinNow):
-            if not 0 <= node.edge < len(s.board.edges):
+            if not 0 <= node.edge < len(masks):
                 raise ValueError(
                     f"WinNow names edge {node.edge}, which is not on the board"
                 )
-            image = frozenset(to[v] for v in s.board.edges[node.edge])
-            out = WinNow(edge_sets[image])
+            image = sum(1 << to[v] for v in iter_bits(masks[node.edge]))
+            # the image is one of the edges through the image of any vertex
+            near = board.incidence[to[board.edges[node.edge][0]]]
+            out = WinNow({masks[f]: f for f in near}[image])
         elif isinstance(node, Respond):
             branches = tuple(
                 (ReplyClass(c.name, frozenset(to[v] for v in c.vertices)), conv(child))
                 for c, child in node.branches
             )
-            default = node.default
-            if isinstance(default, (Claim, ClaimFirstFree, Respond, WinNow, EnterLayer)):
-                default = conv(default)
             rel = node.relevance
             if rel is not None:
                 if rel < 0:
                     raise ValueError("node relevance mask is negative")
                 rel = sum(1 << to[v] for v in iter_bits(rel))
-            out = Respond(branches, default, rel)
+            out = Respond(branches, conv(node.default), rel)
         elif isinstance(node, EnterLayer):
-            raise ValueError(
-                f"cannot conjugate a script that enters layer {node.layer.name!r}"
-            )
+            name = getattr(node.layer, "name", node.layer)
+            raise ValueError(f"cannot conjugate a script that enters layer {name!r}")
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown node {node!r}")
         cache[id(node)] = out
         return out
 
+    return conv(root)
+
+
+def conjugate(s: StrategyTree, perm) -> StrategyTree:
+    """Relabel a strategy through a board automorphism (see ``_relabel``).
+    The verification verdict is invariant.
+
+    Raises ``ValueError`` when ``perm`` is not an automorphism, when the
+    script names a vertex or edge off the board (a relevance mask names
+    its bits), and on any ``EnterLayer``: relabelling the script under a
+    layer would need the layer itself conjugated too."""
+    if not is_automorphism(s.board, perm):
+        raise ValueError("permutation is not an automorphism of the board")
     try:
-        root = conv(s.root)
+        root = _relabel(s.root, perm, s.board)
     except KeyError as missing:
+        # an automorphism maps every edge onto an edge, so this is a vertex
         raise ValueError(
             f"strategy names vertex {missing.args[0]}, which is not on the board"
         ) from None
@@ -233,60 +244,11 @@ def conjugate(s: StrategyTree, perm) -> StrategyTree:
 
 
 def is_conjugate(a, b, perm, board: Hypergraph) -> bool:
-    """Whether script ``b`` is script ``a`` relabelled through the
-    permutation ``perm`` of ``board``, as ``conjugate`` relabels it, except
-    that reply classes are compared by vertex set and not by name.  A
-    script that enters a layer or names anything off the board is never
-    the image of another."""
-    to = dict(enumerate(perm))
-    edge_masks = board.edge_masks
-    seen: dict = {}
-
-    def image(mask: int):
-        if mask < 0 or mask >> len(perm):
-            return None
-        return sum(1 << to[v] for v in iter_bits(mask))
-
-    def vertices(vs) -> list:
-        return [to.get(v) for v in vs]
-
-    def same(a, b) -> bool:
-        key = (id(a), id(b))
-        got = seen.get(key)
-        if got is None:
-            got = seen[key] = compare(a, b)
-        return got
-
-    def compare(a, b) -> bool:
-        kind = type(a)
-        if kind is not type(b):
-            return False
-        if a is None or kind is BoundedWin:
-            return a == b
-        if kind is Claim:
-            return to.get(a.vertex) == b.vertex and same(a.then, b.then)
-        if kind is ClaimFirstFree:
-            return vertices(a.vertices) == list(b.vertices) and same(a.then, b.then)
-        if kind is WinNow:
-            m = len(edge_masks)
-            return (
-                0 <= a.edge < m
-                and 0 <= b.edge < m
-                and image(edge_masks[a.edge]) == edge_masks[b.edge]
-            )
-        if kind is Respond:
-            if len(a.branches) != len(b.branches):
-                return False
-            if (a.relevance is None) != (b.relevance is None) or (
-                a.relevance is not None and image(a.relevance) != b.relevance
-            ):
-                return False
-            for (cls_a, child_a), (cls_b, child_b) in zip(a.branches, b.branches):
-                if set(vertices(cls_a.vertices)) != cls_b.vertices:
-                    return False
-                if not same(child_a, child_b):
-                    return False
-            return same(a.default, b.default)
+    """Whether script ``b`` equals script ``a`` relabelled through the
+    permutation ``perm`` of ``board`` as ``conjugate`` relabels it.  Reply
+    classes compare by vertex set, not by name.  A script that enters a
+    layer or names anything off the board is never the image of another."""
+    try:
+        return _relabel(a, perm, board) == b
+    except (KeyError, ValueError):
         return False
-
-    return same(a, b)

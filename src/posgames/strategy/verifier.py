@@ -77,14 +77,15 @@ layer) the replies are still explored in ascending order, but a reply w
 is skipped when a derived permutation σ maps a reply u that is known to
 succeed onto w and w's child is the σ-image of u's, reply classes compared
 by vertex set.  σ is an automorphism of the innermost board, found by
-``core.Automorphisms.find`` to map u's coordinate onto w's, lifted
-through each layer's embedding and its dynamic groups' member order, and
-fixing every other vertex.  It is used
-only if it fixes the real and every layer's claim masks, is an
-automorphism of the real board once the state's Maker stones are taken
-off every edge, and maps the stack's resolution table, fixed relevance,
-dynamic groups with their fallback orders, ``win_edges`` and ``on_win``
-continuations onto themselves (see ``_Symmetry``).  This is sound by
+``core.Automorphisms.find`` to map the coordinate u dispatches on onto
+w's, lifted through each layer's embedding and its dynamic groups'
+member order, and fixing every other vertex.  It is used only if it
+maps u onto w on the real board, fixes the real and every layer's claim
+masks, is an automorphism of the real board once the state's Maker
+stones are taken off every edge, and maps the stack's resolution table,
+fixed relevance, dynamic groups with their fallback orders,
+``win_edges`` and ``on_win`` continuations onto themselves (see
+``_Symmetry``).  This is sound by
 monotonicity: an extra Maker stone never hurts Maker, so an edge is won
 once its vertices outside Maker's stones are claimed, and a residual
 automorphism that fixes the state maps every line after u, and every win
@@ -232,8 +233,8 @@ class _Stack:
     the automorphism carrying this stack onto it as (shift, source mask)
     pairs.  ``sym`` holds, once a stone-free node on the stack needs them,
     the innermost board's ``Automorphisms``, whose ``find`` proposes the
-    candidates, ``_spots`` and, per candidate tried, its lift if that
-    passed ``_fits_stack`` and else None (see ``_Symmetry``).
+    candidates, and, per candidate tried, its lift if that passed
+    ``_fits_stack`` and else None (see ``_Symmetry``).
 
     Stacks point at their children and the children back at them, so the
     machine breaks those cycles when a run ends (``_Machine.release``).
@@ -1231,16 +1232,16 @@ class _Symmetry:
     """The symmetries of one stone-free opponent node, derived on demand.
 
     A candidate ``g`` is an automorphism of the innermost board that
-    ``Automorphisms.find`` builds to map a reply known to succeed, and the
-    coordinate it dispatches on, onto the reply to cover and its
-    coordinate.  ``_lift`` carries ``g`` to every board of the stack, and
-    the candidate is accepted only if the lift passes ``_fits_stack``
-    (checked once per stack) and ``_fits_state`` (checked once per node),
-    the two checks that also decide copy sharing (``_Machine._symmetric``).
-    A reply ``w`` is covered when an accepted ``g`` maps a reply ``u``
-    known to succeed onto ``w`` on the real board and the child ``w``
-    dispatches to is the ``g``-image of ``u``'s (``is_conjugate``).  A
-    reply covered this way is known to succeed as well.
+    ``Automorphisms.find`` builds to map the coordinate a reply known to
+    succeed dispatches on onto the coordinate of the reply to cover.
+    ``_lift`` carries ``g`` to every board of the stack, and the candidate
+    is accepted only if the lift passes ``_fits_stack`` (checked once per
+    stack) and ``_fits_state`` (checked once per node), the two checks that
+    also decide copy sharing (``_Machine._symmetric``).  A reply ``w`` is
+    covered when an accepted ``g`` maps a reply ``u`` known to succeed
+    onto ``w`` on the real board and the child ``w`` dispatches to is the
+    ``g``-image of ``u``'s (``is_conjugate``).  A reply covered this way
+    is known to succeed as well.
     """
 
     __slots__ = (
@@ -1251,7 +1252,6 @@ class _Symmetry:
         "ra",
         "rb",
         "autos",
-        "spots",
         "fits",
         "tried",
         "accepted",
@@ -1266,8 +1266,8 @@ class _Symmetry:
         self.ra = ra
         self.rb = rb
         if stack.sym is None:
-            stack.sym = (Automorphisms(stack.board), _spots(stack), {})
-        self.autos, self.spots, self.fits = stack.sym
+            stack.sym = (Automorphisms(stack.board), {})
+        self.autos, self.fits = stack.sym
         # tuple(g) -> the lift of g when it is accepted here, else None
         self.tried: dict = {}
         # (lift, inverse of its real permutation) per accepted candidate
@@ -1299,9 +1299,8 @@ class _Symmetry:
         known to succeed, under an accepted candidate: one accepted
         already, or one ``find`` builds from ``w`` and a reply in
         ``done``."""
-        spot_w = self.spots.get(w)
         child_w = self.child(w)
-        if spot_w is None or child_w is None:
+        if child_w is None:
             return False
         board = self.stack.board
         for perms, inverse in self.accepted:
@@ -1313,11 +1312,10 @@ class _Symmetry:
                 ):
                     return True
         for u in done:
-            spot_u = self.spots.get(u)
             child_u = self.child(u)
-            if spot_u is None or child_u is None or spot_u[1] != spot_w[1]:
+            if child_u is None:
                 continue
-            g = self.autos.find([(spot_u[0], spot_w[0]), (child_u[0], child_w[0])])
+            g = self.autos.find([(child_u[0], child_w[0])])
             if g is None:
                 continue
             perms = self.accept(g)
@@ -1351,24 +1349,6 @@ class _Symmetry:
                 inverse[image] = v
             self.accepted.append((perms, inverse))
         return perms
-
-
-def _spots(stack: _Stack) -> dict:
-    """Where each real vertex sits relative to the innermost board: (its
-    coordinate, -1) for the image of a coordinate, (the group's home, its
-    position among the members) for a member of a dynamic group.  A lift
-    maps a vertex to the vertex of the same kind at the image coordinate
-    and fixes the vertices that are neither."""
-    spots = {}
-    layer = stack.layer
-    if layer is not None:
-        real = stack.parent.real
-        for members, home, _fallbacks in layer.dynamic_groups:
-            for m, v in enumerate(members):
-                spots[real[v]] = (home, m)
-    for c, v in enumerate(stack.real):
-        spots[v] = (c, -1)
-    return spots
 
 
 def _lift(stack: _Stack, g) -> tuple | None:
@@ -1569,28 +1549,21 @@ def _apply_segments(segs: tuple, mask: int) -> int:
     return out
 
 
-def verify_maker_strategy(
-    h: Hypergraph,
-    s: StrategyTree,
-    first_mover: Side | None = None,
-) -> VerificationReport:
-    """Check ``s`` against every opponent line on ``h``.
+def verify_maker_strategy(h: Hypergraph, s: StrategyTree) -> VerificationReport:
+    """Check ``s`` against every opponent line on ``h``, with
+    ``s.first_mover`` moving first.
 
-    ``first_mover`` must match the strategy's declared first mover when
-    given.  The result never raises for defects in the strategy itself:
-    those are reported as the first counterexample in canonical move order.
+    The result never raises for defects in the strategy itself: those are
+    reported as the first counterexample in canonical move order.
     """
     if s.board != h:
         raise ValueError("strategy board does not match the hypergraph")
-    mover = s.first_mover if first_mover is None else first_mover
-    if mover is not s.first_mover:
-        raise ValueError("first_mover does not match the strategy")
     machine = _Machine(h)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
     started = time.perf_counter()
     try:
-        if mover is Side.A:
+        if s.first_mover is Side.A:
             machine._maker_turn(s.root, machine.root, (), 0, 0)
         else:
             machine._opponent_turn(s.root, machine.root, (), 0, 0)

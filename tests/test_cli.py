@@ -74,6 +74,17 @@ class TestGen:
         code, _, _ = _run(capsys, "gen", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["0", "30"])
+    def test_kpartite_bad_shape_exits_two(self, capsys, tmp_path, k):
+        """A part count below 1 or one past the edge cap is a usage error."""
+        path = tmp_path / "kp.hg"
+        code, out, err = _run(
+            capsys, "gen", "kpartite", "--k", k, "--n", "3", "-o", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: gen kpartite: ")
+        assert not path.exists()
+
 
 class TestInfo:
     def test_identifies_builtin_with_erratum(self, capsys, tmp_path):
@@ -105,6 +116,14 @@ class TestInfo:
         code, out, err = _run(capsys, "info", str(path))
         assert (code, out) == (3, "")
         assert "line 1" in err
+
+    def test_non_utf8_board_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(b"p hg 2 1\n\xff\ne 1 2\n")
+        for argv in (["info"], ["solve", "mb", "--first", "maker"]):
+            code, out, err = _run(capsys, *argv, str(path))
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: {path}: ") and "utf-8" in err
 
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, out, err = _run(capsys, "info", str(tmp_path / "none.hg"))
