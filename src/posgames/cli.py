@@ -143,6 +143,24 @@ def _cmd_info(args, argv, start) -> int:
     return 0
 
 
+def _emit_solve(args, argv, start, rep, game: str, first: str) -> int:
+    """Report a solve; a node-limit exhaustion is reported, then exits 4."""
+    cert = rep.certificate
+    payload = {
+        "game": game,
+        "first": first,
+        "winner": side_name(rep.winner, game) if rep.winner else None,
+        "nodes": rep.nodes_expanded,
+        "certificate": {"kind": cert.kind, "payload": cert.payload} if cert else None,
+        "exhausted": rep.exhausted,
+    }
+    _emit_report(args, argv, payload, start)
+    if rep.exhausted:
+        print("error: node limit exhausted", file=sys.stderr)
+        return 4
+    return 0
+
+
 def _cmd_solve_mb(args, argv, start) -> int:
     h = _load_board(args.file)
     prune = not args.no_prune
@@ -154,43 +172,13 @@ def _cmd_solve_mb(args, argv, start) -> int:
         node_limit=args.node_limit,
     )
     first = Side.A if args.first == "maker" else Side.B
-    rep = solve_mb(h, first, opts)
-    payload = {
-        "game": "mb",
-        "first": args.first,
-        "winner": side_name(rep.winner, "mb") if rep.winner else None,
-        "nodes": rep.nodes_expanded,
-        "certificate": (
-            {"kind": rep.certificate.kind, "payload": rep.certificate.payload}
-            if rep.certificate
-            else None
-        ),
-        "exhausted": rep.exhausted,
-    }
-    _emit_report(args, argv, payload, start)
-    if rep.exhausted:
-        print("error: node limit exhausted", file=sys.stderr)
-        return 4
-    return 0
+    return _emit_solve(args, argv, start, solve_mb(h, first, opts), "mb", args.first)
 
 
 def _cmd_solve_cp(args, argv, start) -> int:
     h = _load_board(args.file)
     opts = CPOptions(use_lemma23=not args.no_lemma23, node_limit=args.node_limit)
-    rep = solve_cp(h, opts)
-    payload = {
-        "game": "cp",
-        "first": "picker",
-        "winner": side_name(rep.winner, "cp") if rep.winner else None,
-        "nodes": rep.nodes_expanded,
-        "certificate": None,
-        "exhausted": rep.exhausted,
-    }
-    _emit_report(args, argv, payload, start)
-    if rep.exhausted:
-        print("error: node limit exhausted", file=sys.stderr)
-        return 4
-    return 0
+    return _emit_solve(args, argv, start, solve_cp(h, opts), "cp", "picker")
 
 
 def _verification_target(name: str):

@@ -94,6 +94,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _savable_name(name: str) -> bool:
+    """Exactly the names an ``n`` line of a .hg file can carry; a text-mode
+    read breaks lines at a lone "\r" as well."""
+    return bool(name) and name == name.strip() and not {"\n", "\r"} & set(name)
+
+
 class Hypergraph:
     """A finite hypergraph: ``vertex_count`` vertices and an ordered edge list.
 
@@ -147,9 +153,7 @@ class Hypergraph:
                 if not 0 <= idx < vertex_count:
                     raise ValueError(f"name index {idx} out of range")
                 name = str(name)
-                # exactly the names an ``n`` line of a .hg file can carry; a
-                # text-mode read breaks lines at a lone "\r" as well
-                if not name or name != name.strip() or {"\n", "\r"} & set(name):
+                if not _savable_name(name):
                     raise ValueError(f"vertex name {name!r} cannot be saved")
                 nm[int(idx)] = name
         object.__setattr__(self, "names", nm)
@@ -485,7 +489,11 @@ def load_hypergraph(data: str | bytes) -> Hypergraph:
     Raises :class:`HgParseError` with the offending 1-based line number.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise HgParseError("invalid UTF-8", line) from None
 
     vertex_count = -1
     edge_count = -1
@@ -524,6 +532,8 @@ def load_hypergraph(data: str | bytes) -> Hypergraph:
                 raise HgParseError("malformed line", lineno) from None
             if not 1 <= idx <= vertex_count:
                 raise HgParseError("index out of range", lineno)
+            if not _savable_name(sub[2]):
+                raise HgParseError("malformed name", lineno)
             names[idx - 1] = sub[2]
         elif kind == "e":
             if vertex_count < 0:

@@ -13,11 +13,11 @@ live edge are interchangeable, so offers touching them are explored through
 a single representative; a Chooser response taking a live vertex over a dead
 one dominates, so the dead branch of a mixed offer is skipped.
 
-A child's residuals are derived from its parent's canonical residuals rather
-than from every board edge: a superset the parent dropped either stays
-dominated in the child or dies with its subset, so the canonical set, and
-with it the memo key, is the same either way.  The search is single-threaded
-and deterministic.
+A position is searched as the Maker-Breaker solver's canonical residual
+set, and a child's set is derived from its parent's with the same claims
+(``mb._maker_claim`` for Chooser's vertex, ``mb._breaker_claim`` for
+Picker's), not rebuilt from the board.  The search is single-threaded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,14 @@ from typing import Callable
 
 from .constructions import gcp_x, gcp_y, gcp_z
 from .core import Hypergraph, Position, Side, iter_bits
-from .mb import SolveReport, _Budget, _canon, _Exhausted
+from .mb import (
+    SolveReport,
+    _breaker_claim,
+    _Budget,
+    _Exhausted,
+    _maker_claim,
+    _residuals,
+)
 
 __all__ = [
     "CPOptions",
@@ -38,7 +45,6 @@ __all__ = [
     "CaseValidationReport",
     "solve_cp",
     "cp_winner_from",
-    "lemma23_offer",
     "gcp_case_table",
     "validate_case_table",
 ]
@@ -53,100 +59,79 @@ class CPOptions:
     node_limit: int | None = None
 
 
-def lemma23_offer(p: Position) -> tuple[int, int] | None:
-    """The forced offer, if any: the two unclaimed vertices of the first
-    (lowest-index) edge that has no Picker vertex and exactly two unclaimed
-    vertices.  Picker may restrict the next offer to this pair without
-    changing the game value."""
-    for m in p.board.edge_masks:
-        if m & p.b_mask:
-            continue
-        r = m & ~p.a_mask
-        if r.bit_count() == 2:
-            lo = r & -r
-            return (lo.bit_length() - 1, (r ^ lo).bit_length() - 1)
-    return None
-
-
 class _CPSearch:
-    """Memoized Chooser-Picker evaluation on one board."""
+    """Memoized Chooser-Picker evaluation on one board.  A position is its
+    canonical residual set and its number of unclaimed vertices; the memo
+    key counts only the dead ones, outside every residual."""
 
     def __init__(self, board: Hypergraph, opts: CPOptions):
         self.board = board
         self.opts = opts
-        self.masks = board.edge_masks
-        self.full = board.full_mask
         self.memo: dict = {}
         self.budget = _Budget(opts.node_limit)
 
-    def _analyze(self, a: int, b: int, masks):
-        """("win", side) or ("open", memo_key, canon, unclaimed_mask) for the
-        position (a, b), whose residuals are read off ``masks``: the board's
-        edge masks, or the canonical residuals of an ancestor position."""
-        rs = [m & ~a for m in masks if not m & b]
-        if not rs:
-            return ("win", Side.B, None, None)
-        for r in rs:
-            if r & (r - 1) == 0:
-                # A completed edge, or a live edge one vertex short: Picker
-                # can never claim that vertex (Chooser takes it from any
-                # offer, or by the final odd-vertex rule), so Chooser wins.
-                return ("win", Side.A, None, None)
-        canon = _canon(rs)
-        unclaimed = self.full & ~(a | b)
-        live = 0
-        for r in canon:
-            live |= r
-        key = (canon, (unclaimed & ~live).bit_count())
-        return ("open", key, canon, unclaimed)
+    def position(self, a: int, b: int) -> Side:
+        """Value of the position in which Chooser holds ``a`` and Picker
+        ``b``."""
+        canon = _residuals(self.board, a, b)
+        if canon is None:
+            return Side.A
+        return self.value(canon, (self.board.full_mask & ~(a | b)).bit_count())
 
-    def _offers(self, a: int, b: int, canon, unclaimed) -> list[list[tuple[int, int]]]:
-        """Candidate offers as branch lists; Picker wins the node iff some
-        offer has every branch Picker-winning."""
-        if self.opts.use_lemma23:
-            for r in canon:
-                if r.bit_count() == 2:
-                    x = r & -r
-                    y = r ^ x
-                    return [[(a | x, b | y), (a | y, b | x)]]
-        live = 0
-        for r in canon:
-            live |= r
-        us = [1 << v for v in iter_bits(unclaimed & live)]
-        ds = []
-        for v in iter_bits(unclaimed & ~live):
-            ds.append(1 << v)
-            if len(ds) == 2:
-                break
-        offers: list[list[tuple[int, int]]] = []
-        for i, x in enumerate(us):
-            for y in us[i + 1 :]:
-                offers.append([(a | x, b | y), (a | y, b | x)])
-        if ds:
+    def _offers(self, canon, live: int, dead: int) -> list[tuple[int, int]]:
+        """Candidate offers (x, y) as single-bit masks, 0 standing for a
+        dead vertex; Chooser keeping x is tried first."""
+        r = canon[0]
+        if self.opts.use_lemma23 and r.bit_count() == 2:
+            # Lemma 23: offer the first 2-residual; none is smaller.
+            x = r & -r
+            return [(x, r ^ x)]
+        us = [1 << v for v in iter_bits(live)]
+        offers = [(x, y) for i, x in enumerate(us) for y in us[i + 1 :]]
+        if dead:
             # Dead vertices are interchangeable; Chooser keeping the live
             # vertex of a mixed offer dominates, so one branch suffices.
-            offers.extend([(a | x, b | ds[0])] for x in us)
-        if len(ds) >= 2:
-            offers.append([(a | ds[0], b | ds[1])])
+            offers += [(x, 0) for x in us]
+        if dead >= 2:
+            offers.append((0, 0))
         return offers
 
-    def value(self, a: int, b: int, masks=None) -> Side:
-        """Value of the position (a, b); ``masks`` as in :meth:`_analyze`,
-        the board's edge masks by default."""
-        state = self._analyze(a, b, self.masks if masks is None else masks)
-        if state[0] == "win":
-            return state[1]
-        _tag, key, canon, unclaimed = state
+    def value(self, canon, free: int) -> Side:
+        """Value of the canonical residual set ``canon`` with ``free``
+        unclaimed vertices; Picker wins iff some offer has every branch
+        Picker-winning."""
+        if not canon:
+            return Side.B
+        if canon[0].bit_count() <= 1:
+            # A live edge one vertex short: Picker can never claim that
+            # vertex (Chooser takes it from any offer, or by the final
+            # odd-vertex rule), so Chooser wins.
+            return Side.A
+        live = 0
+        for r in canon:
+            live |= r
+        dead = free - live.bit_count()
+        key = (canon, dead)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         self.budget.spend()
+        free -= 2
+        # Chooser's claim per kept vertex, shared by the offers holding it;
+        # no residual is a singleton, so none is emptied by the claim.
+        kept = {0: canon}
+
+        def picker_wins(x: int, y: int) -> bool:
+            child = kept.get(x)
+            if child is None:
+                child = kept[x] = _maker_claim(canon, x)
+            if y:
+                child = _breaker_claim(child, y)
+            return self.value(child, free) is Side.B
+
         result = Side.A
-        for branches in self._offers(a, b, canon, unclaimed):
-            for a2, b2 in branches:
-                if self.value(a2, b2, canon) is not Side.B:
-                    break
-            else:
+        for x, y in self._offers(canon, live, dead):
+            if picker_wins(x, y) and (not y or picker_wins(y, x)):
                 result = Side.B
                 break
         self.memo[key] = result
@@ -167,7 +152,7 @@ def solve_cp(h: Hypergraph, opts: CPOptions | None = None) -> SolveReport:
         )
 
     try:
-        winner = search.value(0, 0)
+        winner = search.position(0, 0)
     except _Exhausted:
         return report(None, exhausted=True)
     return report(winner)
@@ -178,7 +163,7 @@ def cp_winner_from(p: Position, opts: CPOptions | None = None) -> Side | None:
     exhaustion)."""
     search = _CPSearch(p.board, opts or CPOptions())
     try:
-        return search.value(p.a_mask, p.b_mask)
+        return search.position(p.a_mask, p.b_mask)
     except _Exhausted:
         return None
 
@@ -324,7 +309,7 @@ def validate_case_table(
                     )
                     continue
                 other = hi if keep == lo else lo
-                winner = search.value(1 << keep, 1 << other)
+                winner = search.position(1 << keep, 1 << other)
                 if winner is not Side.A:
                     failures.append(
                         CaseFailure((lo, hi), rule.name, "chooser_loses", winner)

@@ -125,6 +125,20 @@ def _canon(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def _residuals(board: Hypergraph, a: int, b: int) -> tuple[int, ...] | None:
+    """The canonical residual set of the position in which side A holds
+    ``a`` and side B holds ``b``, or None once A has completed an edge."""
+    masks = []
+    for m in board.edge_masks:
+        if m & b:
+            continue
+        r = m & ~a
+        if r == 0:
+            return None
+        masks.append(r)
+    return _canon(masks)
+
+
 def _maker_claim(masks, bit: int) -> tuple[int, ...]:
     """``_canon`` of the canonical set ``masks`` after Maker claims ``bit``,
     given that every residual through ``bit`` keeps another vertex.
@@ -373,12 +387,13 @@ def check_report(h: Hypergraph, report: SolveReport) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _search(masks, to_move: Side, opts: MBOptions) -> tuple[Side | None, int]:
-    """Exact value of the residual set ``masks`` (no residual empty) and the
-    nodes expanded; the value is None when the node limit was hit."""
+def _search(canon, to_move: Side, opts: MBOptions) -> tuple[Side | None, int]:
+    """Exact value of the canonical residual set ``canon`` (no residual
+    empty) and the nodes expanded; the value is None when the node limit
+    was hit."""
     budget = _Budget(opts.node_limit)
     try:
-        return _value(_canon(masks), to_move, {}, budget, opts), budget.count
+        return _value(canon, to_move, {}, budget, opts), budget.count
     except _Exhausted:
         return None, budget.count
 
@@ -387,16 +402,10 @@ def solve_winner(p: Position, opts: MBOptions | None = None) -> Side | None:
     """Game value from an arbitrary position (None only on node-limit
     exhaustion).  Used by tests and the strategy tooling; certificates are
     the business of :func:`solve_mb`."""
-    opts = opts or MBOptions()
-    masks = []
-    for m in p.board.edge_masks:
-        if m & p.b_mask:
-            continue
-        r = m & ~p.a_mask
-        if r == 0:
-            return Side.A
-        masks.append(r)
-    return _search(masks, p.to_move(), opts)[0]
+    canon = _residuals(p.board, p.a_mask, p.b_mask)
+    if canon is None:
+        return Side.A
+    return _search(canon, p.to_move(), opts or MBOptions())[0]
 
 
 def solve_mb(
@@ -457,5 +466,5 @@ def solve_mb(
                 Side.B, 0, Certificate("erdos_selfridge", {"potential": str(pot)})
             )
 
-    winner, nodes = _search(h.edge_masks, first_mover, opts)
+    winner, nodes = _search(_residuals(h, 0, 0), first_mover, opts)
     return report(winner, nodes, exhausted=winner is None)

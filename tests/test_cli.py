@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,23 @@ _SCHEMA = json.loads(
     .read_text(encoding="utf-8")
 )
 
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 _BUILTINS = ["g3", "gcp", "gamma", "gamma-prime", "g4"]
+
+
+def _run_module(module, *argv):
+    """``python -m module argv...`` in a child that finds ``src`` on its
+    path, as the test process does."""
+    path = [_SRC, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
 
 
 def _run(capsys, *argv):
@@ -301,19 +318,9 @@ class TestEnvelope:
         assert code == 2
 
     def test_module_entry_point(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "posgames.cli", "gen", "g3"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+        proc = _run_module("posgames.cli", "gen", "g3")
         assert load_hypergraph(proc.stdout).vertex_count == 15
 
     def test_package_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "posgames", "gen", "g3"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+        proc = _run_module("posgames", "gen", "g3")
         assert load_hypergraph(proc.stdout).vertex_count == 15

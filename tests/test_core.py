@@ -331,6 +331,8 @@ class TestHgFormat:
             ("p hg 2 1\ne\ne 1 2\n", "malformed line", 2),
             ("p hg 2 1\ne 1 z\n", "malformed line", 2),
             ("p hg 2 1\nn 1\ne 1 2\n", "malformed line", 2),
+            ("p hg 1 0\nn 1 a\rb\n", "malformed name", 2),
+            (b"p hg 2 1\n\xff\ne 1 2\n", "invalid UTF-8", 2),
         ],
     )
     def test_parse_errors_report_line(self, text, reason, line):

@@ -8,16 +8,16 @@ from helpers import random_hypergraph
 from posgames.constructions import gen_complete_multipartite, gen_gcp
 from posgames.core import Hypergraph, Position, Side, apply_claim
 from posgames.cp import (
+    _CPSearch,
     CaseRule,
     CaseTable,
     CPOptions,
     cp_winner_from,
     gcp_case_table,
-    lemma23_offer,
     solve_cp,
     validate_case_table,
 )
-from posgames.mb import solve_mb
+from posgames.mb import _residuals, solve_mb
 
 
 class TestHeadlineVerdicts:
@@ -43,28 +43,34 @@ class TestHeadlineVerdicts:
         assert solve_cp(Hypergraph(4)).winner is Side.B
 
 
-class TestLemma23Offer:
-    def test_tie_break_is_lowest_edge_index(self):
-        # With Chooser on x_2 both the first long edge and a fan edge
-        # qualify; the long edge has the lower index.
-        p = Position.make(gen_gcp(), claimed_a=[1])
-        assert lemma23_offer(p) == (3, 4)
+def _forced_offer(h, claimed_a=(), claimed_b=()):
+    """The one offer the search restricts Picker to at this position, or
+    None when it tries them all."""
+    p = Position.make(h, claimed_a=claimed_a, claimed_b=claimed_b)
+    canon = _residuals(h, p.a_mask, p.b_mask)
+    live = 0
+    for r in canon:
+        live |= r
+    offers = _CPSearch(h, CPOptions())._offers(canon, live, 0)
+    if len(offers) > 1:
+        return None
+    ((x, y),) = offers
+    return (x.bit_length() - 1, y.bit_length() - 1)
 
-    def test_fan_edge_detected_when_long_edge_dies(self):
-        p = Position.make(gen_gcp(), claimed_a=[1], claimed_b=[3])
-        assert lemma23_offer(p) == (5, 11)
+
+class TestLemma23Offer:
+    def test_forced_offer_is_the_first_canonical_residual(self):
+        # With Chooser on x_2 the long edge {y_1, y_2} comes first in edge
+        # order, but the hub pair {x_1, x_3} is first in (size, value) order.
+        assert _forced_offer(gen_gcp(), claimed_a=[1]) == (0, 2)
+        assert _forced_offer(Hypergraph(4, [(2, 3), (0, 1)])) == (0, 1)
 
     def test_fresh_board_has_no_forced_offer(self):
-        assert lemma23_offer(Position(gen_gcp())) is None
-
-    def test_two_qualifying_edges(self):
-        h = Hypergraph(4, [(2, 3), (0, 1)])
-        assert lemma23_offer(Position(h)) == (2, 3)
+        assert _forced_offer(gen_gcp()) is None
 
     def test_picker_vertex_disqualifies(self):
         h = Hypergraph(4, [(0, 1), (2, 3)])
-        p = Position.make(h, claimed_b=[0])
-        assert lemma23_offer(p) == (2, 3)
+        assert _forced_offer(h, claimed_b=[0]) == (2, 3)
 
 
 class TestPositionValues:
@@ -126,7 +132,10 @@ class TestOptions:
                 rng.shuffle(vs)
                 k = rng.randint(0, h.vertex_count // 2)
                 p = Position.make(h, claimed_a=vs[:k], claimed_b=vs[k : 2 * k])
-                if lemma23_offer(p) is None:
+                # the restriction applies when the smallest residual has two
+                # vertices
+                canon = _residuals(h, p.a_mask, p.b_mask)
+                if not canon or canon[0].bit_count() != 2:
                     continue
                 on = cp_winner_from(p, CPOptions(use_lemma23=True))
                 off = cp_winner_from(p, CPOptions(use_lemma23=False))

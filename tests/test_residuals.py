@@ -1,9 +1,11 @@
 """Differential property tests for the solvers' residual bookkeeping.
 
-The exact solvers derive each child's canonical residual set from its
-parent's instead of rebuilding it from every board edge.  These tests check
-each shortcut against a brute-force reference on random inputs, and check
-that relabelling a board's vertices leaves both solvers' verdicts alone.
+Both exact solvers search canonical residual sets and derive each child's
+set from its parent's with the Maker and Breaker claims, instead of reading
+it off every board edge again; Chooser-Picker's exchanges, mixed offers
+and dead offers are made of the same claims.  These tests check each
+shortcut against a brute-force reference on random inputs, and check that
+relabelling a board's vertices leaves both solvers' verdicts alone.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 
 from helpers import random_hypergraph
 from posgames.core import Hypergraph, Side, iter_bits, permute_hypergraph
-from posgames.cp import CPOptions, _CPSearch, solve_cp
+from posgames.cp import solve_cp
 from posgames.mb import (
     _breaker_claim,
     _canon,
     _lemma22_vertex,
     _maker_claim,
     _ordered_bits,
+    _residuals,
     maker_root_restriction,
     solve_mb,
 )
@@ -123,24 +126,31 @@ def test_lemma22_vertex_matches_degree_counts(h):
 
 @_SETTINGS
 @given(_boards(), st.data())
-def test_cp_analyze_from_ancestor_canon_matches_board(h, data):
-    """Every position along a random line of exchanges is analysed the same
-    from the board's edges as from the canonical residuals of any earlier
-    open position on the line."""
-    order = data.draw(st.permutations(range(h.vertex_count)))
-    search = _CPSearch(h, CPOptions())
+def test_cp_children_match_the_board(h, data):
+    """Along a random line of exchanges, mixed offers and dead offers, the
+    residual set and unclaimed count Chooser-Picker derives from the
+    parent's equal those read off the board at the line's claims."""
+    canon, free = _residuals(h, 0, 0), h.vertex_count
     a = b = 0
-    ancestors = []
-    for i in range(0, len(order) - 1, 2):
-        state = search._analyze(a, b, h.edge_masks)
-        if state[0] != "open":
-            break
-        ancestors.append(state[2])
-        a |= 1 << order[i]
-        b |= 1 << order[i + 1]
-        expected = search._analyze(a, b, h.edge_masks)
-        for canon in ancestors:
-            assert search._analyze(a, b, canon) == expected
+    while canon and canon[0].bit_count() > 1:
+        live = 0
+        for r in canon:
+            live |= r
+        dead = [1 << v for v in iter_bits(h.full_mask & ~(a | b | live))]
+        us = [1 << v for v in iter_bits(live)]
+        kinds = ["exchange", "mixed", "dead"][: 1 + len(dead)]
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "exchange":
+            x, y = data.draw(st.permutations(us))[:2]
+            canon = _breaker_claim(_maker_claim(canon, x), y)
+        elif kind == "mixed":
+            x, y = data.draw(st.sampled_from(us)), data.draw(st.sampled_from(dead))
+            canon = _maker_claim(canon, x)
+        else:
+            x, y = data.draw(st.permutations(dead))[:2]
+        a, b, free = a | x, b | y, free - 2
+        assert canon == _residuals(h, a, b)
+        assert free == (h.full_mask & ~(a | b)).bit_count()
 
 
 @_SETTINGS

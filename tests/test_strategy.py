@@ -930,6 +930,49 @@ def test_sibling_copies_share_successes(monkeypatch):
     assert shared.lines_checked < plain.lines_checked
 
 
+def test_sibling_copies_share_bounded_win_successes(monkeypatch):
+    """The twin copies with scripts that differ but both end in
+    ``BoundedWin(1)``: copy 1 answers Breaker's 1 itself and leaves 2 to
+    the bounded search, copy 2 leaves both to it.  The scripts' opponent
+    nodes differ, so only the bounded searches meet, and copy 1's finds
+    copy 2's success in copy 2's frame."""
+    h, _s, layers = _twin_copies()
+    left_alone = Claim(0, Respond((), BoundedWin(1)))
+    answers_one = Claim(
+        0,
+        Respond(
+            ((ReplyClass("one", frozenset((1,))), Claim(2, WinNow(1))),),
+            BoundedWin(1),
+        ),
+    )
+    root = Respond(
+        (
+            (
+                ReplyClass("first", frozenset((0, 1, 2))),
+                EnterLayer(layers[1], left_alone),
+            ),
+        ),
+        EnterLayer(layers[0], answers_one),
+    )
+    s = StrategyTree(h, Side.B, root)
+    bounded = []
+    shared_key = _Machine._shared_key
+
+    def spy(self, key, stack, node=None, out=0):
+        got = shared_key(self, key, stack, node, out)
+        if node is None:
+            bounded.append(self.memo.get(got))
+        return got
+
+    monkeypatch.setattr(_Machine, "_shared_key", spy)
+    shared = verify_maker_strategy(h, s)
+    assert bounded and all(hit is True for hit in bounded)
+    _refuse_every_pair(monkeypatch)
+    plain = verify_maker_strategy(h, s)
+    assert shared.verified and plain.verified
+    assert shared.lines_checked < plain.lines_checked
+
+
 def _copy_layers(s: StrategyTree) -> dict:
     return {
         node.layer.name: node.layer
