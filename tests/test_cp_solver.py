@@ -63,6 +63,10 @@ class TestLemma23Offer:
         # With Chooser on x_2 the long edge {y_1, y_2} comes first in edge
         # order, but the hub pair {x_1, x_3} is first in (size, value) order.
         assert _forced_offer(gen_gcp(), claimed_a=[1]) == (0, 2)
+
+    def test_two_qualifying_edges(self):
+        # Both pairs qualify; the one with the smaller mask is offered,
+        # whatever the edge order.
         assert _forced_offer(Hypergraph(4, [(2, 3), (0, 1)])) == (0, 1)
 
     def test_fresh_board_has_no_forced_offer(self):
