@@ -91,8 +91,10 @@ def _emit_report(args, argv: list[str], payload: dict, start: float) -> None:
 
 
 def _load_board(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_hypergraph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # the newlines a text-mode read translates, so line numbers match
+    return load_hypergraph(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HgParseError, UnicodeDecodeError) as exc:
-        # only ``_load_board`` parses or decodes input
+    except HgParseError as exc:
+        # only ``_load_board`` parses input
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

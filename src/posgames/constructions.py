@@ -391,8 +391,10 @@ def split_pendant(h: Hypergraph) -> Hypergraph:
 def reduce_lemma21(h: Hypergraph) -> tuple[Hypergraph, list[tuple[int, int]]]:
     """Repeatedly drop an edge that contains two degree-1 vertices.
 
-    Such a pair can be played as an answered pair, so a Breaker win on the
-    reduced board implies a Breaker win on the original (one direction only).
+    The reduced board has the original's value.  Such a pair can be played
+    as an answered pair, so a Breaker win on the reduced board is one on
+    the original, and the reduced board's edges are edges of the original,
+    so a Maker win on it is one on the original too.
     Scanning order is deterministic: lowest surviving edge index first, and
     within the edge, the two lowest-index degree-1 vertices.  Removed
     vertices become isolated; the vertex count is unchanged.

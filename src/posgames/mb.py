@@ -456,8 +456,8 @@ def solve_mb(
                     ),
                 }
                 return report(Side.B, sub.nodes_expanded, Certificate("reduction", payload))
-            # One-directional: a Maker win on the reduction is not projected
-            # back; fall through to the full board.
+            # the reduced board's edges are edges of h: Maker's win carries over
+            return report(Side.A, sub.nodes_expanded)
 
     if first_mover is Side.A and opts.use_es_certificate:
         pot = es_potential(Position(h))

@@ -2,8 +2,9 @@
 
 A layer embeds a virtual board into its parent board (the real board, or an
 enclosing layer's board).  While a layer is active, Maker's scripted claims
-name virtual vertices and are executed at their embedded images, and each
-opponent move is translated into a virtual vertex (or discarded as a pass).
+name virtual vertices and are executed at their embedded images, and an
+opponent move on an embedded image counts as the virtual vertex placed
+there; a move the layer does not see is a pass.
 Completing a virtual edge either maps to a parent edge whose completion is
 then checked for real, or hands control to a continuation script in the
 parent context (``on_win``), which is how a gadget endgame follows a virtual
@@ -29,11 +30,10 @@ class Layer:
 
     ``embed``
         virtual vertex -> parent-board vertex.  It names every virtual
-        vertex and is injective.
-    ``translate``
-        parent vertex -> virtual vertex that an opponent move there counts
-        as.  A parent vertex that is not a key is invisible to this layer
-        (a pass).
+        vertex and is injective.  An opponent move on ``embed[c]`` counts
+        as the virtual vertex ``c`` unless ``answers`` or
+        ``dynamic_groups`` claim it; a move on any other parent vertex is
+        invisible to this layer (a pass).
     ``win_edges``
         virtual edge index -> parent edge index; completing such a virtual
         edge delegates the win check one level up.  Every target must be an
@@ -60,16 +60,15 @@ class Layer:
         move counts as the virtual vertex ``home`` while it is free in this
         layer's claim masks, otherwise as the first free vertex of the
         ordered ``fallbacks``, otherwise as a pass.  Groups are disjoint
-        from each other and from the keys of ``translate``, and are only
-        supported on the innermost layer.
+        from each other and are only supported on the innermost layer.
 
     ``answers`` take precedence over ``dynamic_groups``, which take
-    precedence over ``translate``.
+    precedence over ``embed``.
 
     Two properties are derived, not declared.  The layer's claim masks join
     the verifier's memo key unless the layer has no ``dynamic_groups``,
-    ``on_win`` or ``answers`` and ``translate`` is the inverse of ``embed``:
-    every virtual claim is then the image of a real one.  And a group's
+    ``on_win`` or ``answers``: every virtual claim is then the image of a
+    real one.  And a group's
     members are relevant while the layer's Maker mask holds the group's
     home: until then the first move on any member takes the home, so the
     members are interchangeable, but once Maker holds it, which members the
@@ -79,7 +78,6 @@ class Layer:
     name: str
     board: Hypergraph
     embed: tuple
-    translate: Mapping[int, int]
     win_edges: Mapping[int, int] = field(default_factory=dict)
     on_win: Mapping[int, object] = field(default_factory=dict)
     answers: Mapping[int, int] = field(default_factory=dict)

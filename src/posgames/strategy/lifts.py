@@ -7,7 +7,10 @@ hands control to a scripted six-move gadget endgame.
 
 ``lift_g4`` wraps a gadget-board strategy in the apex opening: Maker walks
 the apex chain while Breaker answers in the matching region, and enters the
-first copy Breaker neglects.
+first copy Breaker neglects.  A copy sees only its own vertices, so
+Breaker's move off it is a pass, and a pass never hurts Maker (Hefetz,
+Krivelevich, Stojaković & Szabó, *Positional Games*, 2014): the copy's
+opening answers it as Breaker's opening on base vertex 0, w_1.
 
 ``lift_split`` replays a strategy for ``h`` on ``split_pendant(h)``: each
 opponent move on a pendant is answered on its twin, and completing a base
@@ -15,6 +18,8 @@ edge ends with a claim of whichever pendant survives.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from ..constructions import (
     G4_COPY_OFFSETS,
@@ -129,7 +134,6 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
         name="pentagon-over-gadgets",
         board=base,
         embed=tuple(range(35)),
-        translate={p: p for p in range(20)},
         win_edges={15 + k: 105 + k for k in range(5)},
         on_win={
             3 * (i - 1) + (j - 1): _gadget_endgame(i, j)
@@ -161,6 +165,19 @@ def lift_g4(s: StrategyTree) -> StrategyTree:
         raise ValueError("expected a strategy for the gadget board")
     if s.first_mover is not Side.B:
         raise ValueError("expected a strategy with Breaker moving first")
+    gadget = s.root
+    if not (
+        isinstance(gadget, EnterLayer)
+        and type(gadget.then) is Respond
+        and gadget.then.default is None
+    ):
+        raise ValueError("expected an EnterLayer over a Respond without a default")
+    # a pass answered as the opening on base vertex 0 (see the module docstring)
+    opening = gadget.then
+    answer = next((child for cls, child in opening.branches if 0 in cls.vertices), None)
+    if answer is None:
+        raise ValueError("expected a reply class for base vertex 0")
+    script = EnterLayer(gadget.layer, replace(opening, default=answer))
     target = gen_g4()
     copy_masks = []
     copy_layers = []
@@ -171,7 +188,6 @@ def lift_g4(s: StrategyTree) -> StrategyTree:
                 name=f"copy-{c + 1}",
                 board=base,
                 embed=tuple(range(off, off + 185)),
-                translate={off + q: q for q in range(185)},
                 win_edges={l: 110 * c + l for l in range(110)},
                 relevance=0,
             )
@@ -182,7 +198,7 @@ def lift_g4(s: StrategyTree) -> StrategyTree:
         region = frozenset(
             range(G4_COPY_OFFSETS[c - 1], G4_COPY_OFFSETS[c - 1] + 185)
         ) | {g4_s(c)}
-        enter = Claim(g4_s(c), EnterLayer(copy_layers[c - 1], s.root))
+        enter = Claim(g4_s(c), EnterLayer(copy_layers[c - 1], script))
         rel = _APEX_MASK
         for cc in range(c, 4):
             rel |= copy_masks[cc - 1]
@@ -208,7 +224,6 @@ def lift_split(s: StrategyTree, h: Hypergraph) -> StrategyTree:
         name="pendant-split",
         board=h,
         embed=tuple(range(n)),
-        translate={p: p for p in range(n)},
         on_win=on_win,
         answers=answers,
     )

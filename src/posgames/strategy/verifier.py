@@ -39,13 +39,15 @@ key.
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
 claim masks.  Layers are data, which the verifier checks where a layer is
-entered and resolves itself: a static translation table, a constant
-relevance mask and dynamic groups that each name a home and ordered
-fallbacks.  Everything that depends only on the stack (how each real
-vertex resolves, the reply classes, the layers' fixed relevance, the real
-images of the innermost board's edges) is built from the parent stack's
-tables when the stack is interned, so a malformed layer fails on the line
-that enters it.  Caches keyed by a vertex, a node or a claim mask fill on
+entered and resolves itself: an embedding, whose inverse gives the layer
+vertex an opponent move counts as, answers, a constant relevance mask and
+dynamic groups that each name a home and ordered fallbacks.  A move that
+no active layer sees is a pass, which a ``Respond`` node hands to its
+default; without one the pass is an uncovered reply.  Everything that
+depends only on the stack (how each real vertex resolves, the reply
+classes, the layers' fixed relevance, the real images of the innermost
+board's edges) is built from the parent stack's tables when the stack is
+interned, so a malformed layer fails on the line that enters it.  Caches keyed by a vertex, a node or a claim mask fill on
 first use.  One of them is the claim table: per innermost-board vertex,
 its real vertex, the bit it sets in each layer's Maker mask, the real
 edges through it and the ``on_win`` edges through its coordinate on each
@@ -65,11 +67,12 @@ symmetry at a stone-free node (below), with the later stack carried onto
 the earlier one rather than onto itself: it maps each stack's resolution
 table and fixed relevance onto the other's and, at the empty position, is
 an automorphism of the real board that carries each win edge onto its
-partner.  The stack entered later then files its successes
-under the earlier stack's key, with its masks and reply profile mapped
-through the swap, and so do the stacks pushed on top of it.  Failures stay
-under each stack's own key, so a counterexample keeps its own coordinates
-and reply order, and a stack that shares nothing is searched as before.
+partner.  The stack entered later then files the successes of its
+opponent nodes under the earlier stack's key, with its masks and reply
+profile mapped through the swap, and so do the stacks pushed on top of
+it.  Failures and bounded-win searches stay under each stack's own key,
+so a counterexample keeps its own coordinates and reply order, and a
+stack that shares nothing is searched as before.
 
 At an opponent node whose innermost board holds no stones (the root of a
 Breaker-first script, or the first opponent turn in a freshly entered
@@ -91,23 +94,12 @@ once its vertices outside Maker's stones are claimed, and a residual
 automorphism that fixes the state maps every line after u, and every win
 on it, onto a line after w and a win on it.  Every rule the verifier
 applies commutes with σ, because σ maps its tables and both scripts onto
-themselves, except two choices of a lowest free vertex: the member that
-stands for an out-of-relevance class and the stand-in for an invisible
-move (below).  In a pruned branch those are the σ-images of Maker's
-choices in the branch that was explored, which Maker may make as well:
-the image of a class's member is a member of the image class, which the
-relevance hint treats as interchangeable, and the image of a stand-in is
-another pretence.  So w succeeds exactly when u does.  Only replies that
-would succeed are skipped, so memo keys, the copy sharing and every
-counterexample are unchanged.
-
-Some opponent moves are *invisible* to the active layers: the translation
-chain drops them before reaching the innermost layer.  When the current
-node has no default branch such a move is answered as if the opponent had
-made the lowest free virtual move instead, and that imagined move is
-recorded on the innermost layer's own board.  The pretence is only used
-when the innermost layer is stateful, so the imagined move is always part
-of the memo signature.
+themselves, except one choice of a lowest free vertex: the member that
+stands for an out-of-relevance class.  In a pruned branch that member is
+the σ-image of the one explored, a member of the image class, which the
+relevance hint treats as interchangeable.  So w succeeds exactly when u
+does.  Only replies that would succeed are skipped, so memo keys, the
+copy sharing and every counterexample are unchanged.
 
 ``BoundedWin`` defaults are discharged by the machine's own search over
 those tables.  ``bounded_win`` is a standalone "Maker wins within k of his
@@ -228,10 +220,10 @@ class _Stack:
     a continuation for it, innermost layer first and in incidence order.
     The vertex is range-checked when its entry is built.
 
-    ``rep`` is the stack whose memo successes this one shares (see the
-    module docstring), never one that has a ``rep`` itself, and ``segs``
-    the automorphism carrying this stack onto it as (shift, source mask)
-    pairs.  ``sym`` holds, once a stone-free node on the stack needs them,
+    ``rep`` is the stack whose opponent-node successes this one shares (see
+    the module docstring), never one that has a ``rep`` itself, and
+    ``segs`` the automorphism carrying this stack onto it as (shift, source
+    mask) pairs.  ``sym`` holds, once a stone-free node on the stack needs them,
     the innermost board's ``Automorphisms``, whose ``find`` proposes the
     candidates, and, per candidate tried, its lift if that passed
     ``_fits_stack`` and else None (see ``_Symmetry``).
@@ -247,8 +239,6 @@ class _Stack:
         "layers",
         "prefixes",
         "real",
-        "image",
-        "residue",
         "children",
         "stateful",
         "table",
@@ -277,7 +267,7 @@ class _Stack:
         if parent is None:
             self.layers = self.prefixes = self.stateful = ()
             self.real = tuple(range(board.vertex_count))
-            self.image = self.residue = self.fixed_rel = 0
+            self.fixed_rel = 0
             self.table = [("vertex", v, ()) for v in self.real]
         else:
             i = len(parent.layers)
@@ -285,18 +275,14 @@ class _Stack:
             self.prefixes = parent.prefixes + (self,)
             # real vertex of each vertex of ``board``
             self.real = tuple([parent.real[v] for v in layer.embed])
-            # parent-board image of ``board``
-            self.image = 0
-            for v in layer.embed:
-                self.image |= 1 << v
+            image = sum(1 << v for v in layer.embed)
             residue = 0
             parent_edges = parent.board.edge_masks
             for pe in layer.win_edges.values():
                 residue |= parent_edges[pe]
-            self.residue = residue & ~self.image
             self.stateful = parent.stateful + ((i,) if _stateful(layer) else ())
-            rel = self.image if layer.relevance is None else layer.relevance
-            self.fixed_rel = parent.fixed_rel | parent.to_real(rel | self.residue)
+            rel = image if layer.relevance is None else layer.relevance
+            self.fixed_rel = parent.fixed_rel | parent.to_real(rel | residue & ~image)
             for members, home, _fallbacks in layer.dynamic_groups:
                 self.homes |= 1 << home
                 self.home_rel[home] = self.home_rel.get(home, 0) | parent.to_real(
@@ -322,7 +308,9 @@ class _Stack:
 
 def _layer_table(parent: _Stack, layer) -> list:
     """Per real vertex, how the layers of ``parent`` and then ``layer``
-    resolve an opponent claim: ``parent.table`` continued through ``layer``.
+    resolve an opponent claim: ``parent.table`` continued through ``layer``,
+    where a parent vertex is answered, joins a dynamic group or, in that
+    order of precedence, is the layer vertex that ``embed`` places on it.
 
     Entries are ("answer", real reply, effects), ("pass", effects),
     ("vertex", innermost vertex, effects) or ("dyn", group index, effects);
@@ -332,6 +320,7 @@ def _layer_table(parent: _Stack, layer) -> list:
     """
     fi = len(parent.layers)
     dyn = {v: gi for gi, group in enumerate(layer.dynamic_groups) for v in group[0]}
+    coords = {p: c for c, p in enumerate(layer.embed)}
     entries = []
     for entry in parent.table:
         if entry[0] == "vertex":
@@ -341,12 +330,11 @@ def _layer_table(parent: _Stack, layer) -> list:
                 entry = ("answer", parent.real[ans], effects)
             elif coord in dyn:
                 entry = ("dyn", dyn[coord], effects)
+            elif coord in coords:
+                c = coords[coord]
+                entry = ("vertex", c, effects + ((fi, c),))
             else:
-                nxt = layer.translate.get(coord)
-                if nxt is None:
-                    entry = ("pass", effects)
-                else:
-                    entry = ("vertex", nxt, effects + ((fi, nxt),))
+                entry = ("pass", effects)
         entries.append(entry)
     return entries
 
@@ -488,15 +476,9 @@ def _stateful(layer) -> bool:
 
     They need not when every virtual claim is the image of a real claim
     the key already holds and nothing else reads them: the layer has no
-    dynamic groups, ``on_win`` or ``answers``, and its translation table is
-    the inverse of its embedding.
+    dynamic groups, ``on_win`` or ``answers``.
     """
-    if layer.dynamic_groups or layer.on_win or layer.answers:
-        return True
-    table = layer.translate
-    return len(table) != len(layer.embed) or any(
-        table.get(p) != c for c, p in enumerate(layer.embed)
-    )
+    return bool(layer.dynamic_groups or layer.on_win or layer.answers)
 
 
 def _off(values, size: int) -> bool:
@@ -589,18 +571,14 @@ class _Machine:
             bad("on_win names no edge of the layer board")
         if _off(layer.answers.values(), parent_n):
             bad("answers leave the parent board")
-        if _off(layer.translate, parent_n) or _off(layer.translate.values(), n):
-            bad("translation table leaves its boards")
         members = [v for group in layer.dynamic_groups for v in group[0]]
         if _off(members, parent_n) or any(
             _off((home, *fallbacks), n)
             for _members, home, fallbacks in layer.dynamic_groups
         ):
             bad("dynamic groups leave their boards")
-        if len(set(members)) != len(members) or any(
-            v in layer.translate for v in members
-        ):
-            bad("dynamic groups overlap each other or the translation table")
+        if len(set(members)) != len(members):
+            bad("dynamic groups overlap each other")
         if layer.relevance is not None and layer.relevance >> parent_n:
             bad("relevance leaves the parent board")
         if stack.classes[1]:  # masks of the parent's dynamic groups
@@ -634,8 +612,8 @@ class _Machine:
         Both must be children of the root, and ``sigma`` the swap
         ``_sibling_sigma`` derives for their layers, which have the same
         ``win_edges`` keys, each checked against the board by ``_push``.
-        Neither layer may keep state (see ``_stateful``), so each table
-        inverts its embedding and neither has dynamic groups or ``on_win``.
+        Neither layer may keep state (see ``_stateful``), so neither has
+        dynamic groups, ``on_win`` or ``answers``.
         The layers must share one board, ``sigma`` must be an involution,
         and ``sigma`` with the identity on that board must carry ``child``
         onto ``sibling`` at the empty position (``_fits_stack`` and
@@ -656,21 +634,19 @@ class _Machine:
             child, perms, self.edge_masks, ((0, 0),), 0, 0, sibling
         )
 
-    def _shared_key(self, key: tuple, stack: _Stack, node=None, out=0):
-        """``key``, the memo key of a success on ``stack``, in its
-        representative's frame: the claim masks are mapped onto the
-        representative and, for an opponent ``node``, the reply profile is
-        taken over the representative's reply groups."""
+    def _shared_key(self, key: tuple, stack: _Stack, node, out: int) -> tuple:
+        """``key``, the memo key of a success at opponent ``node`` on
+        ``stack``, in its representative's frame: the claim masks are mapped
+        onto the representative and the reply profile of the free
+        out-of-relevance vertices ``out`` is taken over the
+        representative's reply groups."""
         segs = stack.segs
         head, _stack, sig, a, b = key[:5]
         a, b = _apply_segments(segs, a), _apply_segments(segs, b)
-        shared = (head, stack.rep, sig, a, b)
-        if node is None:
-            return shared
         profile = 0
         if out:
             profile = self._profile(stack.rep, node, _apply_segments(segs, out))[1]
-        return shared + (profile,)
+        return (head, stack.rep, sig, a, b, profile)
 
     def _enter(self, node, stack: _Stack, masks: tuple):
         """Push the layers of a run of ``EnterLayer`` nodes."""
@@ -713,14 +689,11 @@ class _Machine:
         kind = entry[0]
         if kind == "answer":
             return ("a", entry[1])
-        if kind == "pass":
-            return ("d",) if node.default is not None else ("p",)
-        branch = self._branch_map(node).get(entry[1])
-        if branch is not None:
-            return ("b", branch)
-        if node.default is not None:
-            return ("d",)
-        return ("u",)
+        if kind == "vertex":
+            branch = self._branch_map(node).get(entry[1])
+            if branch is not None:
+                return ("b", branch)
+        return ("d",) if node.default is not None else ("u",)
 
     def _node_groups(self, stack: _Stack, node):
         """Merged out-of-relevance reply classes for (layer stack, node).
@@ -1098,47 +1071,23 @@ class _Machine:
         if type(node) is _BWAfter:
             self._expand_bw(node.k, stack, masks2, ra, rb2)
             return
-        if entry[0] == "pass":
-            if node.default is None:
-                if len(masks2) - 1 not in stack.stateful:
-                    self._fail(
-                        "ill_formed",
-                        "opponent move invisible to a defaultless Respond",
-                    )
-                va, vb = masks2[-1]
-                free = stack.board.full_mask & ~(va | vb)
-                if free == 0:
-                    self._fail(
-                        "uncovered_reply",
-                        "invisible move reaches a defaultless Respond on a "
-                        "full board",
-                    )
-                # Imagine the opponent made the lowest free move instead and
-                # answer that; the mark keeps later play consistent with the
-                # pretence.
-                stand_in = (free & -free).bit_length() - 1
-                branch = self._branch_map(node).get(stand_in)
-                if branch is None:
-                    self._fail(
-                        "uncovered_reply",
-                        f"stand-in vertex {stand_in} matches no reply class",
-                    )
-                masks2 = masks2[:-1] + ((va, vb | (1 << stand_in)),)
-                child = node.branches[branch][1]
-            else:
-                child = node.default
+        branch = None
+        if entry[0] == "vertex":
+            branch = self._branch_map(node).get(entry[1])
+        if branch is not None:
+            child = node.branches[branch][1]
+        elif node.default is not None:
+            child = node.default
+        elif entry[0] == "vertex":
+            self._fail(
+                "uncovered_reply",
+                f"reply {entry[1]} matches no reply class and there is no default",
+            )
         else:
-            v = entry[1]
-            branch = self._branch_map(node).get(v)
-            if branch is not None:
-                child = node.branches[branch][1]
-            elif node.default is not None:
-                child = node.default
-            else:
-                self._fail(
-                    "uncovered_reply",
-                    f"reply {v} matches no reply class and there is no default",
-                )
+            self._fail(
+                "uncovered_reply",
+                f"real reply {self.path[-1][1]} is a pass and there is no default",
+            )
         if isinstance(child, BoundedWin):
             self._expand_bw(child.k, stack, masks2, ra, rb2)
         else:
@@ -1162,11 +1111,6 @@ class _Machine:
             return
         if got is not None:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
-        success = key
-        if stack.segs is not None:
-            success = self._shared_key(key, stack)
-            if self.memo.get(success) is True:
-                return
         self.expansions += 1
         then = _bw_after(k - 1) if k > 1 else None
         # A claim on a vertex occupied only in real coordinates fails in
@@ -1176,7 +1120,7 @@ class _Machine:
                 self._claim(v, stack, masks, ra, rb, then)
             except _Fail:
                 continue
-            self.memo[success] = True
+            self.memo[key] = True
             return
         detail = f"no win within {k} Maker moves from here"
         self.memo[key] = ("bounded_win_failure", detail)

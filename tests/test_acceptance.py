@@ -167,9 +167,10 @@ def test_verifier_counters_are_pinned():
     At an opponent node whose innermost board holds no stones (the
     pentagon's first move, and copy 2's) only one opening per symmetry
     orbit is explored: gamma 6 of 35, gamma-prime 7 of 35 and g4 8 of 36.
-    Without that pruning the counts were gamma 20,806, gamma-prime 212,418
-    and g4 228,708 (see ``test_without_symmetry_the_unpruned_lines_come_back``);
-    g3-split has no such node.  Before that, the pentagon fallback order
+    Without that pruning the counts are gamma 20,806, gamma-prime 212,418
+    and g4 233,530, which was 228,708 with the stand-in move below (see
+    ``test_without_symmetry_the_unpruned_lines_come_back``); g3-split has
+    no such node.  Before that, the pentagon fallback order
     was made to rotate with each gadget, which moved gamma-prime from
     212,464 lines and g4 from 228,831: a move inside a gadget whose tip is
     taken lands on x-vertices in a different order.
@@ -178,11 +179,18 @@ def test_verifier_counters_are_pinned():
     pendant pair whose base edge holds a Breaker stone from its replies and
     memo key: that exchange changes nothing for either side.  This took
     g3-split from 256,247 lines to 130,807 (see
-    ``test_without_dead_pairs_the_unpruned_lines_come_back``)."""
+    ``test_without_dead_pairs_the_unpruned_lines_come_back``).
+
+    In a g4 copy, a move off the copy is a pass that the gadget script's
+    opening answers as the opening on w_1 (``lift_g4``).  g4 took 51,927
+    lines when the verifier answered such a move as an imagined opponent
+    move on the lowest free coordinate and marked it in the copy's masks.
+    Without that mark, the opponent's later move on the copy's w_1 is a new
+    state, which costs the extra lines."""
     expected = {
         gamma_report: (3_865, 20),
         gamma_prime_report: (46_639, 28),
-        g4_report: (51_927, 33),
+        g4_report: (57_057, 33),
         g3_split_report: (130_807, 28),
     }
     for report, (lines, depth) in expected.items():

@@ -140,7 +140,16 @@ class TestInfo:
         for argv in (["info"], ["solve", "mb", "--first", "maker"]):
             code, out, err = _run(capsys, *argv, str(path))
             assert (code, out) == (3, "")
-            assert err.startswith(f"error: {path}: ") and "utf-8" in err
+            assert err == f"error: {path}: invalid UTF-8, line 2\n"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_board_with_other_newlines(self, capsys, tmp_path, newline):
+        path = tmp_path / "crlf.hg"
+        path.write_bytes(newline.join([b"p hg 4 2", b"e 1 2", b"e 2 3 4", b""]))
+        code, out, _ = _run(capsys, "info", str(path))
+        assert code == 0
+        payload = _report(out)["payload"]
+        assert (payload["vertices"], payload["edges"], payload["max_degree"]) == (4, 2, 2)
 
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, out, err = _run(capsys, "info", str(tmp_path / "none.hg"))

@@ -127,25 +127,27 @@ class TestOptions:
             assert on is off
 
     def test_restriction_never_changes_position_values(self):
+        """Lemma 23 acts where the smallest residual has two vertices.
+        Positions are drawn, within a fixed number of attempts, until 20 of
+        them are such positions, and each keeps its value."""
         rng = random.Random(77)
         checked = 0
-        for _ in range(8):
+        for _ in range(400):
             h = random_hypergraph(rng, max_vertices=8, max_edges=5)
-            for _ in range(6):
-                vs = list(range(h.vertex_count))
-                rng.shuffle(vs)
-                k = rng.randint(0, h.vertex_count // 2)
-                p = Position.make(h, claimed_a=vs[:k], claimed_b=vs[k : 2 * k])
-                # the restriction applies when the smallest residual has two
-                # vertices
-                canon = _residuals(h, p.a_mask, p.b_mask)
-                if not canon or canon[0].bit_count() != 2:
-                    continue
-                on = cp_winner_from(p, CPOptions(use_lemma23=True))
-                off = cp_winner_from(p, CPOptions(use_lemma23=False))
-                assert on is off
-                checked += 1
-        assert checked > 0
+            vs = list(range(h.vertex_count))
+            rng.shuffle(vs)
+            k = rng.randint(0, h.vertex_count // 2)
+            p = Position.make(h, claimed_a=vs[:k], claimed_b=vs[k : 2 * k])
+            canon = _residuals(h, p.a_mask, p.b_mask)
+            if not canon or canon[0].bit_count() != 2:
+                continue
+            on = cp_winner_from(p, CPOptions(use_lemma23=True))
+            off = cp_winner_from(p, CPOptions(use_lemma23=False))
+            assert on is off
+            checked += 1
+            if checked == 20:
+                break
+        assert checked == 20
 
     def test_node_limit_is_explicit(self):
         report = solve_cp(gen_gcp(), CPOptions(node_limit=2))

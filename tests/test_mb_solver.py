@@ -172,10 +172,16 @@ class TestReduction:
         assert check_report(h, report)
 
     def test_reduction_falls_through_on_maker_win(self):
-        # The pair edge reduces away but the singleton edge still wins.
-        h = Hypergraph(3, [(1, 2), (0,)])
-        report = solve_mb(h, Side.A, MBOptions(use_pairing_certificate=False))
-        assert report.winner is Side.A
+        """The edge {15, 16, 17} reduces away and leaves g3, where Maker
+        wins moving first.  The reduced board's edges are edges of the
+        full board, so that verdict is returned as it stands: the search
+        of g3 alone, not of the full board (1,218 nodes)."""
+        h = Hypergraph(18, [*gen_g3().edges, (15, 16, 17)])
+        report = solve_mb(h, Side.A)
+        assert (report.winner, report.nodes_expanded) == (Side.A, 789)
+        assert report.certificate is None
+        full = solve_mb(h, Side.A, MBOptions(use_lemma21=False))
+        assert (full.winner, full.nodes_expanded) == (Side.A, 1_218)
 
 
 class TestPositionSolving:

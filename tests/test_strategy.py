@@ -32,6 +32,7 @@ from posgames.constructions import (
     gamma_rho,
     gamma_sigma,
     gamma_t,
+    gamma_w,
     gamma_x,
     gen_g3,
     gen_g4,
@@ -382,7 +383,6 @@ _SMALL = Layer(
     name="small",
     board=Hypergraph(2, [(0, 1)]),
     embed=(0, 1),
-    translate={0: 0, 1: 1},
 )
 
 
@@ -478,14 +478,12 @@ def test_verifier_checks_each_entry_of_a_reused_layer():
         name="inner",
         board=Hypergraph(2, [(0,)]),
         embed=(5, 6),
-        translate={5: 0, 6: 1},
         win_edges={0: 0},
     )
     small = Layer(
         name="small",
         board=Hypergraph(5, [(0, 1)]),
         embed=(0, 1, 2, 3, 4),
-        translate={p: p for p in range(5)},
     )
     root = Respond(
         ((ReplyClass("zero", frozenset((0,))), EnterLayer(inner, Claim(0, None))),),
@@ -524,7 +522,6 @@ def _answering_layer(answers: dict):
         name="answering",
         board=base,
         embed=(0, 1, 2),
-        translate={0: 0, 1: 1, 2: 2},
         win_edges={0: 0, 1: 1},
         answers=answers,
     )
@@ -549,19 +546,15 @@ def test_verifier_reports_answers_off_the_board(answer):
     )
 
 
-_OVERLAP = "dynamic groups overlap each other or the translation table"
+_OVERLAP = "dynamic groups overlap each other"
 _NO_EDGE = "on_win names no edge of the layer board"
 
 
 @pytest.mark.parametrize(
     "fields, detail",
     [
-        ({"translate": {0: 0, 1: 1, 2: 2, 3: 7}}, "translation table leaves its boards"),
-        ({"translate": {0: 0, 1: 1, 2: 2, 3: -1}}, "translation table leaves its boards"),
-        ({"translate": {0: 0, 1: 1, 2: 2, 4: 0}}, "translation table leaves its boards"),
         ({"embed": (0, 0, 2)}, "embedding is not injective"),
         ({"dynamic_groups": (((3,), 0, ()), ((3,), 1, ()))}, _OVERLAP),
-        ({"dynamic_groups": (((2, 3), 0, ()),)}, _OVERLAP),
         ({"dynamic_groups": (((3,), 3, ()),)}, "dynamic groups leave their boards"),
         ({"dynamic_groups": (((3,), 0, (1, -1)),)}, "dynamic groups leave their boards"),
         ({"dynamic_groups": (((4,), 0, ()),)}, "dynamic groups leave their boards"),
@@ -571,12 +564,8 @@ _NO_EDGE = "on_win names no edge of the layer board"
         ({"on_win": {-1: Respond((), BoundedWin(1))}}, _NO_EDGE),
     ],
     ids=[
-        "translate-7",
-        "translate-neg",
-        "translate-from-4",
         "embed-twice",
         "groups-overlap",
-        "group-on-table",
         "home-3",
         "fallback-neg",
         "member-4",
@@ -587,8 +576,8 @@ _NO_EDGE = "on_win names no edge of the layer board"
     ],
 )
 def test_verifier_reports_malformed_layer_data(fields, detail):
-    """A translation table or dynamic group that leaves its boards,
-    dynamic groups that overlap, an embedding that is not injective and a
+    """A dynamic group that leaves its boards, dynamic groups that
+    overlap, an embedding that is not injective and a
     ``win_edges`` or ``on_win`` key that names no edge of the layer board
     are ill-formed where the layer is entered, never a negative shift, a
     silently recorded move off the board, a key that never fires or an
@@ -658,7 +647,6 @@ def test_an_answered_move_past_the_line_limit_is_ill_formed():
         name="answering",
         board=h,
         embed=tuple(range(n)),
-        translate={p: p for p in range(n)},
         answers={199: 200, 200: 199},
     )
     assert _stateful(answering)
@@ -675,37 +663,43 @@ def test_an_answered_move_past_the_line_limit_is_ill_formed():
 
 
 def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
-    """A layer may fold several real vertices onto one coordinate.  When the
-    opponent takes the second of them, the reply is dispatched like any
-    other: by the reply class that holds the coordinate, not as a pass.
+    """A move on a dynamic group's member that finds the home taken counts
+    as the first free fallback.  When the opponent later plays the real
+    vertex of that fallback, the reply is dispatched like any other: by
+    the reply class that holds its coordinate, not as a pass.
 
-    On the board {2,3}, {2,4}, {5,6}, {5,7} the layer copies the real board
-    but translates real 1 onto coordinate 0.  After the opponent's 0 and
-    Maker's 2, the opponent's 1 must reach class "rest", whose claim of 3
-    wins.  The Respond has no default and no other class holds coordinate
-    1, so a pass there would end in an ``uncovered_reply``."""
-    h = Hypergraph(8, [(2, 3), (2, 4), (5, 6), (5, 7)])
-    fold = Layer(
-        name="fold",
+    On the board {2, 8}, {3, 1}, {4, 6}, {4, 7} the layer copies the real
+    board, and a move on real 1 counts as coordinate 2 while it is free,
+    else as 6 or 9.  Maker claims 2, 3 and 4, each a threat; the opponent
+    blocks with 8 and with 1, which counts as coordinate 6.  The opponent's
+    real 6 must then reach class "six", whose claim of 7 wins.  The
+    Respond has no default, so a pass there would end in an
+    ``uncovered_reply``."""
+    h = Hypergraph(10, [(2, 8), (3, 1), (4, 6), (4, 7)])
+    layer = Layer(
+        name="gadget",
         board=h,
-        embed=tuple(range(8)),
-        translate={p: 0 if p == 1 else p for p in range(8)},
-        win_edges={e: e for e in range(4)},
+        embed=tuple(range(10)),
+        dynamic_groups=(((1,), 2, (6, 9)),),
     )
-    after2 = Respond(
+    last = Respond(
         (
-            (ReplyClass("three", frozenset((3,))), Claim(4, None)),
-            (ReplyClass("rest", frozenset((0, 4, 5, 6, 7))), Claim(3, None)),
+            (ReplyClass("six", frozenset((6,))), Claim(7, None)),
+            (ReplyClass("rest", frozenset(range(10)) - {6}), ClaimFirstFree((6, 1, 7))),
         ),
         None,
     )
-    after5 = Respond(((ReplyClass("six", frozenset((6,))), Claim(7, None)),), Claim(6, None))
-    root = Respond(
-        ((ReplyClass("left", frozenset((2, 3, 4))), Claim(5, after5)),),
-        Claim(2, after2),
-    )
-    assert _stateful(fold)
-    report = verify_maker_strategy(h, StrategyTree(h, Side.B, EnterLayer(fold, root)))
+    one = Respond(((ReplyClass("one", frozenset((6,))), Claim(4, last)),), Claim(1))
+    eight = Respond(((ReplyClass("eight", frozenset((8,))), Claim(3, one)),), Claim(8))
+    tree = StrategyTree(h, Side.A, EnterLayer(layer, Claim(2, eight)))
+    assert _stateful(layer)
+    machine = _Machine(h)
+    _node, stack, _masks = machine._enter(tree.root, machine.root, ())
+    taken = ((1 << 2, 1 << 8),)
+    assert machine._resolve_dyn(stack, taken, stack.table[1]) == ("vertex", 6, ((0, 6),))
+    assert stack.table[6] == ("vertex", 6, ((0, 6),))
+    machine.release()
+    report = verify_maker_strategy(h, tree)
     assert report.verified, report.counterexample
 
 
@@ -880,7 +874,6 @@ def _twin_copies():
             name=f"copy-{c + 1}",
             board=base,
             embed=(3 * c, 3 * c + 1, 3 * c + 2),
-            translate={3 * c + q: q for q in range(3)},
             win_edges={0: 2 * c, 1: 2 * c + 1},
         )
         for c in range(2)
@@ -895,9 +888,9 @@ def _twin_copies():
 def test_layers_keep_state_unless_they_invert_their_embedding():
     """Whether a layer's claim masks enter the memo key is derived: the
     pentagon layer (dynamic groups) and the pendant-split layer (answers
-    and ``on_win``) keep state; the g4 copies and the twin copies, whose
-    tables invert their embeddings, do not, and a twin copy that also
-    translates a vertex outside its embedding does."""
+    and ``on_win``) keep state; the g4 copies and the twin copies, which
+    have none of these, do not, and a twin copy that also answers a move
+    outside its embedding does."""
     lifted = lift_gamma_prime(build_gamma_strategy())
     assert _stateful(lifted.root.layer)
     assert _stateful(lift_split(build_g3_strategy(), gen_g3()).root.layer)
@@ -905,7 +898,7 @@ def test_layers_keep_state_unless_they_invert_their_embedding():
     twins = _twin_copies()[2]
     assert len(copies) == 3
     assert not any(_stateful(layer) for layer in copies + twins)
-    assert _stateful(replace(twins[0], translate={**twins[0].translate, 3: 0}))
+    assert _stateful(replace(twins[0], answers={3: 4}))
 
 
 def _refuse_every_pair(monkeypatch):
@@ -924,49 +917,6 @@ def test_sibling_copies_share_successes(monkeypatch):
     assert _sibling_sigma(h, layers[0], layers[1]) == [3, 4, 5, 0, 1, 2]
     machine.release()
     shared = verify_maker_strategy(h, s)
-    _refuse_every_pair(monkeypatch)
-    plain = verify_maker_strategy(h, s)
-    assert shared.verified and plain.verified
-    assert shared.lines_checked < plain.lines_checked
-
-
-def test_sibling_copies_share_bounded_win_successes(monkeypatch):
-    """The twin copies with scripts that differ but both end in
-    ``BoundedWin(1)``: copy 1 answers Breaker's 1 itself and leaves 2 to
-    the bounded search, copy 2 leaves both to it.  The scripts' opponent
-    nodes differ, so only the bounded searches meet, and copy 1's finds
-    copy 2's success in copy 2's frame."""
-    h, _s, layers = _twin_copies()
-    left_alone = Claim(0, Respond((), BoundedWin(1)))
-    answers_one = Claim(
-        0,
-        Respond(
-            ((ReplyClass("one", frozenset((1,))), Claim(2, WinNow(1))),),
-            BoundedWin(1),
-        ),
-    )
-    root = Respond(
-        (
-            (
-                ReplyClass("first", frozenset((0, 1, 2))),
-                EnterLayer(layers[1], left_alone),
-            ),
-        ),
-        EnterLayer(layers[0], answers_one),
-    )
-    s = StrategyTree(h, Side.B, root)
-    bounded = []
-    shared_key = _Machine._shared_key
-
-    def spy(self, key, stack, node=None, out=0):
-        got = shared_key(self, key, stack, node, out)
-        if node is None:
-            bounded.append(self.memo.get(got))
-        return got
-
-    monkeypatch.setattr(_Machine, "_shared_key", spy)
-    shared = verify_maker_strategy(h, s)
-    assert bounded and all(hit is True for hit in bounded)
     _refuse_every_pair(monkeypatch)
     plain = verify_maker_strategy(h, s)
     assert shared.verified and plain.verified
@@ -1024,7 +974,6 @@ def test_sibling_symmetry_refuses_an_automorphism_that_misses_the_table():
             name=f"copy-{c + 1}",
             board=base,
             embed=(3 * c, 3 * c + 1, 3 * c + 2),
-            translate={3 * c + q: q for q in range(3)},
             win_edges={0: c},
         )
         for c in range(2)
@@ -1084,12 +1033,15 @@ def test_g4_without_sharing_explores_the_unshared_lines(monkeypatch):
 
     Each copy explores one opening per rotation orbit of its pentagon.
     Before that symmetry pruning this took 681,984 lines, and 682,353
-    before the pentagon fallback order rotated with each gadget."""
+    before the pentagon fallback order rotated with each gadget.  It took
+    151,635 lines while a move off a copy was answered as a stand-in move
+    marked in the copy's masks; a pass now takes the copy's default, and
+    the opponent's later move on the stand-in's vertex is a new state."""
     _refuse_every_pair(monkeypatch)
     s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
     report = verify_maker_strategy(gen_g4(), s)
     assert report.verified, report.counterexample
-    assert (report.lines_checked, report.max_depth) == (151_635, 35)
+    assert (report.lines_checked, report.max_depth) == (167_025, 35)
 
 
 def test_an_answer_that_completes_an_edge_wins_the_line():
@@ -1102,7 +1054,6 @@ def test_an_answer_that_completes_an_edge_wins_the_line():
         name="answers",
         board=Hypergraph(1, [(0,)]),
         embed=(0,),
-        translate={0: 0},
         answers={1: 2, 2: 1},
     )
     s = StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, Respond((), None))))
@@ -1114,15 +1065,13 @@ def test_an_answer_that_completes_an_edge_wins_the_line():
 def test_an_answer_on_a_taken_vertex_is_a_pass():
     """The layer answers 0 with 2.  Once Breaker holds 2, Maker cannot
     answer there, so Breaker's move on 0 counts as a pass.  At a Respond
-    without a default on a full layer board that is an uncovered reply,
-    not a Maker claim of Breaker's 2 that would complete the edge
-    {1, 2}."""
+    without a default that is an uncovered reply, not a Maker claim of
+    Breaker's 2 that would complete the edge {1, 2}."""
     h = Hypergraph(4, [(1, 2)])
     layer = Layer(
         name="answers",
         board=Hypergraph(3, [(0, 1)]),
         embed=(1, 2, 3),
-        translate={1: 0, 2: 1, 3: 2},
         answers={0: 2},
     )
     script = Claim(
@@ -1136,7 +1085,7 @@ def test_an_answer_on_a_taken_vertex_is_a_pass():
     cex = verify_maker_strategy(h, s).counterexample
     assert cex.kind == "uncovered_reply"
     assert cex.moves == (("maker", 1), ("breaker", 2), ("maker", 3), ("breaker", 0))
-    assert cex.detail == "invisible move reaches a defaultless Respond on a full board"
+    assert cex.detail == "real reply 0 is a pass and there is no default"
 
 
 # ---------------------------------------------------------------------------
@@ -1172,7 +1121,9 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     the same line; the pruning only skips work, most on
     ``opening-class-gap``.  The gate refuses only symmetry, so g3-split,
     which has no stone-free node, keeps the dead-pair rule and its 130,807
-    lines (256,247 without that rule)."""
+    lines (256,247 without that rule).  g4 took 228,708 lines while a move
+    off a copy was answered as a stand-in move rather than by the copy's
+    default (see ``test_verifier_counters_are_pinned``)."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
         for name, board, tree in named_mutations()
@@ -1181,7 +1132,7 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     want = {
         "gamma": (20_806, 20),
         "gamma-prime": (212_418, 28),
-        "g4": (228_708, 33),
+        "g4": (233_530, 33),
         "g3-split": (130_807, 28),
     }
     for name, (board, tree) in _pentagon_targets().items():
@@ -1274,25 +1225,17 @@ def test_copy_rotation_needs_the_switch_to_be_makers():
 def _layer_edits():
     """Pentagon layers with one piece of data that the rotation does not
     map onto itself: the ``endgame-*`` mutants edit the continuation of
-    spoke (1, 1) only, one layer adds a continuation on the long edge 15
-    alone, and one leaves x_11 out of the translation table."""
+    spoke (1, 1) only, and one layer adds a continuation on the long edge
+    15 alone."""
     mutants = {name: tree for name, _board, tree in named_mutations()}
     for name in ("endgame-wrong-opening", "endgame-branch-dropped", "endgame-bound-zero"):
         yield name, mutants[name]
     lifted = lift_gamma_prime(build_gamma_strategy())
     layer = lifted.root.layer
-    edits = {
-        "long-edge-continuation": {"on_win": {**layer.on_win, 15: layer.on_win[0]}},
-        "x11-untranslated": {
-            "translate": {p: c for p, c in layer.translate.items() if p != gamma_x(1, 1)}
-        },
-    }
-    for name, fields in edits.items():
-        yield name, StrategyTree(
-            lifted.board,
-            Side.B,
-            EnterLayer(replace(layer, **fields), lifted.root.then),
-        )
+    edited = replace(layer, on_win={**layer.on_win, 15: layer.on_win[0]})
+    yield "long-edge-continuation", StrategyTree(
+        lifted.board, Side.B, EnterLayer(edited, lifted.root.then)
+    )
 
 
 def test_layer_data_the_rotation_does_not_map_refuses_it():
@@ -1316,7 +1259,6 @@ def test_a_board_the_layer_hides_refuses_its_symmetry():
     h = Hypergraph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
     layer = Layer(
         name="hiding", board=base, embed=tuple(range(5)),
-        translate={v: v for v in range(5)}, relevance=0,
     )
 
     def fork(v: int):
@@ -1389,6 +1331,66 @@ def test_split_lift_single_edge_board():
     lifted = lift_split(s, h)
     report = verify_maker_strategy(split_pendant(h), lifted)
     assert report.verified
+
+
+def _copy_script_without_default(node):
+    """A g4 copy's ``EnterLayer`` with the gadget script's opening stripped
+    of its default."""
+    gadget = node.then
+    opening = replace(gadget.then, default=None)
+    return EnterLayer(node.layer, EnterLayer(gadget.layer, opening))
+
+
+def test_g4_fails_without_its_pass_answer():
+    """In a copy, a move off the copy is a pass.  Without the default that
+    ``lift_g4`` gives the gadget script's opening, the first pass fails as
+    an uncovered reply: Breaker's third move in copy 1, once Maker has
+    entered copy 2."""
+    s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
+
+    def answered(n):
+        return (
+            isinstance(n, EnterLayer)
+            and n.layer.name.startswith("copy-")
+            and n.then.then.default is not None
+        )
+
+    root = s.root
+    for _ in range(3):
+        root, found = replace_first(root, answered, _copy_script_without_default)
+        assert found
+    report = verify_maker_strategy(s.board, StrategyTree(s.board, Side.A, root))
+    c1 = G4_COPY_OFFSETS[0]
+    assert report.counterexample == Counterexample(
+        "uncovered_reply",
+        (
+            ("maker", g4_v(1)),
+            ("breaker", c1 + gamma_w(1)),
+            ("maker", g4_v(2)),
+            ("breaker", c1 + gamma_w(2)),
+            ("maker", g4_s(2)),
+            ("breaker", c1 + gamma_w(3)),
+        ),
+        f"real reply {c1 + gamma_w(3)} is a pass and there is no default",
+    )
+    assert report.lines_checked == 6
+
+
+def test_lift_g4_needs_an_opening_to_answer_a_pass_with():
+    """``lift_g4`` answers a pass as the opening on base vertex 0, so it
+    refuses a gadget script that is not an ``EnterLayer`` over a
+    ``Respond`` without a default, or whose opening has no reply class
+    for vertex 0."""
+    lifted = lift_gamma_prime(build_gamma_strategy())
+    layer, opening = lifted.root.layer, lifted.root.then
+    zero = next(i for i, (cls, _n) in enumerate(opening.branches) if 0 in cls.vertices)
+    for root in (
+        opening,
+        EnterLayer(layer, replace(opening, default=opening.branches[zero][1])),
+        EnterLayer(layer, replace(opening, branches=opening.branches[zero + 1 :])),
+    ):
+        with pytest.raises(ValueError):
+            lift_g4(StrategyTree(lifted.board, Side.B, root))
 
 
 def test_lift_validations():
@@ -1613,7 +1615,8 @@ def test_without_dead_pairs_the_unpruned_lines_come_back(monkeypatch):
     """Differential gate: with dead answered pairs kept, g3-split explores
     exactly its 256,247 lines again, the other targets do not move, and
     every mutant fails on the same line with the same detail; the rule
-    only skips work."""
+    only skips work.  The others are the pinned counts of
+    ``test_verifier_counters_are_pinned``."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
         for name, board, tree in named_mutations()
@@ -1622,7 +1625,7 @@ def test_without_dead_pairs_the_unpruned_lines_come_back(monkeypatch):
     want = {
         "gamma": (3_865, 20),
         "gamma-prime": (46_639, 28),
-        "g4": (51_927, 33),
+        "g4": (57_057, 33),
         "g3-split": (256_247, 28),
     }
     for name, (board, tree) in _pentagon_targets().items():
@@ -1728,7 +1731,6 @@ def _inner_continuation(cont):
         name="outer",
         board=h,
         embed=tuple(range(6)),
-        translate={v: v for v in range(6)},
         win_edges={e: e for e in range(4)},
         answers={4: 5, 5: 4},
     )
@@ -1736,7 +1738,6 @@ def _inner_continuation(cont):
         name="inner",
         board=Hypergraph(3, [(0, 1)]),
         embed=(0, 1, 2),
-        translate={0: 0, 1: 1, 2: 2},
         on_win={0: cont},
     )
     return h, outer, inner
@@ -1782,7 +1783,6 @@ def test_a_pair_an_open_continuation_may_read_is_kept(monkeypatch):
         name="open",
         board=Hypergraph(4, [(1,), (3,)]),
         embed=(2, 3, 7, 8),
-        translate={2: 0, 3: 1, 7: 2, 8: 3},
         on_win={0: finish, 1: finish},
         answers={0: 1, 1: 0},
     )
@@ -1833,7 +1833,6 @@ def _killer_layer(relevance):
         name="pairs",
         board=Hypergraph(2, [(0, 1)]),
         embed=(1, 2),
-        translate={1: 0, 2: 1},
         win_edges={0: 0},
         answers={3: 4, 4: 3},
         relevance=relevance,
@@ -1872,14 +1871,12 @@ def test_answered_pairs_answer_each_other_alone_outside_the_image():
         layer,
         board=Hypergraph(3, [(0, 1)]),
         embed=(1, 2, 3),
-        translate={1: 0, 2: 1, 3: 2},
     )
     assert _pairs(h, inside) is None
     whole = Layer(
         name="whole",
         board=h,
         embed=tuple(range(5)),
-        translate={v: v for v in range(5)},
         win_edges={e: e for e in range(3)},
     )
     assert _pairs(h, whole, layer) is None
