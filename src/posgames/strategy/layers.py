@@ -68,11 +68,11 @@ class Layer:
     Two properties are derived, not declared.  The layer's claim masks join
     the verifier's memo key unless the layer has no ``dynamic_groups``,
     ``on_win`` or ``answers``: every virtual claim is then the image of a
-    real one.  And a group's
-    members are relevant while the layer's Maker mask holds the group's
-    home: until then the first move on any member takes the home, so the
-    members are interchangeable, but once Maker holds it, which members the
-    opponent has taken can matter to later play.
+    real one.  And a group's members are relevant while the layer's Maker
+    mask holds the group's home: until then the first move on any member
+    takes the home, so the members are interchangeable, but once Maker
+    holds it, which members the opponent has taken can matter to later
+    play.
     """
 
     name: str

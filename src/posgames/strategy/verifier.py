@@ -1220,8 +1220,8 @@ class _Symmetry:
 
     def child(self, v: int):
         """(innermost coordinate, child) that reply ``v`` dispatches to, or
-        None when it passes, is answered or reaches no child: such a reply
-        is always searched."""
+        None when it passes or is answered, so that no coordinate names it,
+        or reaches no child: such a reply is always searched."""
         got = self.children.get(v, False)
         if got is False:
             machine, stack = self.machine, self.stack
