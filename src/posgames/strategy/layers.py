@@ -56,11 +56,11 @@ class Layer:
         whose effect is fully captured by the layer's own claim masks may
         be omitted when those masks are part of the memo key.
     ``dynamic_groups``
-        (members, home, fallbacks) triples: parent vertices whose opponent
-        move counts as the virtual vertex ``home`` while it is free in this
-        layer's claim masks, otherwise as the first free vertex of the
-        ordered ``fallbacks``, otherwise as a pass.  Groups are disjoint
-        from each other and are only supported on the innermost layer.
+        parent vertex -> layer vertex, its home: an opponent move on a key
+        counts as the virtual vertex ``home`` while it is free in this
+        layer's claim masks, and otherwise as a pass.  The keys that share
+        a home form its group.  Dynamic groups are only supported on the
+        innermost layer.
 
     ``answers`` take precedence over ``dynamic_groups``, which take
     precedence over ``embed``.
@@ -82,4 +82,4 @@ class Layer:
     on_win: Mapping[int, object] = field(default_factory=dict)
     answers: Mapping[int, int] = field(default_factory=dict)
     relevance: int | None = None
-    dynamic_groups: tuple = ()
+    dynamic_groups: Mapping[int, int] = field(default_factory=dict)

@@ -2,8 +2,10 @@
 
 ``lift_gamma_prime`` replays a pentagon strategy on the gadget board: real
 moves on surviving pentagon vertices carry over unchanged, a move anywhere
-in a gadget counts as a move on that spoke's tip, and completing a spoke
-hands control to a scripted six-move gadget endgame.
+in a gadget counts as a move on that spoke's tip while the tip is free,
+and completing a spoke hands control to a scripted six-move gadget
+endgame.  Once the tip is taken, a later move in its gadget means nothing
+to the pentagon game, so it is a pass until the endgame starts.
 
 ``lift_g4`` wraps a gadget-board strategy in the apex opening: Maker walks
 the apex chain while Breaker answers in the matching region, and enters the
@@ -122,14 +124,6 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
             )
     target = gen_gamma_prime()
 
-    def fallbacks(i: int) -> tuple:
-        # a move on gadget (i, j) whose tip is taken counts as a free
-        # x-vertex: lowest spoke position first, then hubs i, i+1, ... mod 5,
-        # so the order rotates with the gadget
-        return tuple(
-            gamma_x((i + d - 1) % 5 + 1, jj) for jj in range(1, 4) for d in range(5)
-        )
-
     layer = Layer(
         name="pentagon-over-gadgets",
         board=base,
@@ -143,17 +137,16 @@ def lift_gamma_prime(s: StrategyTree) -> StrategyTree:
         # the pentagon vertices travel in the layer's own claim masks, and
         # the gadget interiors are relevant through their groups
         relevance=0,
-        dynamic_groups=tuple(
-            (
-                (gamma_t(i, j),)
-                + tuple(gadget_y(i, j, k) for k in range(1, 7))
-                + tuple(gadget_z(i, j, k) for k in range(1, 5)),
-                gamma_t(i, j),
-                fallbacks(i),
-            )
+        dynamic_groups={
+            v: gamma_t(i, j)
             for i in range(1, 6)
             for j in range(1, 4)
-        ),
+            for v in (
+                gamma_t(i, j),
+                *(gadget_y(i, j, k) for k in range(1, 7)),
+                *(gadget_z(i, j, k) for k in range(1, 5)),
+            )
+        },
     )
     return StrategyTree(target, Side.B, EnterLayer(layer, s.root))
 

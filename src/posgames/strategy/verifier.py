@@ -41,13 +41,15 @@ object per distinct stack, plus a tuple of per-layer (Maker, opponent)
 claim masks.  Layers are data, which the verifier checks where a layer is
 entered and resolves itself: an embedding, whose inverse gives the layer
 vertex an opponent move counts as, answers, a constant relevance mask and
-dynamic groups that each name a home and ordered fallbacks.  A move that
-no active layer sees is a pass, which a ``Respond`` node hands to its
-default; without one the pass is an uncovered reply.  Everything that
-depends only on the stack (how each real vertex resolves, the reply
-classes, the layers' fixed relevance, the real images of the innermost
-board's edges) is built from the parent stack's tables when the stack is
-interned, so a malformed layer fails on the line that enters it.  Caches keyed by a vertex, a node or a claim mask fill on
+dynamic groups, which map parent vertices to a home: a move on one counts
+as the home while the home is free and is a pass once it is taken.  A
+move that no active layer sees is a pass too.  A ``Respond`` node hands a
+pass to its default; without one the pass is an uncovered reply.
+Everything that depends only on the stack (how each real vertex
+resolves, the reply classes, the layers' fixed relevance, the real images
+of the innermost board's edges) is built from the parent stack's tables
+when the stack is interned, so a malformed layer fails on the line that
+enters it.  Caches keyed by a vertex, a node or a claim mask fill on
 first use.  One of them is the claim table: per innermost-board vertex,
 its real vertex, the bit it sets in each layer's Maker mask, the real
 edges through it and the ``on_win`` edges through its coordinate on each
@@ -81,20 +83,22 @@ is skipped when a derived permutation σ maps a reply u that is known to
 succeed onto w and w's child is the σ-image of u's, reply classes compared
 by vertex set.  σ is an automorphism of the innermost board, found by
 ``core.Automorphisms.find`` to map the coordinate u dispatches on onto
-w's, lifted through each layer's embedding and its dynamic groups'
-member order, and fixing every other vertex.  It is used only if it
+w's, lifted through each layer's embedding and the member order of its
+dynamic groups, and fixing every other vertex.  It is used only if it
 maps u onto w on the real board, fixes the real and every layer's claim
 masks, is an automorphism of the real board once the state's Maker
-stones are taken off every edge, and maps the stack's resolution table,
-fixed relevance, dynamic groups with their fallback orders,
-``win_edges`` and ``on_win`` continuations onto themselves (see
-``_Symmetry``).  This is sound by
-monotonicity: an extra Maker stone never hurts Maker, so an edge is won
-once its vertices outside Maker's stones are claimed, and a residual
-automorphism that fixes the state maps every line after u, and every win
-on it, onto a line after w and a win on it.  Every rule the verifier
+stones are taken off every edge, and maps the stack's resolution table
+(which names each group member's home), fixed relevance, ``win_edges``
+and ``on_win`` continuations onto themselves (see ``_Symmetry``).  This
+is sound by monotonicity: an extra Maker stone never hurts Maker, so an
+edge is won once its vertices outside Maker's stones are claimed, and a
+residual automorphism that fixes the state maps every line after u, and
+every win on it, onto a line after w and a win on it.  Every rule the verifier
 applies commutes with σ, because σ maps its tables and both scripts onto
-themselves, except one choice of a lowest free vertex: the member that
+themselves.  That includes a group member's resolution: the member's
+image belongs to the group at the image home, and since σ fixes the
+claim masks that home is free exactly when the member's own is.  The one
+exception is a choice of a lowest free vertex: the member that
 stands for an out-of-relevance class.  In a pruned branch that member is
 the σ-image of the one explored, a member of the image class, which the
 relevance hint treats as interchangeable.  So w succeeds exactly when u
@@ -283,11 +287,9 @@ class _Stack:
             self.stateful = parent.stateful + ((i,) if _stateful(layer) else ())
             rel = image if layer.relevance is None else layer.relevance
             self.fixed_rel = parent.fixed_rel | parent.to_real(rel | residue & ~image)
-            for members, home, _fallbacks in layer.dynamic_groups:
+            for v, home in layer.dynamic_groups.items():
                 self.homes |= 1 << home
-                self.home_rel[home] = self.home_rel.get(home, 0) | parent.to_real(
-                    sum(1 << v for v in members)
-                )
+                self.home_rel[home] = self.home_rel.get(home, 0) | 1 << parent.real[v]
             self.table = _layer_table(parent, layer)
         self.classes = _reply_classes(self.table, self.stateful)
         self.edges = tuple([self.to_real(mask) for mask in board.edge_masks])
@@ -313,13 +315,13 @@ def _layer_table(parent: _Stack, layer) -> list:
     order of precedence, is the layer vertex that ``embed`` places on it.
 
     Entries are ("answer", real reply, effects), ("pass", effects),
-    ("vertex", innermost vertex, effects) or ("dyn", group index, effects);
+    ("vertex", innermost vertex, effects) or ("dyn", home, effects);
     ``effects`` lists the (layer index, layer-board vertex) marks recorded
     along the walk.  ``parent`` has no ``dyn`` entry: ``_Machine._push``
     refuses a layer on top of one.
     """
     fi = len(parent.layers)
-    dyn = {v: gi for gi, group in enumerate(layer.dynamic_groups) for v in group[0]}
+    dyn = layer.dynamic_groups
     coords = {p: c for c, p in enumerate(layer.embed)}
     entries = []
     for entry in parent.table:
@@ -358,6 +360,17 @@ def _reply_classes(table: list, stateful: tuple) -> tuple:
         got = merged.get(key)
         merged[key] = (visible, entry, (got[2] if got else 0) | (1 << rv))
     return tuple(merged.values()), tuple(dyn[k] for k in sorted(dyn))
+
+
+def _resolve_dyn(masks: tuple, entry):
+    """The entry a ``dyn`` entry resolves to at the innermost layer's claim
+    masks: ("vertex", home, ...) while the home is free there, otherwise
+    ("pass", effects)."""
+    _kind, home, effects = entry
+    va, vb = masks[-1]
+    if (va | vb) >> home & 1:
+        return ("pass", effects)
+    return ("vertex", home, effects + ((len(masks) - 1, home),))
 
 
 def _answered_pairs(stack: _Stack) -> tuple | None:
@@ -569,16 +582,11 @@ class _Machine:
             bad("win edges name no edge of the layer board")
         if _off(layer.on_win, len(layer.board.edges)):
             bad("on_win names no edge of the layer board")
-        if _off(layer.answers.values(), parent_n):
+        if _off(layer.answers, parent_n) or _off(layer.answers.values(), parent_n):
             bad("answers leave the parent board")
-        members = [v for group in layer.dynamic_groups for v in group[0]]
-        if _off(members, parent_n) or any(
-            _off((home, *fallbacks), n)
-            for _members, home, fallbacks in layer.dynamic_groups
-        ):
+        groups = layer.dynamic_groups
+        if _off(groups, parent_n) or _off(groups.values(), n):
             bad("dynamic groups leave their boards")
-        if len(set(members)) != len(members):
-            bad("dynamic groups overlap each other")
         if layer.relevance is not None and layer.relevance >> parent_n:
             bad("relevance leaves the parent board")
         if stack.classes[1]:  # masks of the parent's dynamic groups
@@ -658,19 +666,6 @@ class _Machine:
 
     # ------------------------------------------------------------------
     # reply classes
-
-    def _resolve_dyn(self, stack: _Stack, masks: tuple, entry):
-        """The ("vertex", ...) or ("pass", ...) entry a ``dyn`` entry
-        resolves to at the innermost layer's claim masks: the group's home
-        if it is free there, otherwise its first free fallback."""
-        _kind, gi, effects = entry
-        _members, home, fallbacks = stack.layer.dynamic_groups[gi]
-        va, vb = masks[-1]
-        taken = va | vb
-        for c in (home, *fallbacks):
-            if not taken >> c & 1:
-                return ("vertex", c, effects + ((len(masks) - 1, c),))
-        return ("pass", effects)
 
     def _branch_map(self, node: Respond):
         got = self._branch_maps.get(id(node))
@@ -1027,7 +1022,7 @@ class _Machine:
             if len(self.path) > _LINE_LIMIT:
                 self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
             if kind == "dyn":
-                entry = self._resolve_dyn(stack, masks, entry)
+                entry = _resolve_dyn(masks, entry)
                 self._resolved_reply(node, stack, masks, ra, rb2, entry)
             elif kind == "answer":
                 self._answer_reply(node, stack, masks, ra, rb2, entry)
@@ -1185,7 +1180,8 @@ class _Symmetry:
     covered when an accepted ``g`` maps a reply ``u`` known to succeed
     onto ``w`` on the real board and the child ``w`` dispatches to is the
     ``g``-image of ``u``'s (``is_conjugate``).  A reply covered this way
-    is known to succeed as well.
+    is known to succeed as well.  The innermost board holds no stones, so
+    every dynamic group's home is free and each member dispatches on it.
     """
 
     __slots__ = (
@@ -1227,7 +1223,7 @@ class _Symmetry:
             machine, stack = self.machine, self.stack
             entry = stack.table[v]
             if entry[0] == "dyn":
-                entry = machine._resolve_dyn(stack, self.masks, entry)
+                entry = _resolve_dyn(self.masks, entry)
             got = None
             if entry[0] == "vertex":
                 branch = machine._branch_map(self.node).get(entry[1])
@@ -1298,10 +1294,11 @@ class _Symmetry:
 def _lift(stack: _Stack, g) -> tuple | None:
     """``g``, a permutation of the innermost board, carried outwards layer
     by layer: a layer's parent vertex ``embed[c]`` goes to
-    ``embed[g(c)]``, the members of the dynamic group at home ``h`` go in
-    order to those of the group at home ``g(h)``, and every other parent
-    vertex stays put.  Returns the permutation of each board, real board
-    first, or None when that is not a well-defined permutation."""
+    ``embed[g(c)]``, the members of the dynamic group at home ``h`` go, in
+    the order ``dynamic_groups`` lists them, to those of the group at home
+    ``g(h)``, and every other parent vertex stays put.  Returns the
+    permutation of each board, real board first, or None when that is not
+    a well-defined permutation."""
     perms = [list(g)]
     for i in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[i]
@@ -1312,11 +1309,10 @@ def _lift(stack: _Stack, g) -> tuple | None:
         placed = set(embed)
         for c, v in enumerate(embed):
             p[v] = embed[sigma[c]]
-        groups = layer.dynamic_groups
-        by_home = {home: members for members, home, _fallbacks in groups}
-        if len(by_home) != len(groups):
-            return None
-        for members, home, _fallbacks in groups:
+        by_home: dict = {}
+        for v, home in layer.dynamic_groups.items():
+            by_home.setdefault(home, []).append(v)
+        for home, members in by_home.items():
             image = by_home.get(sigma[home])
             if image is None or len(image) != len(members):
                 return None
@@ -1354,23 +1350,14 @@ def _edge_image(board: Hypergraph, perm, e: int):
 def _fits_stack(stack: _Stack, perms: tuple, other: _Stack | None = None) -> bool:
     """Whether the lifted ``perms`` map every claim-independent part of
     ``stack`` onto ``other``, by default ``stack`` itself: the resolution
-    table, the fixed relevance, the dynamic groups' fallback orders and
-    every layer's ``on_win`` continuations, compared through
+    table, where a group member's entry names its home, the fixed
+    relevance and every layer's ``on_win`` continuations, compared through
     ``is_conjugate``.  ``other`` has the same boards as ``stack``."""
     if other is None:
         other = stack
     real, inner = perms[0], perms[-1]
     if _image(real, stack.fixed_rel) != other.fixed_rel:
         return False
-    layer = stack.layer
-    gi_of = {}
-    if layer is not None:
-        groups = other.layer.dynamic_groups
-        gi_of = {home: gi for gi, (_m, home, _f) in enumerate(groups)}
-        for _members, home, fallbacks in layer.dynamic_groups:
-            image = groups[gi_of[inner[home]]][2]
-            if tuple([inner[c] for c in fallbacks]) != tuple(image):
-                return False
 
     def effects(effs):
         return tuple([(fi, perms[fi + 1][c]) for fi, c in effs])
@@ -1378,15 +1365,12 @@ def _fits_stack(stack: _Stack, perms: tuple, other: _Stack | None = None) -> boo
     other_table = other.table
     for v, entry in enumerate(stack.table):
         kind = entry[0]
-        if kind == "vertex":
-            image = ("vertex", inner[entry[1]], effects(entry[2]))
-        elif kind == "pass":
+        if kind == "pass":
             image = ("pass", effects(entry[1]))
         elif kind == "answer":
             image = ("answer", real[entry[1]], effects(entry[2]))
-        else:
-            home = layer.dynamic_groups[entry[1]][1]
-            image = ("dyn", gi_of[inner[home]], effects(entry[2]))
+        else:  # a "vertex" or "dyn" entry names an innermost coordinate
+            image = (kind, inner[entry[1]], effects(entry[2]))
         if other_table[real[v]] != image:
             return False
     for i, layer in enumerate(stack.layers):

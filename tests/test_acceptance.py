@@ -166,14 +166,11 @@ def test_verifier_counters_are_pinned():
 
     At an opponent node whose innermost board holds no stones (the
     pentagon's first move, and copy 2's) only one opening per symmetry
-    orbit is explored: gamma 6 of 35, gamma-prime 7 of 35 and g4 8 of 36.
-    Without that pruning the counts are gamma 20,806, gamma-prime 212,418
-    and g4 233,530, which was 228,708 with the stand-in move below (see
+    orbit is explored: gamma 6 of 35, gamma-prime 6 of 35 and g4 7 of 36.
+    Without that pruning the counts are gamma 20,806, gamma-prime 215,788
+    and g4 224,962 (see
     ``test_without_symmetry_the_unpruned_lines_come_back``); g3-split has
-    no such node.  Before that, the pentagon fallback order
-    was made to rotate with each gadget, which moved gamma-prime from
-    212,464 lines and g4 from 228,831: a move inside a gadget whose tip is
-    taken lands on x-vertices in a different order.
+    no such node.
 
     On g3-split an opponent node on the pendant layer drops each free
     pendant pair whose base edge holds a Breaker stone from its replies and
@@ -182,15 +179,22 @@ def test_verifier_counters_are_pinned():
     ``test_without_dead_pairs_the_unpruned_lines_come_back``).
 
     In a g4 copy, a move off the copy is a pass that the gadget script's
-    opening answers as the opening on w_1 (``lift_g4``).  g4 took 51,927
-    lines when the verifier answered such a move as an imagined opponent
-    move on the lowest free coordinate and marked it in the copy's masks.
-    Without that mark, the opponent's later move on the copy's w_1 is a new
-    state, which costs the extra lines."""
+    opening answers as the opening on w_1 (``lift_g4``).  Before that the
+    verifier answered such a move as an imagined opponent move on the
+    lowest free coordinate and marked it in the copy's masks: g4 took
+    51,927 lines then and 57,057 right after.
+
+    On the pentagon layer, a move inside a gadget whose tip is taken is a
+    pass too (``lift_gamma_prime``).  gamma-prime took 46,639 lines and g4
+    57,057 when such a move counted as an imagined move on the first free
+    x-vertex of an ordered fallback list.  Without those orders the
+    pentagon's reflection also passes the stack checks on gamma-prime, so
+    its stone-free root explores 6 openings where it explored 7, and g4's
+    copy 2 explores 7 where it explored 8."""
     expected = {
         gamma_report: (3_865, 20),
-        gamma_prime_report: (46_639, 28),
-        g4_report: (57_057, 33),
+        gamma_prime_report: (41_398, 28),
+        g4_report: (49_405, 33),
         g3_split_report: (130_807, 28),
     }
     for report, (lines, depth) in expected.items():

@@ -33,7 +33,6 @@ from posgames.constructions import (
     gamma_sigma,
     gamma_t,
     gamma_w,
-    gamma_x,
     gen_g3,
     gen_g4,
     gen_gamma,
@@ -74,6 +73,7 @@ from posgames.strategy.verifier import (
     _fits_state,
     _lift,
     _Machine,
+    _resolve_dyn,
     _sibling_sigma,
     _Stack,
     _stateful,
@@ -535,18 +535,22 @@ def _answering_layer(answers: dict):
     return h, StrategyTree(h, Side.A, EnterLayer(layer, script))
 
 
-@pytest.mark.parametrize("answer", [9, -1], ids=["answer-9", "answer-neg"])
-def test_verifier_reports_answers_off_the_board(answer):
+@pytest.mark.parametrize(
+    "answers",
+    [{3: 9}, {3: -1}, {9: 3}, {-1: 3}],
+    ids=["answer-9", "answer-neg", "key-9", "key-neg"],
+)
+def test_verifier_reports_answers_off_the_board(answers):
     """An ``answers`` value off the parent board is ill-formed where the
-    layer is entered, never an ``IndexError`` or a negative shift."""
-    h, s = _answering_layer({3: answer})
+    layer is entered, never an ``IndexError`` or a negative shift.  So is
+    a key off it, which no opponent move could ever reach."""
+    h, s = _answering_layer(answers)
     cex = verify_maker_strategy(h, s).counterexample
     assert cex == Counterexample(
         "ill_formed", (), "layer 'answering': answers leave the parent board"
     )
 
 
-_OVERLAP = "dynamic groups overlap each other"
 _NO_EDGE = "on_win names no edge of the layer board"
 
 
@@ -554,10 +558,8 @@ _NO_EDGE = "on_win names no edge of the layer board"
     "fields, detail",
     [
         ({"embed": (0, 0, 2)}, "embedding is not injective"),
-        ({"dynamic_groups": (((3,), 0, ()), ((3,), 1, ()))}, _OVERLAP),
-        ({"dynamic_groups": (((3,), 3, ()),)}, "dynamic groups leave their boards"),
-        ({"dynamic_groups": (((3,), 0, (1, -1)),)}, "dynamic groups leave their boards"),
-        ({"dynamic_groups": (((4,), 0, ()),)}, "dynamic groups leave their boards"),
+        ({"dynamic_groups": {3: 3}}, "dynamic groups leave their boards"),
+        ({"dynamic_groups": {4: 0}}, "dynamic groups leave their boards"),
         ({"win_edges": {0: 0, 2: 1}}, "win edges name no edge of the layer board"),
         ({"win_edges": {-1: 0, 1: 1}}, "win edges name no edge of the layer board"),
         ({"on_win": {2: Respond((), BoundedWin(1))}}, _NO_EDGE),
@@ -565,9 +567,7 @@ _NO_EDGE = "on_win names no edge of the layer board"
     ],
     ids=[
         "embed-twice",
-        "groups-overlap",
         "home-3",
-        "fallback-neg",
         "member-4",
         "win-edge-key-2",
         "win-edge-key-neg",
@@ -576,8 +576,8 @@ _NO_EDGE = "on_win names no edge of the layer board"
     ],
 )
 def test_verifier_reports_malformed_layer_data(fields, detail):
-    """A dynamic group that leaves its boards, dynamic groups that
-    overlap, an embedding that is not injective and a
+    """A dynamic group whose member leaves the parent board or whose home
+    leaves the layer board, an embedding that is not injective and a
     ``win_edges`` or ``on_win`` key that names no edge of the layer board
     are ill-formed where the layer is entered, never a negative shift, a
     silently recorded move off the board, a key that never fires or an
@@ -663,44 +663,56 @@ def test_an_answered_move_past_the_line_limit_is_ill_formed():
 
 
 def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
-    """A move on a dynamic group's member that finds the home taken counts
-    as the first free fallback.  When the opponent later plays the real
-    vertex of that fallback, the reply is dispatched like any other: by
-    the reply class that holds its coordinate, not as a pass.
+    """A move on a dynamic group's member counts as the group's home while
+    the home is free.  When the opponent later plays the home's own real
+    vertex, the reply is dispatched like any other: by the reply class
+    that holds its coordinate, not as a pass.
 
     On the board {2, 8}, {3, 1}, {4, 6}, {4, 7} the layer copies the real
-    board, and a move on real 1 counts as coordinate 2 while it is free,
-    else as 6 or 9.  Maker claims 2, 3 and 4, each a threat; the opponent
-    blocks with 8 and with 1, which counts as coordinate 6.  The opponent's
-    real 6 must then reach class "six", whose claim of 7 wins.  The
-    Respond has no default, so a pass there would end in an
-    ``uncovered_reply``."""
+    board, and a move on real 1 counts as coordinate 6 while it is free,
+    else as a pass.  Maker claims 2, 3 and 4, each a threat; the opponent
+    blocks with 8 and with 1, which counts as coordinate 6.  The
+    opponent's real 6 must then reach class "six": with its winning claim
+    of 7 swapped for a claim of 0, the line fails right there, where the
+    last Respond's default would have claimed 7.  That default answers the
+    pass when the opponent plays 6 before 1."""
     h = Hypergraph(10, [(2, 8), (3, 1), (4, 6), (4, 7)])
     layer = Layer(
         name="gadget",
         board=h,
         embed=tuple(range(10)),
-        dynamic_groups=(((1,), 2, (6, 9)),),
+        dynamic_groups={1: 6},
     )
-    last = Respond(
-        (
-            (ReplyClass("six", frozenset((6,))), Claim(7, None)),
-            (ReplyClass("rest", frozenset(range(10)) - {6}), ClaimFirstFree((6, 1, 7))),
-        ),
-        None,
-    )
-    one = Respond(((ReplyClass("one", frozenset((6,))), Claim(4, last)),), Claim(1))
-    eight = Respond(((ReplyClass("eight", frozenset((8,))), Claim(3, one)),), Claim(8))
-    tree = StrategyTree(h, Side.A, EnterLayer(layer, Claim(2, eight)))
+
+    def script(six):
+        last = Respond(
+            (
+                (ReplyClass("six", frozenset((6,))), six),
+                (ReplyClass("rest", frozenset(range(10)) - {6}), ClaimFirstFree((6, 1, 7))),
+            ),
+            Claim(7, None),
+        )
+        one = Respond(((ReplyClass("one", frozenset((6,))), Claim(4, last)),), Claim(1))
+        eight = Respond(((ReplyClass("eight", frozenset((8,))), Claim(3, one)),), Claim(8))
+        return StrategyTree(h, Side.A, EnterLayer(layer, Claim(2, eight)))
+
+    tree = script(Claim(7, None))
     assert _stateful(layer)
     machine = _Machine(h)
     _node, stack, _masks = machine._enter(tree.root, machine.root, ())
-    taken = ((1 << 2, 1 << 8),)
-    assert machine._resolve_dyn(stack, taken, stack.table[1]) == ("vertex", 6, ((0, 6),))
+    assert stack.table[1] == ("dyn", 6, ())
+    assert _resolve_dyn(((1 << 2, 1 << 8),), stack.table[1]) == ("vertex", 6, ((0, 6),))
+    assert _resolve_dyn(((1 << 2, 1 << 6),), stack.table[1]) == ("pass", ())
     assert stack.table[6] == ("vertex", 6, ((0, 6),))
     machine.release()
     report = verify_maker_strategy(h, tree)
     assert report.verified, report.counterexample
+    cex = verify_maker_strategy(h, script(Claim(0, None))).counterexample
+    assert cex.kind == "leaf_without_win"
+    assert cex.moves == (
+        ("maker", 2), ("breaker", 8), ("maker", 3), ("breaker", 1),
+        ("maker", 4), ("breaker", 6), ("maker", 0),
+    )
 
 
 def test_line_limit_failure_leaves_no_unplayed_move():
@@ -770,10 +782,8 @@ def test_layered_opening_coverage_follows_the_base_strategy():
     machine = _Machine(gen_gamma_prime())
     _node, stack, masks = machine._enter(lift_gamma_prime(s).root, machine.root, ())
     y, tip = gadget_y(4, 2, 3), gamma_t(4, 2)
-    assert stack.table[y] == ("dyn", 3 * (4 - 1) + (2 - 1), ())  # spoke (4, 2)
-    assert machine._resolve_dyn(stack, masks, stack.table[y]) == (
-        "vertex", tip, ((0, tip),)
-    )
+    assert stack.table[y] == ("dyn", tip, ())
+    assert _resolve_dyn(masks, stack.table[y]) == ("vertex", tip, ((0, tip),))
     machine.release()
     machine = _Machine(split_pendant(gen_gamma()))
     lifted = lift_split(s, gen_gamma())
@@ -1031,17 +1041,17 @@ def test_g4_without_sharing_explores_the_unshared_lines(monkeypatch):
     """Differential gate: with every sibling pair refused, g4 verifies on
     exactly the lines it takes when each copy is searched on its own.
 
-    Each copy explores one opening per rotation orbit of its pentagon.
-    Before that symmetry pruning this took 681,984 lines, and 682,353
-    before the pentagon fallback order rotated with each gadget.  It took
-    151,635 lines while a move off a copy was answered as a stand-in move
-    marked in the copy's masks; a pass now takes the copy's default, and
-    the opponent's later move on the stand-in's vertex is a new state."""
+    Each copy explores one opening per symmetry orbit of its pentagon.
+    Before that symmetry pruning this took 681,984 lines.  It took 151,635
+    lines while a move off a copy was answered as a stand-in move marked in
+    the copy's masks, and 167,025 while a gadget move whose tip is taken
+    counted as a move on a fallback x-vertex: such a move is now a pass,
+    and the reflection joins the rotation in the pruning."""
     _refuse_every_pair(monkeypatch)
     s = lift_g4(lift_gamma_prime(build_gamma_strategy()))
     report = verify_maker_strategy(gen_g4(), s)
     assert report.verified, report.counterexample
-    assert (report.lines_checked, report.max_depth) == (167_025, 35)
+    assert (report.lines_checked, report.max_depth) == (144_069, 35)
 
 
 def test_an_answer_that_completes_an_edge_wins_the_line():
@@ -1121,9 +1131,10 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     the same line; the pruning only skips work, most on
     ``opening-class-gap``.  The gate refuses only symmetry, so g3-split,
     which has no stone-free node, keeps the dead-pair rule and its 130,807
-    lines (256,247 without that rule).  g4 took 228,708 lines while a move
-    off a copy was answered as a stand-in move rather than by the copy's
-    default (see ``test_verifier_counters_are_pinned``)."""
+    lines (256,247 without that rule).  gamma-prime took 212,418 lines and
+    g4 233,530 while a gadget move whose tip is taken counted as a move on
+    a fallback x-vertex rather than as a pass (see
+    ``test_verifier_counters_are_pinned``)."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
         for name, board, tree in named_mutations()
@@ -1131,8 +1142,8 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     _refuse_every_symmetry(monkeypatch)
     want = {
         "gamma": (20_806, 20),
-        "gamma-prime": (212_418, 28),
-        "g4": (233_530, 33),
+        "gamma-prime": (215_788, 28),
+        "g4": (224_962, 33),
         "g3-split": (130_807, 28),
     }
     for name, (board, tree) in _pentagon_targets().items():
@@ -1158,44 +1169,19 @@ def _stone_free(h, tree, ra: int = 0, rb: int = 0, enter=None):
     return machine, _Symmetry(machine, node, stack, masks, ra, rb)
 
 
-def test_symmetry_needs_the_fallback_order_to_rotate():
-    """The rotation is accepted on gamma-prime and the reflection, which
-    no fallback order follows, is refused there though it is accepted on
-    the plain pentagon.  With one fallback order shared by every gadget
-    the rotation is refused too, so nothing is pruned and gamma-prime
-    takes its unpruned 212,464 lines."""
+def test_rotation_and_reflection_are_accepted_on_gamma_prime():
+    """The pentagon's rotation and its reflection are both accepted at the
+    stone-free root of gamma-prime, as on the plain pentagon: each maps
+    the gadgets' dynamic groups onto each other, and a gadget move whose
+    tip is taken is a pass, so no other layer data has to map onto
+    itself."""
     gamma = build_gamma_strategy()
-    machine, plain = _stone_free(gen_gamma(), gamma)
-    assert plain.accept(gamma_sigma()) is not None
-    assert plain.accept(gamma_rho()) is not None
-    machine.release()
-    lifted = lift_gamma_prime(gamma)
-    machine, sym = _stone_free(gen_gamma_prime(), lifted)
-    assert sym.accept(gamma_rho()) is not None
-    assert sym.accept(gamma_sigma()) is None
-    machine.release()
-    layer = lifted.root.layer
-    shared = tuple(gamma_x(i, j) for j in range(1, 4) for i in range(1, 6))
-    old = StrategyTree(
-        lifted.board,
-        Side.B,
-        EnterLayer(
-            replace(
-                layer,
-                dynamic_groups=tuple(
-                    (members, home, shared)
-                    for members, home, _fallbacks in layer.dynamic_groups
-                ),
-            ),
-            lifted.root.then,
-        ),
-    )
-    machine, sym = _stone_free(old.board, old)
-    assert all(sym.accept(_rotation(k)) is None for k in range(1, 5))
-    machine.release()
-    report = verify_maker_strategy(old.board, old)
-    assert report.verified
-    assert (report.lines_checked, report.max_depth) == (212_464, 28)
+    targets = ((gen_gamma(), gamma), (gen_gamma_prime(), lift_gamma_prime(gamma)))
+    for board, tree in targets:
+        machine, sym = _stone_free(board, tree)
+        assert sym.accept(gamma_rho()) is not None
+        assert sym.accept(gamma_sigma()) is not None
+        machine.release()
 
 
 def test_copy_rotation_needs_the_switch_to_be_makers():
@@ -1467,11 +1453,12 @@ def test_mutant_counterexamples_match_snapshot():
     spent finding it.  Reply order decides which line comes first, so this
     pins the order in which the verifier explores replies.
 
-    The three ``endgame-*`` mutants took 10,911, 10,999 and 10,955 lines
-    before the pentagon fallback order was made to rotate with each
-    gadget, and ``opening-class-gap`` 15,889 before symmetry pruning let it
-    explore 6 of the 22 openings it searched up to its gap; no
-    counterexample changed."""
+    ``opening-class-gap`` took 15,889 lines before symmetry pruning let it
+    explore 6 of the 22 openings it searched up to its gap.  The three
+    ``endgame-*`` mutants took 10,662, 10,750 and 10,706 lines, and
+    ``long-edge-mapped-wrong`` 3,892, while a gadget move whose tip is
+    taken counted as a move on a fallback x-vertex: as a pass it reaches
+    states the imagined move had merged.  No counterexample changed."""
     expected = json.loads(_MUTANT_SNAPSHOT.read_text())
     mutations = named_mutations()
     assert [name for name, _, _ in mutations] == [e["name"] for e in expected]
@@ -1550,15 +1537,15 @@ def test_layer_relevance_leaves_mutant_counterexamples_unchanged():
 def test_gamma_prime_verifies_without_layer_relevance():
     """The pentagon layer's relevance mask only collapses replies that
     cannot matter: without it the gadget-board lift still verifies, on
-    700,572 lines instead of 46,639.  Symmetry pruning explores one opening
-    per rotation orbit; without it this took 3,411,063 lines, and 3,126,911
-    before the fallback order rotated with each gadget, which changes the
-    x-vertex a move inside a gadget whose tip is taken counts as."""
+    534,296 lines instead of 41,398.  Before symmetry pruning, which
+    explores one opening per symmetry orbit, this took 3,411,063 lines.  It took
+    700,572 while a gadget move whose tip is taken counted as a move on a
+    fallback x-vertex rather than as a pass."""
     plain, dropped = _without_layer_relevance(lift_gamma_prime(build_gamma_strategy()))
     assert dropped == 1
     report = verify_maker_strategy(plain.board, plain)
     assert report.verified, report.counterexample
-    assert (report.lines_checked, report.max_depth) == (700_572, 28)
+    assert (report.lines_checked, report.max_depth) == (534_296, 28)
 
 
 def test_verifier_leaves_no_stack_for_the_cyclic_gc():
@@ -1624,8 +1611,8 @@ def test_without_dead_pairs_the_unpruned_lines_come_back(monkeypatch):
     _rule_off(monkeypatch)
     want = {
         "gamma": (3_865, 20),
-        "gamma-prime": (46_639, 28),
-        "g4": (57_057, 33),
+        "gamma-prime": (41_398, 28),
+        "g4": (49_405, 33),
         "g3-split": (256_247, 28),
     }
     for name, (board, tree) in _pentagon_targets().items():
