@@ -69,10 +69,10 @@ class Layer:
     the verifier's memo key unless the layer has no ``dynamic_groups``,
     ``on_win`` or ``answers``: every virtual claim is then the image of a
     real one.  And a group's members are relevant while the layer's Maker
-    mask holds the group's home: until then the first move on any member
-    takes the home, so the members are interchangeable, but once Maker
-    holds it, which members the opponent has taken can matter to later
-    play.
+    mask holds the group's home: until then a move on any member takes the
+    home if it is free and is a pass if not, so the members are
+    interchangeable, but once Maker holds it, which members the opponent
+    has taken can matter to later play.
     """
 
     name: str
