@@ -266,9 +266,20 @@ def _cmd_reduce(args, argv, start) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _node_limit(text: str) -> int:
+    """A ``--node-limit`` value: a whole number of nodes, 0 or more."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"expected 0 or more nodes, got {text!r}")
+    return limit
+
+
 def _add_report_flags(p, node_limit=True):
     if node_limit:
-        p.add_argument("--node-limit", type=int, default=None, metavar="N")
+        p.add_argument("--node-limit", type=_node_limit, default=None, metavar="N")
     p.add_argument("--out", metavar="FILE", help="write the report here")
 
 

@@ -81,19 +81,21 @@ Breaker-first script, or the first opponent turn in a freshly entered
 layer) the replies are still explored in ascending order, but a reply w
 is skipped when a derived permutation σ maps a reply u that is known to
 succeed onto w and w's child is the σ-image of u's, reply classes compared
-by vertex set.  σ is an automorphism of the innermost board, found by
-``core.Automorphisms.find`` to map the coordinate u dispatches on onto
-w's, lifted through each layer's embedding and the member order of its
-dynamic groups, and fixing every other vertex.  It is used only if it
-maps u onto w on the real board, fixes the real and every layer's claim
-masks, is an automorphism of the real board once the state's Maker
-stones are taken off every edge, and maps the stack's resolution table
-(which names each group member's home), fixed relevance, ``win_edges``
-and ``on_win`` continuations onto themselves (see ``_Symmetry``).  This
-is sound by monotonicity: an extra Maker stone never hurts Maker, so an
-edge is won once its vertices outside Maker's stones are claimed, and a
-residual automorphism that fixes the state maps every line after u, and
-every win on it, onto a line after w and a win on it.  Every rule the verifier
+by vertex set (see ``_Machine._expand_stone_free``).  σ is a candidate
+that ``core.Automorphisms.find`` proposes to map the coordinate u
+dispatches on onto w's, lifted through each layer's embedding and the
+member order of its dynamic groups, and fixing every other vertex.
+``find`` is not trusted: σ is used only if ``core.is_automorphism``
+confirms it is an automorphism of the innermost board, it maps u onto w
+on the real board, fixes the real and every layer's claim masks, is an
+automorphism of the real board once the state's Maker stones are taken
+off every edge, and maps the stack's resolution table (which names each
+group member's home), fixed relevance, ``win_edges`` and ``on_win``
+continuations onto themselves (see ``_Machine._accept``).  This is sound
+by monotonicity: an extra Maker stone never hurts Maker, so an edge is
+won once its vertices outside Maker's stones are claimed, and a residual
+automorphism that fixes the state maps every line after u, and every win
+on it, onto a line after w and a win on it.  Every rule the verifier
 applies commutes with σ, because σ maps its tables and both scripts onto
 themselves.  That includes a group member's resolution: the member's
 image belongs to the group at the image home, and since σ fixes the
@@ -118,7 +120,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Automorphisms, Hypergraph, Position, Side, iter_bits
+from ..core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
 from .nodes import (
     BoundedWin,
     Claim,
@@ -189,10 +191,10 @@ class _Stack:
 
     A line carries its layer state as the innermost ``_Stack`` plus one
     tuple of per-layer ``(va, vb)`` claim masks, outermost first.  The
-    machine interns one object per distinct stack (a child per layer pushed
-    on top of it), so the object itself names the layers in a memo key and
-    every per-stack table is one of its attributes.  ``prefixes[i]`` is the
-    stack that closes ``layers[i]``.
+    machine interns one object per distinct stack (``_Machine.stacks``), so
+    the object itself names the layers in a memo key and every per-stack
+    table is one of its attributes.  ``outers[i]`` is the stack that
+    ``layers[i]`` is entered on.
 
     The tables that do not depend on the claim masks are built with the
     stack, from its parent's: ``table`` (see ``_layer_table``) and
@@ -227,13 +229,12 @@ class _Stack:
     ``rep`` is the stack whose opponent-node successes this one shares (see
     the module docstring), never one that has a ``rep`` itself, and
     ``segs`` the automorphism carrying this stack onto it as (shift, source
-    mask) pairs.  ``sym`` holds, once a stone-free node on the stack needs them,
-    the innermost board's ``Automorphisms``, whose ``find`` proposes the
-    candidates, and, per candidate tried, its lift if that passed
-    ``_fits_stack`` and else None (see ``_Symmetry``).
+    mask) pairs.
 
-    Stacks point at their children and the children back at them, so the
-    machine breaks those cycles when a run ends (``_Machine.release``).
+    A stack points only outwards: at its parent and ``outers``, at the
+    stacks its ``on_win`` continuations run on, which enclose it, and at
+    its ``rep``.  It never points at itself or at a child, so the stacks
+    are freed with the machine by reference counting.
     """
 
     __slots__ = (
@@ -241,9 +242,8 @@ class _Stack:
         "layer",
         "parent",
         "layers",
-        "prefixes",
+        "outers",
         "real",
-        "children",
         "stateful",
         "table",
         "classes",
@@ -258,25 +258,23 @@ class _Stack:
         "bw",
         "rep",
         "segs",
-        "sym",
     )
 
     def __init__(self, board: Hypergraph, layer=None, parent: "_Stack | None" = None):
         self.board = board
         self.layer = layer
         self.parent = parent
-        self.children: dict = {}
         self.homes = 0
         self.home_rel: dict = {}
         if parent is None:
-            self.layers = self.prefixes = self.stateful = ()
+            self.layers = self.outers = self.stateful = ()
             self.real = tuple(range(board.vertex_count))
             self.fixed_rel = 0
             self.table = [("vertex", v, ()) for v in self.real]
         else:
             i = len(parent.layers)
             self.layers = parent.layers + (layer,)
-            self.prefixes = parent.prefixes + (self,)
+            self.outers = parent.outers + (parent,)
             # real vertex of each vertex of ``board``
             self.real = tuple([parent.real[v] for v in layer.embed])
             image = sum(1 << v for v in layer.embed)
@@ -301,7 +299,6 @@ class _Stack:
         self.bw: dict = {}
         self.rep = None
         self.segs = None
-        self.sym = None
 
     def to_real(self, mask: int) -> int:
         """Map a mask on ``board`` to the real board."""
@@ -397,15 +394,15 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
     for entry in table:
         if entry[0] == "answer":
             answering[entry[1]] = answering.get(entry[1], 0) + 1
-    real_board = stack.prefixes[0].parent.board
+    real_board = stack.outers[0].board
     edge_masks, incidence = real_board.edge_masks, real_board.incidence
     # (real image of an on_win edge, real vertices its continuation claims,
     # whether it finishes, the table of the stack it runs on)
     wins = []
     for i, layer in enumerate(stack.layers):
-        inner, outer = stack.prefixes[i], stack.prefixes[i].parent
+        outer = stack.outers[i]
         for e, cont in layer.on_win.items():
-            edge = inner.to_real(layer.board.edge_masks[e])
+            edge = outer.to_real(_image(layer.embed, layer.board.edge_masks[e]))
             finish = _finishes(cont, outer, edge, edge_masks, incidence)
             wins.append((edge, _named(cont, outer), finish, outer.table))
     image = stack.to_real(stack.board.full_mask)
@@ -514,6 +511,8 @@ class _Machine:
         self.max_depth = 0
         self.memo: dict = {}
         self.root = _Stack(h)
+        # (parent stack, layer) -> the interned stack, in creation order
+        self.stacks: dict = {}
         # the profile bit of a stack's first multi-member reply group
         self.group_bit = 1 << h.vertex_count
         self._branch_maps: dict = {}
@@ -523,20 +522,6 @@ class _Machine:
 
     def _fail(self, kind: str, detail: str):
         raise _Fail(Counterexample(kind, tuple(self.path), detail))
-
-    def release(self):
-        """Break the reference cycles among the interned stacks.
-
-        A stack points at its children, each child back at it, and its
-        ``prefixes`` at itself.  With those links cut every remaining
-        reference points outwards, so the stacks are freed with the machine
-        instead of waiting for the cyclic garbage collector.
-        """
-        todo = [self.root]
-        while todo:
-            stack = todo.pop()
-            todo.extend(stack.children.values())
-            stack.children = stack.prefixes = None
 
     # ------------------------------------------------------------------
     # layer bookkeeping
@@ -548,11 +533,11 @@ class _Machine:
         tables are built, when the child is first created, so a layer
         reused under another parent is checked again there.
         """
-        child = stack.children.get(layer)
+        key = (stack, layer)
+        child = self.stacks.get(key)
         if child is None:
             self._check_layer(stack, layer)
-            child = _Stack(layer.board, layer, stack)
-            stack.children[layer] = child
+            child = self.stacks[key] = _Stack(layer.board, layer, stack)
             if stack.rep is not None:
                 child.rep = self._push(stack.rep, layer)
                 child.segs = stack.segs
@@ -602,7 +587,9 @@ class _Machine:
     def _share(self, child: _Stack):
         """Let ``child`` share the memo successes of the first earlier
         child of the root whose layer it is checked to mirror."""
-        for sibling in self.root.children.values():
+        for (parent, _layer), sibling in self.stacks.items():
+            if parent is not self.root:
+                continue
             if sibling is child:
                 return
             if sibling.rep is not None:
@@ -831,7 +818,7 @@ class _Machine:
                 for e in board.incidence[c]:
                     cont = layer.on_win.get(e)
                     if cont is not None:
-                        outer = stack.prefixes[i].parent
+                        outer = stack.outers[i]
                         wins.append((i, board.edge_masks[e], cont, outer))
             c = layer.embed[c]
         edges = tuple([self.edge_masks[e] for e in self.incidence[c]])
@@ -991,26 +978,96 @@ class _Machine:
 
     def _expand_stone_free(self, node, stack, masks, ra, rb, replies: int):
         """Explore the replies at an opponent node whose innermost board
-        holds no stones, in ascending order, skipping each reply that a
-        derived symmetry maps a reply known to succeed onto (see
-        ``_Symmetry``).  The symmetry is derived when the first reply has
-        succeeded, so a node that fails there pays nothing for it."""
-        table = stack.table
-        sym = None  # False once the node is known to have no symmetry
-        done: list = []
-        for v in iter_bits(replies):
-            if done:
-                if sym is None:
-                    sym = self._symmetry(node, stack, masks, ra, rb) or False
-                if sym and sym.covers(v, done):
-                    done.append(v)
-                    continue
-            self._reply(node, stack, masks, ra, rb, v, table[v])
-            done.append(v)
+        holds no stones, in ascending order, skipping each reply ``w`` that
+        a candidate accepted at this node maps a reply ``u`` known to
+        succeed onto.
 
-    def _symmetry(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
-        """The symmetries of a stone-free opponent node, or None for none."""
-        return _Symmetry(self, node, stack, masks, ra, rb)
+        ``Automorphisms.find`` proposes a candidate ``g`` that maps the
+        coordinate ``u`` dispatches on onto ``w``'s, and ``_accept`` checks
+        it.  ``w`` is covered when the lift of an accepted ``g`` maps ``u``
+        onto ``w`` on the real board and ``w``'s child is the ``g``-image
+        of ``u``'s (``is_conjugate``); ``w`` is then known to succeed as
+        well.  The candidates already accepted are tried first, then one
+        ``find`` builds from ``w`` and each reply in ``done``, in order.  A
+        reply that passes, is answered or reaches no child has no
+        coordinate or child to compare and is always searched.  The
+        innermost board holds no stones, so every dynamic group's home is
+        free and each member dispatches on it.  The board's
+        ``Automorphisms`` are built at the first ``find``, so a node that
+        fails before then pays nothing for them.
+        """
+        table = stack.table
+        board = stack.board
+        autos = None
+        done: dict = {}  # reply known to succeed -> (coordinate, child)
+        tried: dict = {}  # tuple(g) -> its lift if accepted here, else None
+        accepted: list = []  # (lift, inverse of its real permutation)
+        for w in iter_bits(replies):
+            entry = table[w]
+            if entry[0] == "dyn":
+                entry = _resolve_dyn(masks, entry)
+            child = self._child(node, entry) if entry[0] == "vertex" else None
+            if child is None:
+                self._reply(node, stack, masks, ra, rb, w, table[w])
+                continue
+            covered = False
+            for perms, inverse in accepted:
+                got = done.get(inverse[w])
+                if got is not None and is_conjugate(got[1], child, perms[-1], board):
+                    covered = True
+                    break
+            else:
+                for u, (coord, child_u) in done.items():
+                    if autos is None:
+                        autos = Automorphisms(board)
+                    g = autos.find([(coord, entry[1])])
+                    if g is None:
+                        continue
+                    key = tuple(g)
+                    if key in tried:
+                        perms = tried[key]
+                    else:
+                        perms = tried[key] = self._accept(stack, g, masks, ra, rb)
+                        if perms is not None:
+                            inverse = [0] * len(perms[0])
+                            for v, image in enumerate(perms[0]):
+                                inverse[image] = v
+                            accepted.append((perms, inverse))
+                    if (
+                        perms is not None
+                        and perms[0][u] == w
+                        and is_conjugate(child_u, child, g, board)
+                    ):
+                        covered = True
+                        break
+            if not covered:
+                self._reply(node, stack, masks, ra, rb, w, table[w])
+            done[w] = (entry[1], child)
+
+    def _accept(self, stack: _Stack, g, masks: tuple, ra: int, rb: int):
+        """The lift of ``g`` (see ``_lift``) if ``g`` is an automorphism of
+        ``stack``'s innermost board and the lift passes ``_fits_stack`` and,
+        at the state (``masks``, ``ra``, ``rb``), ``_fits_state``, the two
+        checks that also decide copy sharing; else None.  ``g`` comes from
+        ``Automorphisms.find``, which is not trusted to return one."""
+        if not is_automorphism(stack.board, g):
+            return None
+        perms = _lift(stack, g)
+        if perms is None or not _fits_stack(stack, perms):
+            return None
+        if not _fits_state(stack, perms, self.edge_masks, masks, ra, rb):
+            return None
+        return perms
+
+    def _child(self, node: Respond, entry):
+        """The child ``node`` hands the resolved reply ``entry`` to: the
+        branch its coordinate falls in, else the default, which may be
+        None."""
+        if entry[0] == "vertex":
+            branch = self._branch_map(node).get(entry[1])
+            if branch is not None:
+                return node.branches[branch][1]
+        return node.default
 
     def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int, entry):
         kind = entry[0]
@@ -1066,19 +1123,13 @@ class _Machine:
         if type(node) is _BWAfter:
             self._expand_bw(node.k, stack, masks2, ra, rb2)
             return
-        branch = None
-        if entry[0] == "vertex":
-            branch = self._branch_map(node).get(entry[1])
-        if branch is not None:
-            child = node.branches[branch][1]
-        elif node.default is not None:
-            child = node.default
-        elif entry[0] == "vertex":
-            self._fail(
-                "uncovered_reply",
-                f"reply {entry[1]} matches no reply class and there is no default",
-            )
-        else:
+        child = self._child(node, entry)
+        if child is None:
+            if entry[0] == "vertex":
+                self._fail(
+                    "uncovered_reply",
+                    f"reply {entry[1]} matches no reply class and there is no default",
+                )
             self._fail(
                 "uncovered_reply",
                 f"real reply {self.path[-1][1]} is a pass and there is no default",
@@ -1167,130 +1218,6 @@ def _bw_claims(levels, vb: int):
             needed ^= low
 
 
-class _Symmetry:
-    """The symmetries of one stone-free opponent node, derived on demand.
-
-    A candidate ``g`` is an automorphism of the innermost board that
-    ``Automorphisms.find`` builds to map the coordinate a reply known to
-    succeed dispatches on onto the coordinate of the reply to cover.
-    ``_lift`` carries ``g`` to every board of the stack, and the candidate
-    is accepted only if the lift passes ``_fits_stack`` (checked once per
-    stack) and ``_fits_state`` (checked once per node), the two checks that
-    also decide copy sharing (``_Machine._symmetric``).  A reply ``w`` is
-    covered when an accepted ``g`` maps a reply ``u`` known to succeed
-    onto ``w`` on the real board and the child ``w`` dispatches to is the
-    ``g``-image of ``u``'s (``is_conjugate``).  A reply covered this way
-    is known to succeed as well.  The innermost board holds no stones, so
-    every dynamic group's home is free and each member dispatches on it.
-    """
-
-    __slots__ = (
-        "machine",
-        "node",
-        "stack",
-        "masks",
-        "ra",
-        "rb",
-        "autos",
-        "fits",
-        "tried",
-        "accepted",
-        "children",
-    )
-
-    def __init__(self, machine: _Machine, node, stack: _Stack, masks, ra: int, rb: int):
-        self.machine = machine
-        self.node = node
-        self.stack = stack
-        self.masks = masks
-        self.ra = ra
-        self.rb = rb
-        if stack.sym is None:
-            stack.sym = (Automorphisms(stack.board), {})
-        self.autos, self.fits = stack.sym
-        # tuple(g) -> the lift of g when it is accepted here, else None
-        self.tried: dict = {}
-        # (lift, inverse of its real permutation) per accepted candidate
-        self.accepted: list = []
-        self.children: dict = {}
-
-    def child(self, v: int):
-        """(innermost coordinate, child) that reply ``v`` dispatches to, or
-        None when it passes or is answered, so that no coordinate names it,
-        or reaches no child: such a reply is always searched."""
-        got = self.children.get(v, False)
-        if got is False:
-            machine, stack = self.machine, self.stack
-            entry = stack.table[v]
-            if entry[0] == "dyn":
-                entry = _resolve_dyn(self.masks, entry)
-            got = None
-            if entry[0] == "vertex":
-                branch = machine._branch_map(self.node).get(entry[1])
-                node = self.node
-                child = node.default if branch is None else node.branches[branch][1]
-                if child is not None:
-                    got = (entry[1], child)
-            self.children[v] = got
-        return got
-
-    def covers(self, w: int, done: list) -> bool:
-        """Whether reply ``w`` is the image of one of the replies ``done``,
-        known to succeed, under an accepted candidate: one accepted
-        already, or one ``find`` builds from ``w`` and a reply in
-        ``done``."""
-        child_w = self.child(w)
-        if child_w is None:
-            return False
-        board = self.stack.board
-        for perms, inverse in self.accepted:
-            u = inverse[w]
-            if u in done:
-                child_u = self.child(u)
-                if child_u is not None and is_conjugate(
-                    child_u[1], child_w[1], perms[-1], board
-                ):
-                    return True
-        for u in done:
-            child_u = self.child(u)
-            if child_u is None:
-                continue
-            g = self.autos.find([(child_u[0], child_w[0])])
-            if g is None:
-                continue
-            perms = self.accept(g)
-            if perms is None or perms[0][u] != w:
-                continue
-            if is_conjugate(child_u[1], child_w[1], g, board):
-                return True
-        return False
-
-    def accept(self, g):
-        """The lift of ``g`` if it passes every check at this node, else
-        None; a candidate accepted for the first time joins ``accepted``."""
-        key = tuple(g)
-        if key in self.tried:
-            return self.tried[key]
-        stack = self.stack
-        perms = self.fits.get(key, False)
-        if perms is False:
-            perms = _lift(stack, g)
-            if perms is not None and not _fits_stack(stack, perms):
-                perms = None
-            self.fits[key] = perms
-        if perms is not None and not _fits_state(
-            stack, perms, self.machine.edge_masks, self.masks, self.ra, self.rb
-        ):
-            perms = None
-        self.tried[key] = perms
-        if perms is not None:
-            inverse = [0] * len(perms[0])
-            for v, image in enumerate(perms[0]):
-                inverse[image] = v
-            self.accepted.append((perms, inverse))
-        return perms
-
-
 def _lift(stack: _Stack, g) -> tuple | None:
     """``g``, a permutation of the innermost board, carried outwards layer
     by layer: a layer's parent vertex ``embed[c]`` goes to
@@ -1303,7 +1230,7 @@ def _lift(stack: _Stack, g) -> tuple | None:
     for i in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[i]
         sigma = perms[0]
-        n = stack.prefixes[i].parent.board.vertex_count
+        n = stack.outers[i].board.vertex_count
         embed = layer.embed
         p = list(range(n))
         placed = set(embed)
@@ -1374,7 +1301,7 @@ def _fits_stack(stack: _Stack, perms: tuple, other: _Stack | None = None) -> boo
         if other_table[real[v]] != image:
             return False
     for i, layer in enumerate(stack.layers):
-        board, parent = layer.board, stack.prefixes[i].parent.board
+        board, parent = layer.board, stack.outers[i].board
         on_win = other.layers[i].on_win
         for e, cont in layer.on_win.items():
             f = _edge_image(board, perms[i + 1], e)
@@ -1414,7 +1341,7 @@ def _fits_state(
             return False
     for i, layer in enumerate(stack.layers):
         board = layer.board
-        parent_edges = stack.prefixes[i].parent.board.edge_masks
+        parent_edges = stack.outers[i].board.edge_masks
         maker = masks[i - 1][0] if i else ra
         targets = other.layers[i].win_edges
         for e, pe in layer.win_edges.items():
@@ -1500,7 +1427,6 @@ def verify_maker_strategy(h: Hypergraph, s: StrategyTree) -> VerificationReport:
         verified, cex = False, fail.cex
     finally:
         sys.setrecursionlimit(old_limit)
-        machine.release()
     elapsed = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         verified=verified,

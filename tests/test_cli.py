@@ -199,6 +199,28 @@ class TestSolve:
         assert payload["winner"] is None
         assert payload["exhausted"] is True
 
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("solve", "cp", "{board}"), "-5"),
+            (("solve", "mb", "{board}", "--first", "maker"), "-1"),
+            (("validate-cases", "gcp"), "-1"),
+        ],
+        ids=["solve-cp", "solve-mb", "validate-cases"],
+    )
+    def test_negative_node_limit_is_a_usage_error(self, capsys, tmp_path, argv, limit):
+        """A negative limit is refused before any search: ``solve cp`` no
+        longer reports an exhaustion after 0 nodes, and ``solve mb`` no
+        longer answers through the pairing shortcut.  0 stays a limit."""
+        board = tmp_path / "edge.hg"
+        board.write_text("p hg 3 1\ne 1 2 3\n", encoding="utf-8")
+        argv = [arg.format(board=board) for arg in argv]
+        code, out, err = _run(capsys, *argv, "--node-limit", limit)
+        assert (code, out) == (2, "")
+        assert f"--node-limit: expected 0 or more nodes, got '{limit}'" in err
+        code, _out, _err = _run(capsys, *argv, "--node-limit", "0")
+        assert code in (0, 4)
+
     def test_threads_and_seed_are_usage_errors(self, capsys, tmp_path):
         path = _gen(capsys, tmp_path, "gcp")
         for argv in (

@@ -39,7 +39,7 @@ from posgames.constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from posgames.core import Hypergraph, Position, Side, is_automorphism, iter_bits
+from posgames.core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
 from posgames.mb import solve_winner
 from posgames.strategy import (
     BoundedWin,
@@ -77,7 +77,6 @@ from posgames.strategy.verifier import (
     _sibling_sigma,
     _Stack,
     _stateful,
-    _Symmetry,
 )
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -704,7 +703,6 @@ def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
     assert _resolve_dyn(((1 << 2, 1 << 8),), stack.table[1]) == ("vertex", 6, ((0, 6),))
     assert _resolve_dyn(((1 << 2, 1 << 6),), stack.table[1]) == ("pass", ())
     assert stack.table[6] == ("vertex", 6, ((0, 6),))
-    machine.release()
     report = verify_maker_strategy(h, tree)
     assert report.verified, report.counterexample
     cex = verify_maker_strategy(h, script(Claim(0, None))).counterexample
@@ -784,14 +782,12 @@ def test_layered_opening_coverage_follows_the_base_strategy():
     y, tip = gadget_y(4, 2, 3), gamma_t(4, 2)
     assert stack.table[y] == ("dyn", tip, ())
     assert _resolve_dyn(masks, stack.table[y]) == ("vertex", tip, ((0, tip),))
-    machine.release()
     machine = _Machine(split_pendant(gen_gamma()))
     lifted = lift_split(s, gen_gamma())
     _node, stack, _masks = machine._enter(lifted.root, machine.root, ())
     pendant = 35 + 2 * 6  # x_e of edge 6; its twin y_e follows it
     assert stack.table[pendant] == ("answer", pendant + 1, ())
     assert stack.table[pendant + 1] == ("answer", pendant, ())
-    machine.release()
 
 
 def _pentagon_relevance_by_spoke(va: int, vb: int) -> int:
@@ -811,11 +807,8 @@ def _pentagon_layer():
 def _pentagon_relevance(va: int, vb: int) -> int:
     """The verifier's relevance on the pentagon stack at masks (va, vb)."""
     machine = _Machine(gen_gamma_prime())
-    try:
-        stack = machine._push(machine.root, _pentagon_layer())
-        return machine._relevance(None, stack, ((va, vb),))
-    finally:
-        machine.release()
+    stack = machine._push(machine.root, _pentagon_layer())
+    return machine._relevance(None, stack, ((va, vb),))
 
 
 def _spoke(g: int) -> int:
@@ -925,7 +918,6 @@ def test_sibling_copies_share_successes(monkeypatch):
     first = machine._push(machine.root, layers[0])
     assert first.rep is second and second.rep is None
     assert _sibling_sigma(h, layers[0], layers[1]) == [3, 4, 5, 0, 1, 2]
-    machine.release()
     shared = verify_maker_strategy(h, s)
     _refuse_every_pair(monkeypatch)
     plain = verify_maker_strategy(h, s)
@@ -955,7 +947,6 @@ def test_sibling_symmetry_refuses_a_swap_that_forgets_the_switches():
     assert derived == _copy_swap(2, 3)
     assert machine._symmetric(three, two, derived)
     assert not machine._symmetric(three, two, _copy_swap(2, 3, switches=False))
-    machine.release()
 
 
 def test_sibling_sharing_refuses_a_relevance_one_vertex_short():
@@ -968,7 +959,6 @@ def test_sibling_sharing_refuses_a_relevance_one_vertex_short():
     first = machine._push(machine.root, replace(layers[0], relevance=0b011))
     assert second.fixed_rel == 0b111000 and first.fixed_rel == 0b011
     assert first.rep is None
-    machine.release()
 
 
 def test_sibling_symmetry_refuses_an_automorphism_that_misses_the_table():
@@ -995,7 +985,6 @@ def test_sibling_symmetry_refuses_an_automorphism_that_misses_the_table():
     crossed = [3, 5, 4, 0, 2, 1]
     assert is_automorphism(h, crossed)
     assert not machine._symmetric(first, second, crossed)
-    machine.release()
 
 
 def test_a_defect_in_one_copy_shares_nothing_and_is_caught(monkeypatch):
@@ -1103,7 +1092,7 @@ def test_an_answer_on_a_taken_vertex_is_a_pass():
 
 
 def _refuse_every_symmetry(monkeypatch):
-    monkeypatch.setattr(_Machine, "_symmetry", lambda self, *state: None)
+    monkeypatch.setattr(_Machine, "_accept", lambda self, *candidate: None)
 
 
 def _rotation(k: int) -> list:
@@ -1161,12 +1150,12 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     assert drops["opening-class-gap"] == 15_889 - 3_496
 
 
-def _stone_free(h, tree, ra: int = 0, rb: int = 0, enter=None):
-    """The symmetry of the first opponent node of ``tree`` (or of the
-    ``EnterLayer`` node ``enter`` in it) at real claims ``ra``/``rb``."""
+def _stone_free(h, tree, enter=None):
+    """The machine, layer stack and claim masks at the first opponent node
+    of ``tree`` (or of the ``EnterLayer`` node ``enter`` in it)."""
     machine = _Machine(h)
-    node, stack, masks = machine._enter(enter or tree.root, machine.root, ())
-    return machine, _Symmetry(machine, node, stack, masks, ra, rb)
+    _node, stack, masks = machine._enter(enter or tree.root, machine.root, ())
+    return machine, stack, masks
 
 
 def test_rotation_and_reflection_are_accepted_on_gamma_prime():
@@ -1178,10 +1167,56 @@ def test_rotation_and_reflection_are_accepted_on_gamma_prime():
     gamma = build_gamma_strategy()
     targets = ((gen_gamma(), gamma), (gen_gamma_prime(), lift_gamma_prime(gamma)))
     for board, tree in targets:
-        machine, sym = _stone_free(board, tree)
-        assert sym.accept(gamma_rho()) is not None
-        assert sym.accept(gamma_sigma()) is not None
-        machine.release()
+        machine, stack, masks = _stone_free(board, tree)
+        assert machine._accept(stack, gamma_rho(), masks, 0, 0) is not None
+        assert machine._accept(stack, gamma_sigma(), masks, 0, 0) is not None
+
+
+def test_a_candidate_that_is_no_permutation_is_refused():
+    """``Automorphisms.find`` only proposes candidates, so ``_accept``
+    checks that each is an automorphism of the innermost board.  On the
+    edge {0, 1, 2} with 3 and 4 on no edge, sending both 3 and 4 onto one
+    of them carries the resolution table and the empty state onto
+    themselves, but is no permutation and is refused; swapping 3 and 4 is
+    accepted."""
+    h = Hypergraph(5, [(0, 1, 2)])
+    s = StrategyTree(h, Side.B, Respond((), BoundedWin(2)))
+    machine, stack, masks = _stone_free(h, s)
+    for g in ([0, 1, 2, 4, 4], [0, 1, 2, 3, 3]):
+        assert _fits_stack(stack, _lift(stack, g))
+        assert machine._accept(stack, g, masks, 0, 0) is None, g
+    assert machine._accept(stack, [0, 1, 2, 4, 3], masks, 0, 0) is not None
+
+
+def test_stone_free_traffic_is_pinned(monkeypatch):
+    """Each pentagon target expands one stone-free node, calls
+    ``Automorphisms.find`` 82 times there, 3 of which return a candidate,
+    and checks 2 distinct candidates; g3-split has no stone-free node."""
+    counts: dict = {}
+    find, expand, accept = Automorphisms.find, _Machine._expand_stone_free, _Machine._accept
+
+    def spy_find(self, pairs):
+        g = find(self, pairs)
+        counts["find"] += 1
+        counts["found"] += g is not None
+        return g
+
+    def spy_expand(self, *state):
+        counts["expansions"] += 1
+        return expand(self, *state)
+
+    def spy_accept(self, stack, g, *state):
+        counts["candidates"].add(tuple(g))
+        return accept(self, stack, g, *state)
+
+    monkeypatch.setattr(Automorphisms, "find", spy_find)
+    monkeypatch.setattr(_Machine, "_expand_stone_free", spy_expand)
+    monkeypatch.setattr(_Machine, "_accept", spy_accept)
+    for name, (board, tree) in _pentagon_targets().items():
+        counts.update(find=0, found=0, expansions=0, candidates=set())
+        assert verify_maker_strategy(board, tree).verified, name
+        got = (counts["expansions"], counts["find"], counts["found"], len(counts["candidates"]))
+        assert got == ((0, 0, 0, 0) if name == "g3-split" else (1, 82, 3, 2)), name
 
 
 def test_copy_rotation_needs_the_switch_to_be_makers():
@@ -1199,13 +1234,13 @@ def test_copy_rotation_needs_the_switch_to_be_makers():
     rb = 1 << 0 | 1 << G4_COPY_OFFSETS[2]
     v12 = 1 << g4_v(1) | 1 << g4_v(2)
     for ra, accepted in ((v12 | 1 << g4_s(2), True), (v12, False)):
-        machine, sym = _stone_free(h, s, ra, rb, enter)
-        perms = _lift(sym.stack, gamma_rho())
+        machine, stack, masks = _stone_free(h, s, enter)
+        perms = _lift(stack, gamma_rho())
         assert perms[0][G4_COPY_OFFSETS[1]] == G4_COPY_OFFSETS[1] + 1
-        assert _fits_stack(sym.stack, perms)
-        assert _fits_state(sym.stack, perms, h.edge_masks, sym.masks, ra, rb) is accepted
-        assert (sym.accept(gamma_rho()) is not None) is accepted
-        machine.release()
+        assert _fits_stack(stack, perms)
+        assert _fits_state(stack, perms, h.edge_masks, masks, ra, rb) is accepted
+        accept = machine._accept(stack, gamma_rho(), masks, ra, rb)
+        assert (accept is not None) is accepted
 
 
 def _layer_edits():
@@ -1228,11 +1263,10 @@ def test_layer_data_the_rotation_does_not_map_refuses_it():
     """A layer whose data no rotation maps onto itself gets nothing
     pruned."""
     for name, tree in _layer_edits():
-        machine, sym = _stone_free(tree.board, tree)
+        _machine, stack, _masks = _stone_free(tree.board, tree)
         for k in range(1, 5):
-            perms = _lift(sym.stack, _rotation(k))
-            assert not _fits_stack(sym.stack, perms), (name, k)
-        machine.release()
+            perms = _lift(stack, _rotation(k))
+            assert not _fits_stack(stack, perms), (name, k)
 
 
 def test_a_board_the_layer_hides_refuses_its_symmetry():
@@ -1259,11 +1293,10 @@ def test_a_board_the_layer_hides_refuses_its_symmetry():
         relevance=0b110,
     )
     s = StrategyTree(h, Side.B, EnterLayer(layer, root))
-    machine, sym = _stone_free(h, s)
-    perms = _lift(sym.stack, [0, 2, 1, 3, 4])
-    assert _fits_stack(sym.stack, perms)
-    assert not _fits_state(sym.stack, perms, h.edge_masks, sym.masks, 0, 0)
-    machine.release()
+    _machine, stack, masks = _stone_free(h, s)
+    perms = _lift(stack, [0, 2, 1, 3, 4])
+    assert _fits_stack(stack, perms)
+    assert not _fits_state(stack, perms, h.edge_masks, masks, 0, 0)
     cex = verify_maker_strategy(h, s).counterexample
     assert cex.kind == "leaf_without_win"
     assert cex.moves == (("breaker", 2), ("maker", 1), ("breaker", 0), ("maker", 3))
@@ -1681,7 +1714,6 @@ def _pairs(h: Hypergraph, *layers):
     stack = machine.root
     for layer in layers:
         stack = machine._push(stack, layer)
-    machine.release()
     return stack.pairs
 
 
