@@ -18,6 +18,17 @@ set, and a child's set is derived from its parent's with the same claims
 (``mb._maker_claim`` for Chooser's vertex, ``mb._breaker_claim`` for
 Picker's), not rebuilt from the board.  The search is single-threaded and
 deterministic.
+
+At the empty board :func:`solve_cp` offers one live pair per orbit of the
+board's automorphism group on pairs (:func:`_pair_orbits`).  This is exact:
+an automorphism g maps edges onto edges, so it maps the game after the
+offer {x, y} and either choice onto the game after {g(x), g(y)} and the
+corresponding choice, and Picker wins the one iff the other.  Every merge
+of two offers is by a permutation that ``core.is_automorphism`` has
+checked.  The orbits are built lazily, after the root's first offer has
+been refuted, so a search that stops at the node limit or on a Picker win
+there pays nothing for them.  Dead-vertex offers, interior nodes,
+:func:`cp_winner_from` and :func:`validate_case_table` search as before.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .constructions import gcp_x, gcp_y, gcp_z
-from .core import Hypergraph, Position, Side, iter_bits
+from .core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
 from .mb import (
     SolveReport,
     _breaker_claim,
@@ -96,10 +107,28 @@ class _CPSearch:
             offers.append((0, 0))
         return offers
 
-    def value(self, canon, free: int) -> Side:
+    def _one_per_orbit(self, offers):
+        """The root's ``offers`` with one live pair per orbit of the board's
+        automorphisms; the orbits are built only once the first offer has
+        been refuted and another one is due."""
+        yield offers[0]
+        if len(offers) == 1:
+            return
+        orbit = _pair_orbits(self.board)
+        seen = {orbit(offers[0][0] | offers[0][1])}
+        for x, y in offers[1:]:
+            if x and y:
+                rep = orbit(x | y)
+                if rep in seen:
+                    continue
+                seen.add(rep)
+            yield x, y
+
+    def value(self, canon, free: int, root: bool = False) -> Side:
         """Value of the canonical residual set ``canon`` with ``free``
         unclaimed vertices; Picker wins iff some offer has every branch
-        Picker-winning."""
+        Picker-winning.  At the empty board (``root``) one offer per orbit
+        is searched."""
         if not canon:
             return Side.B
         if canon[0].bit_count() <= 1:
@@ -129,13 +158,72 @@ class _CPSearch:
                 child = _breaker_claim(child, y)
             return self.value(child, free) is Side.B
 
+        offers = self._offers(canon, live, dead)
+        if root:
+            offers = self._one_per_orbit(offers)
         result = Side.A
-        for x, y in self._offers(canon, live, dead):
+        for x, y in offers:
             if picker_wins(x, y) and (not y or picker_wins(y, x)):
                 result = Side.B
                 break
         self.memo[key] = result
         return result
+
+
+def _pair_orbits(board: Hypergraph) -> Callable[[int], int]:
+    """The orbits of the board's automorphism group on vertex pairs, as a
+    map from a two-bit mask to the least mask of its orbit.
+
+    The group is generated along the stabiliser chain of the first search
+    path of :class:`core.Automorphisms` (McKay 1981), deepest level first.
+    The level of a path node fixes the vertices individualised above it;
+    ``find`` is asked to map the node's vertex onto each vertex of its cell
+    that lies in no orbit already reached or refused under the generators
+    found so far.  The leaf is discrete, so the last stabiliser is trivial
+    and the generators generate the whole group when ``find`` is exact.
+    ``find`` is not trusted: a candidate is kept only if
+    ``core.is_automorphism`` holds and it maps as asked, so every merge is
+    by an automorphism, whatever ``find`` returns."""
+    auts = Automorphisms(board)
+    path, _ = auts._first_path(auts._root)
+    n = board.vertex_count
+    verts: dict[int, int] = {}
+    gens = []
+    for depth in range(len(path) - 1, -1, -1):
+        base, *cell = path[depth][1]
+        fixed = [(c[0], c[0]) for _, c in path[:depth]]
+        known = [base]
+        for v in cell:
+            if any(_top(verts, v) == _top(verts, r) for r in known):
+                continue
+            pairs = fixed + [(base, v)]
+            g = auts.find(pairs)
+            if g and is_automorphism(board, g) and all(g[p] == q for p, q in pairs):
+                gens.append(g)
+                for u in range(n):
+                    _merge(verts, u, g[u])
+            else:
+                known.append(v)
+    orbits: dict[int, int] = {}
+    for g in gens:
+        for x in range(n):
+            for y in range(x + 1, n):
+                _merge(orbits, 1 << x | 1 << y, 1 << g[x] | 1 << g[y])
+    return lambda m: _top(orbits, m)
+
+
+def _top(up: dict, k: int) -> int:
+    """The root of ``k`` in the union-find forest ``up``: the least
+    member of its class."""
+    while up.get(k, k) != k:
+        k = up[k]
+    return k
+
+
+def _merge(up: dict, a: int, b: int) -> None:
+    a, b = _top(up, a), _top(up, b)
+    if a != b:
+        up[max(a, b)] = min(a, b)
 
 
 def solve_cp(h: Hypergraph, opts: CPOptions | None = None) -> SolveReport:
@@ -151,8 +239,9 @@ def solve_cp(h: Hypergraph, opts: CPOptions | None = None) -> SolveReport:
             winner, Side.B, search.budget.count, ms, None, exhausted
         )
 
+    canon = _residuals(h, 0, 0)
     try:
-        winner = search.position(0, 0)
+        winner = Side.A if canon is None else search.value(canon, h.vertex_count, True)
     except _Exhausted:
         return report(None, exhausted=True)
     return report(winner)

@@ -18,6 +18,10 @@ vertex, which keeps the set canonical.  A Maker claim shrinks those
 residuals instead; only the untouched ones can become dominated, so only
 they are re-checked (:func:`_maker_claim`).  The search is single-threaded
 and deterministic.
+
+:func:`_search` keeps one memo per side to move, each keyed by the
+canonical residual tuple alone and holding whether Maker wins, and expands
+a node in place: ``Side`` is used only at the API boundary.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "es_potential",
     "find_pairing",
     "verify_pairing",
-    "maker_root_restriction",
     "check_certificate",
     "check_report",
 ]
@@ -208,52 +211,6 @@ def _lemma22_vertex(masks) -> int | None:
     return None
 
 
-def _expand(masks, to_move, opts):
-    """Shortcut or expand one canonical node.  Returns ("win", side) or
-    ("moves", children): the canonical children, built lazily in search
-    order."""
-    if to_move is Side.A:
-        if masks[0].bit_count() == 1:
-            return "win", Side.A
-        if opts.use_es_certificate and _es_below_half(masks):
-            return "win", Side.B
-        # No residual is a singleton, so none can be emptied by the claim.
-        forced = _lemma22_vertex(masks) if opts.use_lemma22 else None
-        cands = [1 << forced] if forced is not None else _ordered_bits(masks)
-        return "moves", (_maker_claim(masks, bit) for bit in cands)
-    # Singletons sort first: two of them are a double threat, one forces
-    # Breaker's reply.
-    if masks[0].bit_count() == 1:
-        if len(masks) > 1 and masks[1].bit_count() == 1:
-            return "win", Side.A
-        cands = [masks[0]]
-    else:
-        cands = _ordered_bits(masks)
-    return "moves", (_breaker_claim(masks, bit) for bit in cands)
-
-
-def _value(masks, to_move, memo, budget, opts) -> Side:
-    if not masks:
-        return Side.B
-    key = (masks, to_move)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    budget.spend()
-    kind, data = _expand(masks, to_move, opts)
-    if kind == "win":
-        memo[key] = data
-        return data
-    other = to_move.other()
-    result = other
-    for child in data:
-        if _value(child, other, memo, budget, opts) is to_move:
-            result = to_move
-            break
-    memo[key] = result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Certificates.
 # ---------------------------------------------------------------------------
@@ -323,13 +280,6 @@ def verify_pairing(h: Hypergraph, pr: Pairing) -> bool:
     return True
 
 
-def maker_root_restriction(h: Hypergraph) -> int | None:
-    """If some 2-edge {x, y} has degree(x) = 1, Maker (to move) may restrict
-    the current move to y.  Scans edges in index order; when both vertices
-    have degree 1 the lower-indexed one is returned."""
-    return _lemma22_vertex(h.edge_masks)
-
-
 def check_certificate(
     h: Hypergraph, cert: Certificate, winner: Side, first_mover: Side
 ) -> bool:
@@ -387,15 +337,74 @@ def check_report(h: Hypergraph, report: SolveReport) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _search(canon, to_move: Side, opts: MBOptions) -> tuple[Side | None, int]:
-    """Exact value of the canonical residual set ``canon`` (no residual
-    empty) and the nodes expanded; the value is None when the node limit
-    was hit."""
+def _search(canon, maker_moves: bool, opts: MBOptions) -> tuple[Side | None, int]:
+    """Exact value of the canonical residual set ``canon`` with Maker to
+    move iff ``maker_moves``, and the nodes expanded; the value is None
+    when the node limit was hit.
+
+    Each side to move has its own memo, keyed by the residual set alone
+    and holding whether Maker wins.  A node is shortcut or expanded in
+    place; its children are built one at a time, in search order."""
     budget = _Budget(opts.node_limit)
+    spend = budget.spend
+    use_es, use_lemma22 = opts.use_es_certificate, opts.use_lemma22
+    maker_memo: dict = {}
+    breaker_memo: dict = {}
+
+    def maker_wins_moving(masks) -> bool:
+        if not masks:
+            return False
+        won = maker_memo.get(masks)
+        if won is not None:
+            return won
+        spend()
+        if masks[0].bit_count() == 1:
+            won = True
+        elif use_es and _es_below_half(masks):
+            won = False
+        else:
+            forced = _lemma22_vertex(masks) if use_lemma22 else None
+            won = False
+            # No residual is a singleton, so none can be emptied by the claim.
+            for bit in [1 << forced] if forced is not None else _ordered_bits(masks):
+                if maker_wins_waiting(_maker_claim(masks, bit)):
+                    won = True
+                    break
+        maker_memo[masks] = won
+        return won
+
+    def maker_wins_waiting(masks) -> bool:
+        won = breaker_memo.get(masks)
+        if won is not None:
+            return won
+        spend()
+        # Singletons sort first: two of them are a double threat, one forces
+        # Breaker's reply.
+        if masks[0].bit_count() != 1:
+            cands = _ordered_bits(masks)
+        elif len(masks) > 1 and masks[1].bit_count() == 1:
+            cands = ()
+        else:
+            cands = [masks[0]]
+        won = True
+        for bit in cands:
+            if not maker_wins_moving(_breaker_claim(masks, bit)):
+                won = False
+                break
+        breaker_memo[masks] = won
+        return won
+
+    if not canon:
+        return Side.B, 0
     try:
-        return _value(canon, to_move, {}, budget, opts), budget.count
+        won = (maker_wins_moving if maker_moves else maker_wins_waiting)(canon)
     except _Exhausted:
         return None, budget.count
+    finally:
+        # The two functions refer to each other: unbinding them breaks the
+        # cycle, so the memos are freed now, not at a later collection.
+        del maker_wins_moving, maker_wins_waiting
+    return (Side.A if won else Side.B), budget.count
 
 
 def solve_winner(p: Position, opts: MBOptions | None = None) -> Side | None:
@@ -405,7 +414,7 @@ def solve_winner(p: Position, opts: MBOptions | None = None) -> Side | None:
     canon = _residuals(p.board, p.a_mask, p.b_mask)
     if canon is None:
         return Side.A
-    return _search(canon, p.to_move(), opts or MBOptions())[0]
+    return _search(canon, p.to_move() is Side.A, opts or MBOptions())[0]
 
 
 def solve_mb(
@@ -466,5 +475,5 @@ def solve_mb(
                 Side.B, 0, Certificate("erdos_selfridge", {"potential": str(pot)})
             )
 
-    winner, nodes = _search(_residuals(h, 0, 0), first_mover, opts)
+    winner, nodes = _search(_residuals(h, 0, 0), first_mover is Side.A, opts)
     return report(winner, nodes, exhausted=winner is None)

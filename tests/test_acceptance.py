@@ -220,10 +220,10 @@ def test_solver_counters_are_pinned():
         "cp gcp without lemma 23": (
             lambda: solve_cp(gen_gcp(), CPOptions(use_lemma23=False)),
             Side.A,
-            13_287,
+            6_984,
         ),
         "mb gcp": (_mb_gcp, Side.B, 169),
-        "cp gcp": (_cp_gcp, Side.A, 267),
+        "cp gcp": (_cp_gcp, Side.A, 53),
     }
     for name, (solve, winner, nodes) in expected.items():
         rep, elapsed = _timed(solve)

@@ -199,6 +199,15 @@ class TestSolve:
         assert payload["winner"] is None
         assert payload["exhausted"] is True
 
+    def test_cp_node_limit_on_gamma_prime_exits_four(self, capsys, tmp_path):
+        """The limit stops the search before any root orbit is built."""
+        path = _gen(capsys, tmp_path, "gamma-prime")
+        code, out, err = _run(capsys, "solve", "cp", path, "--node-limit", "1000")
+        assert code == 4
+        assert "exhausted" in err
+        payload = _report(out)["payload"]
+        assert (payload["winner"], payload["exhausted"]) == (None, True)
+
     @pytest.mark.parametrize(
         "argv, limit",
         [

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import time
+
+import pytest
 
 from helpers import random_hypergraph
-from posgames.constructions import gen_complete_multipartite, gen_gcp
-from posgames.core import Hypergraph, Position, Side, apply_claim
+from posgames.constructions import gen_complete_multipartite, gen_gamma_prime, gen_gcp
+from posgames.core import Automorphisms, Hypergraph, Position, Side, apply_claim
 from posgames.cp import (
     _CPSearch,
+    _pair_orbits,
     CaseRule,
     CaseTable,
     CPOptions,
@@ -152,6 +156,81 @@ class TestOptions:
     def test_node_limit_is_explicit(self):
         report = solve_cp(gen_gcp(), CPOptions(node_limit=2))
         assert report.exhausted and report.winner is None
+
+
+def _count_finds(monkeypatch) -> list:
+    """Record the pairs of every ``Automorphisms.find`` call."""
+    calls = []
+    find = Automorphisms.find
+
+    def spy(self, pairs):
+        calls.append(pairs)
+        return find(self, pairs)
+
+    monkeypatch.setattr(Automorphisms, "find", spy)
+    return calls
+
+
+class TestRootOrbits:
+    @pytest.mark.parametrize("lemma23, nodes", [(False, 6_984), (True, 53)])
+    def test_find_calls_on_gcp_are_pinned(self, monkeypatch, lemma23, nodes):
+        """gcp's group has order 24; its stabiliser chain needs four
+        ``find`` calls, and its 105 pairs fall into 15 orbits."""
+        calls = _count_finds(monkeypatch)
+        report = solve_cp(gen_gcp(), CPOptions(use_lemma23=lemma23))
+        assert (report.winner, report.nodes_expanded) == (Side.A, nodes)
+        assert len(calls) == 4
+
+    def test_gcp_pairs_fall_into_fifteen_orbits(self):
+        orbit = _pair_orbits(gen_gcp())
+        reps = {orbit(1 << x | 1 << y) for x in range(15) for y in range(x + 1, 15)}
+        assert len(reps) == 15
+
+    @pytest.mark.parametrize(
+        "h, opts",
+        [
+            (gen_gcp(), CPOptions(node_limit=2)),
+            (Hypergraph(4, [(0, 1, 2, 3)]), CPOptions(use_lemma23=False)),
+            (Hypergraph(4, [(0, 1), (2, 3)]), CPOptions()),
+            (Hypergraph(3, [(0,), (1, 2)]), CPOptions()),
+        ],
+        ids=["node-limit", "picker-wins-first-offer", "lemma23-offer", "decided"],
+    )
+    def test_no_orbit_work_unless_the_first_offer_is_refuted(self, monkeypatch, h, opts):
+        calls = _count_finds(monkeypatch)
+        solve_cp(h, opts)
+        assert calls == []
+
+    @pytest.mark.parametrize("lemma23, nodes", [(False, 13_287), (True, 267)])
+    @pytest.mark.parametrize("kind", ["transposition", "no-permutation"])
+    def test_a_candidate_that_is_no_automorphism_merges_nothing(
+        self, monkeypatch, kind, lemma23, nodes
+    ):
+        """``find`` is not trusted.  A candidate that maps as asked but is no
+        automorphism of gcp merges no offers, so every root offer is
+        searched, as the node counts of a search without orbits show."""
+
+        def bad(self, pairs):
+            *_, (p, q) = pairs
+            if kind == "transposition":
+                return [q if v == p else p if v == q else v for v in range(15)]
+            return [q if v == p else v for v in range(15)]
+
+        monkeypatch.setattr(Automorphisms, "find", bad)
+        orbit = _pair_orbits(gen_gcp())
+        pairs = [1 << x | 1 << y for x in range(15) for y in range(x)]
+        assert [orbit(m) for m in pairs] == pairs
+        report = solve_cp(gen_gcp(), CPOptions(use_lemma23=lemma23))
+        assert (report.winner, report.nodes_expanded) == (Side.A, nodes)
+
+    def test_a_node_limit_on_gamma_prime_stops_at_once(self):
+        """A search that hits the node limit before the first root offer is
+        refuted builds no orbits; on gamma-prime they would cost seconds of
+        ``find``."""
+        start = time.perf_counter()
+        report = solve_cp(gen_gamma_prime(), CPOptions(node_limit=1000))
+        assert report.exhausted and report.winner is None
+        assert time.perf_counter() - start < 2
 
 
 class TestCaseTable:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
+
+import pytest
 
 from helpers import random_hypergraph, random_uniform_low_degree
 from posgames.constructions import (
@@ -20,12 +23,12 @@ from posgames.core import (
     residual,
 )
 from posgames.mb import (
+    _lemma22_vertex,
     MBOptions,
     Pairing,
     check_report,
     es_potential,
     find_pairing,
-    maker_root_restriction,
     solve_mb,
     solve_winner,
     verify_pairing,
@@ -142,24 +145,39 @@ class TestPairing:
 class TestMakerRootRestriction:
     def test_pendant_two_edge_forces_partner(self):
         h = Hypergraph(4, [(0, 1), (1, 2, 3)])
-        assert maker_root_restriction(h) == 1
+        assert _lemma22_vertex(h.edge_masks) == 1
 
     def test_both_degree_one(self):
         h = Hypergraph(3, [(1, 2), (0,)])
-        assert maker_root_restriction(h) == 1
+        assert _lemma22_vertex(h.edge_masks) == 1
 
     def test_no_two_edge(self):
-        assert maker_root_restriction(gen_gcp()) is None
+        assert _lemma22_vertex(gen_gcp().edge_masks) is None
 
     def test_gcp_residual_after_y1(self):
         p = Position.make(gen_gcp(), claimed_a=[3])
-        assert maker_root_restriction(residual(p)) == 0
+        assert _lemma22_vertex(residual(p).edge_masks) == 0
 
     def test_lowest_edge_index_wins(self):
         h = Hypergraph(6, [(0, 1), (2, 3), (0, 4, 5)])
         # Edge 0: degree(1)=1 -> returns 0's partner 1... degree(0)=2, so y=0? no:
         # deg(0)=2, deg(1)=1 -> restriction is the partner of the degree-1 vertex.
-        assert maker_root_restriction(h) == 0
+        assert _lemma22_vertex(h.edge_masks) == 0
+
+
+@pytest.mark.parametrize("limit", [None, 5])
+def test_search_frees_its_memos_on_return(limit):
+    """The search's two recursive functions refer to each other.  The cycle
+    is broken on return, so the memos are freed at once, not left for the
+    cyclic collector, where one large solve's memos would add to the next
+    one's peak memory."""
+    gc.collect()
+    gc.disable()
+    try:
+        solve_winner(Position(gen_gcp()), MBOptions(node_limit=limit))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestReduction:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_hypergraph
-from posgames.constructions import gen_gcp
-from posgames.core import Hypergraph, Position, Side, iter_bits
+from posgames.constructions import gen_complete_multipartite, gen_gcp, split_pendant
+from posgames.core import Hypergraph, Position, Side, iter_bits, permute_hypergraph
 from posgames.cp import CPOptions, cp_winner_from, solve_cp
 from posgames.mb import MBOptions, solve_mb, solve_winner
 
@@ -129,6 +130,37 @@ def test_cp_matches_the_plain_search(seed):
     want = _plain_cp(h)
     for lemma23 in (False, True):
         assert solve_cp(h, CPOptions(use_lemma23=lemma23)).winner is want, lemma23
+
+
+def _cp_agrees(h: Hypergraph) -> None:
+    """``solve_cp``, which offers one pair per automorphism orbit at the
+    empty board, ``cp_winner_from`` at the empty position, which offers
+    every pair, and the plain search agree on ``h``."""
+    want = _plain_cp(h)
+    for lemma23 in (False, True):
+        opts = CPOptions(use_lemma23=lemma23)
+        assert solve_cp(h, opts).winner is want, lemma23
+        assert cp_winner_from(Position(h), opts) is want, lemma23
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_cp_root_orbits_match_the_plain_search(seed):
+    """Root orbits keep the verdict on a random board, on a relabelling of
+    it, and on the ``split_pendant`` image of a smaller one, whose fresh
+    vertices come in swappable pairs."""
+    rng = random.Random(seed)
+    h = random_hypergraph(rng, max_vertices=8)
+    perm = rng.sample(range(h.vertex_count), h.vertex_count)
+    small = random_hypergraph(rng, max_vertices=4, max_edges=2)
+    for board in (h, permute_hypergraph(h, perm), split_pendant(small)):
+        _cp_agrees(board)
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
+def test_cp_root_orbits_on_complete_multipartite_boards(k, n):
+    """Boards with large groups, where most root offers share an orbit."""
+    _cp_agrees(gen_complete_multipartite(k, n))
 
 
 def test_solve_winner_matches_the_plain_search_from_positions():

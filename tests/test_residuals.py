@@ -25,7 +25,6 @@ from posgames.mb import (
     _maker_claim,
     _ordered_bits,
     _residuals,
-    maker_root_restriction,
     solve_mb,
 )
 
@@ -121,7 +120,6 @@ def test_move_order_is_urgency_then_index(raw):
 @given(_boards(max_vertices=8, max_edges=6))
 def test_lemma22_vertex_matches_degree_counts(h):
     assert _lemma22_vertex(h.edge_masks) == _reference_lemma22(h.edge_masks)
-    assert maker_root_restriction(h) == _reference_lemma22(h.edge_masks)
 
 
 @_SETTINGS
