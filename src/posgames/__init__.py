@@ -13,19 +13,16 @@ from __future__ import annotations
 
 from .core import (
     ClaimError,
-    EdgeStatus,
     HgParseError,
     Hypergraph,
     Position,
     Side,
     apply_claim,
-    edge_statuses,
     is_automorphism,
     is_uniform,
     load_hypergraph,
     max_degree,
     permute_hypergraph,
-    residual,
     save_hypergraph,
 )
 
@@ -33,19 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClaimError",
-    "EdgeStatus",
     "HgParseError",
     "Hypergraph",
     "Position",
     "Side",
     "apply_claim",
-    "edge_statuses",
     "is_automorphism",
     "is_uniform",
     "load_hypergraph",
     "max_degree",
     "permute_hypergraph",
-    "residual",
     "save_hypergraph",
     "__version__",
 ]

@@ -24,16 +24,13 @@ __all__ = [
     "HgParseError",
     "ClaimError",
     "Hypergraph",
-    "EdgeStatus",
     "Position",
     "mask_of",
     "set_of",
     "iter_bits",
     "max_degree",
     "is_uniform",
-    "edge_statuses",
     "apply_claim",
-    "residual",
     "permute_hypergraph",
     "is_automorphism",
     "Automorphisms",
@@ -182,23 +179,8 @@ class Hypergraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self.incidence)
 
-    def edge_index(self, vertices: Iterable[int]) -> int:
-        """Index of the edge with exactly this vertex set; raises if absent."""
-        key = frozenset(vertices)
-        for i, e in enumerate(self.edges):
-            if len(e) == len(key) and key.issuperset(e):
-                return i
-        raise KeyError(f"no edge {sorted(key)}")
-
     def name_of(self, v: int) -> str:
         return self.names.get(v, str(v))
-
-    def index_of(self, name: str) -> int:
-        """Vertex index for a name; raises KeyError if no vertex has it."""
-        for idx, nm in self.names.items():
-            if nm == name:
-                return idx
-        raise KeyError(name)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -214,16 +196,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.vertex_count} vertices, {len(self.edges)} edges)"
-
-
-@dataclass(frozen=True)
-class EdgeStatus:
-    """Per-edge summary relative to a position: how many vertices remain
-    unclaimed and whether the opponent has touched the edge."""
-
-    edge: int
-    unclaimed_count: int
-    blocked: bool
 
 
 @dataclass(frozen=True)
@@ -283,16 +255,6 @@ def is_uniform(h: Hypergraph, k: int) -> bool:
     return all(len(e) == k for e in h.edges)
 
 
-def edge_statuses(p: Position, winner_side: Side = Side.A) -> list[EdgeStatus]:
-    """Status of every edge from the perspective of the completing side."""
-    opp = p.b_mask if winner_side is Side.A else p.a_mask
-    taken = p.a_mask | p.b_mask
-    out = []
-    for i, m in enumerate(p.board.edge_masks):
-        out.append(EdgeStatus(i, (m & ~taken).bit_count(), bool(m & opp)))
-    return out
-
-
 def apply_claim(p: Position, side: Side, vertex: int) -> Position:
     """Claim a vertex for a side, returning the new position."""
     if not 0 <= vertex < p.board.vertex_count:
@@ -303,29 +265,6 @@ def apply_claim(p: Position, side: Side, vertex: int) -> Position:
     if side is Side.A:
         return Position(p.board, p.a_mask | bit, p.b_mask, p.first_mover)
     return Position(p.board, p.a_mask, p.b_mask | bit, p.first_mover)
-
-
-def residual(p: Position) -> Hypergraph:
-    """The residual board: edges free of B-claims, shrunk by A's claims.
-
-    Vertex indices are preserved (claimed vertices simply become isolated).
-    Edges that shrink to the same set are deduplicated; a fully A-claimed
-    edge means the position is already won and has no residual.
-    """
-    out = []
-    seen = set()
-    for e, m in zip(p.board.edges, p.board.edge_masks):
-        if m & p.b_mask:
-            continue
-        rest = tuple(v for v in e if not (p.a_mask >> v) & 1)
-        if not rest:
-            raise ValueError("position already contains a completed edge")
-        key = frozenset(rest)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(rest)
-    return Hypergraph(p.board.vertex_count, out)
 
 
 def permute_hypergraph(h: Hypergraph, perm: Sequence[int]) -> Hypergraph:

@@ -43,7 +43,6 @@ __all__ = [
     "find_pairing",
     "verify_pairing",
     "check_certificate",
-    "check_report",
 ]
 
 
@@ -228,24 +227,27 @@ def es_potential(p: Position) -> Fraction:
     return total
 
 
+def _augment(edges, owner: dict[int, int], copy: int, visited: set) -> bool:
+    """Match edge copy ``copy`` (copy ``2e`` or ``2e + 1`` of edge ``e``) to
+    a vertex along an augmenting path, updating ``owner`` (vertex -> copy);
+    vertices in ``visited`` are not tried again."""
+    for v in edges[copy // 2]:
+        if v in visited:
+            continue
+        visited.add(v)
+        if v not in owner or _augment(edges, owner, owner[v], visited):
+            owner[v] = copy
+            return True
+    return False
+
+
 def find_pairing(h: Hypergraph) -> Pairing | None:
     """Search for disjoint pairs covering every edge via bipartite matching
     (two copies of every edge against the vertex set, augmenting paths).
     Always succeeds on n-uniform boards of maximum degree at most n/2."""
     owner: dict[int, int] = {}
-
-    def assign(copy: int, visited: set) -> bool:
-        for v in h.edges[copy // 2]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in owner or assign(owner[v], visited):
-                owner[v] = copy
-                return True
-        return False
-
     for copy in range(2 * len(h.edges)):
-        if not assign(copy, set()):
+        if not _augment(h.edges, owner, copy, set()):
             return None
     matched: dict[int, int] = {}
     for v, copy in owner.items():
@@ -284,7 +286,10 @@ def check_certificate(
     h: Hypergraph, cert: Certificate, winner: Side, first_mover: Side
 ) -> bool:
     """Independently validate a certificate against the board it was
-    issued for."""
+    issued for.  The check never runs the solver: it trusts only
+    :mod:`posgames.core`, ``reduce_lemma21``, :func:`es_potential` and
+    :func:`verify_pairing`, and a ``reduction`` is accepted only with a
+    ``sub_certificate`` that checks on the reduced board."""
     if cert.kind == "all_blocked":
         return winner is Side.B and not h.edges
     if cert.kind == "completed_edge":
@@ -310,26 +315,16 @@ def check_certificate(
         }
         return verify_pairing(h, Pairing(pairs, cover))
     if cert.kind == "reduction":
-        if winner is not Side.B:
+        sub = cert.payload.get("sub_certificate")
+        if winner is not Side.B or sub is None:
             return False
         reduced, pairs = reduce_lemma21(h)
         if [list(p) for p in pairs] != cert.payload.get("pairs"):
             return False
-        sub = cert.payload.get("sub_certificate")
-        if sub is not None:
-            return check_certificate(
-                reduced, Certificate(sub["kind"], sub["payload"]), Side.B, first_mover
-            )
-        redo = solve_mb(reduced, first_mover, MBOptions(use_lemma21=False))
-        return redo.winner is Side.B
+        return check_certificate(
+            reduced, Certificate(sub["kind"], sub["payload"]), Side.B, first_mover
+        )
     return False
-
-
-def check_report(h: Hypergraph, report: SolveReport) -> bool:
-    """Validate a report's certificate (reports without one don't check)."""
-    if report.certificate is None or report.winner is None:
-        return False
-    return check_certificate(h, report.certificate, report.winner, report.first_mover)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +417,10 @@ def solve_mb(
 ) -> SolveReport:
     """Decide the Maker-Breaker game on ``h`` with the designated first
     mover.  The verdict is exact for every option combination; options only
-    select which shortcut certificates may be attached."""
+    select which shortcut certificates may be attached.  A verdict that the
+    search decides carries no certificate; so does a Lemma 21 reduction
+    whose reduced board the search decides, since a ``reduction``
+    certificate always carries the reduced board's own."""
     opts = opts or MBOptions()
     start = time.perf_counter()
 
@@ -452,21 +450,20 @@ def solve_mb(
     if opts.use_lemma21:
         reduced, pairs = reduce_lemma21(h)
         if pairs:
+            # Breaker answers inside each dropped pair, and the reduced
+            # board's edges are edges of h: either side's win carries over.
             sub = solve_mb(reduced, first_mover, opts)
-            if sub.exhausted:
-                return report(None, sub.nodes_expanded, exhausted=True)
-            if sub.winner is Side.B:
+            cert = None
+            if sub.winner is Side.B and sub.certificate:
                 payload = {
                     "pairs": [list(p) for p in pairs],
-                    "sub_certificate": (
-                        {"kind": sub.certificate.kind, "payload": sub.certificate.payload}
-                        if sub.certificate
-                        else None
-                    ),
+                    "sub_certificate": {
+                        "kind": sub.certificate.kind,
+                        "payload": sub.certificate.payload,
+                    },
                 }
-                return report(Side.B, sub.nodes_expanded, Certificate("reduction", payload))
-            # the reduced board's edges are edges of h: Maker's win carries over
-            return report(Side.A, sub.nodes_expanded)
+                cert = Certificate("reduction", payload)
+            return report(sub.winner, sub.nodes_expanded, cert, sub.exhausted)
 
     if first_mover is Side.A and opts.use_es_certificate:
         pot = es_potential(Position(h))

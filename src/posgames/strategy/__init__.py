@@ -27,12 +27,7 @@ from .nodes import (
     iter_nodes,
     replace_first,
 )
-from .verifier import (
-    Counterexample,
-    VerificationReport,
-    bounded_win,
-    verify_maker_strategy,
-)
+from .verifier import Counterexample, VerificationReport, verify_maker_strategy
 
 __all__ = [
     "BoundedWin",
@@ -47,7 +42,6 @@ __all__ = [
     "StrategyTree",
     "VerificationReport",
     "WinNow",
-    "bounded_win",
     "build_g3_strategy",
     "build_gamma_strategy",
     "conjugate",

@@ -108,9 +108,8 @@ does.  Only replies that would succeed are skipped, so memo keys, the
 copy sharing and every counterexample are unchanged.
 
 ``BoundedWin`` defaults are discharged by the machine's own search over
-those tables.  ``bounded_win`` is a standalone "Maker wins within k of his
-own moves" decision procedure on a plain position, kept as the reference
-that tests compare that search against.
+those tables; the tests compare it with a plain "Maker wins within k of
+his own moves" search on raw positions.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
+from ..core import Automorphisms, Hypergraph, Side, is_automorphism, iter_bits
 from .nodes import (
     BoundedWin,
     Claim,
@@ -136,7 +135,6 @@ from .nodes import (
 __all__ = [
     "Counterexample",
     "VerificationReport",
-    "bounded_win",
     "verify_maker_strategy",
 ]
 
@@ -1435,68 +1433,3 @@ def verify_maker_strategy(h: Hypergraph, s: StrategyTree) -> VerificationReport:
         elapsed_ms=elapsed,
         counterexample=cex,
     )
-
-
-def bounded_win(p: Position, k: int) -> bool:
-    """Whether Maker, to move, can complete an edge within ``k`` own moves.
-
-    Full minimax over the at-most ``2k - 1`` remaining plies, with the
-    opponent restricted to vertices of still-completable edges (blocking
-    elsewhere never helps the opponent).
-    """
-    if p.to_move() is not Side.A:
-        raise ValueError("bounded_win requires Maker to move")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    masks = p.board.edge_masks
-    memo: dict = {}
-
-    def maker(a: int, b: int, kk: int) -> bool:
-        key = (a, b, kk)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        best: dict = {}
-        done = False
-        for mask in masks:
-            if mask & b:
-                continue
-            needed = mask & ~a
-            u = needed.bit_count()
-            if u == 0:
-                done = True
-                break
-            if u <= kk:
-                for v in iter_bits(needed):
-                    if u < best.get(v, kk + 1):
-                        best[v] = u
-        if done:
-            memo[key] = True
-            return True
-        result = False
-        for v in sorted(best, key=lambda v: (best[v], v)):
-            a2 = a | (1 << v)
-            union = 0
-            immediate = False
-            for mask in masks:
-                if mask & b:
-                    continue
-                needed = mask & ~a2
-                u = needed.bit_count()
-                if u == 0:
-                    immediate = True
-                    break
-                if u <= kk - 1:
-                    union |= needed
-            if immediate:
-                result = True
-                break
-            if union == 0:
-                continue
-            if all(maker(a2, b | (1 << w), kk - 1) for w in iter_bits(union)):
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return maker(p.a_mask, p.b_mask, k)

@@ -28,15 +28,14 @@ from posgames.core import (
     Position,
     Side,
     apply_claim,
-    edge_statuses,
     is_automorphism,
     is_uniform,
     load_hypergraph,
     max_degree,
     permute_hypergraph,
-    residual,
     save_hypergraph,
 )
+from posgames.mb import _residuals
 
 
 def _triangle() -> Hypergraph:
@@ -100,12 +99,6 @@ class TestHypergraph:
         assert not is_uniform(h, 3)
         assert max_degree(Hypergraph(5)) == 0
 
-    def test_edge_index(self):
-        h = _triangle()
-        assert h.edge_index({2, 1}) == 1
-        with pytest.raises(KeyError):
-            h.edge_index({0, 1, 2})
-
     def test_immutable(self):
         h = _triangle()
         with pytest.raises(AttributeError):
@@ -148,37 +141,21 @@ class TestPosition:
         assert p.unclaimed_mask == 0
 
 
-class TestEdgeStatuses:
-    def test_counts_and_blocking(self):
-        h = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
-        p = Position.make(h, claimed_a=[0], claimed_b=[3])
-        st = edge_statuses(p, Side.A)
-        assert (st[0].unclaimed_count, st[0].blocked) == (2, False)
-        assert (st[1].unclaimed_count, st[1].blocked) == (2, True)
-        # From B's perspective the A-claim is the blocking one.
-        st = edge_statuses(p, Side.B)
-        assert (st[0].blocked, st[1].blocked) == (True, False)
-
-
 class TestResidual:
+    """The residual set of a position, as both solvers build it: the edges
+    free of B's claims, shrunk by A's, as masks."""
+
     def test_drops_blocked_and_shrinks(self):
         h = Hypergraph(4, [(0, 1, 2), (1, 2, 3), (0, 3)])
-        p = Position.make(h, claimed_a=[1], claimed_b=[3])
-        r = residual(p)
-        assert r.vertex_count == 4
-        assert r.edges == ((0, 2),)
+        assert _residuals(h, 1 << 1, 1 << 3) == (0b101,)
 
     def test_deduplicates_shrunken_edges(self):
         h = Hypergraph(3, [(0, 1), (0, 2)])
-        p = Position.make(h, claimed_a=[1, 2])
-        r = residual(p)
-        assert r.edges == ((0,),)
+        assert _residuals(h, 0b110, 0) == (0b001,)
 
     def test_rejects_completed_edge(self):
         h = Hypergraph(3, [(0, 1)])
-        p = Position.make(h, claimed_a=[0, 1])
-        with pytest.raises(ValueError):
-            residual(p)
+        assert _residuals(h, 0b011, 0) is None
 
 
 class TestPermutations:

@@ -15,18 +15,15 @@ from posgames.constructions import (
     gen_g3,
     gen_gcp,
 )
-from posgames.core import (
-    Hypergraph,
-    Position,
-    Side,
-    permute_hypergraph,
-    residual,
-)
+from posgames import mb
+from posgames.core import Hypergraph, Position, Side, permute_hypergraph
 from posgames.mb import (
     _lemma22_vertex,
+    _residuals,
+    Certificate,
     MBOptions,
     Pairing,
-    check_report,
+    check_certificate,
     es_potential,
     find_pairing,
     solve_mb,
@@ -57,14 +54,18 @@ class TestHeadlineVerdicts:
         report = solve_mb(Hypergraph(4), Side.A)
         assert report.winner is Side.B
         assert report.certificate.kind == "all_blocked"
-        assert check_report(Hypergraph(4), report)
+        assert check_certificate(
+            Hypergraph(4), report.certificate, report.winner, report.first_mover
+        )
 
     def test_single_vertex_edge(self):
         h = Hypergraph(2, [(0,)])
         report = solve_mb(h, Side.A)
         assert report.winner is Side.A
         assert report.certificate.kind == "completed_edge"
-        assert check_report(h, report)
+        assert check_certificate(
+            h, report.certificate, report.winner, report.first_mover
+        )
 
     def test_multipartite_small_cases(self):
         assert solve_mb(gen_complete_multipartite(2, 2), Side.A).winner is Side.A
@@ -96,7 +97,9 @@ class TestEsPotential:
         assert report.winner is Side.B
         assert report.certificate.kind == "erdos_selfridge"
         assert report.certificate.payload["potential"] == "1/8"
-        assert check_report(h, report)
+        assert check_certificate(
+            h, report.certificate, report.winner, report.first_mover
+        )
 
 
 class TestPairing:
@@ -108,7 +111,9 @@ class TestPairing:
         report = solve_mb(h, Side.A)
         assert report.winner is Side.B
         assert report.certificate.kind == "pairing"
-        assert check_report(h, report)
+        assert check_certificate(
+            h, report.certificate, report.winner, report.first_mover
+        )
 
     def test_g3_has_no_pairing(self):
         assert find_pairing(gen_g3()) is None
@@ -142,7 +147,7 @@ class TestPairing:
             assert pr is not None and verify_pairing(h, pr)
 
 
-class TestMakerRootRestriction:
+class TestLemma22Vertex:
     def test_pendant_two_edge_forces_partner(self):
         h = Hypergraph(4, [(0, 1), (1, 2, 3)])
         assert _lemma22_vertex(h.edge_masks) == 1
@@ -155,13 +160,12 @@ class TestMakerRootRestriction:
         assert _lemma22_vertex(gen_gcp().edge_masks) is None
 
     def test_gcp_residual_after_y1(self):
-        p = Position.make(gen_gcp(), claimed_a=[3])
-        assert _lemma22_vertex(residual(p).edge_masks) == 0
+        assert _lemma22_vertex(_residuals(gen_gcp(), 1 << 3, 0)) == 0
 
     def test_lowest_edge_index_wins(self):
         h = Hypergraph(6, [(0, 1), (2, 3), (0, 4, 5)])
-        # Edge 0: degree(1)=1 -> returns 0's partner 1... degree(0)=2, so y=0? no:
-        # deg(0)=2, deg(1)=1 -> restriction is the partner of the degree-1 vertex.
+        # Both 2-edges hold a degree-1 vertex and the first one decides: in
+        # {0, 1} only 1 has degree 1, so Maker must claim its partner 0.
         assert _lemma22_vertex(h.edge_masks) == 0
 
 
@@ -180,6 +184,25 @@ def test_search_frees_its_memos_on_return(limit):
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "h",
+    [gen_gcp(), Hypergraph(8, [(0, 1, 2, 3), (4, 5, 6, 7)])],
+    ids=["gcp", "pairable"],
+)
+def test_pairing_search_leaves_no_garbage(h):
+    """The augmenting-path search refers to nothing that refers back to it,
+    so a failed or a found pairing leaves nothing for the cyclic
+    collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        find_pairing(h)
+        solve_mb(h, Side.A)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestReduction:
     def test_reduction_certificate(self):
         h = Hypergraph(2, [(0, 1)])
@@ -187,7 +210,9 @@ class TestReduction:
         assert report.winner is Side.B
         assert report.certificate.kind == "reduction"
         assert report.certificate.payload["pairs"] == [[0, 1]]
-        assert check_report(h, report)
+        assert check_certificate(
+            h, report.certificate, report.winner, report.first_mover
+        )
 
     def test_reduction_falls_through_on_maker_win(self):
         """The edge {15, 16, 17} reduces away and leaves g3, where Maker
@@ -246,8 +271,38 @@ class TestInvariants:
             h = random_hypergraph(rng)
             report = solve_mb(h, Side.A)
             if report.certificate and report.winner is Side.B:
-                assert check_report(h, report)
+                assert check_certificate(
+                    h, report.certificate, report.winner, report.first_mover
+                )
                 assert solve_mb(h, Side.A, ALL_OFF).winner is Side.B
+
+    def test_certificates_check_without_the_solver(self, monkeypatch):
+        """``check_certificate`` trusts the certificate alone: with the
+        solver gone it accepts every certificate issued on the suite, with
+        and without the pairing shortcut, and refuses a ``reduction`` that
+        carries no certificate of the reduced board."""
+        rng = random.Random(43)
+        issued = []
+        for _ in range(25):
+            h = random_hypergraph(rng)
+            for first in (Side.A, Side.B):
+                for opts in (MBOptions(), MBOptions(use_pairing_certificate=False)):
+                    report = solve_mb(h, first, opts)
+                    if report.certificate:
+                        issued.append((h, report))
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("check_certificate ran the solver")
+
+        monkeypatch.setattr(mb, "solve_mb", no_solver)
+        for h, report in issued:
+            assert check_certificate(
+                h, report.certificate, report.winner, report.first_mover
+            )
+        kinds = {report.certificate.kind for _, report in issued}
+        assert {"pairing", "reduction"} <= kinds
+        bare = Certificate("reduction", {"pairs": [[0, 1]], "sub_certificate": None})
+        assert not check_certificate(Hypergraph(2, [(0, 1)]), bare, Side.B, Side.A)
 
     def test_edge_monotonicity(self):
         rng = random.Random(44)

@@ -5,7 +5,8 @@ Lemmas 21, 22 and 23, the Erdős–Selfridge cutoff, pairings and Chooser's
 dead-vertex rule.  The references below use none of that: they play the
 games by their rules alone on raw (Maker mask, Breaker mask) positions,
 memoised, so each pruning rule is checked against a search that does not
-trust it.
+trust it.  ``bounded_win`` is the plain reference for the strategy
+verifier's ``BoundedWin`` search.
 """
 
 from __future__ import annotations
@@ -97,6 +98,71 @@ def _plain_cp(h: Hypergraph, a: int = 0, b: int = 0) -> Side:
         return memo[key]
 
     return Side.A if chooser_wins(a, b) else Side.B
+
+
+def bounded_win(p: Position, k: int) -> bool:
+    """Whether Maker, to move, can complete an edge within ``k`` own moves.
+
+    Full minimax over the at-most ``2k - 1`` remaining plies, with the
+    opponent restricted to vertices of still-completable edges (blocking
+    elsewhere never helps the opponent).
+    """
+    if p.to_move() is not Side.A:
+        raise ValueError("bounded_win requires Maker to move")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    masks = p.board.edge_masks
+    memo: dict = {}
+
+    def maker(a: int, b: int, kk: int) -> bool:
+        key = (a, b, kk)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        best: dict = {}
+        done = False
+        for mask in masks:
+            if mask & b:
+                continue
+            needed = mask & ~a
+            u = needed.bit_count()
+            if u == 0:
+                done = True
+                break
+            if u <= kk:
+                for v in iter_bits(needed):
+                    if u < best.get(v, kk + 1):
+                        best[v] = u
+        if done:
+            memo[key] = True
+            return True
+        result = False
+        for v in sorted(best, key=lambda v: (best[v], v)):
+            a2 = a | (1 << v)
+            union = 0
+            immediate = False
+            for mask in masks:
+                if mask & b:
+                    continue
+                needed = mask & ~a2
+                u = needed.bit_count()
+                if u == 0:
+                    immediate = True
+                    break
+                if u <= kk - 1:
+                    union |= needed
+            if immediate:
+                result = True
+                break
+            if union == 0:
+                continue
+            if all(maker(a2, b | (1 << w), kk - 1) for w in iter_bits(union)):
+                result = True
+                break
+        memo[key] = result
+        return result
+
+    return maker(p.a_mask, p.b_mask, k)
 
 
 def test_plain_search_finds_gcp_a_breaker_win():

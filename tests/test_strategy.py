@@ -52,7 +52,6 @@ from posgames.strategy import (
     Respond,
     StrategyTree,
     WinNow,
-    bounded_win,
     build_g3_strategy,
     build_gamma_strategy,
     conjugate,
@@ -78,6 +77,7 @@ from posgames.strategy.verifier import (
     _Stack,
     _stateful,
 )
+from test_plain_reference import bounded_win
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
