@@ -285,8 +285,8 @@ def verify_pairing(h: Hypergraph, pr: Pairing) -> bool:
 def check_certificate(
     h: Hypergraph, cert: Certificate, winner: Side, first_mover: Side
 ) -> bool:
-    """Independently validate a certificate against the board it was
-    issued for.  The check never runs the solver: it trusts only
+    """Independently validate a certificate against the board it
+    certifies.  The check never runs the solver: it trusts only
     :mod:`posgames.core`, ``reduce_lemma21``, :func:`es_potential` and
     :func:`verify_pairing`, and a ``reduction`` is accepted only with a
     ``sub_certificate`` that checks on the reduced board."""

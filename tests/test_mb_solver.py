@@ -278,28 +278,28 @@ class TestInvariants:
 
     def test_certificates_check_without_the_solver(self, monkeypatch):
         """``check_certificate`` trusts the certificate alone: with the
-        solver gone it accepts every certificate issued on the suite, with
-        and without the pairing shortcut, and refuses a ``reduction`` that
-        carries no certificate of the reduced board."""
+        solver gone it accepts every certificate that ``solve_mb`` gives on
+        the suite, with and without the pairing shortcut, and refuses a
+        ``reduction`` that carries no certificate of the reduced board."""
         rng = random.Random(43)
-        issued = []
+        certified = []
         for _ in range(25):
             h = random_hypergraph(rng)
             for first in (Side.A, Side.B):
                 for opts in (MBOptions(), MBOptions(use_pairing_certificate=False)):
                     report = solve_mb(h, first, opts)
                     if report.certificate:
-                        issued.append((h, report))
+                        certified.append((h, report))
 
         def no_solver(*args, **kwargs):
             raise AssertionError("check_certificate ran the solver")
 
         monkeypatch.setattr(mb, "solve_mb", no_solver)
-        for h, report in issued:
+        for h, report in certified:
             assert check_certificate(
                 h, report.certificate, report.winner, report.first_mover
             )
-        kinds = {report.certificate.kind for _, report in issued}
+        kinds = {report.certificate.kind for _, report in certified}
         assert {"pairing", "reduction"} <= kinds
         bare = Certificate("reduction", {"pairs": [[0, 1]], "sub_certificate": None})
         assert not check_certificate(Hypergraph(2, [(0, 1)]), bare, Side.B, Side.A)
