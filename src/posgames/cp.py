@@ -13,6 +13,23 @@ live edge are interchangeable, so offers touching them are explored through
 a single representative; a Chooser response taking a live vertex over a dead
 one dominates, so the dead branch of a mixed offer is skipped.
 
+An offer that loses Picker the game on the spot is not listed, so its
+children are never built.  Say Chooser keeps x while a 2-residual {x, s}
+is live: the residual becomes the singleton {s}, and unless Picker's
+vertex is s, Chooser wins, by the argument of the one-vertex-short test in
+:meth:`_CPSearch.value` (Hefetz, Krivelevich, Stojakovic & Szabo,
+*Positional Games*, 2014).  So an offer {x, y} can win for Picker only if
+every 2-residual through x is {x, y} and every 2-residual through y is
+{x, y}, and a mixed offer of x and a dead vertex only if x lies in no
+2-residual.  Every dropped offer has a Chooser-winning branch, and Picker
+wins a position only through an offer whose branches all win for Picker,
+so the value is unchanged.  This is not Lemma 23: Lemma 23 keeps one offer
+and drops others that might still win, by a dominance argument, while this
+filter keeps every offer that could still win and only skips building
+children whose loss for Picker the parent already knows.  With Lemma 23
+on it never fires, since a node with a 2-residual gets the single Lemma 23
+offer.
+
 A position is searched as the Maker-Breaker solver's canonical residual
 set, and a child's set is derived from its parent's with the same claims
 (``mb._maker_claim`` for Chooser's vertex, ``mb._breaker_claim`` for
@@ -91,12 +108,22 @@ class _CPSearch:
 
     def _offers(self, canon, live: int, dead: int) -> list[tuple[int, int]]:
         """Candidate offers (x, y) as single-bit masks, 0 standing for a
-        dead vertex; Chooser keeping x is tried first."""
+        dead vertex; Chooser keeping x is tried first.  Only offers that
+        pass the 2-residual test of the module docstring are listed, in
+        enumeration order; an empty list is a Chooser win."""
         r = canon[0]
         if self.opts.use_lemma23 and r.bit_count() == 2:
             # Lemma 23: offer the first 2-residual; none is smaller.
             x = r & -r
             return [(x, r ^ x)]
+        # The 2-residual partners of each vertex; canon is size-sorted.
+        partners: dict[int, int] = {}
+        for r in canon:
+            if r.bit_count() > 2:
+                break
+            lo = r & -r
+            partners[lo] = partners.get(lo, 0) | r ^ lo
+            partners[r ^ lo] = partners.get(r ^ lo, 0) | lo
         us = [1 << v for v in iter_bits(live)]
         offers = [(x, y) for i, x in enumerate(us) for y in us[i + 1 :]]
         if dead:
@@ -105,14 +132,16 @@ class _CPSearch:
             offers += [(x, 0) for x in us]
         if dead >= 2:
             offers.append((0, 0))
-        return offers
+        get = partners.get
+        return [(x, y) for x, y in offers if get(x, y) == y and get(y, x) == x]
 
     def _one_per_orbit(self, offers):
         """The root's ``offers`` with one live pair per orbit of the board's
         automorphisms; the orbits are built only once the first offer has
-        been refuted and another one is due."""
-        yield offers[0]
-        if len(offers) == 1:
+        been refuted and another one is due, so an empty or one-offer list
+        builds none."""
+        yield from offers[:1]
+        if len(offers) < 2:
             return
         orbit = _pair_orbits(self.board)
         seen = {orbit(offers[0][0] | offers[0][1])}

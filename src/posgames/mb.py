@@ -168,19 +168,45 @@ def _breaker_claim(masks, bit: int) -> tuple[int, ...]:
     return tuple([m for m in masks if not m & bit])
 
 
-def _ordered_bits(masks) -> list[int]:
-    """Candidate moves, as single-bit masks: vertices of live edges, most
-    urgent first (weight 2^-size per incident edge), index ascending as the
-    tie-break."""
-    score: dict[int, int] = {}
+def _ordered_bits(masks):
+    """Candidate moves, as single-bit masks, yielded lazily: vertices of
+    live edges, most urgent first (weight 2^-size per incident edge, as
+    2^(12 - size) floored at 1), index ascending as the tie-break.
+
+    The scores are summed bit-sliced: ``planes[k]`` holds the vertices
+    whose score has bit k set, and a residual adds its whole mask at its
+    weight's plane with ripple carry.  A weight is at most 2^11, so no
+    score reaches 2^(11 + len(masks).bit_length()) and no carry leaves
+    the planes.  The order is read off the non-empty planes from the top
+    down: each class of equal higher bits splits into the vertices with
+    the plane's bit set, searched first, and the rest, which wait on a
+    stack; a cutoff at the first candidate leaves the waiting classes
+    unsplit."""
+    planes = [0] * (11 + len(masks).bit_length())
+    live = 0
     for m in masks:
-        size = m.bit_count()
-        w = 1 << (12 - size) if size < 12 else 1
+        live |= m
+        k = 12 - m.bit_count()
+        if k < 0:
+            k = 0
         while m:
-            bit = m & -m
-            score[bit] = score.get(bit, 0) + w
-            m ^= bit
-    return sorted(sorted(score), key=score.__getitem__, reverse=True)
+            carry = planes[k] & m
+            planes[k] ^= m
+            m = carry
+            k += 1
+    planes = [p for p in reversed(planes) if p]
+    stack = [(live, 0)]
+    while stack:
+        cls, start = stack.pop()
+        for k in range(start, len(planes)):
+            high = cls & planes[k]
+            if high and high != cls:
+                stack.append((cls ^ high, k + 1))
+                cls = high
+        while cls:
+            bit = cls & -cls
+            yield bit
+            cls ^= bit
 
 
 def _es_below_half(masks) -> bool:
@@ -289,7 +315,18 @@ def check_certificate(
     certifies.  The check never runs the solver: it trusts only
     :mod:`posgames.core`, ``reduce_lemma21``, :func:`es_potential` and
     :func:`verify_pairing`, and a ``reduction`` is accepted only with a
-    ``sub_certificate`` that checks on the reduced board."""
+    ``sub_certificate`` that checks on the reduced board.  A payload that
+    cannot be read, such as a pair that is no sequence or an edge key that
+    is no integer, is refused, never raised on."""
+    try:
+        return _check_certificate(h, cert, winner, first_mover)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
+
+
+def _check_certificate(
+    h: Hypergraph, cert: Certificate, winner: Side, first_mover: Side
+) -> bool:
     if cert.kind == "all_blocked":
         return winner is Side.B and not h.edges
     if cert.kind == "completed_edge":

@@ -205,7 +205,10 @@ def test_verifier_counters_are_pinned():
 def test_solver_counters_are_pinned():
     """Verdicts and expanded nodes of the six exact solves on the shipped
     boards.  The search is deterministic, so a change in a count means its
-    traversal, pruning or memo keys changed."""
+    traversal, pruning or memo keys changed.  Chooser-Picker without Lemma
+    23 went from 6,984 to 4,783 nodes when offers that lose on the spot to
+    a 2-residual stopped being listed: such an offer's other branch is no
+    longer searched."""
     expected = {
         "mb gamma, Breaker first": (
             lambda: solve_mb(gen_gamma(), Side.B),
@@ -220,7 +223,7 @@ def test_solver_counters_are_pinned():
         "cp gcp without lemma 23": (
             lambda: solve_cp(gen_gcp(), CPOptions(use_lemma23=False)),
             Side.A,
-            6_984,
+            4_783,
         ),
         "mb gcp": (_mb_gcp, Side.B, 169),
         "cp gcp": (_cp_gcp, Side.A, 53),

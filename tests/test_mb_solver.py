@@ -304,6 +304,22 @@ class TestInvariants:
         bare = Certificate("reduction", {"pairs": [[0, 1]], "sub_certificate": None})
         assert not check_certificate(Hypergraph(2, [(0, 1)]), bare, Side.B, Side.A)
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("reduction", {"pairs": [[0, 1]], "sub_certificate": {}}),
+            ("reduction", {"pairs": [[0, 1]], "sub_certificate": "all_blocked"}),
+            ("pairing", {"pairs": [1], "edge_cover": {0: [0, 1]}}),
+            ("pairing", {"pairs": [[0, 1]], "edge_cover": {"a": [0, 1]}}),
+        ],
+        ids=["empty-sub", "string-sub", "pair-not-a-sequence", "key-not-an-int"],
+    )
+    def test_an_unreadable_payload_is_refused(self, kind, payload):
+        """A malformed payload is refused, not raised on; the board is one
+        2-edge, reduced by the listed pair to a board with no edge."""
+        h = Hypergraph(2, [(0, 1)])
+        assert not check_certificate(h, Certificate(kind, payload), Side.B, Side.A)
+
     def test_edge_monotonicity(self):
         rng = random.Random(44)
         for _ in range(15):

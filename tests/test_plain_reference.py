@@ -5,8 +5,9 @@ Lemmas 21, 22 and 23, the Erdős–Selfridge cutoff, pairings and Chooser's
 dead-vertex rule.  The references below use none of that: they play the
 games by their rules alone on raw (Maker mask, Breaker mask) positions,
 memoised, so each pruning rule is checked against a search that does not
-trust it.  ``bounded_win`` is the plain reference for the strategy
-verifier's ``BoundedWin`` search.
+trust it, and the offers that Chooser-Picker's search never lists are
+checked to lose for Picker.  ``bounded_win`` is the plain reference for
+the strategy verifier's ``BoundedWin`` search.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 from helpers import random_hypergraph
 from posgames.constructions import gen_complete_multipartite, gen_gcp, split_pendant
 from posgames.core import Hypergraph, Position, Side, iter_bits, permute_hypergraph
-from posgames.cp import CPOptions, cp_winner_from, solve_cp
-from posgames.mb import MBOptions, solve_mb, solve_winner
+from posgames.cp import CPOptions, _CPSearch, cp_winner_from, solve_cp
+from posgames.mb import MBOptions, _residuals, solve_mb, solve_winner
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -261,6 +262,20 @@ def test_solve_winner_matches_the_plain_search_from_positions():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _random_exchanges(rng: random.Random, h: Hypergraph) -> tuple[int, int]:
+    """Chooser's and Picker's claims after random full exchanges: Picker
+    offers two free vertices and Chooser keeps either."""
+    exchanges = rng.randint(0, h.vertex_count // 2)
+    played = rng.sample(range(h.vertex_count), 2 * exchanges)
+    a = b = 0
+    for x, y in zip(played[::2], played[1::2]):
+        if rng.random() < 0.5:
+            x, y = y, x
+        a |= 1 << x
+        b |= 1 << y
+    return a, b
+
+
 def test_cp_winner_from_matches_the_plain_search_from_positions():
     """``cp_winner_from`` agrees with the plain search, with and without
     Lemma 23, after random full exchanges: Picker offers two free vertices
@@ -273,14 +288,7 @@ def test_cp_winner_from_matches_the_plain_search_from_positions():
     def check(seed):
         rng = random.Random(seed)
         h = random_hypergraph(rng, max_vertices=8)
-        exchanges = rng.randint(0, h.vertex_count // 2)
-        played = rng.sample(range(h.vertex_count), 2 * exchanges)
-        a = b = 0
-        for x, y in zip(played[::2], played[1::2]):
-            if rng.random() < 0.5:
-                x, y = y, x
-            a |= 1 << x
-            b |= 1 << y
+        a, b = _random_exchanges(rng, h)
         want = _plain_cp(h, a, b)
         seen.add(_won(h, a))
         p = Position(h, a, b)
@@ -289,3 +297,59 @@ def test_cp_winner_from_matches_the_plain_search_from_positions():
 
     check()
     assert seen == {False, True}
+
+
+def _every_offer(live: int, dead: int) -> list[tuple[int, int]]:
+    """Every offer of a position with ``live`` vertices in residuals and
+    ``dead`` free ones outside them, unfiltered, in the search's order:
+    live pairs, then a live vertex with a dead one, then two dead ones."""
+    us = [1 << v for v in iter_bits(live)]
+    offers = [(x, y) for i, x in enumerate(us) for y in us[i + 1 :]]
+    if dead:
+        offers += [(x, 0) for x in us]
+    if dead >= 2:
+        offers.append((0, 0))
+    return offers
+
+
+def test_every_offer_left_out_is_a_chooser_win():
+    """Without Lemma 23, ``_CPSearch._offers`` lists a subsequence of every
+    offer, in order, and after each offer it leaves out the plain search
+    finds a Chooser choice that wins: such an offer cannot win for Picker.
+    Both kinds of offer are left out somewhere: two live vertices, and a
+    live vertex with a dead one."""
+    dropped = set()
+
+    @_SETTINGS
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        h = random_hypergraph(rng, max_vertices=8)
+        for _ in range(4):
+            check_position(h, *_random_exchanges(rng, h))
+
+    def check_position(h: Hypergraph, a: int, b: int) -> None:
+        canon = _residuals(h, a, b)
+        if not canon or canon[0].bit_count() < 2:
+            return
+        live = 0
+        for r in canon:
+            live |= r
+        dead_mask = h.full_mask & ~(a | b | live)
+        search = _CPSearch(h, CPOptions(use_lemma23=False))
+        listed = search._offers(canon, live, dead_mask.bit_count())
+        every = _every_offer(live, dead_mask.bit_count())
+        rest = iter(every)
+        assert all(offer in rest for offer in listed)
+        for x, y in every:
+            if (x, y) in listed:
+                continue
+            dropped.add(bool(y))
+            y = y or dead_mask & -dead_mask
+            assert any(
+                _plain_cp(h, a | keep, b | give) is Side.A
+                for keep, give in ((x, y), (y, x))
+            ), (h, a, b, x, y)
+
+    check()
+    assert dropped == {False, True}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_hypergraph
@@ -71,6 +71,35 @@ def _reference_lemma22(masks) -> int | None:
     return None
 
 
+def _reference_ordered_bits(masks) -> list[int]:
+    """The move order by explicit per-vertex scores: a dict update per
+    (residual, vertex), then a sort by index and a stable sort by score."""
+    score: dict[int, int] = {}
+    for m in masks:
+        size = m.bit_count()
+        w = 1 << (12 - size) if size < 12 else 1
+        while m:
+            bit = m & -m
+            score[bit] = score.get(bit, 0) + w
+            m ^= bit
+    return sorted(sorted(score), key=score.__getitem__, reverse=True)
+
+
+# Residuals of 2 to 13 of 16 vertices, many of them through vertex 0, so
+# that sizes past the weight floor and long carries both occur.
+_hub_residual_lists = st.lists(
+    st.tuples(st.integers(2, 13), st.integers(0, 2**32 - 1), st.booleans()),
+    min_size=1,
+    max_size=80,
+).map(
+    lambda drawn: [
+        sum(1 << v for v in random.Random(seed).sample(range(hub, 16), size - hub))
+        | hub
+        for size, seed, hub in drawn
+    ]
+)
+
+
 def _some_vertex(data, masks) -> int:
     union = 0
     for m in masks:
@@ -108,12 +137,18 @@ def test_breaker_claim_equals_full_canon(raw, data):
 @given(_residual_lists)
 def test_move_order_is_urgency_then_index(raw):
     masks = _canon(raw)
-    score: dict[int, int] = {}
-    for m in masks:
-        for v in iter_bits(m):
-            score[v] = score.get(v, 0) + (1 << max(0, 12 - m.bit_count()))
-    expected = sorted(score, key=lambda v: (-score[v], v))
-    assert [bit.bit_length() - 1 for bit in _ordered_bits(masks)] == expected
+    assert list(_ordered_bits(masks)) == _reference_ordered_bits(masks)
+
+
+@_SETTINGS
+@given(_hub_residual_lists)
+@example([1 | 1 << v for v in range(1, 16)])
+def test_bit_sliced_order_matches_the_sorted_scores(raw):
+    """The bit-sliced ranking gives the order of the dict-and-sort one,
+    ties included, on canonical sets and on raw lists, whose many 2- and
+    3-residuals through one vertex push its score up many planes."""
+    for masks in (_canon(raw), raw):
+        assert list(_ordered_bits(masks)) == _reference_ordered_bits(masks)
 
 
 @_SETTINGS
