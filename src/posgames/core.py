@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Side",
@@ -34,6 +34,8 @@ __all__ = [
     "permute_hypergraph",
     "is_automorphism",
     "Automorphisms",
+    "automorphism_generators",
+    "mask_orbits",
     "load_hypergraph",
     "save_hypergraph",
 ]
@@ -417,6 +419,70 @@ class Automorphisms:
                 right = self._individualise(right, q)
         path, leaf = self._first_path(left)
         return self._match(right, path, 0, leaf, list(pairs))
+
+
+def automorphism_generators(h: Hypergraph) -> list[list[int]]:
+    """Generators of the automorphism group of ``h``, each checked.
+
+    The group is generated along the stabiliser chain of the first search
+    path of :class:`Automorphisms` (McKay 1981), deepest level first.  The
+    level of a path node fixes the vertices individualised above it;
+    ``find`` is asked to map the node's vertex onto each vertex of its cell
+    that lies in no orbit already reached or refused under the generators
+    found so far.  The leaf is discrete, so the last stabiliser is trivial
+    and the generators generate the whole group when ``find`` is exact.
+    ``find`` is not trusted: a candidate is kept only if
+    :func:`is_automorphism` holds and it maps as asked, so every generator
+    is an automorphism, whatever ``find`` returns."""
+    auts = Automorphisms(h)
+    path, _ = auts._first_path(auts._root)
+    verts: dict[int, int] = {}
+    gens = []
+    for depth in range(len(path) - 1, -1, -1):
+        base, *cell = path[depth][1]
+        fixed = [(c[0], c[0]) for _, c in path[:depth]]
+        known = [base]
+        for v in cell:
+            if any(_top(verts, v) == _top(verts, r) for r in known):
+                continue
+            pairs = fixed + [(base, v)]
+            g = auts.find(pairs)
+            if g and is_automorphism(h, g) and all(g[p] == q for p, q in pairs):
+                gens.append(g)
+                for u in range(h.vertex_count):
+                    _merge(verts, u, g[u])
+            else:
+                known.append(v)
+    return gens
+
+
+def mask_orbits(
+    gens: Sequence[Sequence[int]], masks: Iterable[int]
+) -> Callable[[int], int]:
+    """The orbits on ``masks`` of the group generated by the permutations
+    ``gens``, which move a mask's bits, as a map from a mask to the least
+    mask of its orbit.  ``masks`` must be closed under ``gens``; a mask
+    outside them is its own orbit."""
+    up: dict[int, int] = {}
+    masks = list(masks)
+    for g in gens:
+        for m in masks:
+            _merge(up, m, mask_of([g[v] for v in iter_bits(m)]))
+    return lambda m: _top(up, m)
+
+
+def _top(up: dict, k: int) -> int:
+    """The root of ``k`` in the union-find forest ``up``: the least
+    member of its class."""
+    while up.get(k, k) != k:
+        k = up[k]
+    return k
+
+
+def _merge(up: dict, a: int, b: int) -> None:
+    a, b = _top(up, a), _top(up, b)
+    if a != b:
+        up[max(a, b)] = min(a, b)
 
 
 def load_hypergraph(data: str | bytes) -> Hypergraph:

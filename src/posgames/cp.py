@@ -37,15 +37,16 @@ Picker's), not rebuilt from the board.  The search is single-threaded and
 deterministic.
 
 At the empty board :func:`solve_cp` offers one live pair per orbit of the
-board's automorphism group on pairs (:func:`_pair_orbits`).  This is exact:
-an automorphism g maps edges onto edges, so it maps the game after the
-offer {x, y} and either choice onto the game after {g(x), g(y)} and the
-corresponding choice, and Picker wins the one iff the other.  Every merge
-of two offers is by a permutation that ``core.is_automorphism`` has
-checked.  The orbits are built lazily, after the root's first offer has
-been refuted, so a search that stops at the node limit or on a Picker win
-there pays nothing for them.  Dead-vertex offers, interior nodes,
-:func:`cp_winner_from` and :func:`validate_case_table` search as before.
+board's automorphism group on pairs (:func:`_pair_orbits`, with
+``mb._one_per_orbit``).  This is exact: an automorphism g maps edges onto
+edges, so it maps the game after the offer {x, y} and either choice onto
+the game after {g(x), g(y)} and the corresponding choice, and Picker wins
+the one iff the other.  Every merge of two offers is by a permutation that
+``core.is_automorphism`` has checked.  The orbits are built lazily, after
+the root's first offer has been refuted, so a search that stops at the node
+limit or on a Picker win there pays nothing for them.  Dead-vertex offers,
+interior nodes, :func:`cp_winner_from` and :func:`validate_case_table`
+search as before.
 """
 
 from __future__ import annotations
@@ -55,13 +56,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .constructions import gcp_x, gcp_y, gcp_z
-from .core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
+from .core import (
+    Hypergraph,
+    Position,
+    Side,
+    automorphism_generators,
+    iter_bits,
+    mask_orbits,
+)
 from .mb import (
     SolveReport,
     _breaker_claim,
     _Budget,
     _Exhausted,
     _maker_claim,
+    _one_per_orbit,
     _residuals,
 )
 
@@ -118,40 +127,35 @@ class _CPSearch:
             return [(x, r ^ x)]
         # The 2-residual partners of each vertex; canon is size-sorted.
         partners: dict[int, int] = {}
+        paired = 0
         for r in canon:
             if r.bit_count() > 2:
                 break
             lo = r & -r
             partners[lo] = partners.get(lo, 0) | r ^ lo
             partners[r ^ lo] = partners.get(r ^ lo, 0) | lo
-        us = [1 << v for v in iter_bits(live)]
-        offers = [(x, y) for i, x in enumerate(us) for y in us[i + 1 :]]
+            paired |= r
+        # Partner-free vertices pair with each other; an isolated 2-residual
+        # {x, y} is offered at x's place; no other pair passes the test.
+        lone = [1 << v for v in iter_bits(live & ~paired)]
+        offers = []
+        i = 0
+        while live:
+            x = live & -live
+            live ^= x
+            p = partners.get(x)
+            if p is None:
+                i += 1
+                offers += [(x, y) for y in lone[i:]]
+            elif p > x and partners.get(p) == x:
+                offers.append((x, p))
         if dead:
             # Dead vertices are interchangeable; Chooser keeping the live
             # vertex of a mixed offer dominates, so one branch suffices.
-            offers += [(x, 0) for x in us]
+            offers += [(x, 0) for x in lone]
         if dead >= 2:
             offers.append((0, 0))
-        get = partners.get
-        return [(x, y) for x, y in offers if get(x, y) == y and get(y, x) == x]
-
-    def _one_per_orbit(self, offers):
-        """The root's ``offers`` with one live pair per orbit of the board's
-        automorphisms; the orbits are built only once the first offer has
-        been refuted and another one is due, so an empty or one-offer list
-        builds none."""
-        yield from offers[:1]
-        if len(offers) < 2:
-            return
-        orbit = _pair_orbits(self.board)
-        seen = {orbit(offers[0][0] | offers[0][1])}
-        for x, y in offers[1:]:
-            if x and y:
-                rep = orbit(x | y)
-                if rep in seen:
-                    continue
-                seen.add(rep)
-            yield x, y
+        return offers
 
     def value(self, canon, free: int, root: bool = False) -> Side:
         """Value of the canonical residual set ``canon`` with ``free``
@@ -189,7 +193,10 @@ class _CPSearch:
 
         offers = self._offers(canon, live, dead)
         if root:
-            offers = self._one_per_orbit(offers)
+            # A dead-vertex offer's key is no pair, so it is its own orbit.
+            offers = _one_per_orbit(
+                offers, lambda: _pair_orbits(self.board), lambda o: o[0] | o[1]
+            )
         result = Side.A
         for x, y in offers:
             if picker_wins(x, y) and (not y or picker_wins(y, x)):
@@ -201,58 +208,12 @@ class _CPSearch:
 
 def _pair_orbits(board: Hypergraph) -> Callable[[int], int]:
     """The orbits of the board's automorphism group on vertex pairs, as a
-    map from a two-bit mask to the least mask of its orbit.
-
-    The group is generated along the stabiliser chain of the first search
-    path of :class:`core.Automorphisms` (McKay 1981), deepest level first.
-    The level of a path node fixes the vertices individualised above it;
-    ``find`` is asked to map the node's vertex onto each vertex of its cell
-    that lies in no orbit already reached or refused under the generators
-    found so far.  The leaf is discrete, so the last stabiliser is trivial
-    and the generators generate the whole group when ``find`` is exact.
-    ``find`` is not trusted: a candidate is kept only if
-    ``core.is_automorphism`` holds and it maps as asked, so every merge is
-    by an automorphism, whatever ``find`` returns."""
-    auts = Automorphisms(board)
-    path, _ = auts._first_path(auts._root)
+    map from a two-bit mask to the least mask of its orbit; the generators
+    are ``core.automorphism_generators``, each checked by
+    ``core.is_automorphism``."""
     n = board.vertex_count
-    verts: dict[int, int] = {}
-    gens = []
-    for depth in range(len(path) - 1, -1, -1):
-        base, *cell = path[depth][1]
-        fixed = [(c[0], c[0]) for _, c in path[:depth]]
-        known = [base]
-        for v in cell:
-            if any(_top(verts, v) == _top(verts, r) for r in known):
-                continue
-            pairs = fixed + [(base, v)]
-            g = auts.find(pairs)
-            if g and is_automorphism(board, g) and all(g[p] == q for p, q in pairs):
-                gens.append(g)
-                for u in range(n):
-                    _merge(verts, u, g[u])
-            else:
-                known.append(v)
-    orbits: dict[int, int] = {}
-    for g in gens:
-        for x in range(n):
-            for y in range(x + 1, n):
-                _merge(orbits, 1 << x | 1 << y, 1 << g[x] | 1 << g[y])
-    return lambda m: _top(orbits, m)
-
-
-def _top(up: dict, k: int) -> int:
-    """The root of ``k`` in the union-find forest ``up``: the least
-    member of its class."""
-    while up.get(k, k) != k:
-        k = up[k]
-    return k
-
-
-def _merge(up: dict, a: int, b: int) -> None:
-    a, b = _top(up, a), _top(up, b)
-    if a != b:
-        up[max(a, b)] = min(a, b)
+    pairs = [1 << x | 1 << y for x in range(n) for y in range(x + 1, n)]
+    return mask_orbits(automorphism_generators(board), pairs)
 
 
 def solve_cp(h: Hypergraph, opts: CPOptions | None = None) -> SolveReport:

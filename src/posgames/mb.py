@@ -22,6 +22,20 @@ and deterministic.
 :func:`_search` keeps one memo per side to move, each keyed by the
 canonical residual tuple alone and holding whether Maker wins, and expands
 a node in place: ``Side`` is used only at the API boundary.
+
+At the empty board :func:`solve_mb` searches one move per orbit of the
+board's automorphism group on vertices, whichever side moves first
+(:func:`_one_per_orbit`, :func:`_vertex_orbits`).  This is exact: an
+automorphism g maps edges onto edges, so it maps the game after the move v
+onto the game after g(v), and the mover wins the one iff the other.  A move
+is skipped only when an earlier move of its orbit was searched and refuted,
+so the first winning move in search order is never skipped, and the root's
+value is that of a search without orbits.  The generators come from
+``core.automorphism_generators``, each checked by ``core.is_automorphism``.
+The orbits are built lazily, once the root's first move has been refuted
+and another one is due, so a root that wins at its first move, has a forced
+move or stops at the node limit pays nothing for them.  Interior nodes and
+:func:`solve_winner` search as before.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import reduce_lemma21
-from .core import Hypergraph, Position, Side
+from .core import Hypergraph, Position, Side, automorphism_generators, mask_orbits
 
 __all__ = [
     "MBOptions",
@@ -369,21 +383,56 @@ def _check_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _search(canon, maker_moves: bool, opts: MBOptions) -> tuple[Side | None, int]:
+def _one_per_orbit(cands, orbits, key=None):
+    """The root's candidates ``cands`` in order, less each whose ``key``
+    (the candidate itself by default) shares an orbit with an earlier
+    one's.  ``orbits()`` builds the map from a key to its orbit's least
+    member; it is called only once the first candidate has been refuted
+    and another one is due, so an empty or one-candidate list builds
+    none."""
+    key = key or (lambda c: c)
+    cands = iter(cands)
+    first = next(cands, None)
+    if first is None:
+        return
+    yield first
+    orbit = seen = None
+    for c in cands:
+        if orbit is None:
+            orbit = orbits()
+            seen = {orbit(key(first))}
+        rep = orbit(key(c))
+        if rep not in seen:
+            seen.add(rep)
+            yield c
+
+
+def _vertex_orbits(board: Hypergraph):
+    """The orbits of the board's automorphism group on vertices, as a map
+    from a one-bit mask to the least mask of its orbit."""
+    n = board.vertex_count
+    return mask_orbits(automorphism_generators(board), [1 << v for v in range(n)])
+
+
+def _search(
+    canon, maker_moves: bool, opts: MBOptions, board: Hypergraph | None = None
+) -> tuple[Side | None, int]:
     """Exact value of the canonical residual set ``canon`` with Maker to
     move iff ``maker_moves``, and the nodes expanded; the value is None
     when the node limit was hit.
 
     Each side to move has its own memo, keyed by the residual set alone
     and holding whether Maker wins.  A node is shortcut or expanded in
-    place; its children are built one at a time, in search order."""
+    place; its children are built one at a time, in search order.  Given
+    the empty ``board`` whose residuals ``canon`` are, the root searches
+    one move per orbit of its automorphisms."""
     budget = _Budget(opts.node_limit)
     spend = budget.spend
     use_es, use_lemma22 = opts.use_es_certificate, opts.use_lemma22
     maker_memo: dict = {}
     breaker_memo: dict = {}
 
-    def maker_wins_moving(masks) -> bool:
+    def maker_wins_moving(masks, root=False) -> bool:
         if not masks:
             return False
         won = maker_memo.get(masks)
@@ -396,16 +445,19 @@ def _search(canon, maker_moves: bool, opts: MBOptions) -> tuple[Side | None, int
             won = False
         else:
             forced = _lemma22_vertex(masks) if use_lemma22 else None
+            cands = [1 << forced] if forced is not None else _ordered_bits(masks)
+            if root:
+                cands = _one_per_orbit(cands, lambda: _vertex_orbits(board))
             won = False
             # No residual is a singleton, so none can be emptied by the claim.
-            for bit in [1 << forced] if forced is not None else _ordered_bits(masks):
+            for bit in cands:
                 if maker_wins_waiting(_maker_claim(masks, bit)):
                     won = True
                     break
         maker_memo[masks] = won
         return won
 
-    def maker_wins_waiting(masks) -> bool:
+    def maker_wins_waiting(masks, root=False) -> bool:
         won = breaker_memo.get(masks)
         if won is not None:
             return won
@@ -418,6 +470,8 @@ def _search(canon, maker_moves: bool, opts: MBOptions) -> tuple[Side | None, int
             cands = ()
         else:
             cands = [masks[0]]
+        if root:
+            cands = _one_per_orbit(cands, lambda: _vertex_orbits(board))
         won = True
         for bit in cands:
             if not maker_wins_moving(_breaker_claim(masks, bit)):
@@ -429,7 +483,9 @@ def _search(canon, maker_moves: bool, opts: MBOptions) -> tuple[Side | None, int
     if not canon:
         return Side.B, 0
     try:
-        won = (maker_wins_moving if maker_moves else maker_wins_waiting)(canon)
+        won = (maker_wins_moving if maker_moves else maker_wins_waiting)(
+            canon, board is not None
+        )
     except _Exhausted:
         return None, budget.count
     finally:
@@ -509,5 +565,5 @@ def solve_mb(
                 Side.B, 0, Certificate("erdos_selfridge", {"potential": str(pot)})
             )
 
-    winner, nodes = _search(_residuals(h, 0, 0), first_mover is Side.A, opts)
+    winner, nodes = _search(_residuals(h, 0, 0), first_mover is Side.A, opts, h)
     return report(winner, nodes, exhausted=winner is None)

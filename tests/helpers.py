@@ -1,5 +1,6 @@
-"""Shared test utilities: deterministic random boards and cached
-verification runs (the expensive strategy checks run once per session)."""
+"""Shared test utilities: deterministic random boards, cached
+verification runs (the expensive strategy checks run once per session)
+and a spy on ``Automorphisms.find``."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from posgames.constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from posgames.core import Hypergraph
+from posgames.core import Automorphisms, Hypergraph
 from posgames.strategy import (
     VerificationReport,
     build_g3_strategy,
@@ -94,3 +95,16 @@ def random_uniform_low_degree(
         for v in edge:
             degree[v] += 1
     return Hypergraph(vertices, sorted(edges))
+
+
+def count_finds(monkeypatch) -> list:
+    """Record the pairs of every ``Automorphisms.find`` call."""
+    calls = []
+    find = Automorphisms.find
+
+    def spy(self, pairs):
+        calls.append(pairs)
+        return find(self, pairs)
+
+    monkeypatch.setattr(Automorphisms, "find", spy)
+    return calls

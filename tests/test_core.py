@@ -28,9 +28,11 @@ from posgames.core import (
     Position,
     Side,
     apply_claim,
+    automorphism_generators,
     is_automorphism,
     is_uniform,
     load_hypergraph,
+    mask_orbits,
     max_degree,
     permute_hypergraph,
     save_hypergraph,
@@ -203,6 +205,24 @@ class TestAutomorphisms:
         else:
             assert tuple(g) in brute
             assert all(g[a] == b for a, b in pairs)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_small_boards())
+    def test_generators_give_the_orbits_of_the_whole_group(self, case):
+        """Every generator is an automorphism, and the orbits they give on
+        vertices and on vertex pairs are those of the group found by trying
+        every permutation."""
+        h, _ = case
+        n = h.vertex_count
+        brute = [p for p in itertools.permutations(range(n)) if is_automorphism(h, p)]
+        gens = automorphism_generators(h)
+        assert all(is_automorphism(h, g) for g in gens)
+        for size in (1, 2):
+            masks = [sum(1 << v for v in c) for c in itertools.combinations(range(n), size)]
+            orbit = mask_orbits(gens, masks)
+            for m in masks:
+                images = {sum(1 << p[v] for v in range(n) if m >> v & 1) for p in brute}
+                assert orbit(m) == min(images)
 
     def test_pentagon_has_the_ten_rotations_and_reflections(self):
         """The images of w1 and x12 pick out each of the ten elements of

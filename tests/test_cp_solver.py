@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from helpers import random_hypergraph
+from helpers import count_finds, random_hypergraph
 from posgames.constructions import gen_complete_multipartite, gen_gamma_prime, gen_gcp
-from posgames.core import Automorphisms, Hypergraph, Position, Side, apply_claim
+from posgames.core import Automorphisms, Hypergraph, Position, Side, apply_claim, iter_bits
 from posgames.cp import (
     _CPSearch,
     _pair_orbits,
@@ -21,7 +21,7 @@ from posgames.cp import (
     solve_cp,
     validate_case_table,
 )
-from posgames.mb import _residuals, solve_mb
+from posgames.mb import _canon, _residuals, solve_mb
 
 
 class TestHeadlineVerdicts:
@@ -60,6 +60,61 @@ def _forced_offer(h, claimed_a=(), claimed_b=()):
         return None
     ((x, y),) = offers
     return (x.bit_length() - 1, y.bit_length() - 1)
+
+
+def _filtered_offers(canon, live: int, dead: int, lemma23: bool) -> list:
+    """The offers of ``_CPSearch._offers`` built the plain way: every live
+    pair, every mixed offer and the two-dead offer, in that order, less
+    those that fail the 2-residual test."""
+    r = canon[0]
+    if lemma23 and r.bit_count() == 2:
+        x = r & -r
+        return [(x, r ^ x)]
+    partners: dict[int, int] = {}
+    for r in canon:
+        if r.bit_count() > 2:
+            break
+        lo = r & -r
+        partners[lo] = partners.get(lo, 0) | r ^ lo
+        partners[r ^ lo] = partners.get(r ^ lo, 0) | lo
+    us = [1 << v for v in iter_bits(live)]
+    offers = [(x, y) for i, x in enumerate(us) for y in us[i + 1 :]]
+    if dead:
+        offers += [(x, 0) for x in us]
+    if dead >= 2:
+        offers.append((0, 0))
+    get = partners.get
+    return [(x, y) for x, y in offers if get(x, y) == y and get(y, x) == x]
+
+
+@pytest.mark.parametrize("lemma23", [False, True])
+def test_offers_match_the_plain_enumeration(lemma23):
+    """``_offers`` pairs only the partner-free vertices and the isolated
+    2-residuals, and gives the same list, in the same order, as filtering
+    every offer, on random canonical residual sets.  The sets cover lists
+    with an isolated 2-residual, with a vertex of two 2-residuals and with
+    mixed offers."""
+    rng = random.Random(11)
+    search = _CPSearch(Hypergraph(0), CPOptions(use_lemma23=lemma23))
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        masks = []
+        for _ in range(rng.randint(1, 6)):
+            size = rng.randint(2, min(n, 4))
+            masks.append(sum(1 << v for v in rng.sample(range(n), size)))
+        canon = _canon(masks)
+        live = 0
+        for r in canon:
+            live |= r
+        dead = rng.randint(0, 3)
+        want = _filtered_offers(canon, live, dead, lemma23)
+        assert search._offers(canon, live, dead) == want, (canon, dead)
+        twos = [r for r in canon if r.bit_count() == 2]
+        seen.add(("isolated", any((r & -r, r ^ r & -r) in want for r in twos)))
+        seen.add(("shared", any(a & b for a in twos for b in twos if a != b)))
+        seen.add(("mixed", any(not y for _, y in want)))
+    assert seen == {(k, v) for k in ("isolated", "shared", "mixed") for v in (False, True)}
 
 
 class TestLemma23Offer:
@@ -158,19 +213,6 @@ class TestOptions:
         assert report.exhausted and report.winner is None
 
 
-def _count_finds(monkeypatch) -> list:
-    """Record the pairs of every ``Automorphisms.find`` call."""
-    calls = []
-    find = Automorphisms.find
-
-    def spy(self, pairs):
-        calls.append(pairs)
-        return find(self, pairs)
-
-    monkeypatch.setattr(Automorphisms, "find", spy)
-    return calls
-
-
 class TestRootOrbits:
     @pytest.mark.parametrize("lemma23, nodes", [(False, 4_783), (True, 53)])
     def test_find_calls_on_gcp_are_pinned(self, monkeypatch, lemma23, nodes):
@@ -178,7 +220,7 @@ class TestRootOrbits:
         ``find`` calls, and its 105 pairs fall into 15 orbits.  Without
         Lemma 23 the count was 6,984 until offers that lose on the spot to
         a 2-residual stopped being listed."""
-        calls = _count_finds(monkeypatch)
+        calls = count_finds(monkeypatch)
         report = solve_cp(gen_gcp(), CPOptions(use_lemma23=lemma23))
         assert (report.winner, report.nodes_expanded) == (Side.A, nodes)
         assert len(calls) == 4
@@ -210,7 +252,7 @@ class TestRootOrbits:
     def test_no_orbit_work_unless_the_first_offer_is_refuted(
         self, monkeypatch, h, opts, winner
     ):
-        calls = _count_finds(monkeypatch)
+        calls = count_finds(monkeypatch)
         assert solve_cp(h, opts).winner is winner
         assert calls == []
 

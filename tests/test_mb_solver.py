@@ -4,19 +4,25 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import random_hypergraph, random_uniform_low_degree
+from helpers import count_finds, random_hypergraph, random_uniform_low_degree
 from posgames.constructions import (
     gcp_rotation,
     gen_complete_multipartite,
     gen_g3,
+    gen_gamma,
+    gen_gamma_prime,
     gen_gcp,
+    split_pendant,
 )
 from posgames import mb
-from posgames.core import Hypergraph, Position, Side, permute_hypergraph
+from posgames.core import Automorphisms, Hypergraph, Position, Side, permute_hypergraph
 from posgames.mb import (
     _lemma22_vertex,
     _residuals,
@@ -30,6 +36,10 @@ from posgames.mb import (
     solve_winner,
     verify_pairing,
 )
+
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "perfbench")]
+
+import workloads  # noqa: E402
 
 ALL_OFF = MBOptions(
     use_es_certificate=False,
@@ -339,6 +349,116 @@ class TestInvariants:
         permuted = permute_hypergraph(gen_gcp(), rot)
         for first in (Side.A, Side.B):
             assert solve_mb(permuted, first).winner is solve_mb(gen_gcp(), first).winner
+
+
+def _seeded_g3_split() -> Hypergraph:
+    """g3-split under the benchmark's seed-1 relabelling."""
+    h = split_pendant(gen_g3())
+    sizes = {"gamma": 35, "g3-split": h.vertex_count, "gcp": 15}
+    return permute_hypergraph(h, workloads.seeded_permutations(1, sizes)["g3-split"])
+
+
+class TestRootOrbits:
+    @pytest.mark.parametrize(
+        "board, first, winner, nodes, finds",
+        [
+            (gen_gamma, Side.B, Side.A, 13_772, 2),
+            (gen_gcp, Side.A, Side.B, 56, 4),
+            (lambda: split_pendant(gen_g3()), Side.A, Side.A, 66_827, 0),
+            (_seeded_g3_split, Side.A, Side.A, 4_258, 0),
+        ],
+        ids=["gamma-breaker", "gcp-maker", "g3-split-maker", "g3-split-seed-1"],
+    )
+    def test_find_calls_and_nodes_are_pinned(
+        self, monkeypatch, board, first, winner, nodes, finds
+    ):
+        """gamma's group is the dihedral group of order 10, found with two
+        ``find`` calls; gcp's has order 24 and takes four.  On g3-split,
+        shipped or relabelled, Maker's first root move wins, so no orbit is
+        built and the tree is the one without orbits."""
+        h = board()
+        calls = count_finds(monkeypatch)
+        report = solve_mb(h, first)
+        assert (report.winner, report.nodes_expanded) == (winner, nodes)
+        assert len(calls) == finds
+
+    def test_a_later_orbit_can_hold_the_only_winning_move(self, monkeypatch):
+        """On the path 2-0-3-1-4 with Breaker first, the root tries 0, 1
+        and 3 first, and only the centre 3 wins.  The reflection merges 0
+        with 1, so 1 is skipped once 0 is refuted and 3 is searched next:
+        6 nodes, where a search without orbits takes 8."""
+        h = Hypergraph(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
+        calls = count_finds(monkeypatch)
+        report = solve_mb(h, Side.B)
+        assert (report.winner, report.nodes_expanded) == (Side.B, 6)
+        assert calls == [[(2, 4)]]
+        monkeypatch.setattr(Automorphisms, "find", lambda self, pairs: None)
+        assert solve_mb(h, Side.B).nodes_expanded == 8
+
+    @pytest.mark.parametrize(
+        "h, first, opts, winner",
+        [
+            (gen_gcp(), Side.A, MBOptions(node_limit=2), None),
+            # Maker's first move, vertex 0, wins on the triangle.
+            (Hypergraph(3, [(0, 1), (0, 2), (1, 2)]), Side.A, MBOptions(), Side.A),
+            # Lemma 22 forces Maker onto vertex 1 of the path.
+            (Hypergraph(4, [(0, 1), (1, 2), (2, 3)]), Side.A, MBOptions(), Side.A),
+            # Breaker must take the singleton.
+            (Hypergraph(3, [(0,), (1, 2)]), Side.B, MBOptions(), Side.B),
+            # Breaker's first move, vertex 0, wins on one 3-edge.
+            (
+                Hypergraph(3, [(0, 1, 2)]),
+                Side.B,
+                MBOptions(use_pairing_certificate=False, use_lemma21=False),
+                Side.B,
+            ),
+        ],
+        ids=["node-limit", "maker-wins-first", "lemma22", "singleton", "breaker-wins-first"],
+    )
+    def test_no_orbit_work_unless_the_first_move_is_refuted(
+        self, monkeypatch, h, first, opts, winner
+    ):
+        calls = count_finds(monkeypatch)
+        report = solve_mb(h, first, opts)
+        assert report.winner is winner
+        assert report.nodes_expanded > 0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "board, first, winner, nodes",
+        [(gen_gamma, Side.B, Side.A, 59_246), (gen_gcp, Side.A, Side.B, 169)],
+        ids=["gamma-breaker", "gcp-maker"],
+    )
+    @pytest.mark.parametrize("kind", ["transposition", "no-permutation"])
+    def test_a_candidate_that_is_no_automorphism_merges_nothing(
+        self, monkeypatch, kind, board, first, winner, nodes
+    ):
+        """``find`` is not trusted.  A candidate that maps as asked but is no
+        automorphism merges no moves, so every root move is searched, as the
+        node counts of a search without orbits show."""
+
+        def bad(self, pairs):
+            *_, (p, q) = pairs
+            n = self.board.vertex_count
+            if kind == "transposition":
+                return [q if v == p else p if v == q else v for v in range(n)]
+            return [q if v == p else v for v in range(n)]
+
+        monkeypatch.setattr(Automorphisms, "find", bad)
+        report = solve_mb(board(), first)
+        assert (report.winner, report.nodes_expanded) == (winner, nodes)
+
+    def test_a_node_limit_on_gamma_prime_stops_at_once(self, monkeypatch):
+        """A search that hits the node limit before the first root move is
+        refuted builds no orbits; on gamma-prime they would cost seconds of
+        ``find``."""
+        h = gen_gamma_prime()
+        calls = count_finds(monkeypatch)
+        start = time.perf_counter()
+        report = solve_mb(h, Side.B, MBOptions(node_limit=1000))
+        assert report.exhausted and report.winner is None
+        assert time.perf_counter() - start < 2
+        assert calls == []
 
 
 class TestDeterminism:

@@ -230,6 +230,44 @@ def test_cp_root_orbits_on_complete_multipartite_boards(k, n):
     _cp_agrees(gen_complete_multipartite(k, n))
 
 
+_MB_SEARCH_ONLY = MBOptions(**dict.fromkeys(_MB_FLAGS, False))
+_MULTIPARTITE = [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]
+# The multipartite boards whose split_pendant image has at most 12 vertices.
+_SPLIT_MULTIPARTITE = [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]
+_SYMMETRIC = {
+    **{f"K{k}x{n}": gen_complete_multipartite(k, n) for k, n in _MULTIPARTITE},
+    **{
+        f"split-K{k}x{n}": split_pendant(gen_complete_multipartite(k, n))
+        for k, n in _SPLIT_MULTIPARTITE
+    },
+    # Paths of 2-edges: with Breaker first, only the centre of the 5-vertex
+    # path wins, and a relabelling can order it after both of its
+    # neighbours, which share an orbit.
+    **{f"path{n}": Hypergraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (5, 6, 7)},
+}
+
+
+@pytest.mark.parametrize("name", list(_SYMMETRIC))
+def test_mb_root_orbits_match_the_plain_search(name):
+    """``solve_mb``, which searches one root move per automorphism orbit,
+    agrees with the plain search for both first movers, with every shortcut
+    on and with every one off, on symmetric boards: complete multipartite
+    boards, the ``split_pendant`` images of small ones and paths, each as
+    built and relabelled."""
+    board = _SYMMETRIC[name]
+    want = {first: _plain_mb(board, first)[0] for first in Side}
+
+    @settings(_SETTINGS, max_examples=10)
+    @given(st.permutations(range(board.vertex_count)))
+    def check(perm):
+        for b in (board, permute_hypergraph(board, perm)):
+            for first in Side:
+                for opts in (MBOptions(), _MB_SEARCH_ONLY):
+                    assert solve_mb(b, first, opts).winner is want[first], (first, opts)
+
+    check()
+
+
 def test_solve_winner_matches_the_plain_search_from_positions():
     """``solve_winner`` agrees with the plain search from positions reached
     by random play, including ones where Maker has already completed an
