@@ -383,10 +383,11 @@ class TestRootOrbits:
         assert len(calls) == finds
 
     def test_a_later_orbit_can_hold_the_only_winning_move(self, monkeypatch):
-        """On the path 2-0-3-1-4 with Breaker first, the root tries 0, 1
-        and 3 first, and only the centre 3 wins.  The reflection merges 0
-        with 1, so 1 is skipped once 0 is refuted and 3 is searched next:
-        6 nodes, where a search without orbits takes 8."""
+        """On the path 2-0-3-1-4 with Breaker first, the root's search
+        order begins 0, 1, 3, and of these only the centre 3 wins.  The
+        reflection merges 0 with 1, so 1 is skipped once 0 is refuted and
+        3 is searched next: 6 nodes, where a search without orbits takes
+        8."""
         h = Hypergraph(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
         calls = count_finds(monkeypatch)
         report = solve_mb(h, Side.B)
