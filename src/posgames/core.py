@@ -466,8 +466,18 @@ def mask_orbits(
     up: dict[int, int] = {}
     masks = list(masks)
     for g in gens:
+        images = [1 << w for w in g]
+        moved = mask_of([v for v, w in enumerate(g) if v != w])
         for m in masks:
-            _merge(up, m, mask_of([g[v] for v in iter_bits(m)]))
+            if not m & moved:
+                continue
+            image = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                image |= images[low.bit_length() - 1]
+                rest ^= low
+            _merge(up, m, image)
     return lambda m: _top(up, m)
 
 

@@ -9,7 +9,13 @@ the replies are played in ascending vertex order without walking every
 free vertex.  Which classes still have a free member is folded into the
 memo key as a profile so the pruning stays exact.  A class of one vertex
 shows as that vertex's bit, so all of them come from one mask AND; each
-larger class has one flag bit above the real vertices.
+larger class has one flag bit above the real vertices, in the order
+``_Machine._node_groups`` lists the classes.  That order is built once per
+(stack, node) and cached, so the flag bits are a fixed bijection with
+the classes there, and a memo key names its stack and node: two keys with
+the same profile have the same classes free.  A success shared with a
+representative stack (below) takes its profile over the representative's
+own classes at the node, the bijection the representative's own keys use.
 
 A layer's ``answers`` pair the opponent's move on a vertex with a Maker
 claim of its partner, as a pairing strategy does (Hefetz, Krivelevich,
@@ -46,18 +52,21 @@ as the home while the home is free and is a pass once it is taken.  A
 move that no active layer sees is a pass too.  A ``Respond`` node hands a
 pass to its default; without one the pass is an uncovered reply.
 Everything that depends only on the stack (how each real vertex
-resolves, the reply classes, the layers' fixed relevance, the real images
-of the innermost board's edges) is built from the parent stack's tables
-when the stack is interned, so a malformed layer fails on the line that
-enters it.  Caches keyed by a vertex, a node or a claim mask fill on
-first use.  One of them is the claim table: per innermost-board vertex,
-its real vertex, the bit it sets in each layer's Maker mask, the real
-edges through it and the ``on_win`` edges through its coordinate on each
-layer, so a Maker claim walks no embedding or incidence list.  Another
-is the bounded-win table: the innermost board's edges within reach of a
-given Maker mask, with their real images, which bound the memo key, and
-the needed vertices of each edge as a mask, from which the claims are
-ordered by distance to a win, then by vertex.
+resolves, the layers' fixed relevance, the real images of the innermost
+board's edges) is built from the parent stack's tables when the stack is
+interned, so a malformed layer fails on the line that enters it.  Caches
+keyed by a vertex, a node or a claim mask fill on first use.  One of them
+is the bucket table of the reply classes, filled at the stack's first
+node whose classes are built: a node's classes then come from the
+coordinates its branches name, not from every real vertex (see
+``_reply_buckets``).  Another is the claim table: per innermost-board
+vertex, its real vertex, the bit it sets in each layer's Maker mask, the
+real edges through it and the ``on_win`` edges through its coordinate on
+each layer, so a Maker claim walks no embedding or incidence list.  The
+last is the bounded-win table: the innermost board's edges within reach
+of a given Maker mask, with their real images, which bound the memo key,
+and the needed vertices of each edge as a mask, from which the claims
+are ordered by distance to a win, then by vertex.
 
 Sibling layers entered from the real board may share memo successes.  When
 a layer is entered beside an earlier one on the same board, the verifier
@@ -138,6 +147,9 @@ __all__ = [
     "verify_maker_strategy",
 ]
 
+# Every move pushed onto the line is checked against the limit, not only
+# one that sets a new ``max_depth``: a bounded-win search passes over a
+# claim that fails the limit, and the next one at that depth must fail too.
 _LINE_LIMIT = 200
 _RECURSION_LIMIT = 20000
 
@@ -195,19 +207,21 @@ class _Stack:
     ``layers[i]`` is entered on.
 
     The tables that do not depend on the claim masks are built with the
-    stack, from its parent's: ``table`` (see ``_layer_table``) and
-    ``classes`` (see ``_reply_classes``), ``edges`` (the real image of each
-    innermost-board edge), ``stateful`` (the indices of the layers whose
-    claim masks enter the memo key), ``fixed_rel`` (the real image of every
-    layer's relevance mask and residue) and ``homes``/``home_rel`` (see
-    ``_Machine._relevance``).  The residue of a layer is the parent-board
-    vertices of its win edges that lie outside it: completing a virtual
-    edge only wins when its real counterpart is complete, so any extra
-    vertices the real edge carries must stay in the memo key.
+    stack, from its parent's: ``table`` (see ``_layer_table``), ``edges``
+    (the real image of each innermost-board edge), ``stateful`` (the
+    indices of the layers whose claim masks enter the memo key),
+    ``fixed_rel`` (the real image of every layer's relevance mask and
+    residue) and ``homes``/``home_rel`` (see ``_Machine._relevance``).
+    The residue of a layer is the parent-board vertices of its win edges
+    that lie outside it: completing a virtual edge only wins when its real
+    counterpart is complete, so any extra vertices the real edge carries
+    must stay in the memo key.
     ``_Machine._push`` checks the layer against the parent board before it
     builds the child, so a malformed layer fails on the line that enters
     it.  Only the caches keyed by a vertex, a node or a claim mask fill on
-    first use: ``claims``, ``groups``, ``static_rel`` and ``bw``.
+    first use: ``claims``, ``groups``, ``static_rel`` and ``bw``, and
+    ``buckets`` (see ``_reply_buckets``), which is None until the first
+    node whose reply groups ``_Machine._node_groups`` builds on the stack.
 
     ``pairs`` is None or the stack's table of answered pairs (see
     ``_answered_pairs``): per pair the kill masks that must all meet
@@ -244,7 +258,7 @@ class _Stack:
         "real",
         "stateful",
         "table",
-        "classes",
+        "buckets",
         "groups",
         "claims",
         "static_rel",
@@ -287,9 +301,9 @@ class _Stack:
                 self.homes |= 1 << home
                 self.home_rel[home] = self.home_rel.get(home, 0) | 1 << parent.real[v]
             self.table = _layer_table(parent, layer)
-        self.classes = _reply_classes(self.table, self.stateful)
         self.edges = tuple([self.to_real(mask) for mask in board.edge_masks])
         self.pairs = _answered_pairs(self)
+        self.buckets = None
         self.groups: dict = {}
         self.claims: dict = {}
         # id(node) -> real mask of the node's relevance and ``fixed_rel``
@@ -336,25 +350,42 @@ def _layer_table(parent: _Stack, layer) -> list:
     return entries
 
 
-def _reply_classes(table: list, stateful: tuple) -> tuple:
-    """The node-independent part of ``_Machine._node_groups``.
+def _reply_buckets(table: list, stateful: tuple) -> tuple:
+    """The node-independent part of ``_Machine._node_groups``: the real
+    vertices bucketed by how they resolve statically, with their effects
+    on the layers whose indices are in ``stateful`` (the visible effects).
 
-    Returns (classes, dyn): ``classes`` lists (visible effects, table
-    entry, member mask) for the real vertices that resolve statically to
-    the same place with the same effects on the layers whose indices are
-    in ``stateful``, and ``dyn`` the member masks of the dynamic groups.
+    Returns (by_coord, fallback, answers, union, dyn).  ``by_coord`` maps
+    an innermost coordinate to (visible effects, mask) per vertex class
+    that resolves onto it, ``fallback`` maps visible effects to the mask
+    of every vertex and pass class with them, ``answers`` lists the masks
+    that share visible effects and an answered real vertex, ``union`` the
+    mask of every class per visible effect and ``dyn`` the member masks of
+    the dynamic groups, by home.
     """
-    merged: dict = {}
+    by_coord: dict = {}
+    fallback: dict = {}
+    answers: dict = {}
+    union: dict = {}
     dyn: dict = {}
     for rv, entry in enumerate(table):
-        if entry[0] == "dyn":
-            dyn[entry[1]] = dyn.get(entry[1], 0) | (1 << rv)
+        kind, bit = entry[0], 1 << rv
+        if kind == "dyn":
+            dyn[entry[1]] = dyn.get(entry[1], 0) | bit
             continue
         visible = tuple((fi, c) for fi, c in entry[-1] if fi in stateful)
-        key = (visible, entry[0], entry[1])
-        got = merged.get(key)
-        merged[key] = (visible, entry, (got[2] if got else 0) | (1 << rv))
-    return tuple(merged.values()), tuple(dyn[k] for k in sorted(dyn))
+        union[visible] = union.get(visible, 0) | bit
+        if kind == "answer":
+            key = (visible, entry[1])
+            answers[key] = answers.get(key, 0) | bit
+            continue
+        fallback[visible] = fallback.get(visible, 0) | bit
+        if kind == "vertex":
+            classes = by_coord.setdefault(entry[1], {})
+            classes[visible] = classes.get(visible, 0) | bit
+    by_coord = {c: tuple(classes.items()) for c, classes in by_coord.items()}
+    dyn_masks = tuple(dyn[k] for k in sorted(dyn))
+    return by_coord, fallback, tuple(answers.values()), tuple(union.values()), dyn_masks
 
 
 def _resolve_dyn(masks: tuple, entry):
@@ -572,7 +603,7 @@ class _Machine:
             bad("dynamic groups leave their boards")
         if layer.relevance is not None and layer.relevance >> parent_n:
             bad("relevance leaves the parent board")
-        if stack.classes[1]:  # masks of the parent's dynamic groups
+        if any(entry[0] == "dyn" for entry in stack.table):
             self._fail(
                 "ill_formed",
                 f"layer {stack.layer.name!r}: state-dependent "
@@ -662,41 +693,50 @@ class _Machine:
             self._branch_maps[id(node)] = got
         return got
 
-    def _entry_tag(self, node, entry):
-        """Memo/grouping tag describing how ``node`` handles this reply."""
-        if isinstance(node, _BWAfter):
-            return ("w",)
-        kind = entry[0]
-        if kind == "answer":
-            return ("a", entry[1])
-        if kind == "vertex":
-            branch = self._branch_map(node).get(entry[1])
-            if branch is not None:
-                return ("b", branch)
-        return ("d",) if node.default is not None else ("u",)
-
     def _node_groups(self, stack: _Stack, node):
         """Merged out-of-relevance reply classes for (layer stack, node).
 
         Returns (singles, groups): the mask of the real vertices that form
         a group on their own, and the member masks of the other groups.
         Together they cover every real vertex, disjointly.  Replies with
-        equal recorded effects and equal handling are interchangeable, so
+        equal visible effects and equal handling are interchangeable, so
         each group contributes one representative; state-dependent
         (dynamic) translation groups are kept separate since their
         handling resolves per state.
+
+        A ``_BWAfter`` node handles every reply alike, so its groups are
+        the stack's ``union`` buckets (see ``_reply_buckets``).  At a
+        ``Respond`` node each answered real vertex is handled on its own,
+        and a vertex class by the branch its coordinate falls in, else
+        like a pass.  So the node's groups are the ``answers`` buckets,
+        the vertex classes of each coordinate its branch map names, merged
+        per (visible effects, branch), and what that leaves of each
+        ``fallback`` bucket: the cost is in the coordinates the branches
+        name, not in the classes of the stack.  The groups come in that
+        order, then the dynamic groups by home; the order only fixes which
+        profile bit each group takes (see ``_profile``).
         """
         got = stack.groups.get(id(node))
         if got is not None:
             return got
-        classes, dyn = stack.classes
-        merged: dict = {}
-        for visible, entry, mask in classes:
-            tag = (visible, self._entry_tag(node, entry))
-            merged[tag] = merged.get(tag, 0) | mask
+        buckets = stack.buckets
+        if buckets is None:
+            buckets = stack.buckets = _reply_buckets(stack.table, stack.stateful)
+        by_coord, fallback, answers, union, dyn = buckets
+        if type(node) is _BWAfter:
+            masks = union
+        else:
+            rest = dict(fallback)
+            branches: dict = {}
+            for c, idx in self._branch_map(node).items():
+                for visible, mask in by_coord.get(c, ()):
+                    rest[visible] &= ~mask
+                    key = (visible, idx)
+                    branches[key] = branches.get(key, 0) | mask
+            masks = (*answers, *branches.values(), *rest.values())
         singles = 0
         groups = []
-        for mask in (*merged.values(), *dyn):
+        for mask in (*masks, *dyn):
             if mask & (mask - 1):
                 groups.append(mask)
             else:
@@ -710,7 +750,14 @@ class _Machine:
         ``out``, and which groups those are.  A single-vertex group is its
         own vertex bit; the other groups take one bit each above the real
         vertices, in ``_node_groups`` order.  So the profile is 0 exactly
-        when ``out`` is."""
+        when ``out`` is.
+
+        That order is arbitrary but cached per (stack, node), so each
+        group keeps its bit for the whole run, and the memo key names the
+        stack and node: equal profiles mean the same groups meet ``out``.
+        ``_shared_key`` calls this on the representative stack, so a
+        shared success carries the representative's own bit for each of
+        its groups."""
         singles, groups = self._node_groups(stack, node)
         profile = replies = out & singles
         bit = self.group_bit
@@ -996,6 +1043,7 @@ class _Machine:
         """
         table = stack.table
         board = stack.board
+        branch_map = self._branch_map(node)
         autos = None
         done: dict = {}  # reply known to succeed -> (coordinate, child)
         tried: dict = {}  # tuple(g) -> its lift if accepted here, else None
@@ -1004,7 +1052,10 @@ class _Machine:
             entry = table[w]
             if entry[0] == "dyn":
                 entry = _resolve_dyn(masks, entry)
-            child = self._child(node, entry) if entry[0] == "vertex" else None
+            child = None
+            if entry[0] == "vertex":
+                branch = branch_map.get(entry[1])
+                child = node.default if branch is None else node.branches[branch][1]
             if child is None:
                 self._reply(node, stack, masks, ra, rb, w, table[w])
                 continue
@@ -1056,16 +1107,6 @@ class _Machine:
         if not _fits_state(stack, perms, self.edge_masks, masks, ra, rb):
             return None
         return perms
-
-    def _child(self, node: Respond, entry):
-        """The child ``node`` hands the resolved reply ``entry`` to: the
-        branch its coordinate falls in, else the default, which may be
-        None."""
-        if entry[0] == "vertex":
-            branch = self._branch_map(node).get(entry[1])
-            if branch is not None:
-                return node.branches[branch][1]
-        return node.default
 
     def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int, entry):
         kind = entry[0]
@@ -1121,7 +1162,11 @@ class _Machine:
         if type(node) is _BWAfter:
             self._expand_bw(node.k, stack, masks2, ra, rb2)
             return
-        child = self._child(node, entry)
+        child = node.default
+        if entry[0] == "vertex":
+            branch = self._branch_map(node).get(entry[1])
+            if branch is not None:
+                child = node.branches[branch][1]
         if child is None:
             if entry[0] == "vertex":
                 self._fail(

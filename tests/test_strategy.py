@@ -67,7 +67,9 @@ from posgames.strategy import (
 from posgames.strategy import verifier
 from posgames.strategy.lifts import _block_mask
 from posgames.strategy.verifier import (
+    _bw_after,
     _bw_claims,
+    _BWAfter,
     _fits_stack,
     _fits_state,
     _lift,
@@ -1899,3 +1901,106 @@ def test_answered_pairs_answer_each_other_alone_outside_the_image():
         win_edges={e: e for e in range(3)},
     )
     assert _pairs(h, whole, layer) is None
+
+
+def _entry_tag(machine, node, entry):
+    """How ``node`` handles a reply that resolves to the table ``entry``:
+    alike at a ``_BWAfter`` node; else by the real vertex an answer
+    claims, by the branch a coordinate falls in, or by the default."""
+    if isinstance(node, _BWAfter):
+        return ("w",)
+    if entry[0] == "answer":
+        return ("a", entry[1])
+    if entry[0] == "vertex":
+        branch = machine._branch_map(node).get(entry[1])
+        if branch is not None:
+            return ("b", branch)
+    return ("d",) if node.default is not None else ("u",)
+
+
+def _reference_groups(machine, stack, node) -> tuple:
+    """The reply groups of (``stack``, ``node``) by a plain merge: every
+    real vertex outside a dynamic group tagged by ``_entry_tag``, merged
+    per (visible effects, tag), and each dynamic group on its own.  As
+    (singles, sorted group masks)."""
+    merged: dict = {}
+    for rv, entry in enumerate(stack.table):
+        if entry[0] == "dyn":
+            key = ("dyn", entry[1])
+        else:
+            visible = tuple((fi, c) for fi, c in entry[-1] if fi in stack.stateful)
+            key = (visible, _entry_tag(machine, node, entry))
+        merged[key] = merged.get(key, 0) | 1 << rv
+    singles = sum(mask for mask in merged.values() if not mask & (mask - 1))
+    return singles, sorted(mask for mask in merged.values() if mask & (mask - 1))
+
+
+def test_reply_groups_match_the_plain_merge(monkeypatch):
+    """Differential gate: at every (stack, node) whose reply groups the
+    four targets and the 20 mutants build, the groups built from the
+    stack's buckets are the plain merge's, as a partition of the real
+    vertices; only their order may differ.  gamma collapses no reply, and
+    13 of the mutants' 1,133 builds are at ``_BWAfter`` nodes."""
+    node_groups = _Machine._node_groups
+    built = []
+
+    def spy(self, stack, node):
+        fresh = id(node) not in stack.groups
+        singles, groups = node_groups(self, stack, node)
+        if fresh:
+            assert (singles, sorted(groups)) == _reference_groups(self, stack, node)
+            built.append(type(node) is _BWAfter)
+        return singles, groups
+
+    monkeypatch.setattr(_Machine, "_node_groups", spy)
+    counts = {}
+    for name, (board, tree) in _pentagon_targets().items():
+        assert verify_maker_strategy(board, tree).verified, name
+        counts[name] = len(built)
+        built.clear()
+    for _name, board, tree in named_mutations():
+        assert not verify_maker_strategy(board, tree).verified
+    counts["mutants"] = len(built)
+    assert counts == {"gamma": 0, "gamma-prime": 324, "g4": 328, "g3-split": 5, "mutants": 1133}
+    assert sum(built) == 13
+
+
+def _bucket_board(default):
+    """A machine and the stack of a layer that embeds real 0, 1 and 2 on
+    the board {0, 1}, {0, 2}, answers real 3 and 4 with 1 and real 5 with
+    2, and sees 6 and 7 as passes; with a ``Respond`` node that branches
+    on coordinate 1 and has ``default``."""
+    h = Hypergraph(8, [(0, 1), (0, 2)])
+    layer = Layer(
+        name="buckets",
+        board=Hypergraph(3, [(0, 1), (0, 2)]),
+        embed=(0, 1, 2),
+        win_edges={0: 0, 1: 1},
+        answers={3: 1, 4: 1, 5: 2},
+    )
+    node = Respond(((ReplyClass("one", frozenset((1,))), Claim(2, WinNow(1))),), default)
+    machine = _Machine(h)
+    _node, stack, _masks = machine._enter(EnterLayer(layer, node), machine.root, ())
+    return machine, stack, node
+
+
+def test_a_bounded_win_node_groups_answers_with_their_visible_effects():
+    """A ``_BWAfter`` node handles every reply alike, so the answered
+    replies 3, 4 and 5, which mark no layer, share one group with the
+    passes 6 and 7; each embedded vertex marks the layer, so it stays on
+    its own."""
+    machine, stack, _node = _bucket_board(None)
+    singles, groups = machine._node_groups(stack, _bw_after(1))
+    assert (singles, groups) == (0b111, (0b11111000,))
+
+
+@pytest.mark.parametrize("default", [None, Claim(1, WinNow(0))], ids=["no-default", "default"])
+def test_a_respond_node_keeps_answered_replies_apart(default):
+    """At a ``Respond`` node an answered reply is handled by the vertex
+    that answers it: 3 and 4, both answered with 1, share a group, 5 is
+    on its own and the passes 6 and 7 share another, with or without a
+    default to hand them to."""
+    machine, stack, node = _bucket_board(default)
+    singles, groups = machine._node_groups(stack, node)
+    assert (singles, sorted(groups)) == (0b100111, [0b11000, 0b11000000])
+    assert (singles, sorted(groups)) == _reference_groups(machine, stack, node)
