@@ -14,6 +14,7 @@ Invariants:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -33,8 +34,8 @@ __all__ = [
     "apply_claim",
     "permute_hypergraph",
     "is_automorphism",
-    "Automorphisms",
     "automorphism_generators",
+    "transversal",
     "mask_orbits",
     "load_hypergraph",
     "save_hypergraph",
@@ -285,8 +286,7 @@ def is_automorphism(h: Hypergraph, perm: Sequence[int]) -> bool:
     """True iff ``perm`` maps the edge set onto itself (names are ignored)."""
     if sorted(perm) != list(range(h.vertex_count)):
         return False
-    edge_set = {frozenset(e) for e in h.edges}
-    return all(frozenset(perm[v] for v in e) in edge_set for e in h.edges)
+    return all(frozenset(perm[v] for v in e) in h._edge_set for e in h.edges)
 
 
 def _dense(keys: list) -> list[int]:
@@ -295,48 +295,46 @@ def _dense(keys: list) -> list[int]:
     return [rank[k] for k in keys]
 
 
-class Automorphisms:
-    """Automorphisms of a hypergraph, searched by individualising vertices
-    and refining colourings (McKay, "Practical graph isomorphism", 1981),
-    so the group is never listed.
+class _Search:
+    """The automorphism search of a hypergraph: individualise vertices and
+    refine colourings (McKay, "Practical graph isomorphism", 1981), so the
+    group is never listed.
 
     A colouring gives each vertex a colour 0..k-1.  Refinement recolours a
     vertex by its colour and the multiset of the colour multisets of its
     edges until no colour class splits; colours are ranked by sorting, so
     the result commutes with relabelling the board.  Individualising a
     vertex gives it a colour of its own and refines.  The first search
-    path (``_first_path``) individualises the lowest vertex of the smallest
-    non-singleton class until every class is a singleton; any path that
-    individualises counterpart vertices ends in a leaf that, with the first
-    leaf, defines a permutation, which is kept when it maps every edge onto
-    an edge and each required vertex onto its image.
-
-    ``find(pairs)`` is an automorphism that maps each ``p`` onto its ``q``
-    for ``(p, q)`` in ``pairs``, or None.
+    path (``path``, ending in ``leaf``) individualises the lowest vertex of
+    the smallest non-singleton class (the lowest-ranked one among equals)
+    until every class is a singleton; its nodes are (colouring, target
+    class) pairs.  Any path that individualises counterpart vertices ends
+    in a leaf that, with the first leaf, defines a permutation, which is
+    kept when it is an automorphism and maps each required vertex onto its
+    image.
     """
 
-    __slots__ = (
-        "board",
-        "_edges",
-        "_edge_set",
-        "_bits",
-        "_root",
-    )
+    __slots__ = ("board", "_bits", "path", "leaf")
 
     def __init__(self, h: Hypergraph):
         self.board = h
-        self._edges = h.edges
-        self._edge_set = h._edge_set
         self._bits = (
             max(map(len, h.edges), default=0).bit_length(),
             max_degree(h).bit_length(),
         )
-        self._root = self._refine([0] * h.vertex_count)
+        col = self._refine([0] * h.vertex_count)
+        self.path = []
+        while len(set(col)) < len(col):
+            target = min((size, c) for c, size in Counter(col).items() if size > 1)[1]
+            cell = [v for v, c in enumerate(col) if c == target]
+            self.path.append((col, cell))
+            col = self._individualise(col, cell[0])
+        self.leaf = col
 
     def _refine(self, col: list[int]) -> list[int]:
         # A multiset of ranks is a sum of one counter per rank, each wide
         # enough for an edge's size or a vertex's degree.
-        edges, incidence = self._edges, self.board.incidence
+        edges, incidence = self.board.edges, self.board.incidence
         vbits, ebits = self._bits
         cells = len(set(col))
         while True:
@@ -355,87 +353,54 @@ class Automorphisms:
     def _individualise(self, col: list[int], v: int) -> list[int]:
         return self._refine(_dense([(c, u != v) for u, c in enumerate(col)]))
 
-    @staticmethod
-    def _sizes(col: list[int]) -> list[int]:
-        sizes = [0] * len(col)
-        for c in col:
-            sizes[c] += 1
-        return sizes
+    def candidate(self, depth: int, pairs) -> list[int] | None:
+        """An automorphism that maps each ``p`` onto its ``q`` for ``(p, q)``
+        in ``pairs``, or None.  ``pairs`` fixes the vertices individualised
+        above ``path[depth]`` and ends with (the node's vertex, ``v``): the
+        search individualises ``v`` in the node's colouring and follows the
+        path below it."""
+        col = self._individualise(self.path[depth][0], pairs[-1][1])
+        return self._match(col, depth + 1, pairs)
 
-    def _first_path(self, col: list[int]):
-        """The search path below ``col`` that always individualises the
-        lowest vertex of the smallest non-singleton class (the lowest-ranked
-        one among equals): its nodes as (colouring, target class) pairs, and
-        its leaf."""
-        path = []
-        while True:
-            sizes = self._sizes(col)
-            split = [(size, c) for c, size in enumerate(sizes) if size > 1]
-            if not split:
-                return path, col
-            target = min(split)[1]
-            cell = [v for v, c in enumerate(col) if c == target]
-            path.append((col, cell))
-            col = self._individualise(col, cell[0])
-
-    def _match(self, col, path, depth: int, leaf, pairs):
+    def _match(self, col, depth: int, pairs):
         """An automorphism mapping ``leaf`` onto a leaf below ``col`` (the
         counterpart of ``path[depth]``'s colouring) that maps each pair's
         first vertex onto its second, or None."""
-        if depth == len(path):
+        if depth == len(self.path):
             if len(set(col)) != len(col):
                 return None
-            at = [0] * len(col)
-            for v, c in enumerate(col):
-                at[c] = v
-            g = [at[c] for c in leaf]
-            if all(g[p] == q for p, q in pairs) and all(
-                frozenset([g[v] for v in e]) in self._edge_set for e in self._edges
-            ):
+            at = sorted(range(len(col)), key=col.__getitem__)  # colour -> vertex
+            g = [at[c] for c in self.leaf]
+            if all(g[p] == q for p, q in pairs) and is_automorphism(self.board, g):
                 return g
             return None
-        node, cell = path[depth]
-        if self._sizes(col) != self._sizes(node):
+        node, cell = self.path[depth]
+        if sorted(col) != sorted(node):  # the same class sizes
             return None
         target = node[cell[0]]
         for v, c in enumerate(col):
             if c == target:
-                g = self._match(self._individualise(col, v), path, depth + 1, leaf, pairs)
+                g = self._match(self._individualise(col, v), depth + 1, pairs)
                 if g is not None:
                     return g
         return None
-
-    def find(self, pairs) -> list[int] | None:
-        """An automorphism mapping ``p`` onto ``q`` for every ``(p, q)`` in
-        ``pairs``, or None when there is none: both sides individualise
-        their vertices in order, and the right side is searched for a leaf
-        that matches the first leaf below the left side."""
-        left = right = self._root
-        for p, q in pairs:
-            if left[p] != right[q]:
-                return None
-            if left.count(left[p]) > 1:
-                left = self._individualise(left, p)
-                right = self._individualise(right, q)
-        path, leaf = self._first_path(left)
-        return self._match(right, path, 0, leaf, list(pairs))
 
 
 def automorphism_generators(h: Hypergraph) -> list[list[int]]:
     """Generators of the automorphism group of ``h``, each checked.
 
     The group is generated along the stabiliser chain of the first search
-    path of :class:`Automorphisms` (McKay 1981), deepest level first.  The
-    level of a path node fixes the vertices individualised above it;
-    ``find`` is asked to map the node's vertex onto each vertex of its cell
-    that lies in no orbit already reached or refused under the generators
-    found so far.  The leaf is discrete, so the last stabiliser is trivial
-    and the generators generate the whole group when ``find`` is exact.
-    ``find`` is not trusted: a candidate is kept only if
-    :func:`is_automorphism` holds and it maps as asked, so every generator
-    is an automorphism, whatever ``find`` returns."""
-    auts = Automorphisms(h)
-    path, _ = auts._first_path(auts._root)
+    path (McKay 1981; see :class:`_Search`), deepest level first.  The
+    level of a path node fixes the vertices individualised above it; the
+    search is asked for a candidate that maps the node's vertex onto each
+    vertex of its cell that lies in no orbit already reached or refused
+    under the generators found so far.  The leaf is discrete, so the last
+    stabiliser is trivial and the generators generate the whole group when
+    the search is exact.  The search is not trusted: a candidate is kept
+    only if :func:`is_automorphism` holds and it maps as asked, so every
+    generator is an automorphism, whatever the search returns."""
+    search = _Search(h)
+    path = search.path
     verts: dict[int, int] = {}
     gens = []
     for depth in range(len(path) - 1, -1, -1):
@@ -446,7 +411,7 @@ def automorphism_generators(h: Hypergraph) -> list[list[int]]:
             if any(_top(verts, v) == _top(verts, r) for r in known):
                 continue
             pairs = fixed + [(base, v)]
-            g = auts.find(pairs)
+            g = search.candidate(depth, pairs)
             if g and is_automorphism(h, g) and all(g[p] == q for p, q in pairs):
                 gens.append(g)
                 for u in range(h.vertex_count):
@@ -454,6 +419,24 @@ def automorphism_generators(h: Hypergraph) -> list[list[int]]:
             else:
                 known.append(v)
     return gens
+
+
+def transversal(gens: Sequence[Sequence[int]], v: int, n: int) -> dict[int, list[int]]:
+    """A Schreier transversal of ``v``'s orbit under the group generated by
+    the permutations ``gens`` of ``range(n)`` (Seress, *Permutation Group
+    Algorithms*, 2003), built breadth first: each vertex of the orbit maps
+    to a product of generators that carries ``v`` onto it, ``v`` itself to
+    the identity."""
+    reps = {v: list(range(n))}
+    queue = [v]
+    for u in queue:
+        rep = reps[u]
+        for g in gens:
+            w = g[u]
+            if w not in reps:
+                reps[w] = [g[x] for x in rep]
+                queue.append(w)
+    return reps
 
 
 def mask_orbits(

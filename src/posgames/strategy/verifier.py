@@ -90,12 +90,14 @@ Breaker-first script, or the first opponent turn in a freshly entered
 layer) the replies are still explored in ascending order, but a reply w
 is skipped when a derived permutation σ maps a reply u that is known to
 succeed onto w and w's child is the σ-image of u's, reply classes compared
-by vertex set (see ``_Machine._expand_stone_free``).  σ is a candidate
-that ``core.Automorphisms.find`` proposes to map the coordinate u
-dispatches on onto w's, lifted through each layer's embedding and the
-member order of its dynamic groups, and fixing every other vertex.
-``find`` is not trusted: σ is used only if ``core.is_automorphism``
-confirms it is an automorphism of the innermost board, it maps u onto w
+by vertex set (see ``_Machine._expand_stone_free``).  σ is the candidate
+that maps the coordinate u dispatches on onto w's in a Schreier
+transversal (``core.transversal``) of u's coordinate under the innermost
+board's ``core.automorphism_generators``, lifted through each layer's
+embedding and the member order of its dynamic groups, and fixing every
+other vertex.  The candidate is not trusted: σ is used only if
+``core.is_automorphism`` confirms it is an automorphism of the innermost
+board, it maps u onto w
 on the real board, fixes the real and every layer's claim masks, is an
 automorphism of the real board once the state's Maker stones are taken
 off every edge, and maps the stack's resolution table (which names each
@@ -128,7 +130,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Automorphisms, Hypergraph, Side, is_automorphism, iter_bits
+from ..core import Hypergraph, Side, automorphism_generators, is_automorphism
+from ..core import iter_bits, transversal
 from .nodes import (
     BoundedWin,
     Claim,
@@ -1027,24 +1030,28 @@ class _Machine:
         a candidate accepted at this node maps a reply ``u`` known to
         succeed onto.
 
-        ``Automorphisms.find`` proposes a candidate ``g`` that maps the
-        coordinate ``u`` dispatches on onto ``w``'s, and ``_accept`` checks
-        it.  ``w`` is covered when the lift of an accepted ``g`` maps ``u``
-        onto ``w`` on the real board and ``w``'s child is the ``g``-image
-        of ``u``'s (``is_conjugate``); ``w`` is then known to succeed as
-        well.  The candidates already accepted are tried first, then one
-        ``find`` builds from ``w`` and each reply in ``done``, in order.  A
-        reply that passes, is answered or reaches no child has no
-        coordinate or child to compare and is always searched.  The
-        innermost board holds no stones, so every dynamic group's home is
-        free and each member dispatches on it.  The board's
-        ``Automorphisms`` are built at the first ``find``, so a node that
-        fails before then pays nothing for them.
+        The candidate ``g`` that maps the coordinate ``u`` dispatches on
+        onto ``w``'s is the one the transversal of ``u``'s coordinate
+        (``core.transversal``) holds for ``w``'s, and ``_accept`` checks
+        it; a coordinate missing from the transversal lies in another
+        orbit, and the pair gives no candidate.  ``w`` is covered when the
+        lift of an accepted ``g`` maps ``u`` onto ``w`` on the real board
+        and ``w``'s child is the ``g``-image of ``u``'s (``is_conjugate``);
+        ``w`` is then known to succeed as well.  The candidates already
+        accepted are tried first, then the transversal's candidate for
+        ``w`` and each reply in ``done``, in order.  A reply that passes,
+        is answered or reaches no child has no coordinate or child to
+        compare and is always searched.  The innermost board holds no
+        stones, so every dynamic group's home is free and each member
+        dispatches on it.  The board's generators are built at the first
+        transversal, and each coordinate's transversal at its first pair,
+        so a node that fails before then pays nothing for them.
         """
         table = stack.table
         board = stack.board
         branch_map = self._branch_map(node)
-        autos = None
+        gens = None
+        orbits: dict = {}  # coordinate -> its transversal under gens
         done: dict = {}  # reply known to succeed -> (coordinate, child)
         tried: dict = {}  # tuple(g) -> its lift if accepted here, else None
         accepted: list = []  # (lift, inverse of its real permutation)
@@ -1067,9 +1074,12 @@ class _Machine:
                     break
             else:
                 for u, (coord, child_u) in done.items():
-                    if autos is None:
-                        autos = Automorphisms(board)
-                    g = autos.find([(coord, entry[1])])
+                    reps = orbits.get(coord)
+                    if reps is None:
+                        if gens is None:
+                            gens = automorphism_generators(board)
+                        reps = orbits[coord] = transversal(gens, coord, board.vertex_count)
+                    g = reps.get(entry[1])
                     if g is None:
                         continue
                     key = tuple(g)
@@ -1098,7 +1108,7 @@ class _Machine:
         ``stack``'s innermost board and the lift passes ``_fits_stack`` and,
         at the state (``masks``, ``ra``, ``rb``), ``_fits_state``, the two
         checks that also decide copy sharing; else None.  ``g`` comes from
-        ``Automorphisms.find``, which is not trusted to return one."""
+        a transversal, which is not trusted to hold one."""
         if not is_automorphism(stack.board, g):
             return None
         perms = _lift(stack, g)

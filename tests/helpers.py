@@ -1,6 +1,6 @@
 """Shared test utilities: deterministic random boards, cached
 verification runs (the expensive strategy checks run once per session)
-and a spy on ``Automorphisms.find``."""
+and a spy on the automorphism search's candidates."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from posgames.constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from posgames.core import Automorphisms, Hypergraph
+from posgames.core import Hypergraph, _Search
 from posgames.strategy import (
     VerificationReport,
     build_g3_strategy,
@@ -98,13 +98,14 @@ def random_uniform_low_degree(
 
 
 def count_finds(monkeypatch) -> list:
-    """Record the pairs of every ``Automorphisms.find`` call."""
+    """Record the pairs of every candidate that
+    ``core.automorphism_generators`` asks its search for."""
     calls = []
-    find = Automorphisms.find
+    candidate = _Search.candidate
 
-    def spy(self, pairs):
+    def spy(self, depth, pairs):
         calls.append(pairs)
-        return find(self, pairs)
+        return candidate(self, depth, pairs)
 
-    monkeypatch.setattr(Automorphisms, "find", spy)
+    monkeypatch.setattr(_Search, "candidate", spy)
     return calls

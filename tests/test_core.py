@@ -18,10 +18,12 @@ from posgames.constructions import (
     gamma_sigma,
     gamma_w,
     gamma_x,
+    gen_g3,
     gen_gamma,
+    gen_gamma_prime,
+    gen_gcp,
 )
 from posgames.core import (
-    Automorphisms,
     ClaimError,
     HgParseError,
     Hypergraph,
@@ -36,6 +38,7 @@ from posgames.core import (
     max_degree,
     permute_hypergraph,
     save_hypergraph,
+    transversal,
 )
 from posgames.mb import _residuals
 
@@ -184,27 +187,37 @@ def _small_boards(draw):
     n = draw(st.integers(1, 7))
     edge = st.frozensets(st.integers(0, n - 1), min_size=1)
     edges = draw(st.lists(edge, max_size=8, unique=True))
-    pairs = draw(
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)
-    )
-    return Hypergraph(n, edges), pairs
+    return Hypergraph(n, edges), draw(st.integers(0, n - 1))
+
+
+def _closure(gens, n: int) -> set:
+    """Every element of the group generated by ``gens``, listed."""
+    group = {tuple(range(n))}
+    queue = list(group)
+    for p in queue:
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                queue.append(q)
+    return group
 
 
 class TestAutomorphisms:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_small_boards())
     def test_search_matches_brute_force(self, case):
-        """``find`` maps the pairs exactly when some automorphism found by
-        trying every permutation does."""
-        h, pairs = case
+        """The transversal of ``v`` under the generators holds exactly the
+        orbit of ``v`` under the group found by trying every permutation,
+        each vertex with an automorphism that maps ``v`` onto it."""
+        h, v = case
         n = h.vertex_count
-        brute = {p for p in itertools.permutations(range(n)) if is_automorphism(h, p)}
-        g = Automorphisms(h).find(pairs)
-        if g is None:
-            assert not any(all(p[a] == b for a, b in pairs) for p in brute)
-        else:
-            assert tuple(g) in brute
-            assert all(g[a] == b for a, b in pairs)
+        brute = [p for p in itertools.permutations(range(n)) if is_automorphism(h, p)]
+        reps = transversal(automorphism_generators(h), v, n)
+        assert set(reps) == {p[v] for p in brute}
+        assert reps[v] == list(range(n))
+        for u, g in reps.items():
+            assert tuple(g) in brute and g[v] == u
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(_small_boards())
@@ -225,32 +238,41 @@ class TestAutomorphisms:
                 assert orbit(m) == min(images)
 
     def test_pentagon_has_the_ten_rotations_and_reflections(self):
-        """The images of w1 and x12 pick out each of the ten elements of
-        the dihedral group D5; those of w1 and x11 do not, as the
-        reflections fix spoke position 1.  No element fixes w1 and moves
-        x11 to x12."""
+        """The generators of gamma generate exactly the ten elements of the
+        dihedral group D5.  The reflections fix spoke position 1, so no
+        element fixes w1 and moves x11 to x12."""
         rho, sigma = gamma_rho(), gamma_sigma()
         rotations = [list(range(35))]
         for _ in range(4):
             rotations.append(compose_perms(rho, rotations[-1]))
         group = rotations + [compose_perms(r, sigma) for r in rotations]
         assert len({tuple(p) for p in group}) == 10
-        autos = Automorphisms(gen_gamma())
+        closure = _closure(automorphism_generators(gen_gamma()), 35)
+        assert closure == {tuple(p) for p in group}
         w1, x11, x12 = gamma_w(1), gamma_x(1, 1), gamma_x(1, 2)
-        for p in group:
-            assert autos.find([(w1, p[w1]), (x12, p[x12])]) == p
-        assert {p[x11] for p in group if p[w1] == w1} == {x11}
-        assert autos.find([(w1, w1), (x11, x12)]) is None
+        assert not any(p[w1] == w1 and p[x11] == x12 for p in closure)
 
     def test_a_group_too_large_to_list_is_searched_without_listing_it(self):
-        """Twelve disjoint edges have 2**12 * 12! automorphisms; ``find``
-        maps one edge onto another without listing any."""
+        """Twelve disjoint edges have 2**12 * 12! automorphisms; their
+        generators come back without listing any, and put all 24 vertices
+        in one orbit."""
         h = Hypergraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
         started = time.perf_counter()
-        g = Automorphisms(h).find([(0, 23), (2, 3)])
-        assert g is not None and is_automorphism(h, g)
-        assert g[0] == 23 and g[2] == 3
+        gens = automorphism_generators(h)
         assert time.perf_counter() - started < 1.0
+        assert all(is_automorphism(h, g) for g in gens)
+        assert set(transversal(gens, 0, 24)) == set(range(24))
+
+    @pytest.mark.parametrize(
+        "board, count",
+        [(gen_gcp, 4), (gen_gamma, 2), (gen_g3, 5), (gen_gamma_prime, 62)],
+        ids=["gcp", "gamma", "g3", "gamma-prime"],
+    )
+    def test_generator_counts_are_pinned(self, board, count):
+        """One generator per orbit met along the stabiliser chain: the
+        solvers' root orbits and the verifier's transversals are built
+        from these lists."""
+        assert len(automorphism_generators(board())) == count
 
 
 class TestHgFormat:

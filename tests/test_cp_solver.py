@@ -9,7 +9,7 @@ import pytest
 
 from helpers import count_finds, random_hypergraph
 from posgames.constructions import gen_complete_multipartite, gen_gamma_prime, gen_gcp
-from posgames.core import Automorphisms, Hypergraph, Position, Side, apply_claim, iter_bits
+from posgames.core import Hypergraph, Position, Side, _Search, apply_claim, iter_bits
 from posgames.cp import (
     _CPSearch,
     _pair_orbits,
@@ -217,7 +217,7 @@ class TestRootOrbits:
     @pytest.mark.parametrize("lemma23, nodes", [(False, 4_783), (True, 53)])
     def test_find_calls_on_gcp_are_pinned(self, monkeypatch, lemma23, nodes):
         """gcp's group has order 24; its stabiliser chain needs four
-        ``find`` calls, and its 105 pairs fall into 15 orbits.  Without
+        candidate searches, and its 105 pairs fall into 15 orbits.  Without
         Lemma 23 the count was 6,984 until offers that lose on the spot to
         a 2-residual stopped being listed."""
         calls = count_finds(monkeypatch)
@@ -261,19 +261,19 @@ class TestRootOrbits:
     def test_a_candidate_that_is_no_automorphism_merges_nothing(
         self, monkeypatch, kind, lemma23, nodes
     ):
-        """``find`` is not trusted.  A candidate that maps as asked but is no
-        automorphism of gcp merges no offers, so every root offer is
+        """The search is not trusted.  A candidate that maps as asked but is
+        no automorphism of gcp merges no offers, so every root offer is
         searched, as the node counts of a search without orbits show.
         Without Lemma 23 the count was 13,287 until offers that lose on the
         spot to a 2-residual stopped being listed."""
 
-        def bad(self, pairs):
+        def bad(self, depth, pairs):
             *_, (p, q) = pairs
             if kind == "transposition":
                 return [q if v == p else p if v == q else v for v in range(15)]
             return [q if v == p else v for v in range(15)]
 
-        monkeypatch.setattr(Automorphisms, "find", bad)
+        monkeypatch.setattr(_Search, "candidate", bad)
         orbit = _pair_orbits(gen_gcp())
         pairs = [1 << x | 1 << y for x in range(15) for y in range(x)]
         assert [orbit(m) for m in pairs] == pairs
@@ -283,7 +283,7 @@ class TestRootOrbits:
     def test_a_node_limit_on_gamma_prime_stops_at_once(self):
         """A search that hits the node limit before the first root offer is
         refuted builds no orbits; on gamma-prime they would cost seconds of
-        ``find``."""
+        ``automorphism_generators``."""
         start = time.perf_counter()
         report = solve_cp(gen_gamma_prime(), CPOptions(node_limit=1000))
         assert report.exhausted and report.winner is None

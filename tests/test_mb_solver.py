@@ -22,7 +22,7 @@ from posgames.constructions import (
     split_pendant,
 )
 from posgames import mb
-from posgames.core import Automorphisms, Hypergraph, Position, Side, permute_hypergraph
+from posgames.core import Hypergraph, Position, Side, _Search, permute_hypergraph
 from posgames.mb import (
     _lemma22_vertex,
     _residuals,
@@ -373,7 +373,7 @@ class TestRootOrbits:
         self, monkeypatch, board, first, winner, nodes, finds
     ):
         """gamma's group is the dihedral group of order 10, found with two
-        ``find`` calls; gcp's has order 24 and takes four.  On g3-split,
+        candidate searches; gcp's has order 24 and takes four.  On g3-split,
         shipped or relabelled, Maker's first root move wins, so no orbit is
         built and the tree is the one without orbits."""
         h = board()
@@ -393,7 +393,7 @@ class TestRootOrbits:
         report = solve_mb(h, Side.B)
         assert (report.winner, report.nodes_expanded) == (Side.B, 6)
         assert calls == [[(2, 4)]]
-        monkeypatch.setattr(Automorphisms, "find", lambda self, pairs: None)
+        monkeypatch.setattr(_Search, "candidate", lambda self, depth, pairs: None)
         assert solve_mb(h, Side.B).nodes_expanded == 8
 
     @pytest.mark.parametrize(
@@ -434,25 +434,25 @@ class TestRootOrbits:
     def test_a_candidate_that_is_no_automorphism_merges_nothing(
         self, monkeypatch, kind, board, first, winner, nodes
     ):
-        """``find`` is not trusted.  A candidate that maps as asked but is no
-        automorphism merges no moves, so every root move is searched, as the
-        node counts of a search without orbits show."""
+        """The search is not trusted.  A candidate that maps as asked but is
+        no automorphism merges no moves, so every root move is searched, as
+        the node counts of a search without orbits show."""
 
-        def bad(self, pairs):
+        def bad(self, depth, pairs):
             *_, (p, q) = pairs
             n = self.board.vertex_count
             if kind == "transposition":
                 return [q if v == p else p if v == q else v for v in range(n)]
             return [q if v == p else v for v in range(n)]
 
-        monkeypatch.setattr(Automorphisms, "find", bad)
+        monkeypatch.setattr(_Search, "candidate", bad)
         report = solve_mb(board(), first)
         assert (report.winner, report.nodes_expanded) == (winner, nodes)
 
     def test_a_node_limit_on_gamma_prime_stops_at_once(self, monkeypatch):
         """A search that hits the node limit before the first root move is
         refuted builds no orbits; on gamma-prime they would cost seconds of
-        ``find``."""
+        ``automorphism_generators``."""
         h = gen_gamma_prime()
         calls = count_finds(monkeypatch)
         start = time.perf_counter()

@@ -39,7 +39,7 @@ from posgames.constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from posgames.core import Automorphisms, Hypergraph, Position, Side, is_automorphism, iter_bits
+from posgames.core import Hypergraph, Position, Side, is_automorphism, iter_bits
 from posgames.mb import solve_winner
 from posgames.strategy import (
     BoundedWin,
@@ -1175,7 +1175,7 @@ def test_rotation_and_reflection_are_accepted_on_gamma_prime():
 
 
 def test_a_candidate_that_is_no_permutation_is_refused():
-    """``Automorphisms.find`` only proposes candidates, so ``_accept``
+    """A transversal only proposes candidates, so ``_accept``
     checks that each is an automorphism of the innermost board.  On the
     edge {0, 1, 2} with 3 and 4 on no edge, sending both 3 and 4 onto one
     of them carries the resolution table and the empty state onto
@@ -1191,34 +1191,47 @@ def test_a_candidate_that_is_no_permutation_is_refused():
 
 
 def test_stone_free_traffic_is_pinned(monkeypatch):
-    """Each pentagon target expands one stone-free node, calls
-    ``Automorphisms.find`` 82 times there, 3 of which return a candidate,
-    and checks 2 distinct candidates; g3-split has no stone-free node."""
+    """Each pentagon target expands one stone-free node, builds the
+    innermost board's generators once and 22 transversals there, and
+    checks 2 distinct candidates, both accepted; g3-split has no
+    stone-free node."""
     counts: dict = {}
-    find, expand, accept = Automorphisms.find, _Machine._expand_stone_free, _Machine._accept
+    gens, reps = verifier.automorphism_generators, verifier.transversal
+    expand, accept = _Machine._expand_stone_free, _Machine._accept
 
-    def spy_find(self, pairs):
-        g = find(self, pairs)
-        counts["find"] += 1
-        counts["found"] += g is not None
-        return g
+    def spy_gens(board):
+        counts["gens"] += 1
+        return gens(board)
+
+    def spy_reps(*args):
+        counts["transversals"] += 1
+        return reps(*args)
 
     def spy_expand(self, *state):
         counts["expansions"] += 1
         return expand(self, *state)
 
     def spy_accept(self, stack, g, *state):
-        counts["candidates"].add(tuple(g))
-        return accept(self, stack, g, *state)
+        perms = accept(self, stack, g, *state)
+        counts["candidates"][tuple(g)] = perms is not None
+        return perms
 
-    monkeypatch.setattr(Automorphisms, "find", spy_find)
+    monkeypatch.setattr(verifier, "automorphism_generators", spy_gens)
+    monkeypatch.setattr(verifier, "transversal", spy_reps)
     monkeypatch.setattr(_Machine, "_expand_stone_free", spy_expand)
     monkeypatch.setattr(_Machine, "_accept", spy_accept)
     for name, (board, tree) in _pentagon_targets().items():
-        counts.update(find=0, found=0, expansions=0, candidates=set())
+        counts.update(expansions=0, gens=0, transversals=0, candidates={})
         assert verify_maker_strategy(board, tree).verified, name
-        got = (counts["expansions"], counts["find"], counts["found"], len(counts["candidates"]))
-        assert got == ((0, 0, 0, 0) if name == "g3-split" else (1, 82, 3, 2)), name
+        candidates = counts["candidates"]
+        got = (
+            counts["expansions"],
+            counts["gens"],
+            counts["transversals"],
+            len(candidates),
+            sum(candidates.values()),
+        )
+        assert got == ((0, 0, 0, 0, 0) if name == "g3-split" else (1, 1, 22, 2, 2)), name
 
 
 def test_copy_rotation_needs_the_switch_to_be_makers():
