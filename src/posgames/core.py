@@ -182,9 +182,6 @@ class Hypergraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self.incidence)
 
-    def name_of(self, v: int) -> str:
-        return self.names.get(v, str(v))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented

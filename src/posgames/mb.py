@@ -108,7 +108,8 @@ class _Exhausted(Exception):
 
 
 class _Budget:
-    """Node counter with an optional cap."""
+    """Node counter with an optional cap.  A spend at the cap raises before
+    it counts, so ``count`` is the number of nodes expanded."""
 
     __slots__ = ("limit", "count")
 
@@ -117,9 +118,9 @@ class _Budget:
         self.count = 0
 
     def spend(self) -> None:
-        self.count += 1
-        if self.limit is not None and self.count > self.limit:
+        if self.limit is not None and self.count == self.limit:
             raise _Exhausted()
+        self.count += 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ class Layer:
         parent vertex -> parent vertex: an opponent move on a key is
         answered immediately by a Maker claim of the value and is otherwise
         invisible to this layer and everything below it.  Every value must
-        be a vertex of the parent board.
+        be a vertex of the parent board.  The answer is a claim on the real
+        board only: it marks no layer's claim masks, so it completes no
+        virtual edge and runs no ``on_win`` continuation.
     ``relevance``
         parent-board vertex mask of everything this layer may react to, or
         None for its whole embedded board.  The verifier collapses opponent

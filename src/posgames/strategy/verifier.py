@@ -62,11 +62,17 @@ coordinates its branches name, not from every real vertex (see
 ``_reply_buckets``).  Another is the claim table: per innermost-board
 vertex, its real vertex, the bit it sets in each layer's Maker mask, the
 real edges through it and the ``on_win`` edges through its coordinate on
-each layer, so a Maker claim walks no embedding or incidence list.  The
-last is the bounded-win table: the innermost board's edges within reach
-of a given Maker mask, with their real images, which bound the memo key,
-and the needed vertices of each edge as a mask, from which the claims
-are ordered by distance to a win, then by vertex.
+each layer, so a Maker claim walks no embedding or incidence list.  Every
+Maker claim goes through ``_Machine._claim`` with such an entry.  A
+layer's answer does too, with the root stack's entry for its real
+vertex, which has no claim bits and no ``on_win`` edges, so an answer
+marks no layer and fires no ``on_win`` continuation.  The last is the bounded-win
+table, per Maker mask and move budget k: the relevance of a bounded-win
+state, which bounds its memo key (the layers' fixed relevance, the
+members of each dynamic group whose home the mask holds, and the real
+image of every edge within k claims), and, per edge within reach, the
+needed vertices as a mask, from which the claims are ordered by
+distance to a win, then by vertex.
 
 Sibling layers entered from the real board may share memo successes.  When
 a layer is entered beside an earlier one on the same board, the verifier
@@ -214,7 +220,8 @@ class _Stack:
     (the real image of each innermost-board edge), ``stateful`` (the
     indices of the layers whose claim masks enter the memo key),
     ``fixed_rel`` (the real image of every layer's relevance mask and
-    residue) and ``homes``/``home_rel`` (see ``_Machine._relevance``).
+    residue) and ``homes``/``home_rel``: the mask of the innermost layer's
+    dynamic-group homes, and per home the real mask of its members.
     The residue of a layer is the parent-board vertices of its win edges
     that lie outside it: completing a virtual edge only wins when its real
     counterpart is complete, so any extra vertices the real edge carries
@@ -222,9 +229,12 @@ class _Stack:
     ``_Machine._push`` checks the layer against the parent board before it
     builds the child, so a malformed layer fails on the line that enters
     it.  Only the caches keyed by a vertex, a node or a claim mask fill on
-    first use: ``claims``, ``groups``, ``static_rel`` and ``bw``, and
-    ``buckets`` (see ``_reply_buckets``), which is None until the first
-    node whose reply groups ``_Machine._node_groups`` builds on the stack.
+    first use: ``claims``, ``groups``, ``static_rel`` (per ``Respond``
+    node, the part of ``_Machine._relevance`` that does not depend on the
+    claim masks), ``bw`` (per Maker mask and k, ``_Machine._bw_entry``)
+    and ``buckets`` (see ``_reply_buckets``), which is None until the
+    first node whose reply groups ``_Machine._node_groups`` builds on the
+    stack.
 
     ``pairs`` is None or the stack's table of answered pairs (see
     ``_answered_pairs``): per pair the kill masks that must all meet
@@ -233,13 +243,14 @@ class _Stack:
     per set of Breaker stones.
 
     ``claims`` maps an innermost-board vertex to (real vertex, per-layer
-    claim bits, masks of the real edges through it, ``on_win`` entries).
-    The claim bits are what a Maker claim of the vertex ORs into each
-    layer's Maker mask, outermost first.  An ``on_win`` entry is (layer
-    index, virtual edge mask, continuation, stack the continuation runs
-    on) for each edge through the vertex's coordinate on a layer that has
-    a continuation for it, innermost layer first and in incidence order.
-    The vertex is range-checked when its entry is built.
+    claim bits, masks of the real edges through it, ``on_win`` entries),
+    the entry ``_Machine._claim`` takes.  The claim bits are what a Maker
+    claim of the vertex ORs into each layer's Maker mask, outermost first.
+    An ``on_win`` entry is (layer index, virtual edge mask, continuation,
+    stack the continuation runs on) for each edge through the vertex's
+    coordinate on a layer that has a continuation for it, innermost layer
+    first and in incidence order.  The vertex is range-checked when its
+    entry is built.
 
     ``rep`` is the stack whose opponent-node successes this one shares (see
     the module docstring), never one that has a ``rep`` itself, and
@@ -309,7 +320,7 @@ class _Stack:
         self.buckets = None
         self.groups: dict = {}
         self.claims: dict = {}
-        # id(node) -> real mask of the node's relevance and ``fixed_rel``
+        # id(Respond node) -> real mask of its relevance and ``fixed_rel``
         self.static_rel: dict = {}
         self.bw: dict = {}
         self.rep = None
@@ -775,24 +786,34 @@ class _Machine:
     # ------------------------------------------------------------------
     # relevance
 
-    def _relevance(self, node, stack: _Stack, masks: tuple) -> int:
-        """Real vertices whose claims ``node`` may still react to.
+    def _relevance(self, node: Respond, stack: _Stack, masks: tuple) -> int:
+        """Real vertices whose claims the ``Respond`` node may still react
+        to.
 
         The union of the node's own relevance and each active layer's
         relevance (plus its win residue), and the real members of each of
         the innermost layer's dynamic groups whose home its Maker mask
-        holds; the whole board when nothing bounds it.  ``node`` is None
-        for a bounded-win search, which has no relevance of its own and
-        adds the edges within reach itself.  ``stack.homes`` is the mask of
-        the group homes and ``stack.home_rel`` maps each home to the real
-        members of its groups.
+        holds; the whole board when nothing bounds it.  The part that does
+        not depend on ``masks`` is cached per node in ``stack.static_rel``.
+        ``stack.homes`` is the mask of the group homes and
+        ``stack.home_rel`` maps each home to the real members of its
+        groups.  A bounded-win state takes its relevance from ``_bw_entry``
+        instead.
         """
-        if node is None:
-            rel = stack.fixed_rel
-        else:
-            rel = stack.static_rel.get(id(node))
-            if rel is None:
-                rel = self._static_relevance(node, stack)
+        rel = stack.static_rel.get(id(node))
+        if rel is None:
+            static = node.relevance
+            if static is not None:
+                if static >> stack.board.vertex_count:
+                    self._fail(
+                        "ill_formed", f"node relevance leaves {_board_name(stack)}"
+                    )
+                rel = stack.to_real(static)
+            elif stack.layers:
+                rel = 0
+            else:
+                rel = self.full
+            rel = stack.static_rel[id(node)] = rel | stack.fixed_rel
         if stack.homes:
             held = masks[-1][0] & stack.homes
             if held:
@@ -800,48 +821,36 @@ class _Machine:
                     rel |= stack.home_rel[c]
         return rel
 
-    def _static_relevance(self, node, stack: _Stack) -> int:
-        """The mask-independent part of ``_relevance``, cached per node."""
-        static = node.relevance if type(node) is Respond else None
-        if static is not None:
-            if static >> stack.board.vertex_count:
-                self._fail(
-                    "ill_formed", f"node relevance leaves {_board_name(stack)}"
-                )
-            rel = stack.to_real(static)
-        elif stack.layers or type(node) is _BWAfter:
-            rel = 0
-        else:
-            rel = self.full
-        rel |= stack.fixed_rel
-        stack.static_rel[id(node)] = rel
-        return rel
-
     def _bw_entry(self, stack: _Stack, va: int, k: int):
-        """Bounded-win data for Maker mask ``va`` on the innermost board.
+        """Bounded-win data for Maker mask ``va`` on the innermost board,
+        cached per (``va``, ``k``) in ``stack.bw``.
 
-        Returns (union, levels).  ``union`` is the real image of every
-        edge within ``k`` of completion, killed or not: opponent stones
-        that rule such an edge out and Maker stones that brought it within
-        reach must both stay inside the memo key, so neither occupancy mask
-        filters it.  ``levels[u - 1]`` lists (edge mask, needed vertex
-        mask) for the edges that need exactly ``u`` more claims, in board
-        order, for u = 1..k.
+        Returns (rel, levels).  ``rel`` is the relevance of every
+        bounded-win state with these masks: ``stack.fixed_rel``, the real
+        members of each dynamic group whose home ``va`` holds, and the real
+        image of every edge within ``k`` of completion, killed or not:
+        opponent stones that rule such an edge out and Maker stones that
+        brought it within reach must both stay inside the memo key, so
+        neither occupancy mask filters it.  ``levels[u - 1]`` lists (edge
+        mask, needed vertex mask) for the edges that need exactly ``u``
+        more claims, in board order, for u = 1..k.
         """
         key = (va, k)
         got = stack.bw.get(key)
         if got is None:
-            union = 0
+            rel = stack.fixed_rel
+            for c in iter_bits(va & stack.homes):
+                rel |= stack.home_rel[c]
             levels: list = [[] for _ in range(k)]
             for mask, real in zip(stack.board.edge_masks, stack.edges):
                 needed = mask & ~va
                 u = needed.bit_count()
                 if u > k:
                     continue
-                union |= real
+                rel |= real
                 if u:
                     levels[u - 1].append((mask, needed))
-            got = stack.bw[key] = (union, tuple(map(tuple, levels)))
+            got = stack.bw[key] = (rel, tuple(map(tuple, levels)))
         return got
 
     # ------------------------------------------------------------------
@@ -873,21 +882,23 @@ class _Machine:
         entry = stack.claims[v] = (c, tuple(bits), edges, tuple(wins))
         return entry
 
-    def _claim(self, v: int, stack: _Stack, masks: tuple, ra: int, rb: int, then):
-        """Claim innermost-board vertex ``v`` for Maker and continue.
+    def _claim(self, entry, stack: _Stack, masks: tuple, ra: int, rb: int, then):
+        """Claim the vertex of ``entry``, its claim-table entry on ``stack``
+        (see ``_Stack``), for Maker and continue.
 
-        Records the claim on every active layer, checks real then virtual
-        edge completion (innermost first), fires ``on_win`` continuations in
-        the owning layer's parent context, and otherwise proceeds to
-        ``then`` at the opponent's turn.
+        This is the one place a Maker move joins the line.  It records the
+        claim on every active layer, checks real then virtual edge
+        completion (innermost first), fires ``on_win`` continuations in the
+        owning layer's parent context, and otherwise proceeds to ``then`` at
+        the opponent's turn.  An entry without claim bits, the root
+        stack's, leaves ``masks`` as they are: that is how a layer's answer
+        comes here (see ``_answer_reply``).
         """
-        entry = stack.claims.get(v)
-        if entry is None:
-            entry = self._claim_entry(stack, v)
         rv, bits, edges, wins = entry
         if (ra | rb) >> rv & 1:
             self._fail("occupied_claim", f"strategy claims occupied vertex {rv}")
-        masks = tuple([(va | bit, vb) for (va, vb), bit in zip(masks, bits)])
+        if bits:
+            masks = tuple([(va | bit, vb) for (va, vb), bit in zip(masks, bits)])
         ra_new = ra | (1 << rv)
         path = self.path
         path.append(("maker", rv))
@@ -916,7 +927,8 @@ class _Machine:
             path.pop()
 
     def _opponent_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
-        node, stack, masks = self._enter(node, stack, masks)
+        if isinstance(node, EnterLayer):
+            node, stack, masks = self._enter(node, stack, masks)
         if isinstance(node, Respond) or isinstance(node, _BWAfter):
             self._expand_opponent(node, stack, masks, ra, rb)
         elif node is None:
@@ -930,15 +942,15 @@ class _Machine:
     def _maker_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
         node, stack, masks = self._enter(node, stack, masks)
         if isinstance(node, Claim):
-            self._claim(node.vertex, stack, masks, ra, rb, node.then)
+            v = node.vertex
+            entry = stack.claims.get(v) or self._claim_entry(stack, v)
+            self._claim(entry, stack, masks, ra, rb, node.then)
         elif isinstance(node, ClaimFirstFree):
             for v in node.vertices:
-                entry = stack.claims.get(v)
-                if entry is None:
-                    entry = self._claim_entry(stack, v)
+                entry = stack.claims.get(v) or self._claim_entry(stack, v)
                 if (ra | rb) >> entry[0] & 1:
                     continue
-                self._claim(v, stack, masks, ra, rb, node.then)
+                self._claim(entry, stack, masks, ra, rb, node.then)
                 return
             self._fail(
                 "occupied_claim",
@@ -984,10 +996,10 @@ class _Machine:
         unclaimed = self.full & ~(ra | rb)
         if unclaimed == 0:
             self._fail("leaf_without_win", "board exhausted before Maker won")
-        rel = self._relevance(node, stack, masks)
         if type(node) is _BWAfter:
-            va = masks[-1][0] if masks else ra
-            rel |= self._bw_entry(stack, va, node.k)[0]
+            rel = self._bw_entry(stack, masks[-1][0] if masks else ra, node.k)[0]
+        else:
+            rel = self._relevance(node, stack, masks)
         replies = unclaimed & rel
         out = unclaimed & ~rel
         profile = 0
@@ -1147,25 +1159,21 @@ class _Machine:
         return tuple(new)
 
     def _answer_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
+        """Play a layer's answer to the opponent's move, an ``answer``
+        entry of ``stack.table``: a pass when the answer is taken, else a
+        Maker claim through ``_claim`` that goes back to ``node``.
+
+        The answer is a claim on the real board only.  Its entry is the
+        root stack's, which sets no bit in any layer's Maker mask and lists
+        no ``on_win`` edge, so it marks no layer and fires no continuation.
+        """
         ans = entry[1]
         masks2 = self._apply_effects(masks, entry[2])
         if (ra | rb2) >> ans & 1:
             self._resolved_reply(node, stack, masks2, ra, rb2, ("pass", ()))
             return
-        ra2 = ra | (1 << ans)
-        self.path.append(("maker", ans))
-        self.expansions += 1
-        if len(self.path) > self.max_depth:
-            self.max_depth = len(self.path)
-        try:
-            if len(self.path) > _LINE_LIMIT:
-                self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
-            for e in self.incidence[ans]:
-                if self.edge_masks[e] & ~ra2 == 0:
-                    return
-            self._expand_opponent(node, stack, masks2, ra2, rb2)
-        finally:
-            self.path.pop()
+        claim = self.root.claims.get(ans) or self._claim_entry(self.root, ans)
+        self._claim(claim, stack, masks2, ra, rb2, node)
 
     def _resolved_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
         masks2 = self._apply_effects(masks, entry[-1])
@@ -1201,8 +1209,7 @@ class _Machine:
         Its memo key starts with ``k``; being one entry shorter than an
         opponent node's, it cannot collide with one."""
         va, vb = masks[-1] if masks else (ra, rb)
-        union, levels = self._bw_entry(stack, va, k)
-        rel = self._relevance(None, stack, masks) | union
+        rel, levels = self._bw_entry(stack, va, k)
         sig = tuple([masks[i] for i in stack.stateful])
         key = (k, stack, sig, ra & rel, rb & rel)
         got = self.memo.get(key)
@@ -1214,9 +1221,11 @@ class _Machine:
         then = _bw_after(k - 1) if k > 1 else None
         # A claim on a vertex occupied only in real coordinates fails in
         # ``_claim`` and is passed over.
+        claims = stack.claims
         for v in _bw_claims(levels, vb):
+            entry = claims.get(v) or self._claim_entry(stack, v)
             try:
-                self._claim(v, stack, masks, ra, rb, then)
+                self._claim(entry, stack, masks, ra, rb, then)
             except _Fail:
                 continue
             self.memo[key] = True

@@ -199,6 +199,16 @@ class TestSolve:
         assert payload["winner"] is None
         assert payload["exhausted"] is True
 
+    def test_mb_node_limit_zero_expands_no_node(self, capsys, tmp_path):
+        path = _gen(capsys, tmp_path, "gcp")
+        argv = ("solve", "mb", path, "--first", "maker")
+        code, out, _err = _run(capsys, *argv, "--node-limit", "0")
+        assert code == 4
+        payload = _report(out)["payload"]
+        assert (payload["exhausted"], payload["nodes"]) == (True, 0)
+        code, out, _err = _run(capsys, *argv)
+        assert (code, _report(out)["payload"]["nodes"]) == (0, 56)
+
     def test_cp_node_limit_on_gamma_prime_exits_four(self, capsys, tmp_path):
         """The limit stops the search before any root orbit is built."""
         path = _gen(capsys, tmp_path, "gamma-prime")

@@ -212,6 +212,10 @@ class TestOptions:
         report = solve_cp(gen_gcp(), CPOptions(node_limit=2))
         assert report.exhausted and report.winner is None
 
+    def test_an_exhausted_search_counts_the_nodes_it_expanded(self):
+        report = solve_cp(gen_gcp(), CPOptions(node_limit=2))
+        assert (report.exhausted, report.nodes_expanded) == (True, 2)
+
 
 class TestRootOrbits:
     @pytest.mark.parametrize("lemma23, nodes", [(False, 4_783), (True, 53)])

@@ -260,6 +260,12 @@ class TestNodeLimit:
         assert report.exhausted
         assert report.winner is None
 
+    def test_an_exhausted_search_counts_the_nodes_it_expanded(self):
+        """The node that would pass the limit is refused before it is
+        counted, so an exhausted search reports the limit itself."""
+        report = solve_mb(gen_gcp(), Side.A, MBOptions(node_limit=3))
+        assert (report.exhausted, report.nodes_expanded) == (True, 3)
+
     def test_limit_large_enough_is_exact(self):
         report = solve_mb(gen_gcp(), Side.A, MBOptions(node_limit=10**7))
         assert not report.exhausted

@@ -807,10 +807,14 @@ def _pentagon_layer():
 
 
 def _pentagon_relevance(va: int, vb: int) -> int:
-    """The verifier's relevance on the pentagon stack at masks (va, vb)."""
+    """The verifier's bounded-win relevance on the pentagon stack without
+    the edges within reach: the entry for Maker's tips alone at k = 0.
+    Every edge of the pentagon board has three vertices and at most one
+    tip, so none lies within 0 claims of those tips.  Breaker's ``vb``
+    does not enter it."""
     machine = _Machine(gen_gamma_prime())
     stack = machine._push(machine.root, _pentagon_layer())
-    return machine._relevance(None, stack, ((va, vb),))
+    return machine._bw_entry(stack, va & stack.homes, 0)[0]
 
 
 def _spoke(g: int) -> int:
@@ -1087,6 +1091,34 @@ def test_an_answer_on_a_taken_vertex_is_a_pass():
     assert cex.kind == "uncovered_reply"
     assert cex.moves == (("maker", 1), ("breaker", 2), ("maker", 3), ("breaker", 0))
     assert cex.detail == "real reply 0 is a pass and there is no default"
+
+
+def test_an_answer_fires_no_on_win_continuation():
+    """The layer answers the opponent's 1 with a Maker claim of 2, the
+    image of layer vertex 1, while Maker holds layer vertex 0.  The
+    answer is a claim on the real board only, so it leaves the virtual
+    edge {0, 1} open and its ``on_win`` continuation, which would fail on
+    the real board's reply 3, does not run: the line goes back to the
+    layer's node, where 3 is a pass.  The answer counts once: a line for
+    Maker's claim of 0, one per expansion of the node, one for the
+    answer."""
+    h = Hypergraph(4, [(0, 2, 3)])
+    layer = Layer(
+        name="answers",
+        board=Hypergraph(2, [(0, 1)]),
+        embed=(0, 2),
+        on_win={0: Respond((), None)},
+        answers={1: 2},
+    )
+    s = StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, Respond((), None))))
+    report = verify_maker_strategy(h, s)
+    cex = report.counterexample
+    assert cex == Counterexample(
+        "uncovered_reply",
+        (("maker", 0), ("breaker", 1), ("maker", 2), ("breaker", 3)),
+        "real reply 3 is a pass and there is no default",
+    )
+    assert (report.lines_checked, report.max_depth) == (4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1480,6 +1512,54 @@ def test_solver_synthesized_strategies_verify():
 
 # ---------------------------------------------------------------------------
 # mutations
+
+
+def _bounded_win_relevance(stack: _Stack, va: int, k: int) -> int:
+    """A bounded-win state's relevance summed from its parts: the stack's
+    fixed relevance, the real members of each dynamic group whose home
+    ``va`` holds and the real image of each innermost edge within ``k``
+    claims of ``va``."""
+    rel = stack.fixed_rel
+    if stack.layer is not None:
+        for v, home in stack.layer.dynamic_groups.items():
+            if va >> home & 1:
+                rel |= 1 << stack.parent.real[v]
+    for mask in stack.board.edge_masks:
+        if (mask & ~va).bit_count() <= k:
+            rel |= stack.to_real(mask)
+    return rel
+
+
+def test_bounded_win_entries_sum_their_relevance(monkeypatch):
+    """Every bounded-win entry built while the four targets and the
+    mutants verify has the relevance ``_bounded_win_relevance`` sums.  The
+    targets build no entry whose Maker mask holds a group home; the three
+    ``endgame-*`` mutants of the pentagon lift build two each."""
+    bw_entry = _Machine._bw_entry
+    built = []
+
+    def spy(self, stack, va, k):
+        fresh = (va, k) not in stack.bw
+        got = bw_entry(self, stack, va, k)
+        if fresh:
+            assert got[0] == _bounded_win_relevance(stack, va, k)
+            built.append(bool(va & stack.homes))
+        return got
+
+    monkeypatch.setattr(_Machine, "_bw_entry", spy)
+    gamma_prime = lift_gamma_prime(build_gamma_strategy())
+    targets = [
+        (gen_gamma(), build_gamma_strategy()),
+        (gen_gamma_prime(), gamma_prime),
+        (gen_g4(), lift_g4(gamma_prime)),
+        (split_pendant(gen_g3()), lift_split(build_g3_strategy(), gen_g3())),
+    ]
+    for h, s in targets:
+        assert verify_maker_strategy(h, s).verified
+    assert not any(built)
+    for name, board, tree in named_mutations():
+        assert not verify_maker_strategy(board, tree).verified, name
+    assert sum(built) == 6
 
 
 def test_every_mutation_is_rejected():
