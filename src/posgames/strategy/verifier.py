@@ -66,13 +66,13 @@ each layer, so a Maker claim walks no embedding or incidence list.  Every
 Maker claim goes through ``_Machine._claim`` with such an entry.  A
 layer's answer does too, with the root stack's entry for its real
 vertex, which has no claim bits and no ``on_win`` edges, so an answer
-marks no layer and fires no ``on_win`` continuation.  The last is the bounded-win
-table, per Maker mask and move budget k: the relevance of a bounded-win
-state, which bounds its memo key (the layers' fixed relevance, the
-members of each dynamic group whose home the mask holds, and the real
-image of every edge within k claims), and, per edge within reach, the
-needed vertices as a mask, from which the claims are ordered by
-distance to a win, then by vertex.
+marks no layer and fires no ``on_win`` continuation.  The last is the
+bounded-win table, per Maker mask and move budget k: the relevance of a
+bounded-win state, which bounds its memo key (the layers' fixed
+relevance, the members of each dynamic group whose home the mask holds,
+and the real image of every edge within k claims), and, per edge within
+reach, the needed vertices as a mask, from which the claims are ordered
+by distance to a win, then by vertex.
 
 Sibling layers entered from the real board may share memo successes.  When
 a layer is entered beside an earlier one on the same board, the verifier
