@@ -131,13 +131,8 @@ def iter_nodes(node: Node) -> Iterator[Node]:
             continue
         seen.add(id(n))
         yield n
-        if isinstance(n, (Claim, ClaimFirstFree, EnterLayer)):
-            if n.then is not None:
-                stack.append(n.then)
-        elif isinstance(n, Respond):
-            if isinstance(n.default, (Claim, ClaimFirstFree, Respond, WinNow, EnterLayer)):
-                stack.append(n.default)
-            for _cls, child in reversed(n.branches):
+        for child in reversed(_children(n)):
+            if child is not None and type(child) is not BoundedWin:
                 stack.append(child)
 
 
@@ -167,31 +162,75 @@ def replace_first(node: Node, pred: Callable[[Node], bool], repl: Callable[[Node
     return node, False
 
 
-def _relabel(root: Node, perm, board: Hypergraph) -> Node:
+class _Differs(Exception):
+    """Raised inside ``_relabel`` at the first node whose image is not its
+    counterpart in the target script."""
+
+
+# the ``target`` of a ``_relabel`` call that builds the image
+_BUILD = object()
+
+
+def _children(node) -> tuple:
+    """The child slots of a node, in a fixed order: a ``Respond``'s
+    branch children, then its default; otherwise ``then``, if any."""
+    if isinstance(node, Respond):
+        return (*(child for _cls, child in node.branches), node.default)
+    if isinstance(node, WinNow):
+        return ()
+    return (node.then,)
+
+
+def _head(node):
+    """The fields of a node of ``target`` that are not children, in the
+    form ``_relabel`` maps them to: reply classes by vertex set."""
+    if isinstance(node, Claim):
+        return node.vertex
+    if isinstance(node, ClaimFirstFree):
+        return node.vertices
+    if isinstance(node, WinNow):
+        return node.edge
+    return node.relevance, tuple(cls.vertices for cls, _child in node.branches)
+
+
+def _relabel(root: Node, perm, board: Hypergraph, target=_BUILD):
     """``root``, a script on ``board``, relabelled through the vertex map
     ``perm``: claim vertices, reply classes, node relevance masks and
     win-edge indices all map through it, and a shared subtree stays shared.
+
+    Given ``target``, whether that image equals ``target`` instead, reply
+    classes compared by vertex set.  The walk then runs over both scripts
+    together, checks each node's own fields before its children and stops
+    at the first node that differs; it builds no image.
 
     Raises ``KeyError`` on a vertex off the board or an edge that ``perm``
     maps off it, and ``ValueError`` on an edge index off the board, a
     negative relevance mask and any ``EnterLayer``: the script under a
     layer names vertices of the layer's board, which ``perm`` does not act
-    on."""
+    on.  A comparison raises them only for a node it reaches."""
     # a dict, so that an off-board vertex is a KeyError, not a wrapped index
     to = dict(enumerate(perm))
     masks = board.edge_masks
-    cache: dict[int, Node] = {}
+    # id(node) -> its image when building; (id(node), id(want)) -> want
+    # once checked when comparing
+    cache: dict = {}
 
-    def conv(node):
+    def conv(node, want):
+        build = want is _BUILD
         if node is None or type(node) is BoundedWin:
+            if not (build or want == node):
+                raise _Differs
             return node
-        got = cache.get(id(node))
+        key = id(node) if build else (id(node), id(want))
+        got = cache.get(key)
         if got is not None:
             return got
+        if not (build or type(want) is type(node)):
+            raise _Differs
         if isinstance(node, Claim):
-            out: Node = Claim(to[node.vertex], conv(node.then))
+            head = to[node.vertex]
         elif isinstance(node, ClaimFirstFree):
-            out = ClaimFirstFree(tuple(to[v] for v in node.vertices), conv(node.then))
+            head = tuple(to[v] for v in node.vertices)
         elif isinstance(node, WinNow):
             if not 0 <= node.edge < len(masks):
                 raise ValueError(
@@ -200,27 +239,51 @@ def _relabel(root: Node, perm, board: Hypergraph) -> Node:
             image = sum(1 << to[v] for v in iter_bits(masks[node.edge]))
             # the image is one of the edges through the image of any vertex
             near = board.incidence[to[board.edges[node.edge][0]]]
-            out = WinNow({masks[f]: f for f in near}[image])
+            head = {masks[f]: f for f in near}[image]
         elif isinstance(node, Respond):
-            branches = tuple(
-                (ReplyClass(c.name, frozenset(to[v] for v in c.vertices)), conv(child))
-                for c, child in node.branches
-            )
             rel = node.relevance
             if rel is not None:
                 if rel < 0:
                     raise ValueError("node relevance mask is negative")
                 rel = sum(1 << to[v] for v in iter_bits(rel))
-            out = Respond(branches, conv(node.default), rel)
+            classes = tuple(
+                frozenset(to[v] for v in cls.vertices) for cls, _child in node.branches
+            )
+            head = rel, classes
         elif isinstance(node, EnterLayer):
             name = getattr(node.layer, "name", node.layer)
             raise ValueError(f"cannot conjugate a script that enters layer {name!r}")
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown node {node!r}")
-        cache[id(node)] = out
+        if build:
+            kids = [conv(child, _BUILD) for child in _children(node)]
+            if isinstance(node, Claim):
+                out: Node = Claim(head, kids[0])
+            elif isinstance(node, ClaimFirstFree):
+                out = ClaimFirstFree(head, kids[0])
+            elif isinstance(node, WinNow):
+                out = WinNow(head)
+            else:
+                branches = tuple(
+                    (ReplyClass(cls.name, vertices), kid)
+                    for (cls, _child), vertices, kid in zip(node.branches, classes, kids)
+                )
+                out = Respond(branches, kids[-1], rel)
+        else:
+            if head != _head(want):
+                raise _Differs
+            for child, other in zip(_children(node), _children(want)):
+                conv(child, other)
+            out = want
+        cache[key] = out
         return out
 
-    return conv(root)
+    try:
+        return conv(root, target)
+    finally:
+        # ``conv`` refers to itself: unbinding it breaks the cycle, so the
+        # closure and its cache are freed now, not at a later collection.
+        del conv
 
 
 def conjugate(s: StrategyTree, perm) -> StrategyTree:
@@ -247,8 +310,11 @@ def is_conjugate(a, b, perm, board: Hypergraph) -> bool:
     """Whether script ``b`` equals script ``a`` relabelled through the
     permutation ``perm`` of ``board`` as ``conjugate`` relabels it.  Reply
     classes compare by vertex set, not by name.  A script that enters a
-    layer or names anything off the board is never the image of another."""
+    layer or names anything off the board is never the image of another.
+    The comparison stops at the first node that differs (see
+    ``_relabel``)."""
     try:
-        return _relabel(a, perm, board) == b
-    except (KeyError, ValueError):
+        _relabel(a, perm, board, b)
+    except (_Differs, KeyError, ValueError):
         return False
+    return True

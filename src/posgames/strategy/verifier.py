@@ -42,6 +42,24 @@ finishing claim is taken.  So, by induction on the free vertices, S
 succeeds exactly when every other reply does, and S and S' may share a
 key.
 
+A finishing ``on_win`` continuation (see ``_finishes``) that runs on the
+root stack is decided without expanding it while at least two of the
+vertices its claim may take are free and the line has room for two more
+moves (see ``_Machine._finish``); otherwise it is expanded, so every
+failure and every counterexample comes from the expansion.  This is
+exact.  Maker holds the completed edge, so each of those vertices
+completes a real edge.  The root stack resolves every real reply to
+itself and answers none, so the continuation's ``Respond`` hands every
+reply to its default, and the opponent gets no second move before Maker
+claims.  One reply takes at most one of two free vertices, so the claim
+of the first free vertex completes an edge on every line, and the node
+succeeds.  Its expansion would count the node as one line, reach two
+moves deeper than the node, and store a success that only this node's
+key can read.  The decision counts the node as one line, records the
+same depth and stores nothing, so no verdict, counterexample or depth
+changes: a later visit to the same key holds as many moves and is
+decided again.  Only the line count drops, by the claims not played.
+
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
 claim masks.  Layers are data, which the verifier checks where a layer is
@@ -204,6 +222,16 @@ class _BWAfter:
 _bw_after = functools.cache(_BWAfter)
 
 
+@dataclass(frozen=True, eq=False)
+class _Finish:
+    """Internal opponent node that stands for a finishing ``on_win``
+    continuation ``cont`` on the root stack, and the real vertices
+    ``claims`` its claim may take (see ``_finishes``)."""
+
+    cont: Respond
+    claims: int
+
+
 class _Stack:
     """One stack of active layers, outermost first, and what is known about
     it independently of the claim masks.
@@ -249,8 +277,10 @@ class _Stack:
     An ``on_win`` entry is (layer index, virtual edge mask, continuation,
     stack the continuation runs on) for each edge through the vertex's
     coordinate on a layer that has a continuation for it, innermost layer
-    first and in incidence order.  The vertex is range-checked when its
-    entry is built.
+    first and in incidence order.  A finishing continuation that runs on
+    the root stack is classified there once and stands in the entry as a
+    ``_Finish`` node.  The vertex is range-checked when its entry is
+    built.
 
     ``rep`` is the stack whose opponent-node successes this one shares (see
     the module docstring), never one that has a ``rep`` itself, and
@@ -497,31 +527,43 @@ def _named(cont, outer: _Stack) -> int:
     return named
 
 
-def _finishes(cont, outer: _Stack, edge: int, edge_masks, incidence) -> bool:
-    """Whether an ``on_win`` continuation that runs on ``outer`` once
-    Maker holds the real edge mask ``edge`` ends the line at Maker's next
-    claim, whatever the opponent plays: a ``Respond`` without branches
-    whose default claims, with nothing after it, vertices that each
-    complete a real edge inside ``edge`` and the vertex itself.  The line
-    then fails only when every such vertex is taken, which a move off them
-    does not change."""
+def _finishes(cont, outer: _Stack, edge: int, edge_masks, incidence) -> int:
+    """The real vertices an ``on_win`` continuation that runs on ``outer``
+    may claim, when it ends the line at Maker's next claim once Maker holds
+    the real edge mask ``edge``, whatever the opponent plays; else 0.
+
+    Such a continuation is finishing: a ``Respond`` without branches, with
+    no relevance mask or one on ``outer``'s board, whose default claims,
+    with nothing after it, one or more vertices that each complete a real
+    edge inside ``edge`` and the vertex itself.  The line then fails only
+    when every such vertex is taken, which a move off them does not change.
+    This is the one definition both of its users read:
+    ``_answered_pairs`` lets a finishing continuation run where a dead pair
+    is still open, and ``_Machine._claim_entry`` marks one that runs on the
+    root stack for ``_Machine._finish``, which decides it without
+    expanding it while two of these vertices are free (see the module
+    docstring)."""
     if type(cont) is not Respond or cont.branches:
-        return False
+        return 0
+    if cont.relevance is not None and cont.relevance >> len(outer.real):
+        return 0
     claim = cont.default
     if isinstance(claim, Claim):
         vertices = (claim.vertex,)
     elif isinstance(claim, ClaimFirstFree):
         vertices = claim.vertices
     else:
-        return False
+        return 0
     if claim.then is not None or _off(vertices, len(outer.real)):
-        return False
+        return 0
+    claims = 0
     for c in vertices:
         u = outer.real[c]
         inside = edge | 1 << u
         if not any(edge_masks[f] & ~inside == 0 for f in incidence[u]):
-            return False
-    return True
+            return 0
+        claims |= 1 << u
+    return claims
 
 
 def _stateful(layer) -> bool:
@@ -876,6 +918,13 @@ class _Machine:
                     cont = layer.on_win.get(e)
                     if cont is not None:
                         outer = stack.outers[i]
+                        if outer is self.root:
+                            edge = _image(layer.embed, board.edge_masks[e])
+                            claims = _finishes(
+                                cont, outer, edge, self.edge_masks, self.incidence
+                            )
+                            if claims:
+                                cont = _Finish(cont, claims)
                         wins.append((i, board.edge_masks[e], cont, outer))
             c = layer.embed[c]
         edges = tuple([self.edge_masks[e] for e in self.incidence[c]])
@@ -931,6 +980,8 @@ class _Machine:
             node, stack, masks = self._enter(node, stack, masks)
         if isinstance(node, Respond) or isinstance(node, _BWAfter):
             self._expand_opponent(node, stack, masks, ra, rb)
+        elif type(node) is _Finish:
+            self._finish(node, stack, masks, ra, rb)
         elif node is None:
             self._fail("leaf_without_win", "strategy ends while the game is open")
         else:
@@ -938,6 +989,21 @@ class _Machine:
                 "ill_formed",
                 f"{type(node).__name__} node reached at the opponent's turn",
             )
+
+    def _finish(self, node: _Finish, stack: _Stack, masks: tuple, ra: int, rb: int):
+        """Decide a finishing ``on_win`` continuation on the root stack
+        without expanding it while two of the vertices its claim may take
+        are free and the line has room for a reply and that claim; else
+        expand it.  The decision counts the node as one line and records
+        the depth the expansion would reach (see the module docstring)."""
+        free = node.claims & ~(ra | rb)
+        depth = len(self.path) + 2
+        if free & (free - 1) and depth <= _LINE_LIMIT:
+            self.expansions += 1
+            if depth > self.max_depth:
+                self.max_depth = depth
+            return
+        self._expand_opponent(node.cont, stack, masks, ra, rb)
 
     def _maker_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
         node, stack, masks = self._enter(node, stack, masks)

@@ -65,6 +65,7 @@ from posgames.strategy import (
     verify_maker_strategy,
 )
 from posgames.strategy import verifier
+from posgames.strategy.nodes import _relabel
 from posgames.strategy.lifts import _block_mask
 from posgames.strategy.verifier import (
     _bw_after,
@@ -233,6 +234,105 @@ def test_is_conjugate_agrees_with_conjugate():
                 assert is_conjugate(c, d, g, s.board) == (image == d)
                 matches += c is not d and image == d
     assert matches
+
+
+def _random_script(rng: random.Random, n: int, edges: int, depth: int):
+    """A random script on a board of ``n`` vertices and ``edges`` edges,
+    ``depth`` levels deep, that now and then names vertex ``n``, an edge
+    off the board or a negative relevance, and shares a subtree."""
+
+    def vertex():
+        return rng.randrange(n + (rng.random() < 0.05))
+
+    def node(d):
+        kind = rng.randrange(4 if d else 2)
+        if kind == 0:
+            return WinNow(rng.randrange(edges + (rng.random() < 0.05)))
+        if kind == 1:
+            return Claim(vertex(), node(d - 1) if d and rng.random() < 0.7 else None)
+        if kind == 2:
+            picks = tuple(vertex() for _ in range(rng.randint(1, 3)))
+            return ClaimFirstFree(picks, node(d - 1))
+        shared = node(d - 1)
+        branches = tuple(
+            (
+                ReplyClass(f"c{k}", frozenset(vertex() for _ in range(rng.randint(1, 2)))),
+                shared if rng.random() < 0.3 else node(d - 1),
+            )
+            for k in range(rng.randint(0, 2))
+        )
+        default = rng.choice((None, BoundedWin(rng.randint(1, 3)), node(d - 1)))
+        roll = rng.random()
+        relevance = None if roll < 0.5 else -1 if roll < 0.55 else rng.randrange(1 << n)
+        return Respond(branches, default, relevance)
+
+    return node(depth)
+
+
+def _mutate(rng: random.Random, script, n: int, edges: int):
+    """``script`` with one randomly chosen node replaced by a random one."""
+    target = rng.choice(list(iter_nodes(script)))
+    mutated, _found = replace_first(
+        script,
+        lambda node: node is target,
+        lambda _node: _random_script(rng, n, edges, rng.randint(0, 1)),
+    )
+    return mutated
+
+
+def _plain_is_conjugate(a, b, perm, board) -> bool:
+    """Whether the whole relabelled image of ``a`` equals ``b``."""
+    try:
+        return _relabel(a, perm, board) == b
+    except (KeyError, ValueError):
+        return False
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_is_conjugate_agrees_with_the_whole_image(seed):
+    """``is_conjugate``, which stops at the first node that differs, gives
+    the answer of comparing the whole relabelled image, on random scripts
+    against their image, a mutated image, another random script and
+    another vertex map."""
+    rng = random.Random(seed)
+    h = random_hypergraph(rng, max_vertices=6, max_edges=4)
+    n, edges = h.vertex_count, len(h.edges)
+    perm = rng.sample(range(n), n)
+    a = _random_script(rng, n, edges, rng.randint(0, 3))
+    try:
+        image = _relabel(a, perm, h)
+    except (KeyError, ValueError):
+        image = _random_script(rng, n, edges, 2)
+    others = [image, _random_script(rng, n, edges, 2)]
+    if not isinstance(image, BoundedWin) and image is not None:
+        others.append(_mutate(rng, image, n, edges))
+    for b in others:
+        assert is_conjugate(a, b, perm, h) == _plain_is_conjugate(a, b, perm, h)
+    other_perm = rng.sample(range(n), n)
+    assert is_conjugate(a, image, other_perm, h) == _plain_is_conjugate(a, image, other_perm, h)
+
+
+def test_relabelling_leaves_no_nodes_for_the_cyclic_gc():
+    """The images that ``is_conjugate`` compares at the stone-free nodes of
+    ``opening-class-gap`` are freed by reference counting: the run leaves
+    no ``Claim``, ``Respond`` or ``ReplyClass`` for the cyclic collector."""
+    board, tree = {name: (b, t) for name, b, t in named_mutations()}["opening-class-gap"]
+    kinds = (Claim, Respond, ReplyClass)
+
+    def count():
+        return sum(type(obj) in kinds for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = count()
+        report = verify_maker_strategy(board, tree)
+        after = count()
+    finally:
+        gc.enable()
+    assert not report.verified
+    assert after == before
 
 
 def test_conjugate_refuses_layered_strategies():
@@ -1153,8 +1253,9 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     exactly the lines it took before the pruning, and every mutant fails on
     the same line; the pruning only skips work, most on
     ``opening-class-gap``.  The gate refuses only symmetry, so g3-split,
-    which has no stone-free node, keeps the dead-pair rule and its 130,807
-    lines (256,247 without that rule).  gamma-prime took 212,418 lines and
+    which has no stone-free node, keeps the dead-pair rule and the
+    decided finishing continuations, and its 76,832 lines (130,807
+    without the second rule, 256,247 without both).  gamma-prime took 212,418 lines and
     g4 233,530 while a gadget move whose tip is taken counted as a move on
     a fallback x-vertex rather than as a pass (see
     ``test_verifier_counters_are_pinned``)."""
@@ -1167,7 +1268,7 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
         "gamma": (20_806, 20),
         "gamma-prime": (215_788, 28),
         "g4": (224_962, 33),
-        "g3-split": (130_807, 28),
+        "g3-split": (76_832, 28),
     }
     for name, (board, tree) in _pentagon_targets().items():
         report = verify_maker_strategy(board, tree)
@@ -1727,16 +1828,20 @@ def _drops(monkeypatch) -> list:
 
 
 def test_without_dead_pairs_the_unpruned_lines_come_back(monkeypatch):
-    """Differential gate: with dead answered pairs kept, g3-split explores
-    exactly its 256,247 lines again, the other targets do not move, and
-    every mutant fails on the same line with the same detail; the rule
-    only skips work.  The others are the pinned counts of
-    ``test_verifier_counters_are_pinned``."""
+    """Differential gate: with dead answered pairs kept and every finishing
+    continuation expanded, g3-split explores exactly its 256,247 lines
+    again, the other targets do not move, and every mutant fails on the
+    same line with the same detail; the two rules only skip work.  With
+    only the dead pairs kept g3-split takes 202,272 lines.  The others
+    are the pinned counts of ``test_verifier_counters_are_pinned``."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
         for name, board, tree in named_mutations()
     ]
     _rule_off(monkeypatch)
+    board, tree = _pentagon_targets()["g3-split"]
+    assert verify_maker_strategy(board, tree).lines_checked == 202_272
+    _finish_off(monkeypatch)
     want = {
         "gamma": (3_865, 20),
         "gamma-prime": (41_398, 28),
@@ -2097,3 +2202,184 @@ def test_a_respond_node_keeps_answered_replies_apart(default):
     singles, groups = machine._node_groups(stack, node)
     assert (singles, sorted(groups)) == (0b100111, [0b11000, 0b11000000])
     assert (singles, sorted(groups)) == _reference_groups(machine, stack, node)
+
+
+# ----------------------------------------------------------------------
+# finishing continuations
+
+
+def _finish_off(monkeypatch):
+    """Expand every finishing continuation, as the verifier did before it
+    decided them."""
+
+    def expand(self, node, stack, masks, ra, rb):
+        self._expand_opponent(node.cont, stack, masks, ra, rb)
+
+    monkeypatch.setattr(_Machine, "_finish", expand)
+
+
+def _finish_calls(monkeypatch) -> list:
+    """Record each call of ``_Machine._finish``: True when it decided the
+    continuation, False when it expanded it."""
+    calls = []
+    expanded = []
+    expand, finish = _Machine._expand_opponent, _Machine._finish
+
+    def spy_expand(self, node, *args):
+        expanded.append(node)
+        return expand(self, node, *args)
+
+    def spy_finish(self, node, *args):
+        before = len(expanded)
+        try:
+            finish(self, node, *args)
+        finally:
+            calls.append(len(expanded) == before)
+
+    monkeypatch.setattr(_Machine, "_expand_opponent", spy_expand)
+    monkeypatch.setattr(_Machine, "_finish", spy_finish)
+    return calls
+
+
+def _outcome(report) -> tuple:
+    """Everything a report says but its time."""
+    return report.verified, report.lines_checked, report.max_depth, report.counterexample
+
+
+def test_without_finishing_the_expanded_lines_come_back(monkeypatch):
+    """Differential gate: with every finishing continuation expanded,
+    g3-split explores its 130,807 lines again, at depth 28; the other
+    targets do not move, and every mutant fails with the same kind, moves,
+    detail, lines and depth.  On g3-split the rule meets 3,417 pendant
+    continuations and decides each of them, counted as one line instead
+    of the node and a claim per reply; none falls back to the expansion."""
+    calls = _finish_calls(monkeypatch)
+    board, tree = _pentagon_targets()["g3-split"]
+    report = verify_maker_strategy(board, tree)
+    assert (report.lines_checked, report.max_depth) == (76_832, 28)
+    assert (calls.count(True), calls.count(False)) == (3_417, 0)
+    pruned = [verify_maker_strategy(board, tree) for _name, board, tree in named_mutations()]
+    _finish_off(monkeypatch)
+    want = {
+        "gamma": (3_865, 20),
+        "gamma-prime": (41_398, 28),
+        "g4": (49_405, 33),
+        "g3-split": (130_807, 28),
+    }
+    for name, (board, tree) in _pentagon_targets().items():
+        slow = verify_maker_strategy(board, tree)
+        assert slow.verified, name
+        assert (slow.lines_checked, slow.max_depth) == want[name], name
+    for (name, board, tree), fast in zip(named_mutations(), pruned):
+        slow = verify_maker_strategy(board, tree)
+        assert _outcome(fast) == _outcome(slow), name
+
+
+def _two_finishes(relevance=None):
+    """A board where Maker holds real 0 and completes {0, 1} or {0, 4}
+    on a layer, after which either pendant 2 or 3 wins, and a script
+    that plays it, as (real board, layer, script).  The continuation's
+    ``Respond`` carries ``relevance``.
+
+    After Breaker 1, Maker's 4 completes {0, 4} with both pendants free.
+    After Breaker 2, Maker's 1 completes {0, 1} with only 3 free, and
+    Breaker's 3 leaves the continuation no vertex to claim."""
+    h = Hypergraph(7, [(0, 1, 2), (0, 1, 3), (0, 4, 2), (0, 4, 3), (5, 6)])
+    finish = Respond((), ClaimFirstFree((2, 3)), relevance)
+    layer = Layer(
+        name="finishes",
+        board=Hypergraph(3, [(0, 1), (0, 2)]),
+        embed=(0, 1, 4),
+        on_win={0: finish, 1: finish},
+    )
+    script = Claim(0, Respond(((ReplyClass("one", frozenset((1,))), Claim(2)),), Claim(1)))
+    return h, layer, script
+
+
+_ONE_FREE_PENDANT = Counterexample(
+    "occupied_claim",
+    (("maker", 0), ("breaker", 2), ("maker", 1), ("breaker", 3)),
+    "no free vertex among (2, 3)",
+)
+
+
+def test_a_continuation_with_one_free_vertex_is_expanded(monkeypatch):
+    """A finishing continuation on the root stack is decided while both
+    of its vertices are free, and expanded once one is taken, so the line
+    on which Breaker then takes the other fails as it does with the rule
+    off."""
+    h, layer, script = _two_finishes()
+    tree = StrategyTree(h, Side.A, EnterLayer(layer, script))
+    calls = _finish_calls(monkeypatch)
+    fast = verify_maker_strategy(h, tree)
+    assert calls == [True, False]
+    _finish_off(monkeypatch)
+    slow = verify_maker_strategy(h, tree)
+    assert fast.counterexample == slow.counterexample == _ONE_FREE_PENDANT
+    assert fast.max_depth == slow.max_depth
+
+
+@pytest.mark.parametrize("relevance", [1 << 7, -1], ids=["board-7", "board-neg"])
+def test_a_continuation_with_relevance_off_the_board_is_expanded(relevance):
+    """A continuation whose relevance names a vertex off the board is not
+    finishing: it fails as ill-formed on the first line that reaches it,
+    although both of its vertices are free there."""
+    h, layer, script = _two_finishes(relevance)
+    report = verify_maker_strategy(h, StrategyTree(h, Side.A, EnterLayer(layer, script)))
+    assert report.counterexample == Counterexample(
+        "ill_formed",
+        (("maker", 0), ("breaker", 1), ("maker", 4)),
+        "node relevance leaves the board",
+    )
+
+
+@pytest.mark.parametrize("answers", [{}, {5: 6, 6: 5}], ids=["plain", "answers"])
+def test_a_continuation_off_the_root_stack_is_never_decided(monkeypatch, answers):
+    """Under an outer layer over the whole real board, the same
+    continuations run on the outer layer's stack, where an answer may give
+    the opponent a second move before Maker claims, so none is decided and
+    every count is the expansion's."""
+    h, layer, script = _two_finishes()
+    outer = Layer(
+        name="outer",
+        board=h,
+        embed=tuple(range(7)),
+        win_edges={e: e for e in range(5)},
+        answers=answers,
+    )
+    tree = StrategyTree(h, Side.A, EnterLayer(outer, EnterLayer(layer, script)))
+    calls = _finish_calls(monkeypatch)
+    fast = verify_maker_strategy(h, tree)
+    assert calls == []
+    assert fast.counterexample == _ONE_FREE_PENDANT
+    _finish_off(monkeypatch)
+    assert _outcome(fast) == _outcome(verify_maker_strategy(h, tree))
+
+
+def test_finishing_keeps_every_line_on_random_split_boards(monkeypatch):
+    """On random pendant splits (the scripts of the dead-pair comparison),
+    deciding finishing continuations keeps the verdict, the counterexample
+    and the depth, and it decides some."""
+    decided = []
+
+    @_SPLIT_SETTINGS
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        h = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
+        root = _random_maker_node(rng, list(range(h.vertex_count)), rng.randint(1, 2))
+        first = rng.choice((Side.A, Side.B))
+        if first is Side.B:
+            root = Respond((), root)
+        tree = lift_split(StrategyTree(h, first, root), h)
+        calls = _finish_calls(monkeypatch)
+        fast = verify_maker_strategy(tree.board, tree)
+        _finish_off(monkeypatch)
+        slow = verify_maker_strategy(tree.board, tree)
+        assert fast.verified == slow.verified
+        assert fast.counterexample == slow.counterexample
+        assert fast.max_depth == slow.max_depth
+        decided.append(any(calls))
+
+    check()
+    assert any(decided)
