@@ -65,8 +65,8 @@ from posgames.strategy import (
     verify_maker_strategy,
 )
 from posgames.strategy import verifier
-from posgames.strategy.nodes import _relabel
 from posgames.strategy.lifts import _block_mask
+from posgames.strategy.nodes import _relabel
 from posgames.strategy.verifier import (
     _bw_after,
     _bw_claims,
@@ -1255,9 +1255,9 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     ``opening-class-gap``.  The gate refuses only symmetry, so g3-split,
     which has no stone-free node, keeps the dead-pair rule and the
     decided finishing continuations, and its 76,832 lines (130,807
-    without the second rule, 256,247 without both).  gamma-prime took 212,418 lines and
-    g4 233,530 while a gadget move whose tip is taken counted as a move on
-    a fallback x-vertex rather than as a pass (see
+    without the second rule, 256,247 without both).  gamma-prime took
+    212,418 lines and g4 233,530 while a gadget move whose tip is taken
+    counted as a move on a fallback x-vertex rather than as a pass (see
     ``test_verifier_counters_are_pinned``)."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
@@ -1874,6 +1874,19 @@ def _random_maker_node(rng: random.Random, free: list, depth: int):
     return claim(Respond((), _random_maker_node(rng, free, depth - 1)))
 
 
+def _random_split_tree(seed: int) -> StrategyTree:
+    """A random small board's script of two or three levels of claims,
+    defaultful ``Respond`` nodes and bounded wins, for either first
+    mover, lifted to the board's pendant split."""
+    rng = random.Random(seed)
+    h = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
+    root = _random_maker_node(rng, list(range(h.vertex_count)), rng.randint(1, 2))
+    first = rng.choice((Side.A, Side.B))
+    if first is Side.B:
+        root = Respond((), root)
+    return lift_split(StrategyTree(h, first, root), h)
+
+
 _SPLIT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
@@ -1887,13 +1900,7 @@ def test_dead_pairs_keep_every_verdict_on_random_split_boards(monkeypatch):
     @_SPLIT_SETTINGS
     @given(st.integers(0, 2**32 - 1))
     def check(seed):
-        rng = random.Random(seed)
-        h = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
-        root = _random_maker_node(rng, list(range(h.vertex_count)), rng.randint(1, 2))
-        first = rng.choice((Side.A, Side.B))
-        if first is Side.B:
-            root = Respond((), root)
-        tree = lift_split(StrategyTree(h, first, root), h)
+        tree = _random_split_tree(seed)
         calls = _drops(monkeypatch)
         fast = verify_maker_strategy(tree.board, tree)
         _rule_off(monkeypatch)
@@ -2365,13 +2372,7 @@ def test_finishing_keeps_every_line_on_random_split_boards(monkeypatch):
     @_SPLIT_SETTINGS
     @given(st.integers(0, 2**32 - 1))
     def check(seed):
-        rng = random.Random(seed)
-        h = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
-        root = _random_maker_node(rng, list(range(h.vertex_count)), rng.randint(1, 2))
-        first = rng.choice((Side.A, Side.B))
-        if first is Side.B:
-            root = Respond((), root)
-        tree = lift_split(StrategyTree(h, first, root), h)
+        tree = _random_split_tree(seed)
         calls = _finish_calls(monkeypatch)
         fast = verify_maker_strategy(tree.board, tree)
         _finish_off(monkeypatch)
