@@ -81,16 +81,18 @@ coordinates its branches name, not from every real vertex (see
 vertex, its real vertex, the bit it sets in each layer's Maker mask, the
 real edges through it and the ``on_win`` edges through its coordinate on
 each layer, so a Maker claim walks no embedding or incidence list.  Every
-Maker claim goes through ``_Machine._claim`` with such an entry.  A
-layer's answer does too, with the root stack's entry for its real
-vertex, which has no claim bits and no ``on_win`` edges, so an answer
-marks no layer and fires no ``on_win`` continuation.  The last is the
-bounded-win table, per Maker mask and move budget k: the relevance of a
-bounded-win state, which bounds its memo key (the layers' fixed
-relevance, the members of each dynamic group whose home the mask holds,
-and the real image of every edge within k claims), and, per edge within
-reach, the needed vertices as a mask, from which the claims are ordered
-by distance to a win, then by vertex.
+Maker claim goes through ``_Machine._claim`` with such an entry, every
+opponent turn starts at ``_Machine._expand_opponent`` and every opponent
+move is played by ``_Machine._reply``.  A layer's answer is a claim
+too, with the root stack's entry for its real vertex, which has no claim
+bits and no ``on_win`` edges, so an answer marks no layer and fires no
+``on_win`` continuation.  The last is the bounded-win table, per Maker
+mask and move budget k: the relevance of a bounded-win state, which
+bounds its memo key (the layers' fixed relevance, the members of each
+dynamic group whose home the mask holds, and the real image of every
+edge within k claims), and, per edge within reach, the needed vertices
+as a mask, from which the claims are ordered by distance to a win, then
+by vertex.
 
 Sibling layers entered from the real board may share memo successes.  When
 a layer is entered beside an earlier one on the same board, the verifier
@@ -941,7 +943,7 @@ class _Machine:
         owning layer's parent context, and otherwise proceeds to ``then`` at
         the opponent's turn.  An entry without claim bits, the root
         stack's, leaves ``masks`` as they are: that is how a layer's answer
-        comes here (see ``_answer_reply``).
+        comes here (see ``_reply``).
         """
         rv, bits, edges, wins = entry
         if (ra | rb) >> rv & 1:
@@ -964,31 +966,16 @@ class _Machine:
                     return
             for i, mask, cont, outer in wins:
                 if mask & ~masks[i][0] == 0:
-                    self._opponent_turn(cont, outer, masks[:i], ra_new, rb)
+                    self._expand_opponent(cont, outer, masks[:i], ra_new, rb)
                     return
             if then is None:
                 self._fail(
                     "leaf_without_win",
                     f"leaf claims vertex {rv} without completing an edge",
                 )
-            self._opponent_turn(then, stack, masks, ra_new, rb)
+            self._expand_opponent(then, stack, masks, ra_new, rb)
         finally:
             path.pop()
-
-    def _opponent_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
-        if isinstance(node, EnterLayer):
-            node, stack, masks = self._enter(node, stack, masks)
-        if isinstance(node, Respond) or isinstance(node, _BWAfter):
-            self._expand_opponent(node, stack, masks, ra, rb)
-        elif type(node) is _Finish:
-            self._finish(node, stack, masks, ra, rb)
-        elif node is None:
-            self._fail("leaf_without_win", "strategy ends while the game is open")
-        else:
-            self._fail(
-                "ill_formed",
-                f"{type(node).__name__} node reached at the opponent's turn",
-            )
 
     def _finish(self, node: _Finish, stack: _Stack, masks: tuple, ra: int, rb: int):
         """Decide a finishing ``on_win`` continuation on the root stack
@@ -1006,7 +993,8 @@ class _Machine:
         self._expand_opponent(node.cont, stack, masks, ra, rb)
 
     def _maker_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
-        node, stack, masks = self._enter(node, stack, masks)
+        if isinstance(node, EnterLayer):
+            node, stack, masks = self._enter(node, stack, masks)
         if isinstance(node, Claim):
             v = node.vertex
             entry = stack.claims.get(v) or self._claim_entry(stack, v)
@@ -1059,6 +1047,21 @@ class _Machine:
     # opponent expansion
 
     def _expand_opponent(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
+        """The opponent's turn at ``node``, the one entry to it: after a run
+        of ``EnterLayer`` nodes, a ``_Finish`` goes to ``_finish``, and at a
+        ``Respond`` or ``_BWAfter`` node each reply goes to ``_reply``."""
+        if isinstance(node, EnterLayer):
+            node, stack, masks = self._enter(node, stack, masks)
+        if type(node) is _Finish:
+            self._finish(node, stack, masks, ra, rb)
+            return
+        if not isinstance(node, (Respond, _BWAfter)):
+            if node is None:
+                self._fail("leaf_without_win", "strategy ends while the game is open")
+            self._fail(
+                "ill_formed",
+                f"{type(node).__name__} node reached at the opponent's turn",
+            )
         unclaimed = self.full & ~(ra | rb)
         if unclaimed == 0:
             self._fail("leaf_without_win", "board exhausted before Maker won")
@@ -1197,74 +1200,61 @@ class _Machine:
         return perms
 
     def _reply(self, node, stack: _Stack, masks: tuple, ra: int, rb: int, v: int, entry):
-        kind = entry[0]
-        rb2 = rb | (1 << v)
-        self.path.append(("breaker", v))
-        if len(self.path) > self.max_depth:
-            self.max_depth = len(self.path)
+        """Play the opponent's move on real vertex ``v`` at ``node``, the
+        one place an opponent move joins the line.  ``entry`` is ``v``'s
+        entry in ``stack.table``; a ``dyn`` entry is resolved at ``masks``.
+        A layer's answer is a Maker claim through ``_claim`` that goes back
+        to ``node`` (see the module docstring), or a pass once it is taken.
+        """
+        path = self.path
+        path.append(("breaker", v))
+        if len(path) > self.max_depth:
+            self.max_depth = len(path)
         try:
-            if len(self.path) > _LINE_LIMIT:
+            if len(path) > _LINE_LIMIT:
                 self._fail("ill_formed", f"line exceeds {_LINE_LIMIT} real moves")
+            rb |= 1 << v
+            kind = entry[0]
             if kind == "dyn":
                 entry = _resolve_dyn(masks, entry)
-                self._resolved_reply(node, stack, masks, ra, rb2, entry)
-            elif kind == "answer":
-                self._answer_reply(node, stack, masks, ra, rb2, entry)
-            else:
-                self._resolved_reply(node, stack, masks, ra, rb2, entry)
-        finally:
-            self.path.pop()
-
-    def _apply_effects(self, masks: tuple, effects) -> tuple:
-        if not effects:
-            return masks
-        new = list(masks)
-        for fi, coord in effects:
-            va, vb = new[fi]
-            new[fi] = (va, vb | (1 << coord))
-        return tuple(new)
-
-    def _answer_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
-        """Play a layer's answer to the opponent's move, an ``answer``
-        entry of ``stack.table``: a pass when the answer is taken, else a
-        Maker claim through ``_claim`` that goes back to ``node``.
-
-        The answer is a claim on the real board only.  Its entry is the
-        root stack's, which sets no bit in any layer's Maker mask and lists
-        no ``on_win`` edge, so it marks no layer and fires no continuation.
-        """
-        ans = entry[1]
-        masks2 = self._apply_effects(masks, entry[2])
-        if (ra | rb2) >> ans & 1:
-            self._resolved_reply(node, stack, masks2, ra, rb2, ("pass", ()))
-            return
-        claim = self.root.claims.get(ans) or self._claim_entry(self.root, ans)
-        self._claim(claim, stack, masks2, ra, rb2, node)
-
-    def _resolved_reply(self, node, stack: _Stack, masks: tuple, ra: int, rb2: int, entry):
-        masks2 = self._apply_effects(masks, entry[-1])
-        if type(node) is _BWAfter:
-            self._expand_bw(node.k, stack, masks2, ra, rb2)
-            return
-        child = node.default
-        if entry[0] == "vertex":
-            branch = self._branch_map(node).get(entry[1])
-            if branch is not None:
-                child = node.branches[branch][1]
-        if child is None:
-            if entry[0] == "vertex":
+                kind = entry[0]
+            if entry[-1]:
+                new = list(masks)
+                for fi, coord in entry[-1]:
+                    va, vb = new[fi]
+                    new[fi] = (va, vb | 1 << coord)
+                masks = tuple(new)
+            if kind == "answer":
+                ans = entry[1]
+                if not (ra | rb) >> ans & 1:
+                    claim = self.root.claims.get(ans) or self._claim_entry(self.root, ans)
+                    self._claim(claim, stack, masks, ra, rb, node)
+                    return
+                kind = "pass"
+            if type(node) is _BWAfter:
+                self._expand_bw(node.k, stack, masks, ra, rb)
+                return
+            child = node.default
+            if kind == "vertex":
+                branch = self._branch_map(node).get(entry[1])
+                if branch is not None:
+                    child = node.branches[branch][1]
+            if child is None:
+                if kind == "vertex":
+                    self._fail(
+                        "uncovered_reply",
+                        f"reply {entry[1]} matches no reply class and there is no default",
+                    )
                 self._fail(
                     "uncovered_reply",
-                    f"reply {entry[1]} matches no reply class and there is no default",
+                    f"real reply {v} is a pass and there is no default",
                 )
-            self._fail(
-                "uncovered_reply",
-                f"real reply {self.path[-1][1]} is a pass and there is no default",
-            )
-        if isinstance(child, BoundedWin):
-            self._expand_bw(child.k, stack, masks2, ra, rb2)
-        else:
-            self._maker_turn(child, stack, masks2, ra, rb2)
+            if isinstance(child, BoundedWin):
+                self._expand_bw(child.k, stack, masks, ra, rb)
+            else:
+                self._maker_turn(child, stack, masks, ra, rb)
+        finally:
+            path.pop()
 
     # ------------------------------------------------------------------
     # bounded-win search
@@ -1549,7 +1539,7 @@ def verify_maker_strategy(h: Hypergraph, s: StrategyTree) -> VerificationReport:
         if s.first_mover is Side.A:
             machine._maker_turn(s.root, machine.root, (), 0, 0)
         else:
-            machine._opponent_turn(s.root, machine.root, (), 0, 0)
+            machine._expand_opponent(s.root, machine.root, (), 0, 0)
         verified, cex = True, None
     except _Fail as fail:
         verified, cex = False, fail.cex

@@ -763,6 +763,24 @@ def test_an_answered_move_past_the_line_limit_is_ill_formed():
     assert report.max_depth == 201
 
 
+def test_an_opponent_move_past_the_line_limit_is_ill_formed():
+    """The opponent's move counts against the line limit like Maker's: the
+    opponent moves first and takes the lowest free vertex, Maker claims
+    1, 3, ..., 199, and the opponent's reply on 200 is the 201st move."""
+    odds = tuple(range(1, 200, 2))
+    h = Hypergraph(202, [odds + (200,), odds + (201,)])
+    node = Respond((), ClaimFirstFree((200, 201)), 0)
+    for v in reversed(odds):
+        # relevance 0: one reply per node, the lowest free vertex
+        node = Respond((), Claim(v, node), 0)
+    report = verify_maker_strategy(h, StrategyTree(h, Side.B, node))
+    cex = report.counterexample
+    assert (cex.kind, cex.detail) == ("ill_formed", "line exceeds 200 real moves")
+    assert len(cex.moves) == 201
+    assert cex.moves[-2:] == (("maker", 199), ("breaker", 200))
+    assert report.max_depth == 201
+
+
 def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
     """A move on a dynamic group's member counts as the group's home while
     the home is free.  When the opponent later plays the home's own real
@@ -813,6 +831,61 @@ def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
         ("maker", 2), ("breaker", 8), ("maker", 3), ("breaker", 1),
         ("maker", 4), ("breaker", 6), ("maker", 0),
     )
+
+
+def _held_home() -> tuple[Hypergraph, StrategyTree]:
+    """A board on which Maker's first claim takes a dynamic group's home,
+    so that a later move on either member is a pass, and a script whose
+    continuations then claim member 5.
+
+    The layer copies real 0..3 as the star {0, 1}, {0, 2}, {0, 3} and
+    groups real 4 and 5 at home 0.  Maker answers a move on tip i with a
+    claim of the next tip (1, 2, 3, 1), and a pass with a claim of 1.
+    Each virtual edge {0, i} continues on the real board with a claim of
+    5, or of the next tip when the opponent takes 5: the real edges are
+    {0, i, 5} and {0, i, next tip}."""
+    h = Hypergraph(6, [(0, 1, 5), (0, 1, 2), (0, 2, 5), (0, 2, 3), (0, 3, 5), (0, 1, 3)])
+
+    def cont(tip: int):
+        return Respond(((ReplyClass("five", frozenset((5,))), Claim(tip)),), Claim(5))
+
+    layer = Layer(
+        name="star",
+        board=Hypergraph(4, [(0, 1), (0, 2), (0, 3)]),
+        embed=(0, 1, 2, 3),
+        on_win={0: cont(2), 1: cont(3), 2: cont(1)},
+        dynamic_groups={4: 0, 5: 0},
+    )
+    tips = tuple(
+        (ReplyClass(f"tip-{i}", frozenset((i,))), Claim(i % 3 + 1)) for i in (1, 2, 3)
+    )
+    return h, StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, Respond(tips, Claim(1)))))
+
+
+def test_members_of_a_held_home_are_relevant(monkeypatch):
+    """Once Maker holds a dynamic group's home, a move on a member is a
+    pass, but which member the opponent took can matter later, so the
+    members join the relevance of a ``Respond`` node.  Here a pass on 5
+    leaves the continuation of Maker's default claim of 1, which claims 5,
+    nothing to win by; a pass on 4 does not.  Without the members, 4 and 5
+    are one reply class, only 4 is played, and the broken script
+    verifies."""
+    h, tree = _held_home()
+    assert verify_maker_strategy(h, tree).counterexample == Counterexample(
+        "occupied_claim",
+        (("maker", 0), ("breaker", 5), ("maker", 1), ("breaker", 2)),
+        "strategy claims occupied vertex 5",
+    )
+    relevance = _Machine._relevance
+
+    def without_members(self, node, stack, masks):
+        if stack.homes:
+            va, vb = masks[-1]
+            masks = masks[:-1] + ((va & ~stack.homes, vb),)
+        return relevance(self, node, stack, masks)
+
+    monkeypatch.setattr(_Machine, "_relevance", without_members)
+    assert verify_maker_strategy(h, tree).verified
 
 
 def test_line_limit_failure_leaves_no_unplayed_move():
@@ -1448,6 +1521,46 @@ def test_a_board_the_layer_hides_refuses_its_symmetry():
     cex = verify_maker_strategy(h, s).counterexample
     assert cex.kind == "leaf_without_win"
     assert cex.moves == (("breaker", 2), ("maker", 1), ("breaker", 0), ("maker", 3))
+
+
+def test_a_breaker_stone_under_a_fresh_layer_refuses_its_rotation():
+    """An opponent stone on a vertex that a layer embeds, played before
+    the layer is entered, is no stone on the layer's board, but a symmetry
+    that moves it is still refused at the layer's stone-free node.
+
+    Maker holds 4 and 5 and wins by any of 0..3.  The opponent took real
+    0 before the layer copied 0..3 as the edges {0, 1}, {0, 2}, {1, 3},
+    whose one symmetry swaps 0 with 1 and 2 with 3.  The script answers 2
+    with a claim of 1 and 3 with its image under the swap, a claim of the
+    taken 0.  The swap fixes Maker's stones, every layer's claim masks
+    and the real board once Maker's stones are off, so only the opponent's
+    stone on 0 refuses it, and the reply on 3 is searched and fails."""
+    h = Hypergraph(7, [(4, k, i) for k in (5, 6) for i in range(4)])
+    layer = Layer(name="swap", board=Hypergraph(4, [(0, 1), (0, 2), (1, 3)]), embed=(0, 1, 2, 3))
+    replies = tuple(
+        (ReplyClass(f"r{c}", frozenset((c,))), Claim(v)) for c, v in ((1, 2), (2, 1), (3, 0))
+    )
+    inner = EnterLayer(layer, Respond(replies, Claim(1)))
+    fork = Respond((), ClaimFirstFree((0, 1, 2, 3)))
+    opening = Respond(
+        (
+            (ReplyClass("zero", frozenset((0,))), Claim(5, inner)),
+            (ReplyClass("five", frozenset((5,))), Claim(6, fork)),
+        ),
+        Claim(5, fork),
+    )
+    tree = StrategyTree(h, Side.A, Claim(4, opening))
+    machine, stack, masks = _stone_free(h, tree, inner)
+    maker = 1 << 4 | 1 << 5
+    perms = machine._accept(stack, [1, 0, 3, 2], masks, maker, 0)
+    assert perms is not None
+    assert not _fits_state(stack, perms, h.edge_masks, masks, maker, 1 << 0)
+    report = verify_maker_strategy(h, tree)
+    assert report.counterexample == Counterexample(
+        "occupied_claim",
+        (("maker", 4), ("breaker", 0), ("maker", 5), ("breaker", 3)),
+        "strategy claims occupied vertex 0",
+    )
 
 
 def test_a_defect_in_one_rotated_case_is_searched():
@@ -2363,24 +2476,73 @@ def test_a_continuation_off_the_root_stack_is_never_decided(monkeypatch, answers
     assert _outcome(fast) == _outcome(verify_maker_strategy(h, tree))
 
 
-def test_finishing_keeps_every_line_on_random_split_boards(monkeypatch):
-    """On random pendant splits (the scripts of the dead-pair comparison),
-    deciding finishing continuations keeps the verdict, the counterexample
-    and the depth, and it decides some."""
-    decided = []
+def _check_finishing(make_tree) -> list:
+    """Check, on the scripts ``make_tree`` draws from a seed, that deciding
+    finishing continuations keeps the verdict, the counterexample and the
+    depth of expanding them; return each script's ``_finish_calls``."""
+    records = []
 
     @_SPLIT_SETTINGS
     @given(st.integers(0, 2**32 - 1))
     def check(seed):
-        tree = _random_split_tree(seed)
-        calls = _finish_calls(monkeypatch)
-        fast = verify_maker_strategy(tree.board, tree)
-        _finish_off(monkeypatch)
-        slow = verify_maker_strategy(tree.board, tree)
+        tree = make_tree(seed)
+        # a fresh patch per script, so that each fast run has the rule on
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _finish_calls(patch)
+            fast = verify_maker_strategy(tree.board, tree)
+            _finish_off(patch)
+            slow = verify_maker_strategy(tree.board, tree)
         assert fast.verified == slow.verified
         assert fast.counterexample == slow.counterexample
         assert fast.max_depth == slow.max_depth
-        decided.append(any(calls))
+        records.append(calls)
 
     check()
-    assert any(decided)
+    return records
+
+
+def test_finishing_keeps_every_line_on_random_split_boards():
+    """On random pendant splits (the scripts of the dead-pair comparison),
+    deciding finishing continuations keeps the verdict, the counterexample
+    and the depth, and it decides some."""
+    records = _check_finishing(_random_split_tree)
+    assert any(True in calls for calls in records)
+
+
+def _random_layered_tree(seed: int) -> StrategyTree:
+    """A random small board's script, drawn as ``_random_split_tree``
+    draws it, on a layer that copies the board into a real board with two
+    to four more vertices.  Each virtual edge continues with a
+    ``ClaimFirstFree`` over some of the added vertices, and its image
+    with each of some of them is a real edge, so the continuation
+    finishes when each vertex it may claim is one of those.  The
+    opponent's move on an added vertex is a pass, so a continuation may
+    start with one of its vertices taken."""
+    rng = random.Random(seed)
+    base = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
+    n = base.vertex_count
+    added = range(n, n + rng.randint(2, 4))
+    edges = set()
+    on_win = {}
+    for e, edge in enumerate(base.edges):
+        edges.update(edge + (x,) for x in rng.sample(added, rng.randint(1, len(added))))
+        claims = tuple(rng.sample(added, rng.randint(1, len(added))))
+        on_win[e] = Respond((), ClaimFirstFree(claims))
+    h = Hypergraph(n + len(added), sorted(edges))
+    layer = Layer(name="random", board=base, embed=tuple(range(n)), on_win=on_win)
+    root = _random_maker_node(rng, list(range(n)), rng.randint(1, 2))
+    first = rng.choice((Side.A, Side.B))
+    if first is Side.B:
+        root = Respond((), root)
+    return StrategyTree(h, first, EnterLayer(layer, root))
+
+
+def test_finishing_keeps_every_line_on_random_layered_boards():
+    """On random layered boards whose continuations claim from free real
+    vertices and nothing is answered, deciding finishing continuations
+    keeps the verdict, the counterexample and the depth.  Some
+    continuations are decided, and some are expanded because at most one
+    of their vertices is free."""
+    records = _check_finishing(_random_layered_tree)
+    assert any(True in calls for calls in records)
+    assert any(False in calls for calls in records)
