@@ -833,17 +833,20 @@ def test_reply_onto_a_taken_coordinate_follows_its_reply_class():
     )
 
 
-def _held_home() -> tuple[Hypergraph, StrategyTree]:
-    """A board on which Maker's first claim takes a dynamic group's home,
-    so that a later move on either member is a pass, and a script whose
-    continuations then claim member 5.
+def test_members_of_a_held_home_are_relevant(monkeypatch):
+    """Once Maker holds a dynamic group's home, a move on a member is a
+    pass, but which member the opponent took can matter later, so the
+    members join the relevance of a ``Respond`` node.
 
     The layer copies real 0..3 as the star {0, 1}, {0, 2}, {0, 3} and
-    groups real 4 and 5 at home 0.  Maker answers a move on tip i with a
-    claim of the next tip (1, 2, 3, 1), and a pass with a claim of 1.
-    Each virtual edge {0, i} continues on the real board with a claim of
-    5, or of the next tip when the opponent takes 5: the real edges are
-    {0, i, 5} and {0, i, next tip}."""
+    groups real 4 and 5 at home 0, which Maker claims first.  Maker
+    answers a move on tip i with a claim of the next tip (1, 2, 3, 1), and
+    a pass with a claim of 1.  Each virtual edge {0, i} continues on the
+    real board with a claim of 5, or of the next tip when the opponent
+    takes 5: the real edges are {0, i, 5} and {0, i, next tip}.  So a
+    pass on 5 leaves the continuation nothing to win by, and a pass on 4
+    does not.  Without the members, 4 and 5 are one reply class, only 4
+    is played, and the broken script verifies."""
     h = Hypergraph(6, [(0, 1, 5), (0, 1, 2), (0, 2, 5), (0, 2, 3), (0, 3, 5), (0, 1, 3)])
 
     def cont(tip: int):
@@ -859,18 +862,8 @@ def _held_home() -> tuple[Hypergraph, StrategyTree]:
     tips = tuple(
         (ReplyClass(f"tip-{i}", frozenset((i,))), Claim(i % 3 + 1)) for i in (1, 2, 3)
     )
-    return h, StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, Respond(tips, Claim(1)))))
-
-
-def test_members_of_a_held_home_are_relevant(monkeypatch):
-    """Once Maker holds a dynamic group's home, a move on a member is a
-    pass, but which member the opponent took can matter later, so the
-    members join the relevance of a ``Respond`` node.  Here a pass on 5
-    leaves the continuation of Maker's default claim of 1, which claims 5,
-    nothing to win by; a pass on 4 does not.  Without the members, 4 and 5
-    are one reply class, only 4 is played, and the broken script
-    verifies."""
-    h, tree = _held_home()
+    root = EnterLayer(layer, Claim(0, Respond(tips, Claim(1))))
+    tree = StrategyTree(h, Side.A, root)
     assert verify_maker_strategy(h, tree).counterexample == Counterexample(
         "occupied_claim",
         (("maker", 0), ("breaker", 5), ("maker", 1), ("breaker", 2)),
