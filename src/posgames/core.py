@@ -35,7 +35,6 @@ __all__ = [
     "permute_hypergraph",
     "is_automorphism",
     "automorphism_generators",
-    "transversal",
     "mask_orbits",
     "load_hypergraph",
     "save_hypergraph",
@@ -416,24 +415,6 @@ def automorphism_generators(h: Hypergraph) -> list[list[int]]:
             else:
                 known.append(v)
     return gens
-
-
-def transversal(gens: Sequence[Sequence[int]], v: int, n: int) -> dict[int, list[int]]:
-    """A Schreier transversal of ``v``'s orbit under the group generated by
-    the permutations ``gens`` of ``range(n)`` (Seress, *Permutation Group
-    Algorithms*, 2003), built breadth first: each vertex of the orbit maps
-    to a product of generators that carries ``v`` onto it, ``v`` itself to
-    the identity."""
-    reps = {v: list(range(n))}
-    queue = [v]
-    for u in queue:
-        rep = reps[u]
-        for g in gens:
-            w = g[u]
-            if w not in reps:
-                reps[w] = [g[x] for x in rep]
-                queue.append(w)
-    return reps
 
 
 def mask_orbits(

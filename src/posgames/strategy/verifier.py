@@ -116,22 +116,21 @@ Breaker-first script, or the first opponent turn in a freshly entered
 layer) the replies are still explored in ascending order, but a reply w
 is skipped when a derived permutation σ maps a reply u that is known to
 succeed onto w and w's child is the σ-image of u's, reply classes compared
-by vertex set (see ``_Machine._expand_stone_free``).  σ is the candidate
-that maps the coordinate u dispatches on onto w's in a Schreier
-transversal (``core.transversal``) of u's coordinate under the innermost
-board's ``core.automorphism_generators``, lifted through each layer's
+by vertex set (see ``_Machine._expand_stone_free``).  σ is one of the
+innermost board's ``core.automorphism_generators`` that maps the
+coordinate u dispatches on onto w's, lifted through each layer's
 embedding and the member order of its dynamic groups, and fixing every
-other vertex.  The candidate is not trusted: σ is used only if
-``core.is_automorphism`` confirms it is an automorphism of the innermost
-board, it maps u onto w
-on the real board, fixes the real and every layer's claim masks, is an
-automorphism of the real board once the state's Maker stones are taken
-off every edge, and maps the stack's resolution table (which names each
-group member's home), fixed relevance, ``win_edges`` and ``on_win``
-continuations onto themselves (see ``_Machine._accept``).  This is sound
-by monotonicity: an extra Maker stone never hurts Maker, so an edge is
-won once its vertices outside Maker's stones are claimed, and a residual
-automorphism that fixes the state maps every line after u, and every win
+other vertex.  A skipped w counts as a succeeded reply too, so a chain
+of generators covers a whole orbit.  The candidate is not trusted: σ is
+used only if ``core.is_automorphism`` confirms it is an automorphism of
+the innermost board, it maps u onto w on the real board, fixes the real
+and every layer's claim masks, is an automorphism of the real board once
+the state's Maker stones are taken off every edge, and maps the stack's
+resolution table (which names each group member's home), fixed
+relevance, ``win_edges`` and ``on_win`` continuations onto themselves
+(see ``_Machine._accept``).  This is sound by monotonicity: an extra
+Maker stone never hurts Maker, so an edge is won once its vertices
+outside Maker's stones are claimed, and a residual automorphism that fixes the state maps every line after u, and every win
 on it, onto a line after w and a win on it.  Every rule the verifier
 applies commutes with σ, because σ maps its tables and both scripts onto
 themselves.  That includes a group member's resolution: the member's
@@ -156,8 +155,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..core import Hypergraph, Side, automorphism_generators, is_automorphism
-from ..core import iter_bits, transversal
+from ..core import Hypergraph, Side, automorphism_generators, is_automorphism, iter_bits
 from .nodes import (
     BoundedWin,
     Claim,
@@ -1108,34 +1106,30 @@ class _Machine:
     def _expand_stone_free(self, node, stack, masks, ra, rb, replies: int):
         """Explore the replies at an opponent node whose innermost board
         holds no stones, in ascending order, skipping each reply ``w`` that
-        a candidate accepted at this node maps a reply ``u`` known to
-        succeed onto.
+        an accepted generator maps a reply ``u`` known to succeed onto.
 
-        The candidate ``g`` that maps the coordinate ``u`` dispatches on
-        onto ``w``'s is the one the transversal of ``u``'s coordinate
-        (``core.transversal``) holds for ``w``'s, and ``_accept`` checks
-        it; a coordinate missing from the transversal lies in another
-        orbit, and the pair gives no candidate.  ``w`` is covered when the
-        lift of an accepted ``g`` maps ``u`` onto ``w`` on the real board
-        and ``w``'s child is the ``g``-image of ``u``'s (``is_conjugate``);
-        ``w`` is then known to succeed as well.  The candidates already
-        accepted are tried first, then the transversal's candidate for
-        ``w`` and each reply in ``done``, in order.  A reply that passes,
-        is answered or reaches no child has no coordinate or child to
-        compare and is always searched.  The innermost board holds no
-        stones, so every dynamic group's home is free and each member
-        dispatches on it.  The board's generators are built at the first
-        transversal, and each coordinate's transversal at its first pair,
-        so a node that fails before then pays nothing for them.
+        The candidates are the innermost board's
+        ``core.automorphism_generators``: a generator ``g`` is one for ``u``
+        and ``w`` when it maps the coordinate ``u`` dispatches on onto
+        ``w``'s, and ``_accept`` checks each generator at most once here.
+        ``w`` is covered when the lift of an accepted ``g`` maps ``u`` onto
+        ``w`` on the real board and ``w``'s child is the ``g``-image of
+        ``u``'s (``is_conjugate``); ``w`` is then known to succeed as well.
+        ``done`` keeps the covered replies beside the searched ones, so a
+        chain of generators covers a whole orbit.  A reply that passes, is
+        answered or reaches no child has no coordinate or child to compare
+        and is always searched.  The innermost board holds no stones, so
+        every dynamic group's home is free and each member dispatches on
+        it.  The generators are built at the first reply with a reply in
+        ``done`` before it, so a node that fails before then pays nothing
+        for them.
         """
         table = stack.table
         board = stack.board
         branch_map = self._branch_map(node)
         gens = None
-        orbits: dict = {}  # coordinate -> its transversal under gens
+        lifts: dict = {}  # index in gens -> its lift if accepted here, else None
         done: dict = {}  # reply known to succeed -> (coordinate, child)
-        tried: dict = {}  # tuple(g) -> its lift if accepted here, else None
-        accepted: list = []  # (lift, inverse of its real permutation)
         for w in iter_bits(replies):
             entry = table[w]
             if entry[0] == "dyn":
@@ -1147,32 +1141,17 @@ class _Machine:
             if child is None:
                 self._reply(node, stack, masks, ra, rb, w, table[w])
                 continue
+            coord = entry[1]
+            if done and gens is None:
+                gens = automorphism_generators(board)
             covered = False
-            for perms, inverse in accepted:
-                got = done.get(inverse[w])
-                if got is not None and is_conjugate(got[1], child, perms[-1], board):
-                    covered = True
-                    break
-            else:
-                for u, (coord, child_u) in done.items():
-                    reps = orbits.get(coord)
-                    if reps is None:
-                        if gens is None:
-                            gens = automorphism_generators(board)
-                        reps = orbits[coord] = transversal(gens, coord, board.vertex_count)
-                    g = reps.get(entry[1])
-                    if g is None:
+            for u, (c, child_u) in done.items():
+                for i, g in enumerate(gens):
+                    if g[c] != coord:
                         continue
-                    key = tuple(g)
-                    if key in tried:
-                        perms = tried[key]
-                    else:
-                        perms = tried[key] = self._accept(stack, g, masks, ra, rb)
-                        if perms is not None:
-                            inverse = [0] * len(perms[0])
-                            for v, image in enumerate(perms[0]):
-                                inverse[image] = v
-                            accepted.append((perms, inverse))
+                    if i not in lifts:
+                        lifts[i] = self._accept(stack, g, masks, ra, rb)
+                    perms = lifts[i]
                     if (
                         perms is not None
                         and perms[0][u] == w
@@ -1180,16 +1159,19 @@ class _Machine:
                     ):
                         covered = True
                         break
+                if covered:
+                    break
             if not covered:
                 self._reply(node, stack, masks, ra, rb, w, table[w])
-            done[w] = (entry[1], child)
+            done[w] = (coord, child)
 
     def _accept(self, stack: _Stack, g, masks: tuple, ra: int, rb: int):
         """The lift of ``g`` (see ``_lift``) if ``g`` is an automorphism of
         ``stack``'s innermost board and the lift passes ``_fits_stack`` and,
         at the state (``masks``, ``ra``, ``rb``), ``_fits_state``, the two
-        checks that also decide copy sharing; else None.  ``g`` comes from
-        a transversal, which is not trusted to hold one."""
+        checks that also decide copy sharing; else None.  ``g`` is one of
+        ``core.automorphism_generators``, checked here again so that the
+        pruning trusts no search."""
         if not is_automorphism(stack.board, g):
             return None
         perms = _lift(stack, g)

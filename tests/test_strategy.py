@@ -39,7 +39,14 @@ from posgames.constructions import (
     gen_gamma_prime,
     split_pendant,
 )
-from posgames.core import Hypergraph, Position, Side, is_automorphism, iter_bits
+from posgames.core import (
+    Hypergraph,
+    Position,
+    Side,
+    automorphism_generators,
+    is_automorphism,
+    iter_bits,
+)
 from posgames.mb import solve_winner
 from posgames.strategy import (
     BoundedWin,
@@ -1374,8 +1381,8 @@ def test_rotation_and_reflection_are_accepted_on_gamma_prime():
 
 
 def test_a_candidate_that_is_no_permutation_is_refused():
-    """A transversal only proposes candidates, so ``_accept``
-    checks that each is an automorphism of the innermost board.  On the
+    """``_accept`` trusts no search for its candidates, so it checks
+    that each is an automorphism of the innermost board.  On the
     edge {0, 1, 2} with 3 and 4 on no edge, sending both 3 and 4 onto one
     of them carries the resolution table and the empty state onto
     themselves, but is no permutation and is refused; swapping 3 and 4 is
@@ -1389,48 +1396,83 @@ def test_a_candidate_that_is_no_permutation_is_refused():
     assert machine._accept(stack, [0, 1, 2, 4, 3], masks, 0, 0) is not None
 
 
+def test_a_generator_whose_lift_misses_the_reply_skips_nothing():
+    """A generator that maps u's coordinate onto w's covers w only if its
+    lift maps u onto w on the real board.
+
+    The layer places real 0..3 at its vertices 0, 1, 3, 2 and sends real
+    0 and 3 to home 0, real 1 and 2 to home 1.  Its board, the real one
+    relabelled, has the one generator (0 1)(2 3), which is accepted and
+    whose lift maps real 0 onto 1 and 3 onto 2.  The script answers home
+    0 with layer vertex 2 (real 3) and home 1 with layer vertex 3 (real
+    2), each completing a single-vertex edge.  Reply 1 is covered by 0.
+    Reply 2 also dispatches on home 1, but its true preimage 3 comes after
+    it, and its answer claims the vertex the opponent just took, so it
+    must be searched and fail."""
+    h = Hypergraph(4, [(2,), (3,), (0, 3), (1, 2)])
+    board = Hypergraph(4, [(2,), (3,), (0, 2), (1, 3)])
+    layer = Layer(
+        name="groups",
+        board=board,
+        embed=(0, 1, 3, 2),
+        dynamic_groups={0: 0, 3: 0, 1: 1, 2: 1},
+    )
+    root = Respond(
+        (
+            (ReplyClass("home-0", frozenset((0,))), Claim(2)),
+            (ReplyClass("home-1", frozenset((1,))), Claim(3)),
+        )
+    )
+    s = StrategyTree(h, Side.B, EnterLayer(layer, root))
+    assert automorphism_generators(board) == [[1, 0, 3, 2]]
+    machine, stack, masks = _stone_free(h, s)
+    assert machine._accept(stack, [1, 0, 3, 2], masks, 0, 0)[0] == [1, 0, 3, 2]
+    report = verify_maker_strategy(h, s)
+    assert report.counterexample == Counterexample(
+        "occupied_claim", (("breaker", 2),), "strategy claims occupied vertex 2"
+    )
+    assert report.lines_checked == 2
+
+
 def test_stone_free_traffic_is_pinned(monkeypatch):
     """Each pentagon target expands one stone-free node, builds the
-    innermost board's generators once and 22 transversals there, and
-    checks 2 distinct candidates, both accepted; g3-split has no
+    innermost board's generators once there, and checks 2 distinct
+    candidates, both generators and both accepted; the 22 Schreier
+    transversals it once built there are gone.  g3-split has no
     stone-free node."""
     counts: dict = {}
-    gens, reps = verifier.automorphism_generators, verifier.transversal
+    gens = verifier.automorphism_generators
     expand, accept = _Machine._expand_stone_free, _Machine._accept
 
     def spy_gens(board):
         counts["gens"] += 1
-        return gens(board)
-
-    def spy_reps(*args):
-        counts["transversals"] += 1
-        return reps(*args)
+        counts["generators"] = gens(board)
+        return counts["generators"]
 
     def spy_expand(self, *state):
         counts["expansions"] += 1
         return expand(self, *state)
 
     def spy_accept(self, stack, g, *state):
+        assert g in counts["generators"]
         perms = accept(self, stack, g, *state)
         counts["candidates"][tuple(g)] = perms is not None
         return perms
 
     monkeypatch.setattr(verifier, "automorphism_generators", spy_gens)
-    monkeypatch.setattr(verifier, "transversal", spy_reps)
     monkeypatch.setattr(_Machine, "_expand_stone_free", spy_expand)
     monkeypatch.setattr(_Machine, "_accept", spy_accept)
     for name, (board, tree) in _pentagon_targets().items():
-        counts.update(expansions=0, gens=0, transversals=0, candidates={})
+        counts.update(expansions=0, gens=0, generators=[], candidates={})
         assert verify_maker_strategy(board, tree).verified, name
         candidates = counts["candidates"]
         got = (
             counts["expansions"],
             counts["gens"],
-            counts["transversals"],
             len(candidates),
             sum(candidates.values()),
         )
-        assert got == ((0, 0, 0, 0, 0) if name == "g3-split" else (1, 1, 22, 2, 2)), name
+        assert got == ((0, 0, 0, 0) if name == "g3-split" else (1, 1, 2, 2)), name
 
 
 def test_copy_rotation_needs_the_switch_to_be_makers():
