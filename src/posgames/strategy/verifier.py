@@ -130,8 +130,9 @@ resolution table (which names each group member's home), fixed
 relevance, ``win_edges`` and ``on_win`` continuations onto themselves
 (see ``_Machine._accept``).  This is sound by monotonicity: an extra
 Maker stone never hurts Maker, so an edge is won once its vertices
-outside Maker's stones are claimed, and a residual automorphism that fixes the state maps every line after u, and every win
-on it, onto a line after w and a win on it.  Every rule the verifier
+outside Maker's stones are claimed, and a residual automorphism that
+fixes the state maps every line after u, and every win on it, onto a
+line after w and a win on it.  Every rule the verifier
 applies commutes with σ, because σ maps its tables and both scripts onto
 themselves.  That includes a group member's resolution: the member's
 image belongs to the group at the image home, and since σ fixes the
