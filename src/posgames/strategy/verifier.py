@@ -13,9 +13,10 @@ larger class has one flag bit above the real vertices, in the order
 ``_Machine._node_groups`` lists the classes.  That order is built once per
 (stack, node) and cached, so the flag bits are a fixed bijection with
 the classes there, and a memo key names its stack and node: two keys with
-the same profile have the same classes free.  A success shared with a
-representative stack (below) takes its profile over the representative's
-own classes at the node, the bijection the representative's own keys use.
+the same profile have the same classes free.  A key looked up in a
+representative stack's frame (below) takes its profile over the
+representative's own classes at the node, the bijection the
+representative's own keys use.
 
 A layer's ``answers`` pair the opponent's move on a vertex with a Maker
 claim of its partner, as a pairing strategy does (Hefetz, Krivelevich,
@@ -26,21 +27,21 @@ other alone and mark no layer, neither lies in the real image of the
 innermost board, and a Breaker stone inside the relevance meets each
 kill mask.  The kill masks are the real edges through v or a without the
 pair, and the real image of each virtual edge whose ``on_win``
-continuation may read v or a: it may claim them, or it runs where the
-pair is not answered and does not end the line at Maker's next claim.
+continuation does not end the line at Maker's next claim (see
+``_finishes``) or may take v or a with that claim.
 A pair is kept when dropping it would leave no reply.  This is exact.
 Let S' be the state S after the opponent plays v and Maker answers a;
 replies v and a lead to S' and its mirror image, which share its memo
 key.  Every other reply r leads to children of S and S' that differ
 only in the dead pair, which stays dead: no script on the stack or above
 it and no bounded-win search claims a vertex outside the innermost
-image, no live continuation reads the pair, no edge through it can still
-be won and no other reply is answered with it.  A continuation that
-ends the line at once may run where the opponent can still play v, but
-such a move only passes, and the line fails only when Maker's every
-finishing claim is taken.  So, by induction on the free vertices, S
-succeeds exactly when every other reply does, and S and S' may share a
-key.
+image, no continuation that may read the pair can still run, no edge
+through it can still be won and no other reply is answered with it.  A
+continuation that ends the line at once without taking the pair may run
+where the opponent can still play v, but such a move only passes, and
+the line fails only when Maker's every finishing claim is taken.  So, by
+induction on the free vertices, S succeeds exactly when every other
+reply does, and S and S' may share a key.
 
 A finishing ``on_win`` continuation (see ``_finishes``) that runs on the
 root stack is decided without expanding it while at least two of the
@@ -99,17 +100,18 @@ a layer is entered beside an earlier one on the same board, the verifier
 derives the involution of the real board that swaps the two embeddings
 and the vertices each layer's win edges have outside it.  It shares only
 if both layers keep no state (see ``_stateful``) and the swap, with the
-identity on the layers' common board, passes the two checks that accept a
-symmetry at a stone-free node (below), with the later stack carried onto
-the earlier one rather than onto itself: it maps each stack's resolution
-table and fixed relevance onto the other's and, at the empty position, is
-an automorphism of the real board that carries each win edge onto its
-partner.  The stack entered later then files the successes of its
-opponent nodes under the earlier stack's key, with its masks and reply
-profile mapped through the swap, and so do the stacks pushed on top of
-it.  Failures and bounded-win searches stay under each stack's own key,
-so a counterexample keeps its own coordinates and reply order, and a
-stack that shares nothing is searched as before.
+identity on the layers' common board, passes the one gate that also
+accepts a symmetry at a stone-free node (below, ``_Machine._accept``),
+with the later stack carried onto the earlier one rather than onto
+itself: it maps each stack's resolution table and fixed relevance onto
+the other's and, at the empty position, is an automorphism of the real
+board that carries each win edge onto its partner.  An opponent node on
+the stack entered later, or on a stack pushed on top of it, then also
+looks its key up under the earlier stack's, with its masks and reply
+profile mapped through the swap, and succeeds at once on a success
+there.  It files every result under its own key and nothing in the
+earlier stack's frame, so a counterexample keeps its own coordinates and
+reply order, and a stack that shares nothing is searched as before.
 
 At an opponent node whose innermost board holds no stones (the root of a
 Breaker-first script, or the first opponent turn in a freshly entered
@@ -128,16 +130,16 @@ and every layer's claim masks, is an automorphism of the real board once
 the state's Maker stones are taken off every edge, and maps the stack's
 resolution table (which names each group member's home), fixed
 relevance, ``win_edges`` and ``on_win`` continuations onto themselves
-(see ``_Machine._accept``).  This is sound by monotonicity: an extra
-Maker stone never hurts Maker, so an edge is won once its vertices
-outside Maker's stones are claimed, and a residual automorphism that
-fixes the state maps every line after u, and every win on it, onto a
-line after w and a win on it.  Every rule the verifier
-applies commutes with σ, because σ maps its tables and both scripts onto
-themselves.  That includes a group member's resolution: the member's
-image belongs to the group at the image home, and since σ fixes the
-claim masks that home is free exactly when the member's own is.  The one
-exception is a choice of a lowest free vertex: the member that
+(see ``_Machine._accept``, the gate the copy swap passes too).  This is
+sound by monotonicity: an extra Maker stone never hurts Maker, so an
+edge is won once its vertices outside Maker's stones are claimed, and a
+residual automorphism that fixes the state maps every line after u, and
+every win on it, onto a line after w and a win on it.  Every rule the
+verifier applies commutes with σ, because σ maps its tables and both
+scripts onto themselves.  That includes a group member's resolution: the
+member's image belongs to the group at the image home, and since σ fixes
+the claim masks that home is free exactly when the member's own is.  The
+one exception is a choice of a lowest free vertex: the member that
 stands for an out-of-relevance class.  In a pruned branch that member is
 the σ-image of the one explored, a member of the image class, which the
 relevance hint treats as interchangeable.  So w succeeds exactly when u
@@ -166,7 +168,6 @@ from .nodes import (
     StrategyTree,
     WinNow,
     is_conjugate,
-    iter_nodes,
 )
 
 __all__ = [
@@ -283,21 +284,20 @@ class _Stack:
     ``_Finish`` node.  The vertex is range-checked when its entry is
     built.
 
-    ``rep`` is the stack whose opponent-node successes this one shares (see
-    the module docstring), never one that has a ``rep`` itself, and
-    ``segs`` the automorphism carrying this stack onto it as (shift, source
-    mask) pairs.
+    ``rep`` is the stack in whose frame this one also looks its
+    opponent-node keys up (see the module docstring), never one that has a
+    ``rep`` itself, and ``segs`` the automorphism carrying this stack onto
+    it as (shift, source mask) pairs.
 
-    A stack points only outwards: at its parent and ``outers``, at the
-    stacks its ``on_win`` continuations run on, which enclose it, and at
-    its ``rep``.  It never points at itself or at a child, so the stacks
-    are freed with the machine by reference counting.
+    A stack points only outwards: at ``outers``, at the stacks its
+    ``on_win`` continuations run on, which enclose it, and at its ``rep``.
+    It never points at itself or at a child, so the stacks are freed with
+    the machine by reference counting.
     """
 
     __slots__ = (
         "board",
         "layer",
-        "parent",
         "layers",
         "outers",
         "real",
@@ -320,7 +320,6 @@ class _Stack:
     def __init__(self, board: Hypergraph, layer=None, parent: "_Stack | None" = None):
         self.board = board
         self.layer = layer
-        self.parent = parent
         self.homes = 0
         self.home_rel: dict = {}
         if parent is None:
@@ -452,10 +451,9 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
     board, that answer no other vertex.  It is dead once a Breaker stone
     meets every kill mask: each real edge through v or a without the pair,
     and the real image of each virtual edge whose ``on_win`` continuation
-    may read v or a.  A continuation reads the vertices it claims (see
-    ``_named``).  When it runs on a stack that does not answer the pair,
-    where the opponent may still play v, it reads every vertex unless it
-    ends the line at once (see ``_finishes``).  Returns (kills, partner,
+    does not finish (see ``_finishes``) or may take v or a with its
+    finishing claim.  Only whether a continuation finishes is asked, not
+    where it runs or what else it claims.  Returns (kills, partner,
     union, by_killed): ``kills`` lists (pair mask, kill masks) without
     duplicate masks, ``partner`` maps each paired vertex to its partner
     in ``_segments`` form, ``union`` is the union of the kill masks and
@@ -470,15 +468,15 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
             answering[entry[1]] = answering.get(entry[1], 0) + 1
     real_board = stack.outers[0].board
     edge_masks, incidence = real_board.edge_masks, real_board.incidence
-    # (real image of an on_win edge, real vertices its continuation claims,
-    # whether it finishes, the table of the stack it runs on)
+    # (real image of an on_win edge, the real vertices its finishing claim
+    # may take, or every vertex when it does not finish)
     wins = []
     for i, layer in enumerate(stack.layers):
         outer = stack.outers[i]
         for e, cont in layer.on_win.items():
             edge = outer.to_real(_image(layer.embed, layer.board.edge_masks[e]))
             finish = _finishes(cont, outer, edge, edge_masks, incidence)
-            wins.append((edge, _named(cont, outer), finish, outer.table))
+            wins.append((edge, finish or -1))
     image = stack.to_real(stack.board.full_mask)
     kills = []
     partner: dict = {}
@@ -491,11 +489,7 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
         if pair & image or answering[v] != 1 or answering[a] != 1:
             continue
         masks = {edge_masks[e] & ~pair for e in (*incidence[v], *incidence[a])}
-        masks.update(
-            edge
-            for edge, named, finish, outer_table in wins
-            if named & pair or not (finish or outer_table[v] == entry)
-        )
+        masks.update(edge for edge, reads in wins if reads & pair)
         kills.append((pair, tuple(sorted(masks))))
         partner[a - v] = partner.get(a - v, 0) | 1 << v
         partner[v - a] = partner.get(v - a, 0) | 1 << a
@@ -504,28 +498,6 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
     if not kills:
         return None
     return tuple(kills), tuple(sorted(partner.items())), union, {}
-
-
-def _named(cont, outer: _Stack) -> int:
-    """The real vertices an ``on_win`` continuation that runs on ``outer``
-    may claim: its ``Claim`` and ``ClaimFirstFree`` vertices, or every
-    vertex when it enters a layer or searches a bounded win."""
-    named = 0
-    for node in iter_nodes(cont):
-        if type(node) is Respond:
-            node = node.default
-        if isinstance(node, (EnterLayer, BoundedWin)):
-            return -1
-        if isinstance(node, Claim):
-            vertices = (node.vertex,)
-        elif isinstance(node, ClaimFirstFree):
-            vertices = node.vertices
-        else:
-            continue
-        for c in vertices:
-            if 0 <= c < len(outer.real):
-                named |= 1 << outer.real[c]
-    return named
 
 
 def _finishes(cont, outer: _Stack, edge: int, edge_masks, incidence) -> int:
@@ -671,56 +643,40 @@ class _Machine:
     # sibling symmetry
 
     def _share(self, child: _Stack):
-        """Let ``child`` share the memo successes of the first earlier
-        child of the root whose layer it is checked to mirror."""
+        """Let ``child`` look its memo keys up in the frame of the first
+        earlier child of the root whose layer it is checked to mirror.
+
+        Neither stack may keep state (see ``_stateful``), so neither layer
+        has dynamic groups, ``on_win`` or ``answers``.  ``_accept`` checks
+        the swap ``_sibling_sigma`` derives for the two layers, with the
+        identity on their common board, at the empty position, with
+        ``child`` carried onto the sibling: the swap then maps each
+        embedding onto the other and is an automorphism of the real board
+        that maps each ``win_edges`` target onto its partner."""
+        if child.stateful:
+            return
+        inner = range(child.board.vertex_count)
         for (parent, _layer), sibling in self.stacks.items():
             if parent is not self.root:
                 continue
             if sibling is child:
                 return
-            if sibling.rep is not None:
+            if sibling.rep is not None or sibling.stateful:
                 continue
             sigma = _sibling_sigma(self.h, child.layer, sibling.layer)
-            if sigma is not None and self._symmetric(child, sibling, sigma):
+            if sigma is None:
+                continue
+            if self._accept(child, (sigma, inner), ((0, 0),), 0, 0, sibling) is not None:
                 child.rep = sibling
                 child.segs = _segments(sigma)
                 return
 
-    def _symmetric(self, child: _Stack, sibling: _Stack, sigma) -> bool:
-        """Whether the real-board permutation ``sigma`` carries every line
-        played under ``child`` onto the same line under ``sibling``.
-
-        Both must be children of the root, and ``sigma`` the swap
-        ``_sibling_sigma`` derives for their layers, which have the same
-        ``win_edges`` keys, each checked against the board by ``_push``.
-        Neither layer may keep state (see ``_stateful``), so neither has
-        dynamic groups, ``on_win`` or ``answers``.
-        The layers must share one board, ``sigma`` must be an involution,
-        and ``sigma`` with the identity on that board must carry ``child``
-        onto ``sibling`` at the empty position (``_fits_stack`` and
-        ``_fits_state``).  The table check then maps each embedding onto
-        the other, and the state check makes ``sigma`` an automorphism of
-        the board that maps each ``win_edges`` target onto its partner.
-        """
-        if child.stateful or sibling.stateful:
-            return False
-        board = child.layer.board
-        if board is not sibling.layer.board:
-            return False
-        n = self.h.vertex_count
-        if len(sigma) != n or any(sigma[sigma[v]] != v for v in range(n)):
-            return False
-        perms = (sigma, range(board.vertex_count))
-        return _fits_stack(child, perms, sibling) and _fits_state(
-            child, perms, self.edge_masks, ((0, 0),), 0, 0, sibling
-        )
-
     def _shared_key(self, key: tuple, stack: _Stack, node, out: int) -> tuple:
-        """``key``, the memo key of a success at opponent ``node`` on
-        ``stack``, in its representative's frame: the claim masks are mapped
-        onto the representative and the reply profile of the free
-        out-of-relevance vertices ``out`` is taken over the
-        representative's reply groups."""
+        """``key``, the memo key of opponent ``node`` on ``stack``, in its
+        representative's frame, where ``_expand_opponent`` looks it up: the
+        claim masks are mapped onto the representative and the reply
+        profile of the free out-of-relevance vertices ``out`` is taken over
+        the representative's reply groups."""
         segs = stack.segs
         head, _stack, sig, a, b = key[:5]
         a, b = _apply_segments(segs, a), _apply_segments(segs, b)
@@ -812,8 +768,8 @@ class _Machine:
         That order is arbitrary but cached per (stack, node), so each
         group keeps its bit for the whole run, and the memo key names the
         stack and node: equal profiles mean the same groups meet ``out``.
-        ``_shared_key`` calls this on the representative stack, so a
-        shared success carries the representative's own bit for each of
+        ``_shared_key`` calls this on the representative stack, so a key
+        looked up there carries the representative's own bit for each of
         its groups."""
         singles, groups = self._node_groups(stack, node)
         profile = replies = out & singles
@@ -1083,11 +1039,9 @@ class _Machine:
             return
         if got is not None:
             raise _Fail(Counterexample(got[0], tuple(self.path), got[1]))
-        # successes on a stack with a representative are filed in its frame
-        success = key
-        if stack.segs is not None:
-            success = self._shared_key(key, stack, node, out)
-            if self.memo.get(success) is True:
+        # a stack with a representative also looks its key up in that frame
+        if stack.rep is not None:
+            if self.memo.get(self._shared_key(key, stack, node, out)) is True:
                 return
         self.expansions += 1
         try:
@@ -1102,7 +1056,7 @@ class _Machine:
         except _Fail as fail:
             self.memo[key] = (fail.cex.kind, fail.cex.detail)
             raise
-        self.memo[success] = True
+        self.memo[key] = True
 
     def _expand_stone_free(self, node, stack, masks, ra, rb, replies: int):
         """Explore the replies at an opponent node whose innermost board
@@ -1112,7 +1066,8 @@ class _Machine:
         The candidates are the innermost board's
         ``core.automorphism_generators``: a generator ``g`` is one for ``u``
         and ``w`` when it maps the coordinate ``u`` dispatches on onto
-        ``w``'s, and ``_accept`` checks each generator at most once here.
+        ``w``'s, and ``_accept`` checks each generator's lift (see
+        ``_lift``) at most once here.
         ``w`` is covered when the lift of an accepted ``g`` maps ``u`` onto
         ``w`` on the real board and ``w``'s child is the ``g``-image of
         ``u``'s (``is_conjugate``); ``w`` is then known to succeed as well.
@@ -1151,7 +1106,8 @@ class _Machine:
                     if g[c] != coord:
                         continue
                     if i not in lifts:
-                        lifts[i] = self._accept(stack, g, masks, ra, rb)
+                        perms = _lift(stack, g)
+                        lifts[i] = perms and self._accept(stack, perms, masks, ra, rb)
                     perms = lifts[i]
                     if (
                         perms is not None
@@ -1166,19 +1122,29 @@ class _Machine:
                 self._reply(node, stack, masks, ra, rb, w, table[w])
             done[w] = (coord, child)
 
-    def _accept(self, stack: _Stack, g, masks: tuple, ra: int, rb: int):
-        """The lift of ``g`` (see ``_lift``) if ``g`` is an automorphism of
-        ``stack``'s innermost board and the lift passes ``_fits_stack`` and,
-        at the state (``masks``, ``ra``, ``rb``), ``_fits_state``, the two
-        checks that also decide copy sharing; else None.  ``g`` is one of
-        ``core.automorphism_generators``, checked here again so that the
-        pruning trusts no search."""
-        if not is_automorphism(stack.board, g):
+    def _accept(self, stack: _Stack, perms, masks: tuple, ra: int, rb: int, other=None):
+        """``perms``, one permutation per board of ``stack`` with the real
+        board first (as ``_lift`` builds them), if they carry every line
+        played under ``stack`` from the state (``masks``, ``ra``, ``rb``)
+        onto the same line under ``other``, by default ``stack`` itself;
+        else None.
+
+        This is the one gate through which the verifier accepts a
+        symmetry.  ``perms[-1]`` must be an automorphism of ``stack``'s
+        innermost board, which ``other`` must share, and ``perms`` must pass
+        ``_fits_stack`` and, at the state, ``_fits_state``.  The stone-free
+        pass brings the lift of each of ``core.automorphism_generators``,
+        checked here again so that the pruning trusts no search.  ``_share``
+        brings the swap of two sibling copies, which ``_sibling_sigma``
+        builds from pairs with no vertex in two of them, so it is an
+        involution by construction."""
+        if other is None:
+            other = stack
+        if other.board is not stack.board or not is_automorphism(stack.board, perms[-1]):
             return None
-        perms = _lift(stack, g)
-        if perms is None or not _fits_stack(stack, perms):
+        if not _fits_stack(stack, perms, other):
             return None
-        if not _fits_state(stack, perms, self.edge_masks, masks, ra, rb):
+        if not _fits_state(stack, perms, self.edge_masks, masks, ra, rb, other):
             return None
         return perms
 
@@ -1463,7 +1429,7 @@ def _sibling_sigma(h: Hypergraph, layer, other):
     outside its embedding (in ascending order), and fixes every other
     vertex.  Both layers' ``win_edges`` targets were checked against ``h``
     when they were pushed.  Nothing here checks that the result is an
-    automorphism: ``_Machine._symmetric`` does.
+    automorphism: ``_Machine._accept`` does.
     """
     if len(layer.embed) != len(other.embed):
         return None

@@ -1084,7 +1084,14 @@ def test_layers_keep_state_unless_they_invert_their_embedding():
 
 
 def _refuse_every_pair(monkeypatch):
-    monkeypatch.setattr(_Machine, "_symmetric", lambda self, child, sibling, sigma: False)
+    monkeypatch.setattr(verifier, "_sibling_sigma", lambda h, layer, other: None)
+
+
+def _swaps(machine, child, sibling, sigma) -> bool:
+    """Whether ``_accept`` takes ``sigma`` with the identity on the copies'
+    board, at the empty position, as a swap of ``child`` onto ``sibling``."""
+    perms = (sigma, range(child.board.vertex_count))
+    return machine._accept(child, perms, ((0, 0),), 0, 0, sibling) is not None
 
 
 def test_sibling_copies_share_successes(monkeypatch):
@@ -1102,6 +1109,50 @@ def test_sibling_copies_share_successes(monkeypatch):
     plain = verify_maker_strategy(h, s)
     assert shared.verified and plain.verified
     assert shared.lines_checked < plain.lines_checked
+
+
+def test_copy_sharing_traffic_is_pinned(monkeypatch):
+    """On g4, ``_accept`` checks 2 sibling swaps and accepts both, and
+    copies 3 and 1 look 387 keys up in copy 2's frame, all of which hit,
+    so no reply is played on a stack with a representative.  A shared
+    stack files nothing in its representative's frame, so one that had to
+    expand would pay for its whole subtree.  The other targets and the
+    mutants share nothing."""
+    names = ("swaps", "accepted", "lookups", "hits", "shared_replies")
+    counts: dict = {}
+    accept, shared_key, reply = _Machine._accept, _Machine._shared_key, _Machine._reply
+
+    def spy_accept(self, stack, perms, masks, ra, rb, other=None):
+        got = accept(self, stack, perms, masks, ra, rb, other)
+        if other is not None:
+            counts["swaps"] += 1
+            counts["accepted"] += got is not None
+        return got
+
+    def spy_shared_key(self, key, stack, node, out):
+        got = shared_key(self, key, stack, node, out)
+        counts["lookups"] += 1
+        counts["hits"] += self.memo.get(got) is True
+        return got
+
+    def spy_reply(self, node, stack, *state):
+        counts["shared_replies"] += stack.rep is not None
+        return reply(self, node, stack, *state)
+
+    monkeypatch.setattr(_Machine, "_accept", spy_accept)
+    monkeypatch.setattr(_Machine, "_shared_key", spy_shared_key)
+    monkeypatch.setattr(_Machine, "_reply", spy_reply)
+
+    def traffic(board, tree) -> tuple:
+        counts.update(dict.fromkeys(names, 0))
+        verify_maker_strategy(board, tree)
+        return tuple(counts[name] for name in names)
+
+    for name, (board, tree) in _pentagon_targets().items():
+        want = (2, 2, 387, 387, 0) if name == "g4" else (0,) * 5
+        assert traffic(board, tree) == want, name
+    for name, board, tree in named_mutations():
+        assert traffic(board, tree) == (0,) * 5, name
 
 
 def _copy_layers(s: StrategyTree) -> dict:
@@ -1124,8 +1175,8 @@ def test_sibling_symmetry_refuses_a_swap_that_forgets_the_switches():
     assert three.rep is two
     derived = _sibling_sigma(h, layers["copy-3"], layers["copy-2"])
     assert derived == _copy_swap(2, 3)
-    assert machine._symmetric(three, two, derived)
-    assert not machine._symmetric(three, two, _copy_swap(2, 3, switches=False))
+    assert _swaps(machine, three, two, derived)
+    assert not _swaps(machine, three, two, _copy_swap(2, 3, switches=False))
 
 
 def test_sibling_sharing_refuses_a_relevance_one_vertex_short():
@@ -1163,7 +1214,7 @@ def test_sibling_symmetry_refuses_an_automorphism_that_misses_the_table():
     assert first.rep is second
     crossed = [3, 5, 4, 0, 2, 1]
     assert is_automorphism(h, crossed)
-    assert not machine._symmetric(first, second, crossed)
+    assert not _swaps(machine, first, second, crossed)
 
 
 def test_a_defect_in_one_copy_shares_nothing_and_is_caught(monkeypatch):
@@ -1299,7 +1350,7 @@ def test_an_answer_fires_no_on_win_continuation():
 
 
 def _refuse_every_symmetry(monkeypatch):
-    monkeypatch.setattr(_Machine, "_accept", lambda self, *candidate: None)
+    monkeypatch.setattr(verifier, "automorphism_generators", lambda board: [])
 
 
 def _rotation(k: int) -> list:
@@ -1376,8 +1427,8 @@ def test_rotation_and_reflection_are_accepted_on_gamma_prime():
     targets = ((gen_gamma(), gamma), (gen_gamma_prime(), lift_gamma_prime(gamma)))
     for board, tree in targets:
         machine, stack, masks = _stone_free(board, tree)
-        assert machine._accept(stack, gamma_rho(), masks, 0, 0) is not None
-        assert machine._accept(stack, gamma_sigma(), masks, 0, 0) is not None
+        assert machine._accept(stack, _lift(stack, gamma_rho()), masks, 0, 0) is not None
+        assert machine._accept(stack, _lift(stack, gamma_sigma()), masks, 0, 0) is not None
 
 
 def test_a_candidate_that_is_no_permutation_is_refused():
@@ -1392,8 +1443,8 @@ def test_a_candidate_that_is_no_permutation_is_refused():
     machine, stack, masks = _stone_free(h, s)
     for g in ([0, 1, 2, 4, 4], [0, 1, 2, 3, 3]):
         assert _fits_stack(stack, _lift(stack, g))
-        assert machine._accept(stack, g, masks, 0, 0) is None, g
-    assert machine._accept(stack, [0, 1, 2, 4, 3], masks, 0, 0) is not None
+        assert machine._accept(stack, _lift(stack, g), masks, 0, 0) is None, g
+    assert machine._accept(stack, _lift(stack, [0, 1, 2, 4, 3]), masks, 0, 0) is not None
 
 
 def test_a_generator_whose_lift_misses_the_reply_skips_nothing():
@@ -1426,7 +1477,7 @@ def test_a_generator_whose_lift_misses_the_reply_skips_nothing():
     s = StrategyTree(h, Side.B, EnterLayer(layer, root))
     assert automorphism_generators(board) == [[1, 0, 3, 2]]
     machine, stack, masks = _stone_free(h, s)
-    assert machine._accept(stack, [1, 0, 3, 2], masks, 0, 0)[0] == [1, 0, 3, 2]
+    assert machine._accept(stack, _lift(stack, [1, 0, 3, 2]), masks, 0, 0)[0] == [1, 0, 3, 2]
     report = verify_maker_strategy(h, s)
     assert report.counterexample == Counterexample(
         "occupied_claim", (("breaker", 2),), "strategy claims occupied vertex 2"
@@ -1453,11 +1504,13 @@ def test_stone_free_traffic_is_pinned(monkeypatch):
         counts["expansions"] += 1
         return expand(self, *state)
 
-    def spy_accept(self, stack, g, *state):
-        assert g in counts["generators"]
-        perms = accept(self, stack, g, *state)
-        counts["candidates"][tuple(g)] = perms is not None
-        return perms
+    def spy_accept(self, stack, perms, masks, ra, rb, other=None):
+        got = accept(self, stack, perms, masks, ra, rb, other)
+        if other is None:  # a stone-free candidate, not a copy swap
+            g = perms[-1]
+            assert g in counts["generators"]
+            counts["candidates"][tuple(g)] = got is not None
+        return got
 
     monkeypatch.setattr(verifier, "automorphism_generators", spy_gens)
     monkeypatch.setattr(_Machine, "_expand_stone_free", spy_expand)
@@ -1495,7 +1548,7 @@ def test_copy_rotation_needs_the_switch_to_be_makers():
         assert perms[0][G4_COPY_OFFSETS[1]] == G4_COPY_OFFSETS[1] + 1
         assert _fits_stack(stack, perms)
         assert _fits_state(stack, perms, h.edge_masks, masks, ra, rb) is accepted
-        accept = machine._accept(stack, gamma_rho(), masks, ra, rb)
+        accept = machine._accept(stack, perms, masks, ra, rb)
         assert (accept is not None) is accepted
 
 
@@ -1587,7 +1640,7 @@ def test_a_breaker_stone_under_a_fresh_layer_refuses_its_rotation():
     tree = StrategyTree(h, Side.A, Claim(4, opening))
     machine, stack, masks = _stone_free(h, tree, inner)
     maker = 1 << 4 | 1 << 5
-    perms = machine._accept(stack, [1, 0, 3, 2], masks, maker, 0)
+    perms = machine._accept(stack, _lift(stack, [1, 0, 3, 2]), masks, maker, 0)
     assert perms is not None
     assert not _fits_state(stack, perms, h.edge_masks, masks, maker, 1 << 0)
     report = verify_maker_strategy(h, tree)
@@ -1772,7 +1825,7 @@ def _bounded_win_relevance(stack: _Stack, va: int, k: int) -> int:
     if stack.layer is not None:
         for v, home in stack.layer.dynamic_groups.items():
             if va >> home & 1:
-                rel |= 1 << stack.parent.real[v]
+                rel |= 1 << stack.outers[-1].real[v]
     for mask in stack.board.edge_masks:
         if (mask & ~va).bit_count() <= k:
             rel |= stack.to_real(mask)
@@ -2118,23 +2171,27 @@ def _inner_continuation(cont):
 
 
 @pytest.mark.parametrize(
-    "cont, named",
+    "cont, kept",
     [
         (Respond((), Claim(4)), True),
         (Respond((), ClaimFirstFree((3, 5))), True),
         (Respond((), BoundedWin(1)), True),
+        (Respond((), Claim(2)), True),
         (Respond((), Claim(3)), False),
     ],
-    ids=["claim", "claim-first-free", "bounded-win", "claim-elsewhere"],
+    ids=["claim", "claim-first-free", "bounded-win", "claim-unfinished", "claim-elsewhere"],
 )
-def test_a_continuation_that_may_claim_a_pair_keeps_it(cont, named):
-    """A continuation that runs where the pair is still answered reads the
-    pair only by claiming it: by name, or anywhere through a bounded-win
-    search.  The pair's real edges {1, 4} and {2, 5} give the kill masks
-    {1} and {2}; a continuation that may claim the pair adds its edge's
-    image {0, 1}."""
+def test_a_continuation_that_may_claim_a_pair_keeps_it(cont, kept):
+    """A continuation keeps the pair alive, even where the pair is still
+    answered, unless it ends the line at Maker's next claim without taking
+    4 or 5 (see ``_finishes``).  A claim of 4 completes {1, 4} but takes
+    the pair.  A claim of 5, of 2 (which leaves {2, 5} open although it
+    claims neither 4 nor 5) or a bounded-win search may not end the line.
+    A claim of 3 completes the edge {3} at once and drops the pair.  The
+    pair's real edges {1, 4} and {2, 5} give the kill masks {1} and {2}; a
+    continuation that keeps the pair adds its edge's image {0, 1}."""
     h, outer, inner = _inner_continuation(cont)
-    kills = {0b10, 0b100} | ({0b11} if named else set())
+    kills = {0b10, 0b100} | ({0b11} if kept else set())
     assert _pairs(h, outer, inner)[0] == ((1 << 4 | 1 << 5, tuple(sorted(kills))),)
 
 
