@@ -61,6 +61,23 @@ same depth and stores nothing, so no verdict, counterexample or depth
 changes: a later visit to the same key holds as many moves and is
 decided again.  Only the line count drops, by the claims not played.
 
+On the root stack, at a ``Respond`` node whose replies are played one
+by one (not the stone-free pass below), a reply whose child is
+``BoundedWin(k)`` is not played when it lies outside the bounded-win
+relevance ``rel`` of Maker's stones and k (see ``_Machine._bw_entry``)
+and a lower such reply with the same k is played (see
+``_Machine._bw_replies``).  This is exact.  Only Maker's stones feed
+``rel``, and no reply on the root stack marks a layer or is answered, so
+all these replies call ``_expand_bw`` with one key (k, stack, (), ra &
+rel, rb & rel).  The lowest, v, runs first.  If it fails, the turn fails
+with it, before any later one.  Otherwise the key holds a success, so
+every later one would be a memo hit, which counts no line.  Each pushes
+the line to the same length as v, so ``max_depth`` and the line-limit
+check agree too.  A layer stack is left out: there a reply may mark a
+layer, be answered or resolve at the claim masks, and the passes that do
+none of these already collapse to one reply group outside a node's
+relevance.
+
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
 claim masks.  Layers are data, which the verifier checks where a layer is
@@ -259,12 +276,13 @@ class _Stack:
     ``_Machine._push`` checks the layer against the parent board before it
     builds the child, so a malformed layer fails on the line that enters
     it.  Only the caches keyed by a vertex, a node or a claim mask fill on
-    first use: ``claims``, ``groups``, ``static_rel`` (per ``Respond``
-    node, the part of ``_Machine._relevance`` that does not depend on the
-    claim masks), ``bw`` (per Maker mask and k, ``_Machine._bw_entry``)
-    and ``buckets`` (see ``_reply_buckets``), which is None until the
-    first node whose reply groups ``_Machine._node_groups`` builds on the
-    stack.
+    first use: ``claims``, ``groups`` (per node id, its reply groups, see
+    ``_Machine._node_groups``; on the root stack also per ("bw", node id),
+    see ``_Machine._bw_replies``), ``static_rel`` (per ``Respond`` node,
+    the part of ``_Machine._relevance`` that does not depend on the claim
+    masks), ``bw`` (per Maker mask and k, ``_Machine._bw_entry``) and
+    ``buckets`` (see ``_reply_buckets``), which is None until the first
+    node whose reply groups ``_Machine._node_groups`` builds on the stack.
 
     ``pairs`` is None or the stack's table of answered pairs (see
     ``_answered_pairs``): per pair the kill masks that must all meet
@@ -757,6 +775,38 @@ class _Machine:
         got = stack.groups[id(node)] = (singles, tuple(groups))
         return got
 
+    def _bw_replies(self, node: Respond) -> tuple:
+        """(k, mask) per budget k, for the masks of two or more real
+        vertices whose reply at ``Respond`` node ``node`` on the root
+        stack goes straight to ``BoundedWin(k)``: through the branch that
+        names it or, without one, through the default.  On the root stack
+        every real vertex is its own coordinate and marks no layer.
+
+        Built once per node and cached in the root stack's ``groups``
+        beside the node's reply groups.  ``_expand_opponent`` plays only
+        the lowest of these replies per k outside the bounded-win relevance
+        (see the module docstring)."""
+        groups = self.root.groups
+        key = ("bw", id(node))
+        got = groups.get(key)
+        if got is None:
+            by_k: dict = {}
+            named = 0
+            vertices = range(self.h.vertex_count)
+            for c, idx in self._branch_map(node).items():
+                if c in vertices:
+                    named |= 1 << c
+                    child = node.branches[idx][1]
+                    if isinstance(child, BoundedWin):
+                        by_k[child.k] = by_k.get(child.k, 0) | 1 << c
+            if isinstance(node.default, BoundedWin):
+                k = node.default.k
+                by_k[k] = by_k.get(k, 0) | self.full & ~named
+            got = groups[key] = tuple(
+                (k, mask) for k, mask in by_k.items() if mask & (mask - 1)
+            )
+        return got
+
     def _profile(self, stack: _Stack, node, out: int):
         """(replies, profile) for the free out-of-relevance vertices ``out``
         at (stack, node): the lowest member of each group that meets
@@ -1050,6 +1100,13 @@ class _Machine:
             ):
                 self._expand_stone_free(node, stack, masks, ra, rb, replies)
             else:
+                if stack is self.root and type(node) is Respond:
+                    for k, mask in self._bw_replies(node):
+                        same = replies & mask
+                        if same & (same - 1):
+                            same &= ~self._bw_entry(stack, ra, k)[0]
+                            # keep the lowest: the others repeat its key
+                            replies ^= same & (same - 1)
                 table = stack.table
                 for v in iter_bits(replies):
                     self._reply(node, stack, masks, ra, rb, v, table[v])

@@ -160,9 +160,16 @@ def test_verifier_counters_are_pinned():
     deterministic, so a change means the traversal itself changed.
 
     On g4 the copies share memo successes: copy 2 is entered first (after
-    five moves) and searched in full, copies 3 and 1 mostly hit its
-    entries, and the 35-move line that ran inside copy 3 (entered after
-    seven moves) is now a memo hit at its entry.
+    five moves) and searched in full.  Copies 3 and 1 look their keys up
+    in copy 2's entries, 387 lookups that all hit, and file nothing there
+    (see ``test_copy_sharing_traffic_is_pinned``), so the 35-move line
+    that ran inside copy 3 (entered after seven moves) is a memo hit at
+    its entry.
+
+    On gamma, an opponent turn plays only the lowest of the replies that
+    would call the same bounded-win search: 8,548 replies instead of
+    27,897 (see ``test_without_repeat_drops_every_reply_is_played_again``).
+    Those replies were memo hits, so no count moves.
 
     At an opponent node whose innermost board holds no stones (the
     pentagon's first move, and copy 2's) only one opening per symmetry

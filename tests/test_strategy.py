@@ -2638,3 +2638,195 @@ def test_finishing_keeps_every_line_on_random_layered_boards():
     records = _check_finishing(_random_layered_tree)
     assert any(True in calls for calls in records)
     assert any(False in calls for calls in records)
+
+
+# ----------------------------------------------------------------------
+# replies that repeat a bounded-win key
+
+
+def _repeats_off(monkeypatch):
+    """Play every reply, also one that repeats a sibling's bounded-win key."""
+    monkeypatch.setattr(_Machine, "_bw_replies", lambda self, node: ())
+
+
+def _count_replies(monkeypatch) -> list:
+    """A one-item list that counts the calls of ``_Machine._reply``."""
+    calls = [0]
+    reply = _Machine._reply
+
+    def spy(self, *args):
+        calls[0] += 1
+        return reply(self, *args)
+
+    monkeypatch.setattr(_Machine, "_reply", spy)
+    return calls
+
+
+def _played(monkeypatch) -> list:
+    """Record the line of every ``_Machine._reply`` call, its reply last."""
+    lines = []
+    reply = _Machine._reply
+
+    def spy(self, node, stack, masks, ra, rb, v, entry):
+        lines.append((*self.path, ("breaker", v)))
+        return reply(self, node, stack, masks, ra, rb, v, entry)
+
+    monkeypatch.setattr(_Machine, "_reply", spy)
+    return lines
+
+
+def test_without_repeat_drops_every_reply_is_played_again(monkeypatch):
+    """Differential gate: with every reply played, also one that repeats
+    a sibling's bounded-win key, the four targets keep their lines and
+    depth, and every mutant fails with the same kind, moves, detail, lines
+    and depth; the rule only skips memo hits, which count no line.  With
+    the rule, gamma plays 8,548 replies instead of 27,897, gamma-prime
+    33,564 instead of 34,625 and the 20 mutants 36,131 instead of 60,639;
+    g4 and g3-split drop none."""
+    calls = _count_replies(monkeypatch)
+
+    def run():
+        counts, outcomes = {}, {}
+        for name, (board, tree) in _pentagon_targets().items():
+            calls[0] = 0
+            outcomes[name] = _outcome(verify_maker_strategy(board, tree))
+            counts[name] = calls[0]
+        calls[0] = 0
+        for name, board, tree in named_mutations():
+            outcomes[name] = _outcome(verify_maker_strategy(board, tree))
+        counts["mutants"] = calls[0]
+        return counts, outcomes
+
+    fast_counts, fast = run()
+    _repeats_off(monkeypatch)
+    slow_counts, slow = run()
+    assert fast_counts == {
+        "gamma": 8_548,
+        "gamma-prime": 33_564,
+        "g4": 43_529,
+        "g3-split": 129_194,
+        "mutants": 36_131,
+    }
+    assert slow_counts == {
+        "gamma": 27_897,
+        "gamma-prime": 34_625,
+        "g4": 43_529,
+        "g3-split": 129_194,
+        "mutants": 60_639,
+    }
+    want = {
+        "gamma": (3_865, 20),
+        "gamma-prime": (41_398, 28),
+        "g4": (49_405, 33),
+        "g3-split": (76_832, 28),
+    }
+    for name, (lines, depth) in want.items():
+        assert slow[name] == (True, lines, depth, None), name
+    assert fast == slow
+
+
+def test_a_reply_inside_the_bounded_win_relevance_is_played(monkeypatch):
+    """Maker holds 0 and has one claim: {0, 4} is within reach and
+    {0, 1, 2} is not, so the bounded-win relevance is {0, 4}.  Breaker's
+    1, 2 and 3 lie outside it and lead to one key, so only 1 is played.
+    4 lies inside it, so it is played, and no claim wins after it."""
+    h = Hypergraph(5, [(0, 4), (0, 1, 2)])
+    tree = StrategyTree(h, Side.A, Claim(0, Respond((), BoundedWin(1))))
+    lines = _played(monkeypatch)
+    report = verify_maker_strategy(h, tree)
+    assert report.counterexample == Counterexample(
+        "bounded_win_failure",
+        (("maker", 0), ("breaker", 4)),
+        "no win within 1 Maker moves from here",
+    )
+    assert [line[-1][1] for line in lines] == [1, 4]
+    _repeats_off(monkeypatch)
+    lines.clear()
+    assert _outcome(verify_maker_strategy(h, tree)) == _outcome(report)
+    assert [line[-1][1] for line in lines] == [1, 2, 3, 4]
+
+
+def _layered_repeats() -> StrategyTree:
+    """A script on a layer that embeds real 1..4 as its vertices 0..3, on
+    the board {0, 1}, {0, 2} with an empty relevance.  The layer answers
+    real 5 with 6 and sends real 7 to home 3; real 0 and 6 are passes.
+    Maker claims the layer's 0 (real 1) and then, after any reply, wins
+    the real edge {1, 2} or {1, 3} within one claim."""
+    h = Hypergraph(8, [(1, 2), (1, 3)])
+    layer = Layer(
+        name="repeats",
+        board=Hypergraph(4, [(0, 1), (0, 2)]),
+        embed=(1, 2, 3, 4),
+        win_edges={0: 0, 1: 1},
+        answers={5: 6},
+        dynamic_groups={7: 3},
+        relevance=0,
+    )
+    return StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, Respond((), BoundedWin(1)))))
+
+
+@pytest.mark.parametrize("reply", [4, 5, 7], ids=["layer-effects", "answered", "dyn"])
+def test_a_reply_that_may_lead_to_another_key_is_played(monkeypatch, reply):
+    """After Maker's first claim the bounded-win relevance is {1, 2, 3}.
+    Outside it, the pass 0 is played first: it leads to the default's
+    bounded win and leaves the claim masks as they are.  Real 4 marks the
+    layer, 5 is answered and 7 resolves at the layer's masks, so each may
+    lead to another key, and each is played right after Maker's first
+    claim too."""
+    tree = _layered_repeats()
+    lines = _played(monkeypatch)
+    assert verify_maker_strategy(tree.board, tree).verified
+    assert reply in [line[1][1] for line in lines if len(line) == 2]
+
+
+def _random_bounded_tree(seed: int) -> StrategyTree:
+    """A random small board's script, for either first mover, whose
+    ``Respond`` nodes send each reply, by up to two branches or by the
+    default, to a bounded win of one to three claims or to a further
+    Maker claim.  The board's vertices 0, 1 and 2 lie on no edge, so they
+    are the first replies outside every bounded-win relevance."""
+    rng = random.Random(seed)
+    base = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
+    n = base.vertex_count + 3
+    h = Hypergraph(n, [tuple(v + 3 for v in edge) for edge in base.edges])
+    free = rng.sample(range(n), n)
+
+    def respond(depth: int) -> Respond:
+        def child():
+            if depth and len(free) > 2 and rng.random() < 0.4:
+                return Claim(free.pop(), respond(depth - 1))
+            return BoundedWin(rng.randint(1, 3))
+
+        branches = tuple(
+            (ReplyClass(f"b{i}", frozenset(rng.sample(range(n), rng.randint(1, 2)))), child())
+            for i in range(rng.randint(0, 2))
+        )
+        return Respond(branches, child())
+
+    first = rng.choice((Side.A, Side.B))
+    root = respond(2) if first is Side.B else Claim(free.pop(), respond(2))
+    return StrategyTree(h, first, root)
+
+
+def test_repeat_drops_keep_every_outcome_on_random_boards():
+    """On random scripts on the real board, dropping the replies that
+    repeat a bounded-win key keeps the verdict, the counterexample, the
+    lines and the depth, and it drops some replies."""
+    dropped = []
+
+    @_SPLIT_SETTINGS
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        tree = _random_bounded_tree(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_replies(patch)
+            fast = verify_maker_strategy(tree.board, tree)
+            played = calls[0]
+            _repeats_off(patch)
+            slow = verify_maker_strategy(tree.board, tree)
+        assert _outcome(fast) == _outcome(slow)
+        # the counter ran on through the second verification
+        dropped.append(calls[0] - 2 * played)
+
+    check()
+    assert any(dropped)
