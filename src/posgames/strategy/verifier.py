@@ -43,8 +43,9 @@ the line fails only when Maker's every finishing claim is taken.  So, by
 induction on the free vertices, S succeeds exactly when every other
 reply does, and S and S' may share a key.
 
-A finishing ``on_win`` continuation (see ``_finishes``) that runs on the
-root stack is decided without expanding it while at least two of the
+A finishing ``on_win`` continuation (see ``_finishes``; each is
+classified once per stack, in its ``wins`` table) that runs on the root
+stack is decided without expanding it while at least two of the
 vertices its claim may take are free and the line has room for two more
 moves (see ``_Machine._finish``); otherwise it is expanded, so every
 failure and every counterexample comes from the expansion.  This is
@@ -241,16 +242,6 @@ class _BWAfter:
 _bw_after = functools.cache(_BWAfter)
 
 
-@dataclass(frozen=True, eq=False)
-class _Finish:
-    """Internal opponent node that stands for a finishing ``on_win``
-    continuation ``cont`` on the root stack, and the real vertices
-    ``claims`` its claim may take (see ``_finishes``)."""
-
-    cont: Respond
-    claims: int
-
-
 class _Stack:
     """One stack of active layers, outermost first, and what is known about
     it independently of the claim masks.
@@ -284,6 +275,11 @@ class _Stack:
     ``buckets`` (see ``_reply_buckets``), which is None until the first
     node whose reply groups ``_Machine._node_groups`` builds on the stack.
 
+    ``wins`` holds one dict per layer, outermost first: the parent's, then
+    its own layer's, from each virtual edge with an ``on_win`` continuation
+    to (continuation, real edge image from ``edges``, finishing claims from
+    ``_finishes``), so each continuation is classified once per stack.
+
     ``pairs`` is None or the stack's table of answered pairs (see
     ``_answered_pairs``): per pair the kill masks that must all meet
     Breaker's stones before ``_drop_dead_pairs`` drops it at a ``Respond``
@@ -295,12 +291,11 @@ class _Stack:
     the entry ``_Machine._claim`` takes.  The claim bits are what a Maker
     claim of the vertex ORs into each layer's Maker mask, outermost first.
     An ``on_win`` entry is (layer index, virtual edge mask, continuation,
-    stack the continuation runs on) for each edge through the vertex's
-    coordinate on a layer that has a continuation for it, innermost layer
-    first and in incidence order.  A finishing continuation that runs on
-    the root stack is classified there once and stands in the entry as a
-    ``_Finish`` node.  The vertex is range-checked when its entry is
-    built.
+    stack the continuation runs on, finishing claims or 0) for each edge
+    through the vertex's coordinate on a layer that has a continuation
+    for it, innermost layer first and in incidence order, read from
+    ``wins``; the claims are 0 unless it runs on the root stack.  The
+    vertex is range-checked when its entry is built.
 
     ``rep`` is the stack in whose frame this one also looks its
     opponent-node keys up (see the module docstring), never one that has a
@@ -329,6 +324,7 @@ class _Stack:
         "homes",
         "home_rel",
         "edges",
+        "wins",
         "pairs",
         "bw",
         "rep",
@@ -341,7 +337,7 @@ class _Stack:
         self.homes = 0
         self.home_rel: dict = {}
         if parent is None:
-            self.layers = self.outers = self.stateful = ()
+            self.layers = self.outers = self.stateful = self.wins = ()
             self.real = tuple(range(board.vertex_count))
             self.fixed_rel = 0
             self.table = [("vertex", v, ()) for v in self.real]
@@ -364,6 +360,13 @@ class _Stack:
                 self.home_rel[home] = self.home_rel.get(home, 0) | 1 << parent.real[v]
             self.table = _layer_table(parent, layer)
         self.edges = tuple([self.to_real(mask) for mask in board.edge_masks])
+        if parent is not None:
+            real = self.outers[0].board
+            own = {}
+            for e, cont in layer.on_win.items():
+                edge = self.edges[e]
+                own[e] = (cont, edge, _finishes(cont, parent, edge, real))
+            self.wins = parent.wins + (own,)
         self.pairs = _answered_pairs(self)
         self.buckets = None
         self.groups: dict = {}
@@ -470,12 +473,13 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
     meets every kill mask: each real edge through v or a without the pair,
     and the real image of each virtual edge whose ``on_win`` continuation
     does not finish (see ``_finishes``) or may take v or a with its
-    finishing claim.  Only whether a continuation finishes is asked, not
-    where it runs or what else it claims.  Returns (kills, partner,
-    union, by_killed): ``kills`` lists (pair mask, kill masks) without
-    duplicate masks, ``partner`` maps each paired vertex to its partner
-    in ``_segments`` form, ``union`` is the union of the kill masks and
-    ``by_killed`` caches the pairs that Breaker's stones kill.
+    finishing claim, as ``stack.wins`` holds them.  Only whether a
+    continuation finishes is asked, not where it runs or what else it
+    claims.  Returns (kills, partner, union, by_killed): ``kills`` lists
+    (pair mask, kill masks) without duplicate masks, ``partner`` maps
+    each paired vertex to its partner in ``_segments`` form, ``union`` is
+    the union of the kill masks and ``by_killed`` caches the pairs that
+    Breaker's stones kill.
     """
     table = stack.table
     if not any(layer.answers for layer in stack.layers):
@@ -486,15 +490,6 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
             answering[entry[1]] = answering.get(entry[1], 0) + 1
     real_board = stack.outers[0].board
     edge_masks, incidence = real_board.edge_masks, real_board.incidence
-    # (real image of an on_win edge, the real vertices its finishing claim
-    # may take, or every vertex when it does not finish)
-    wins = []
-    for i, layer in enumerate(stack.layers):
-        outer = stack.outers[i]
-        for e, cont in layer.on_win.items():
-            edge = outer.to_real(_image(layer.embed, layer.board.edge_masks[e]))
-            finish = _finishes(cont, outer, edge, edge_masks, incidence)
-            wins.append((edge, finish or -1))
     image = stack.to_real(stack.board.full_mask)
     kills = []
     partner: dict = {}
@@ -507,7 +502,10 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
         if pair & image or answering[v] != 1 or answering[a] != 1:
             continue
         masks = {edge_masks[e] & ~pair for e in (*incidence[v], *incidence[a])}
-        masks.update(edge for edge, reads in wins if reads & pair)
+        for own in stack.wins:
+            for _cont, edge, claims in own.values():
+                if not claims or claims & pair:
+                    masks.add(edge)
         kills.append((pair, tuple(sorted(masks))))
         partner[a - v] = partner.get(a - v, 0) | 1 << v
         partner[v - a] = partner.get(v - a, 0) | 1 << a
@@ -518,22 +516,22 @@ def _answered_pairs(stack: _Stack) -> tuple | None:
     return tuple(kills), tuple(sorted(partner.items())), union, {}
 
 
-def _finishes(cont, outer: _Stack, edge: int, edge_masks, incidence) -> int:
+def _finishes(cont, outer: _Stack, edge: int, real: Hypergraph) -> int:
     """The real vertices an ``on_win`` continuation that runs on ``outer``
     may claim, when it ends the line at Maker's next claim once Maker holds
-    the real edge mask ``edge``, whatever the opponent plays; else 0.
+    the edge mask ``edge`` of the real board ``real``, whatever the
+    opponent plays; else 0.
 
     Such a continuation is finishing: a ``Respond`` without branches, with
     no relevance mask or one on ``outer``'s board, whose default claims,
     with nothing after it, one or more vertices that each complete a real
     edge inside ``edge`` and the vertex itself.  The line then fails only
     when every such vertex is taken, which a move off them does not change.
-    This is the one definition both of its users read:
-    ``_answered_pairs`` lets a finishing continuation run where a dead pair
-    is still open, and ``_Machine._claim_entry`` marks one that runs on the
-    root stack for ``_Machine._finish``, which decides it without
-    expanding it while two of these vertices are free (see the module
-    docstring)."""
+    Its one caller is ``_Stack``, which files the result in ``wins``.
+    ``_answered_pairs`` reads it there to let a finishing continuation run
+    where a dead pair is still open, and ``_Machine._claim_entry`` to hand
+    one on the root stack to ``_Machine._finish``, which decides it while
+    two of these vertices are free (see the module docstring)."""
     if type(cont) is not Respond or cont.branches:
         return 0
     if cont.relevance is not None and cont.relevance >> len(outer.real):
@@ -551,10 +549,19 @@ def _finishes(cont, outer: _Stack, edge: int, edge_masks, incidence) -> int:
     for c in vertices:
         u = outer.real[c]
         inside = edge | 1 << u
-        if not any(edge_masks[f] & ~inside == 0 for f in incidence[u]):
+        if not any(real.edge_masks[f] & ~inside == 0 for f in real.incidence[u]):
             return 0
         claims |= 1 << u
     return claims
+
+
+def _held_rel(stack: _Stack, va: int) -> int:
+    """The real members of each of ``stack``'s dynamic groups whose home
+    the innermost Maker mask ``va`` holds."""
+    rel = 0
+    for c in iter_bits(va & stack.homes):
+        rel |= stack.home_rel[c]
+    return rel
 
 
 def _stateful(layer) -> bool:
@@ -864,10 +871,7 @@ class _Machine:
                 rel = self.full
             rel = stack.static_rel[id(node)] = rel | stack.fixed_rel
         if stack.homes:
-            held = masks[-1][0] & stack.homes
-            if held:
-                for c in iter_bits(held):
-                    rel |= stack.home_rel[c]
+            rel |= _held_rel(stack, masks[-1][0])
         return rel
 
     def _bw_entry(self, stack: _Stack, va: int, k: int):
@@ -887,9 +891,7 @@ class _Machine:
         key = (va, k)
         got = stack.bw.get(key)
         if got is None:
-            rel = stack.fixed_rel
-            for c in iter_bits(va & stack.homes):
-                rel |= stack.home_rel[c]
+            rel = stack.fixed_rel | _held_rel(stack, va)
             levels: list = [[] for _ in range(k)]
             for mask, real in zip(stack.board.edge_masks, stack.edges):
                 needed = mask & ~va
@@ -919,20 +921,15 @@ class _Machine:
         for i in range(len(layers) - 1, -1, -1):
             layer = layers[i]
             bits[i] = 1 << c
-            if layer.on_win:
+            own = stack.wins[i]
+            if own:
                 board = layer.board
+                outer = stack.outers[i]
                 for e in board.incidence[c]:
-                    cont = layer.on_win.get(e)
-                    if cont is not None:
-                        outer = stack.outers[i]
-                        if outer is self.root:
-                            edge = _image(layer.embed, board.edge_masks[e])
-                            claims = _finishes(
-                                cont, outer, edge, self.edge_masks, self.incidence
-                            )
-                            if claims:
-                                cont = _Finish(cont, claims)
-                        wins.append((i, board.edge_masks[e], cont, outer))
+                    if e in own:
+                        cont, _edge, claims = own[e]
+                        claims = claims if outer is self.root else 0
+                        wins.append((i, board.edge_masks[e], cont, outer, claims))
             c = layer.embed[c]
         edges = tuple([self.edge_masks[e] for e in self.incidence[c]])
         entry = stack.claims[v] = (c, tuple(bits), edges, tuple(wins))
@@ -945,8 +942,9 @@ class _Machine:
         This is the one place a Maker move joins the line.  It records the
         claim on every active layer, checks real then virtual edge
         completion (innermost first), fires ``on_win`` continuations in the
-        owning layer's parent context, and otherwise proceeds to ``then`` at
-        the opponent's turn.  An entry without claim bits, the root
+        owning layer's parent context, through ``_finish`` when the entry
+        carries finishing claims, and otherwise proceeds to ``then`` at the
+        opponent's turn.  An entry without claim bits, the root
         stack's, leaves ``masks`` as they are: that is how a layer's answer
         comes here (see ``_reply``).
         """
@@ -969,9 +967,12 @@ class _Machine:
                     if isinstance(then, WinNow):
                         self._win_now(then, stack, ra_new)
                     return
-            for i, mask, cont, outer in wins:
+            for i, mask, cont, outer, claims in wins:
                 if mask & ~masks[i][0] == 0:
-                    self._expand_opponent(cont, outer, masks[:i], ra_new, rb)
+                    if claims:
+                        self._finish(cont, claims, outer, masks[:i], ra_new, rb)
+                    else:
+                        self._expand_opponent(cont, outer, masks[:i], ra_new, rb)
                     return
             if then is None:
                 self._fail(
@@ -982,20 +983,21 @@ class _Machine:
         finally:
             path.pop()
 
-    def _finish(self, node: _Finish, stack: _Stack, masks: tuple, ra: int, rb: int):
-        """Decide a finishing ``on_win`` continuation on the root stack
-        without expanding it while two of the vertices its claim may take
-        are free and the line has room for a reply and that claim; else
-        expand it.  The decision counts the node as one line and records
-        the depth the expansion would reach (see the module docstring)."""
-        free = node.claims & ~(ra | rb)
+    def _finish(self, cont, claims: int, stack: _Stack, masks: tuple, ra: int, rb: int):
+        """Decide the finishing ``on_win`` continuation ``cont`` on the root
+        stack without expanding it while two of ``claims``, the real
+        vertices its claim may take, are free and the line has room for a
+        reply and that claim; else expand it.  The decision counts the node
+        as one line and records the depth the expansion would reach (see the
+        module docstring)."""
+        free = claims & ~(ra | rb)
         depth = len(self.path) + 2
         if free & (free - 1) and depth <= _LINE_LIMIT:
             self.expansions += 1
             if depth > self.max_depth:
                 self.max_depth = depth
             return
-        self._expand_opponent(node.cont, stack, masks, ra, rb)
+        self._expand_opponent(cont, stack, masks, ra, rb)
 
     def _maker_turn(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
         if isinstance(node, EnterLayer):
@@ -1053,13 +1055,10 @@ class _Machine:
 
     def _expand_opponent(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
         """The opponent's turn at ``node``, the one entry to it: after a run
-        of ``EnterLayer`` nodes, a ``_Finish`` goes to ``_finish``, and at a
-        ``Respond`` or ``_BWAfter`` node each reply goes to ``_reply``."""
+        of ``EnterLayer`` nodes, at a ``Respond`` or ``_BWAfter`` node, each
+        reply goes to ``_reply``."""
         if isinstance(node, EnterLayer):
             node, stack, masks = self._enter(node, stack, masks)
-        if type(node) is _Finish:
-            self._finish(node, stack, masks, ra, rb)
-            return
         if not isinstance(node, (Respond, _BWAfter)):
             if node is None:
                 self._fail("leaf_without_win", "strategy ends while the game is open")

@@ -80,6 +80,7 @@ from posgames.strategy.verifier import (
     _BWAfter,
     _fits_stack,
     _fits_state,
+    _image,
     _lift,
     _Machine,
     _resolve_dyn,
@@ -1864,6 +1865,78 @@ def test_bounded_win_entries_sum_their_relevance(monkeypatch):
     assert sum(built) == 6
 
 
+def _clear_relevance(node, bit: int, done: dict):
+    """``node`` with ``bit`` cleared from the relevance of every ``Respond``
+    below it.  ``done`` maps the id of each node met to (its copy, the
+    node), so a shared subtree is copied once."""
+    got = done.get(id(node))
+    if got is not None:
+        return got[0]
+    copy = node
+    if isinstance(node, Respond):
+        rel = node.relevance
+        copy = replace(
+            node,
+            branches=tuple((cls, _clear_relevance(c, bit, done)) for cls, c in node.branches),
+            default=_clear_relevance(node.default, bit, done),
+            relevance=None if rel is None else rel & ~bit,
+        )
+    elif isinstance(node, (Claim, ClaimFirstFree, EnterLayer)) and node.then is not None:
+        copy = replace(node, then=_clear_relevance(node.then, bit, done))
+    done[id(node)] = (copy, node)
+    return copy
+
+
+def _y113_hidden():
+    """The ``endgame-branch-dropped`` mutant with y113 (real vertex 37 of
+    gamma-prime) cleared from the relevance of every ``Respond`` in its
+    gadget endgame ``on_win[0]``, as (board, tree, masks changed)."""
+    mutants = {name: (board, tree) for name, board, tree in named_mutations()}
+    board, tree = mutants["endgame-branch-dropped"]
+    layer = tree.root.layer
+    done: dict = {}
+    endgame = _clear_relevance(layer.on_win[0], 1 << gadget_y(1, 1, 3), done)
+    changed = sum(
+        type(node) is Respond and copy.relevance != node.relevance
+        for copy, node in done.values()
+    )
+    edited = replace(layer, on_win={**layer.on_win, 0: endgame})
+    return board, StrategyTree(board, tree.first_mover, EnterLayer(edited, tree.root.then)), changed
+
+
+def test_the_y113_edit_changes_sixteen_masks():
+    """The edit behind the trusted-relevance defect clears y113, vertex
+    37, from exactly 16 relevance masks of the mutant's gadget endgame and
+    leaves it in none; the unedited mutant fails as a bounded-win failure
+    at 11,000 lines.  This test keeps the edit honest, so that the strict
+    xfail below cannot pass on a broken edit."""
+    assert gadget_y(1, 1, 3) == 37
+    board, tree, changed = _y113_hidden()
+    assert changed == 16
+    assert not any(
+        type(node) is Respond and node.relevance is not None and node.relevance >> 37 & 1
+        for node in iter_nodes(tree.root.layer.on_win[0])
+    )
+    mutants = {name: (board, tree) for name, board, tree in named_mutations()}
+    report = verify_maker_strategy(*mutants["endgame-branch-dropped"])
+    assert report.counterexample.kind == "bounded_win_failure"
+    assert report.lines_checked == 11_000
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="relevance hints are trusted: the verifier accepts this tree "
+    "in 188,355 lines at depth 28 until zones check the hints",
+)
+def test_a_relevance_hint_that_hides_y113_is_refuted():
+    """A ``Respond`` relevance that leaves out y113 hides the dropped
+    endgame branch from the memo key, and the verifier wrongly accepts
+    the mutant.  Checked relevance must refute it; the strict marker makes
+    the change that does so drop the marker."""
+    board, tree, _changed = _y113_hidden()
+    assert not verify_maker_strategy(board, tree).verified
+
+
 def test_every_mutation_is_rejected():
     mutations = named_mutations()
     assert len(mutations) == 20
@@ -2424,8 +2497,8 @@ def _finish_off(monkeypatch):
     """Expand every finishing continuation, as the verifier did before it
     decided them."""
 
-    def expand(self, node, stack, masks, ra, rb):
-        self._expand_opponent(node.cont, stack, masks, ra, rb)
+    def expand(self, cont, claims, stack, masks, ra, rb):
+        self._expand_opponent(cont, stack, masks, ra, rb)
 
     monkeypatch.setattr(_Machine, "_finish", expand)
 
@@ -2441,10 +2514,10 @@ def _finish_calls(monkeypatch) -> list:
         expanded.append(node)
         return expand(self, node, *args)
 
-    def spy_finish(self, node, *args):
+    def spy_finish(self, cont, claims, stack, masks, ra, rb):
         before = len(expanded)
         try:
-            finish(self, node, *args)
+            finish(self, cont, claims, stack, masks, ra, rb)
         finally:
             calls.append(len(expanded) == before)
 
@@ -2566,6 +2639,61 @@ def test_a_continuation_off_the_root_stack_is_never_decided(monkeypatch, answers
     assert fast.counterexample == _ONE_FREE_PENDANT
     _finish_off(monkeypatch)
     assert _outcome(fast) == _outcome(verify_maker_strategy(h, tree))
+
+
+def test_each_continuation_is_classified_once_per_stack(monkeypatch):
+    """``_finishes`` runs only while a stack's ``wins`` table is built,
+    once per edge of the stack's own layer: never on gamma, 15 times on
+    gamma-prime (the gadget endgames), 45 on g4 (15 on each of its three
+    pentagon-over-gadgets stacks), 10 on g3-split (the pendant claims) and
+    70 times over the 20 mutants.  Every table entry holds its layer's
+    continuation, the real image of its edge and the finishing claims,
+    recomputed here from the layer data; only g3-split's 10 finish.  Every
+    claim-table entry copies them, with the claims only on the root
+    stack."""
+    finishes, push = verifier._finishes, _Machine._push
+    calls = [0]
+    stacks: dict = {}
+
+    def spy_finishes(*args):
+        calls[0] += 1
+        return finishes(*args)
+
+    def spy_push(self, stack, layer):
+        child = push(self, stack, layer)
+        stacks[id(child)] = (child, self.root)
+        return child
+
+    monkeypatch.setattr(verifier, "_finishes", spy_finishes)
+    monkeypatch.setattr(_Machine, "_push", spy_push)
+
+    def traffic(board, tree) -> int:
+        calls[0] = 0
+        verify_maker_strategy(board, tree)
+        return calls[0]
+
+    got = {name: traffic(*target) for name, target in _pentagon_targets().items()}
+    assert got == {"gamma": 0, "gamma-prime": 15, "g4": 45, "g3-split": 10}
+    assert sum(traffic(board, tree) for _name, board, tree in named_mutations()) == 70
+    finishing = 0
+    for stack, root in stacks.values():
+        assert len(stack.wins) == len(stack.layers)
+        real = stack.outers[0].board
+        for i, layer in enumerate(stack.layers):
+            outer, own = stack.outers[i], stack.wins[i]
+            assert own.keys() == layer.on_win.keys()
+            for e, cont in layer.on_win.items():
+                edge = outer.to_real(_image(layer.embed, layer.board.edge_masks[e]))
+                claims = finishes(cont, outer, edge, real)
+                assert own[e][0] is cont and own[e][1:] == (edge, claims)
+                finishing += bool(claims)
+        for entry in stack.claims.values():
+            for i, mask, cont, outer, claims in entry[3]:
+                layer = stack.layers[i]
+                e = layer.board.edge_masks.index(mask)
+                assert cont is layer.on_win[e] and outer is stack.outers[i]
+                assert claims == (stack.wins[i][e][2] if outer is root else 0)
+    assert finishing == 10
 
 
 def _check_finishing(make_tree) -> list:
