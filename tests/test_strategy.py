@@ -1901,7 +1901,8 @@ def _y113_hidden():
         for copy, node in done.values()
     )
     edited = replace(layer, on_win={**layer.on_win, 0: endgame})
-    return board, StrategyTree(board, tree.first_mover, EnterLayer(edited, tree.root.then)), changed
+    tree = StrategyTree(board, tree.first_mover, EnterLayer(edited, tree.root.then))
+    return board, tree, changed
 
 
 def test_the_y113_edit_changes_sixteen_masks():
