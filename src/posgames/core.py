@@ -14,6 +14,7 @@ Invariants:
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -394,7 +395,23 @@ def automorphism_generators(h: Hypergraph) -> list[list[int]]:
     stabiliser is trivial and the generators generate the whole group when
     the search is exact.  The search is not trusted: a candidate is kept
     only if :func:`is_automorphism` holds and it maps as asked, so every
-    generator is an automorphism, whatever the search returns."""
+    generator is an automorphism, whatever the search returns.
+
+    The generators of the last few boards are cached, keyed by the board's
+    value: boards that compare equal (the same vertex count, edge set and
+    names) share one entry, and the cache holds a fixed number of boards,
+    least recently used first out.  This is exact because the search reads
+    only the vertex count and the edge set, never the edge order:
+    ``_Search._refine`` ranks its keys by sorting.  The cache keeps tuples,
+    and each call returns fresh lists, so a caller that edits a generator
+    changes no later answer."""
+    return [list(g) for g in _checked_generators(h)]
+
+
+@functools.lru_cache(maxsize=8)
+def _checked_generators(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The search behind :func:`automorphism_generators`, run once per
+    board value while the value stays in the cache."""
     search = _Search(h)
     path = search.path
     verts: dict[int, int] = {}
@@ -409,12 +426,12 @@ def automorphism_generators(h: Hypergraph) -> list[list[int]]:
             pairs = fixed + [(base, v)]
             g = search.candidate(depth, pairs)
             if g and is_automorphism(h, g) and all(g[p] == q for p, q in pairs):
-                gens.append(g)
+                gens.append(tuple(g))
                 for u in range(h.vertex_count):
                     _merge(verts, u, g[u])
             else:
                 known.append(v)
-    return gens
+    return tuple(gens)
 
 
 def mask_orbits(

@@ -42,9 +42,10 @@ board's automorphism group on pairs (:func:`_pair_orbits`, with
 edges, so it maps the game after the offer {x, y} and either choice onto
 the game after {g(x), g(y)} and the corresponding choice, and Picker wins
 the one iff the other.  Every merge of two offers is by a permutation that
-``core.is_automorphism`` has checked.  The orbits are built lazily, after
-the root's first offer has been refuted, so a search that stops at the node
-limit or on a Picker win there pays nothing for them.  Dead-vertex offers,
+``core.is_automorphism`` has checked, one of ``core.automorphism_generators``,
+which are built once per board value per process.  The orbits are built
+lazily, after the root's first offer has been refuted, so a search that
+stops at the node limit or on a Picker win there pays nothing for them.  Dead-vertex offers,
 interior nodes, :func:`cp_winner_from` and :func:`validate_case_table`
 search as before.
 """

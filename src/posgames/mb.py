@@ -31,7 +31,9 @@ onto the game after g(v), and the mover wins the one iff the other.  A move
 is skipped only when an earlier move of its orbit was searched and refuted,
 so the first winning move in search order is never skipped, and the root's
 value is that of a search without orbits.  The generators come from
-``core.automorphism_generators``, each checked by ``core.is_automorphism``.
+``core.automorphism_generators``, each checked by ``core.is_automorphism``
+and built once per board value per process (the cache is shared with
+``cp`` and the verifier).
 The orbits are built lazily, once the root's first move has been refuted
 and another one is due, so a root that wins at its first move, has a forced
 move or stops at the node limit pays nothing for them.  Interior nodes and

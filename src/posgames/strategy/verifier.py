@@ -141,7 +141,12 @@ innermost board's ``core.automorphism_generators`` that maps the
 coordinate u dispatches on onto w's, lifted through each layer's
 embedding and the member order of its dynamic groups, and fixing every
 other vertex.  A skipped w counts as a succeeded reply too, so a chain
-of generators covers a whole orbit.  The candidate is not trusted: σ is
+of generators covers a whole orbit.  The generators are asked for lazily,
+at the first reply that has a known success before it, and
+``core.automorphism_generators`` builds them once per board value per
+process: gamma, gamma-prime and g4 share one pentagon board, so their
+stone-free nodes, and the mutants', share one build.
+The candidate is not trusted: σ is
 used only if ``core.is_automorphism`` confirms it is an automorphism of
 the innermost board, it maps u onto w on the real board, fixes the real
 and every layer's claim masks, is an automorphism of the real board once
@@ -1132,9 +1137,10 @@ class _Machine:
         answered or reaches no child has no coordinate or child to compare
         and is always searched.  The innermost board holds no stones, so
         every dynamic group's home is free and each member dispatches on
-        it.  The generators are built at the first reply with a reply in
-        ``done`` before it, so a node that fails before then pays nothing
-        for them.
+        it.  The generators are asked for at the first reply with a reply
+        in ``done`` before it, so a node that fails before then pays
+        nothing for them; ``core.automorphism_generators`` builds them once
+        per board value per process and returns fresh lists.
         """
         table = stack.table
         board = stack.board

@@ -1,6 +1,7 @@
 """Shared test utilities: deterministic random boards, cached
 verification runs (the expensive strategy checks run once per session)
-and a spy on the automorphism search's candidates."""
+and seams that replace or spy on the automorphism search's candidates on
+a cold generator cache."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from posgames.constructions import (
     gen_gamma_prime,
     split_pendant,
 )
+from posgames import core
 from posgames.core import Hypergraph, _Search
 from posgames.strategy import (
     VerificationReport,
@@ -97,9 +99,37 @@ def random_uniform_low_degree(
     return Hypergraph(vertices, sorted(edges))
 
 
+def cold_searches(monkeypatch) -> list:
+    """Give ``core.automorphism_generators`` an empty generator cache of
+    its own for the rest of the test, and return the list of the boards
+    its search is then built on, in order.  The process's cache comes back
+    at teardown and holds nothing built under the test's patches."""
+    builds = []
+    cached = core._checked_generators
+    fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+    init = _Search.__init__
+
+    def spy(self, h):
+        builds.append(h)
+        init(self, h)
+
+    monkeypatch.setattr(core, "_checked_generators", fresh)
+    monkeypatch.setattr(_Search, "__init__", spy)
+    return builds
+
+
+def patch_candidate(monkeypatch, candidate) -> None:
+    """Put ``candidate`` in place of ``_Search.candidate`` on a cold
+    generator cache (see ``cold_searches``), so every board is searched
+    afresh under ``candidate``."""
+    cold_searches(monkeypatch)
+    monkeypatch.setattr(_Search, "candidate", candidate)
+
+
 def count_finds(monkeypatch) -> list:
     """Record the pairs of every candidate that
-    ``core.automorphism_generators`` asks its search for."""
+    ``core.automorphism_generators`` asks its search for, on a cold
+    generator cache."""
     calls = []
     candidate = _Search.candidate
 
@@ -107,5 +137,5 @@ def count_finds(monkeypatch) -> list:
         calls.append(pairs)
         return candidate(self, depth, pairs)
 
-    monkeypatch.setattr(_Search, "candidate", spy)
+    patch_candidate(monkeypatch, spy)
     return calls

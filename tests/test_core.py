@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cold_searches
 from posgames.constructions import (
     compose_perms,
     gamma_rho,
@@ -268,6 +269,48 @@ class TestAutomorphisms:
         solvers' root orbits and the verifier's stone-free candidates
         come from these lists."""
         assert len(automorphism_generators(board())) == count
+
+    @pytest.mark.parametrize(
+        "board",
+        [gen_gcp, gen_gamma, gen_g3, gen_gamma_prime],
+        ids=["gcp", "gamma", "g3", "gamma-prime"],
+    )
+    def test_a_cached_answer_equals_the_cold_search(self, monkeypatch, board):
+        """On a cold cache the first call searches; an equal board built
+        afresh then gets the same generators, in the same order, from the
+        cache without a second search."""
+        builds = cold_searches(monkeypatch)
+        cold = automorphism_generators(board())
+        assert automorphism_generators(board()) == cold
+        assert builds == [board()]
+
+    def test_a_caller_that_edits_a_generator_changes_no_later_answer(
+        self, monkeypatch
+    ):
+        builds = cold_searches(monkeypatch)
+        gens = automorphism_generators(gen_gamma())
+        cold = [list(g) for g in gens]
+        gens[0].reverse()
+        gens.append(list(range(35)))
+        assert automorphism_generators(gen_gamma()) == cold
+        assert len(builds) == 1
+
+    def test_edge_order_shares_the_cache_entry(self, monkeypatch):
+        """A board with its edge list reversed compares equal, so it gets
+        the entry its original filled.  That is the cold search of the
+        reversed board, whose generators are each an automorphism of it:
+        the search never reads the edge order."""
+        h = gen_gamma()
+        flipped = Hypergraph(h.vertex_count, reversed(h.edges), h.names or None)
+        assert flipped == h and flipped.edges != h.edges
+        builds = cold_searches(monkeypatch)
+        automorphism_generators(h)
+        cached = automorphism_generators(flipped)
+        assert len(builds) == 1 and builds[0].edges == h.edges
+        builds = cold_searches(monkeypatch)
+        assert automorphism_generators(flipped) == cached
+        assert len(builds) == 1 and builds[0].edges == flipped.edges
+        assert all(is_automorphism(flipped, g) for g in cached)
 
 
 class TestHgFormat:

@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from helpers import count_finds, random_hypergraph
+from helpers import count_finds, patch_candidate, random_hypergraph
 from posgames.constructions import gen_complete_multipartite, gen_gamma_prime, gen_gcp
-from posgames.core import Hypergraph, Position, Side, _Search, apply_claim, iter_bits
+from posgames.core import Hypergraph, Position, Side, apply_claim, iter_bits
 from posgames.cp import (
     _CPSearch,
     _pair_orbits,
@@ -277,7 +277,7 @@ class TestRootOrbits:
                 return [q if v == p else p if v == q else v for v in range(15)]
             return [q if v == p else v for v in range(15)]
 
-        monkeypatch.setattr(_Search, "candidate", bad)
+        patch_candidate(monkeypatch, bad)
         orbit = _pair_orbits(gen_gcp())
         pairs = [1 << x | 1 << y for x in range(15) for y in range(x)]
         assert [orbit(m) for m in pairs] == pairs

@@ -11,7 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import count_finds, random_hypergraph, random_uniform_low_degree
+from helpers import (
+    count_finds,
+    patch_candidate,
+    random_hypergraph,
+    random_uniform_low_degree,
+)
 from posgames.constructions import (
     gcp_rotation,
     gen_complete_multipartite,
@@ -22,7 +27,7 @@ from posgames.constructions import (
     split_pendant,
 )
 from posgames import mb
-from posgames.core import Hypergraph, Position, Side, _Search, permute_hypergraph
+from posgames.core import Hypergraph, Position, Side, permute_hypergraph
 from posgames.mb import (
     _lemma22_vertex,
     _residuals,
@@ -399,7 +404,7 @@ class TestRootOrbits:
         report = solve_mb(h, Side.B)
         assert (report.winner, report.nodes_expanded) == (Side.B, 6)
         assert calls == [[(2, 4)]]
-        monkeypatch.setattr(_Search, "candidate", lambda self, depth, pairs: None)
+        patch_candidate(monkeypatch, lambda self, depth, pairs: None)
         assert solve_mb(h, Side.B).nodes_expanded == 8
 
     @pytest.mark.parametrize(
@@ -451,7 +456,7 @@ class TestRootOrbits:
                 return [q if v == p else p if v == q else v for v in range(n)]
             return [q if v == p else v for v in range(n)]
 
-        monkeypatch.setattr(_Search, "candidate", bad)
+        patch_candidate(monkeypatch, bad)
         report = solve_mb(board(), first)
         assert (report.winner, report.nodes_expanded) == (winner, nodes)
 

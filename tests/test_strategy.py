@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cold_searches,
     g3_report,
     g3_split_report,
     g4_report,
@@ -1527,6 +1528,25 @@ def test_stone_free_traffic_is_pinned(monkeypatch):
             sum(candidates.values()),
         )
         assert got == ((0, 0, 0, 0) if name == "g3-split" else (1, 1, 2, 2)), name
+
+
+def test_generators_are_built_once_per_board_value(monkeypatch):
+    """Every stone-free node of the mutants and the pentagon targets lies
+    on one board value, gamma's 35-vertex pentagon board, so on a cold
+    cache one search serves them all.  Verifying the 20 mutants twice
+    searches once; without the cache it searched 10 times, at the five
+    stone-free mutants of each pass.  Gamma, gamma-prime and g4 together
+    search once too, against 3 without the cache."""
+    builds = cold_searches(monkeypatch)
+    for _ in range(2):
+        for name, board, tree in named_mutations():
+            assert not verify_maker_strategy(board, tree).verified, name
+    assert builds == [gen_gamma()]
+    builds = cold_searches(monkeypatch)
+    for name, (board, tree) in _pentagon_targets().items():
+        if name != "g3-split":
+            assert verify_maker_strategy(board, tree).verified, name
+    assert builds == [gen_gamma()]
 
 
 def test_copy_rotation_needs_the_switch_to_be_makers():
