@@ -9,14 +9,15 @@ the replies are played in ascending vertex order without walking every
 free vertex.  Which classes still have a free member is folded into the
 memo key as a profile so the pruning stays exact.  A class of one vertex
 shows as that vertex's bit, so all of them come from one mask AND; each
-larger class has one flag bit above the real vertices, in the order
-``_Machine._node_groups`` lists the classes.  That order is built once per
-(stack, node) and cached, so the flag bits are a fixed bijection with
-the classes there, and a memo key names its stack and node: two keys with
-the same profile have the same classes free.  A key looked up in a
-representative stack's frame (below) takes its profile over the
-representative's own classes at the node, the bijection the
-representative's own keys use.
+larger class has one flag bit above the real vertices, in the order the
+node's ``_Dispatch`` record lists the classes.  The record is built once
+per (stack, node), at the node's first visit on the stack, so the flag
+bits are a fixed bijection with the classes there, and a memo key starts
+with the record, which names its stack and node: two keys with the same
+profile have the same classes free.  A key looked up in a representative
+stack's frame (below) starts with the representative's record and takes
+its profile over the representative's own classes at the node, the
+bijection the representative's own keys use.
 
 A layer's ``answers`` pair the opponent's move on a vertex with a Maker
 claim of its partner, as a pairing strategy does (Hefetz, Krivelevich,
@@ -62,22 +63,32 @@ same depth and stores nothing, so no verdict, counterexample or depth
 changes: a later visit to the same key holds as many moves and is
 decided again.  Only the line count drops, by the claims not played.
 
-On the root stack, at a ``Respond`` node whose replies are played one
-by one (not the stone-free pass below), a reply whose child is
-``BoundedWin(k)`` is not played when it lies outside the bounded-win
-relevance ``rel`` of Maker's stones and k (see ``_Machine._bw_entry``)
-and a lower such reply with the same k is played (see
-``_Machine._bw_replies``).  This is exact.  Only Maker's stones feed
-``rel``, and no reply on the root stack marks a layer or is answered, so
-all these replies call ``_expand_bw`` with one key (k, stack, (), ra &
-rel, rb & rel).  The lowest, v, runs first.  If it fails, the turn fails
-with it, before any later one.  Otherwise the key holds a success, so
-every later one would be a memo hit, which counts no line.  Each pushes
-the line to the same length as v, so ``max_depth`` and the line-limit
-check agree too.  A layer stack is left out: there a reply may mark a
-layer, be answered or resolve at the claim masks, and the passes that do
-none of these already collapse to one reply group outside a node's
-relevance.
+On every stack, at a ``Respond`` node whose replies are played one by
+one (not the stone-free pass below), of the replies of one group in the
+node record's ``repeats`` that lie outside the bounded-win relevance
+``rel`` of the innermost Maker mask and k (see ``_Machine._bw_entry``)
+only the lowest is played.  ``repeats`` lists the groups whose replies
+go to ``BoundedWin(k)``: each group of a branch, or of what the branches
+leave, whose child is one, and, under such a default, each dynamic group
+whose members agree on their visible effects (their marks on the layers
+whose claim masks enter the key), once its home is taken.  Answered
+replies stay out: each is a Maker claim.  This is exact.  None of these
+replies changes a Maker mask, so ``rel`` is the same after each, and a
+group's members mark the stateful layers alike (a dynamic group's
+members pass once its home is taken), so all of them call
+``_expand_bw`` with one key (k, stack, sig, ra & rel, rb & rel).  The
+lowest, v, runs first.  If it fails, the turn fails with it, before any
+later one.  Otherwise the key holds a success, so every later one would
+be a memo hit, which counts no line.  Each pushes the line to the same
+length as v, so ``max_depth`` and the line-limit check agree too.  A
+dynamic group's members agree whenever no layer outside the innermost
+keeps state, as on every shipped stack; otherwise two of them may mark
+an outer layer at different coordinates and reach different keys.
+While the home is free they count as the home, which a branch may
+handle.  That bounded-win key and an opponent node's, (record, sig, ra
+& rel, rb & rel, profile), are both five entries long but never equal:
+one starts with the int k, the other with a ``_Dispatch`` record, which
+equals only itself.
 
 A line's layer state is the innermost active layer stack, interned as one
 object per distinct stack, plus a tuple of per-layer (Maker, opponent)
@@ -93,13 +104,15 @@ resolves, the layers' fixed relevance, the real images of the innermost
 board's edges) is built from the parent stack's tables when the stack is
 interned, so a malformed layer fails on the line that enters it.  Caches
 keyed by a vertex, a node or a claim mask fill on first use.  One of them
-is the bucket table of the reply classes, filled at the stack's first
-node whose classes are built: a node's classes then come from the
-coordinates its branches name, not from every real vertex (see
-``_reply_buckets``).  Another is the claim table: per innermost-board
-vertex, its real vertex, the bit it sets in each layer's Maker mask, the
-real edges through it and the ``on_win`` edges through its coordinate on
-each layer, so a Maker claim walks no embedding or incidence list.  Every
+holds the opponent nodes' records: per node, its relevance, branch map,
+reply groups and repeats (see ``_Dispatch``).  Another is the bucket
+table of the reply classes, filled at the stack's first record: a node's
+classes then come from the coordinates its branches name, not from every
+real vertex (see ``_reply_buckets``).  Another is the claim table: per
+innermost-board vertex, its real vertex, the bit it sets in each layer's
+Maker mask, the real edges through it and the ``on_win`` edges through
+its coordinate on each layer, so a Maker claim walks no embedding or
+incidence list.  Every
 Maker claim goes through ``_Machine._claim`` with such an entry, every
 opponent turn starts at ``_Machine._expand_opponent`` and every opponent
 move is played by ``_Machine._reply``.  A layer's answer is a claim
@@ -272,13 +285,11 @@ class _Stack:
     ``_Machine._push`` checks the layer against the parent board before it
     builds the child, so a malformed layer fails on the line that enters
     it.  Only the caches keyed by a vertex, a node or a claim mask fill on
-    first use: ``claims``, ``groups`` (per node id, its reply groups, see
-    ``_Machine._node_groups``; on the root stack also per ("bw", node id),
-    see ``_Machine._bw_replies``), ``static_rel`` (per ``Respond`` node,
-    the part of ``_Machine._relevance`` that does not depend on the claim
-    masks), ``bw`` (per Maker mask and k, ``_Machine._bw_entry``) and
-    ``buckets`` (see ``_reply_buckets``), which is None until the first
-    node whose reply groups ``_Machine._node_groups`` builds on the stack.
+    first use: ``claims``, ``nodes`` (per opponent node id, its
+    ``_Dispatch`` record on this stack, built by ``_Machine._dispatch`` at
+    the node's first visit here), ``bw`` (per Maker mask and k,
+    ``_Machine._bw_entry``) and ``buckets`` (see ``_reply_buckets``), which
+    is None until the first record built on the stack.
 
     ``wins`` holds one dict per layer, outermost first: the parent's, then
     its own layer's, from each virtual edge with an ``on_win`` continuation
@@ -322,9 +333,8 @@ class _Stack:
         "stateful",
         "table",
         "buckets",
-        "groups",
+        "nodes",
         "claims",
-        "static_rel",
         "fixed_rel",
         "homes",
         "home_rel",
@@ -374,10 +384,8 @@ class _Stack:
             self.wins = parent.wins + (own,)
         self.pairs = _answered_pairs(self)
         self.buckets = None
-        self.groups: dict = {}
+        self.nodes: dict = {}
         self.claims: dict = {}
-        # id(Respond node) -> real mask of its relevance and ``fixed_rel``
-        self.static_rel: dict = {}
         self.bw: dict = {}
         self.rep = None
         self.segs = None
@@ -421,17 +429,18 @@ def _layer_table(parent: _Stack, layer) -> list:
 
 
 def _reply_buckets(table: list, stateful: tuple) -> tuple:
-    """The node-independent part of ``_Machine._node_groups``: the real
+    """The node-independent part of ``_Machine._dispatch``: the real
     vertices bucketed by how they resolve statically, with their effects
     on the layers whose indices are in ``stateful`` (the visible effects).
 
     Returns (by_coord, fallback, answers, union, dyn).  ``by_coord`` maps
-    an innermost coordinate to (visible effects, mask) per vertex class
-    that resolves onto it, ``fallback`` maps visible effects to the mask
-    of every vertex and pass class with them, ``answers`` lists the masks
-    that share visible effects and an answered real vertex, ``union`` the
-    mask of every class per visible effect and ``dyn`` the member masks of
-    the dynamic groups, by home.
+    an innermost coordinate to a dict from visible effects to the mask of
+    each vertex class that resolves onto it, ``fallback`` maps visible
+    effects to the mask of every vertex and pass class with them,
+    ``answers`` lists the masks that share visible effects and an answered
+    real vertex, ``union`` the mask of every class per visible effect and
+    ``dyn`` lists (home, member mask, visible effects) per dynamic group,
+    by home, with None for effects on which the members disagree.
     """
     by_coord: dict = {}
     fallback: dict = {}
@@ -439,11 +448,12 @@ def _reply_buckets(table: list, stateful: tuple) -> tuple:
     union: dict = {}
     dyn: dict = {}
     for rv, entry in enumerate(table):
-        kind, bit = entry[0], 1 << rv
+        kind, bit, effects = entry[0], 1 << rv, entry[-1]
+        visible = tuple([e for e in effects if e[0] in stateful]) if effects else ()
         if kind == "dyn":
-            dyn[entry[1]] = dyn.get(entry[1], 0) | bit
+            mask, seen = dyn.get(entry[1], (0, visible))
+            dyn[entry[1]] = (mask | bit, visible if seen == visible else None)
             continue
-        visible = tuple((fi, c) for fi, c in entry[-1] if fi in stateful)
         union[visible] = union.get(visible, 0) | bit
         if kind == "answer":
             key = (visible, entry[1])
@@ -453,9 +463,31 @@ def _reply_buckets(table: list, stateful: tuple) -> tuple:
         if kind == "vertex":
             classes = by_coord.setdefault(entry[1], {})
             classes[visible] = classes.get(visible, 0) | bit
-    by_coord = {c: tuple(classes.items()) for c, classes in by_coord.items()}
-    dyn_masks = tuple(dyn[k] for k in sorted(dyn))
-    return by_coord, fallback, tuple(answers.values()), tuple(union.values()), dyn_masks
+    dyn_groups = tuple((home, *dyn[home]) for home in sorted(dyn))
+    return by_coord, fallback, tuple(answers.values()), tuple(union.values()), dyn_groups
+
+
+@dataclass(eq=False, slots=True)
+class _Dispatch:
+    """What an opponent node needs on one layer stack beyond the claim
+    masks (see ``_Machine._dispatch``), kept in ``_Stack.nodes``.  An
+    opponent memo key starts with it and so names the stack and the node:
+    a record equals only itself.
+
+    ``rel`` is the real mask of the node's relevance and the stack's
+    ``fixed_rel`` (0 at a ``_BWAfter`` node), ``branches`` maps an
+    innermost coordinate to the first branch that names it, ``singles``
+    and ``groups`` are the reply groups, and ``repeats`` lists (k, member
+    mask, home bit) per group of two or more members whose replies go to
+    ``BoundedWin(k)``, with the home of a dynamic group, else 0 (see the
+    module docstring).
+    """
+
+    rel: int
+    branches: dict
+    singles: int
+    groups: tuple
+    repeats: tuple
 
 
 def _resolve_dyn(masks: tuple, entry):
@@ -603,7 +635,6 @@ class _Machine:
         self.stacks: dict = {}
         # the profile bit of a stack's first multi-member reply group
         self.group_bit = 1 << h.vertex_count
-        self._branch_maps: dict = {}
 
     # ------------------------------------------------------------------
     # failures
@@ -703,17 +734,20 @@ class _Machine:
 
     def _shared_key(self, key: tuple, stack: _Stack, node, out: int) -> tuple:
         """``key``, the memo key of opponent ``node`` on ``stack``, in its
-        representative's frame, where ``_expand_opponent`` looks it up: the
-        claim masks are mapped onto the representative and the reply
-        profile of the free out-of-relevance vertices ``out`` is taken over
-        the representative's reply groups."""
+        representative's frame, where ``_expand_opponent`` looks it up: it
+        starts with the representative's record of ``node``, the claim
+        masks are mapped onto the representative and the reply profile of
+        the free out-of-relevance vertices ``out`` is taken over the
+        representative's reply groups."""
         segs = stack.segs
-        head, _stack, sig, a, b = key[:5]
+        rep = stack.rep
+        rec = rep.nodes.get(id(node)) or self._dispatch(rep, node)
+        _rec, sig, a, b = key[:4]
         a, b = _apply_segments(segs, a), _apply_segments(segs, b)
         profile = 0
         if out:
-            profile = self._profile(stack.rep, node, _apply_segments(segs, out))[1]
-        return (head, stack.rep, sig, a, b, profile)
+            profile = self._profile(rec, _apply_segments(segs, out))[1]
+        return (rec, sig, a, b, profile)
 
     def _enter(self, node, stack: _Stack, masks: tuple):
         """Push the layers of a run of ``EnterLayer`` nodes."""
@@ -726,26 +760,21 @@ class _Machine:
     # ------------------------------------------------------------------
     # reply classes
 
-    def _branch_map(self, node: Respond):
-        got = self._branch_maps.get(id(node))
-        if got is None:
-            got = {}
-            for idx, (cls, _child) in enumerate(node.branches):
-                for v in cls.vertices:
-                    got.setdefault(v, idx)
-            self._branch_maps[id(node)] = got
-        return got
+    def _dispatch(self, stack: _Stack, node) -> _Dispatch:
+        """Build ``stack.nodes[id(node)]``, the ``_Dispatch`` record of
+        opponent ``node`` on ``stack``, at the node's first visit there;
+        fail when a ``Respond`` node's relevance leaves the innermost board.
 
-    def _node_groups(self, stack: _Stack, node):
-        """Merged out-of-relevance reply classes for (layer stack, node).
-
-        Returns (singles, groups): the mask of the real vertices that form
-        a group on their own, and the member masks of the other groups.
-        Together they cover every real vertex, disjointly.  Replies with
-        equal visible effects and equal handling are interchangeable, so
-        each group contributes one representative; state-dependent
-        (dynamic) translation groups are kept separate since their
-        handling resolves per state.
+        The relevance is the node's own in real coordinates, else the whole
+        board on the root stack and nothing on a layer stack, with the
+        stack's ``fixed_rel``.  The reply groups are the merged
+        out-of-relevance reply classes: ``singles``, the mask of the real
+        vertices that form a group on their own, and ``groups``, the member
+        masks of the other groups, which together cover every real vertex,
+        disjointly.  Replies with equal visible effects and equal handling
+        are interchangeable, so each group contributes one representative;
+        dynamic groups are kept apart since their handling resolves per
+        state.
 
         A ``_BWAfter`` node handles every reply alike, so its groups are
         the stack's ``union`` buckets (see ``_reply_buckets``).  At a
@@ -757,86 +786,76 @@ class _Machine:
         ``fallback`` bucket: the cost is in the coordinates the branches
         name, not in the classes of the stack.  The groups come in that
         order, then the dynamic groups by home; the order only fixes which
-        profile bit each group takes (see ``_profile``).
+        profile bit each group takes (see ``_profile``).  The ``repeats``
+        are the branch and ``fallback`` groups whose child is a
+        ``BoundedWin`` and, when the default is one, the dynamic groups
+        whose members agree on their visible effects.
         """
-        got = stack.groups.get(id(node))
-        if got is not None:
-            return got
         buckets = stack.buckets
         if buckets is None:
             buckets = stack.buckets = _reply_buckets(stack.table, stack.stateful)
         by_coord, fallback, answers, union, dyn = buckets
+        branches: dict = {}
+        repeats: tuple = ()
         if type(node) is _BWAfter:
+            rel = 0
             masks = union
         else:
+            rel = node.relevance
+            if rel is None:
+                rel = 0 if stack.layers else self.full
+            elif rel >> stack.board.vertex_count:
+                self._fail("ill_formed", f"node relevance leaves {_board_name(stack)}")
+            else:
+                rel = stack.to_real(rel)
+            rel |= stack.fixed_rel
+            for idx, (cls, _child) in enumerate(node.branches):
+                for c in cls.vertices:
+                    branches.setdefault(c, idx)
             rest = dict(fallback)
-            branches: dict = {}
-            for c, idx in self._branch_map(node).items():
-                for visible, mask in by_coord.get(c, ()):
+            merged: dict = {}
+            for c, idx in branches.items():
+                for visible, mask in by_coord.get(c, {}).items():
                     rest[visible] &= ~mask
                     key = (visible, idx)
-                    branches[key] = branches.get(key, 0) | mask
-            masks = (*answers, *branches.values(), *rest.values())
+                    merged[key] = merged.get(key, 0) | mask
+            default = node.default
+            handled = [(node.branches[idx][1], mask, 0) for (_v, idx), mask in merged.items()]
+            handled += [(default, mask, 0) for mask in rest.values()]
+            handled += [(default, mask, 1 << c) for c, mask, seen in dyn if seen is not None]
+            repeats = tuple(
+                (child.k, mask, home)
+                for child, mask, home in handled
+                if isinstance(child, BoundedWin) and mask & (mask - 1)
+            )
+            masks = (*answers, *merged.values(), *rest.values())
         singles = 0
         groups = []
-        for mask in (*masks, *dyn):
+        for mask in (*masks, *(mask for _home, mask, _visible in dyn)):
             if mask & (mask - 1):
                 groups.append(mask)
             else:
                 singles |= mask
-        got = stack.groups[id(node)] = (singles, tuple(groups))
+        got = stack.nodes[id(node)] = _Dispatch(rel, branches, singles, tuple(groups), repeats)
         return got
 
-    def _bw_replies(self, node: Respond) -> tuple:
-        """(k, mask) per budget k, for the masks of two or more real
-        vertices whose reply at ``Respond`` node ``node`` on the root
-        stack goes straight to ``BoundedWin(k)``: through the branch that
-        names it or, without one, through the default.  On the root stack
-        every real vertex is its own coordinate and marks no layer.
-
-        Built once per node and cached in the root stack's ``groups``
-        beside the node's reply groups.  ``_expand_opponent`` plays only
-        the lowest of these replies per k outside the bounded-win relevance
-        (see the module docstring)."""
-        groups = self.root.groups
-        key = ("bw", id(node))
-        got = groups.get(key)
-        if got is None:
-            by_k: dict = {}
-            named = 0
-            vertices = range(self.h.vertex_count)
-            for c, idx in self._branch_map(node).items():
-                if c in vertices:
-                    named |= 1 << c
-                    child = node.branches[idx][1]
-                    if isinstance(child, BoundedWin):
-                        by_k[child.k] = by_k.get(child.k, 0) | 1 << c
-            if isinstance(node.default, BoundedWin):
-                k = node.default.k
-                by_k[k] = by_k.get(k, 0) | self.full & ~named
-            got = groups[key] = tuple(
-                (k, mask) for k, mask in by_k.items() if mask & (mask - 1)
-            )
-        return got
-
-    def _profile(self, stack: _Stack, node, out: int):
+    def _profile(self, rec: _Dispatch, out: int):
         """(replies, profile) for the free out-of-relevance vertices ``out``
-        at (stack, node): the lowest member of each group that meets
-        ``out``, and which groups those are.  A single-vertex group is its
-        own vertex bit; the other groups take one bit each above the real
-        vertices, in ``_node_groups`` order.  So the profile is 0 exactly
-        when ``out`` is.
+        at the node and stack of ``rec``: the lowest member of each group
+        that meets ``out``, and which groups those are.  A single-vertex
+        group is its own vertex bit; the other groups take one bit each
+        above the real vertices, in the order of ``rec.groups``.  So the
+        profile is 0 exactly when ``out`` is.
 
-        That order is arbitrary but cached per (stack, node), so each
-        group keeps its bit for the whole run, and the memo key names the
-        stack and node: equal profiles mean the same groups meet ``out``.
-        ``_shared_key`` calls this on the representative stack, so a key
-        looked up there carries the representative's own bit for each of
-        its groups."""
-        singles, groups = self._node_groups(stack, node)
-        profile = replies = out & singles
+        That order is arbitrary but fixed when the record is built, so each
+        group keeps its bit for the whole run, and the memo key starts with
+        the record: equal profiles mean the same groups meet ``out``.
+        ``_shared_key`` calls this with the representative stack's record,
+        so a key looked up there carries the representative's own bit for
+        each of its groups."""
+        profile = replies = out & rec.singles
         bit = self.group_bit
-        for mask in groups:
+        for mask in rec.groups:
             members = mask & out
             if members:
                 replies |= members & -members
@@ -846,38 +865,6 @@ class _Machine:
 
     # ------------------------------------------------------------------
     # relevance
-
-    def _relevance(self, node: Respond, stack: _Stack, masks: tuple) -> int:
-        """Real vertices whose claims the ``Respond`` node may still react
-        to.
-
-        The union of the node's own relevance and each active layer's
-        relevance (plus its win residue), and the real members of each of
-        the innermost layer's dynamic groups whose home its Maker mask
-        holds; the whole board when nothing bounds it.  The part that does
-        not depend on ``masks`` is cached per node in ``stack.static_rel``.
-        ``stack.homes`` is the mask of the group homes and
-        ``stack.home_rel`` maps each home to the real members of its
-        groups.  A bounded-win state takes its relevance from ``_bw_entry``
-        instead.
-        """
-        rel = stack.static_rel.get(id(node))
-        if rel is None:
-            static = node.relevance
-            if static is not None:
-                if static >> stack.board.vertex_count:
-                    self._fail(
-                        "ill_formed", f"node relevance leaves {_board_name(stack)}"
-                    )
-                rel = stack.to_real(static)
-            elif stack.layers:
-                rel = 0
-            else:
-                rel = self.full
-            rel = stack.static_rel[id(node)] = rel | stack.fixed_rel
-        if stack.homes:
-            rel |= _held_rel(stack, masks[-1][0])
-        return rel
 
     def _bw_entry(self, stack: _Stack, va: int, k: int):
         """Bounded-win data for Maker mask ``va`` on the innermost board,
@@ -1061,7 +1048,15 @@ class _Machine:
     def _expand_opponent(self, node, stack: _Stack, masks: tuple, ra: int, rb: int):
         """The opponent's turn at ``node``, the one entry to it: after a run
         of ``EnterLayer`` nodes, at a ``Respond`` or ``_BWAfter`` node, each
-        reply goes to ``_reply``."""
+        reply goes to ``_reply``.
+
+        The node's relevance is its record's ``rel`` with the real members
+        of each dynamic group whose home the innermost Maker mask holds
+        (``_held_rel``), or at a ``_BWAfter`` node the bounded-win
+        relevance.  The replies outside it collapse to one per reply group
+        (``_profile``), and of each group in the record's ``repeats`` only
+        the lowest reply outside the bounded-win relevance is played (see
+        the module docstring)."""
         if isinstance(node, EnterLayer):
             node, stack, masks = self._enter(node, stack, masks)
         if not isinstance(node, (Respond, _BWAfter)):
@@ -1074,20 +1069,24 @@ class _Machine:
         unclaimed = self.full & ~(ra | rb)
         if unclaimed == 0:
             self._fail("leaf_without_win", "board exhausted before Maker won")
+        rec = stack.nodes.get(id(node)) or self._dispatch(stack, node)
+        va, vb = masks[-1] if masks else (ra, rb)
         if type(node) is _BWAfter:
-            rel = self._bw_entry(stack, masks[-1][0] if masks else ra, node.k)[0]
+            rel = self._bw_entry(stack, va, node.k)[0]
         else:
-            rel = self._relevance(node, stack, masks)
+            rel = rec.rel
+            if stack.homes:
+                rel |= _held_rel(stack, va)
         replies = unclaimed & rel
         out = unclaimed & ~rel
         profile = 0
         if out:
             if stack.pairs is not None and type(node) is Respond:
                 out = _drop_dead_pairs(stack.pairs, out, rb & rel, replies)
-            collapsed, profile = self._profile(stack, node, out)
+            collapsed, profile = self._profile(rec, out)
             replies |= collapsed
         sig = tuple([masks[i] for i in stack.stateful])
-        key = (id(node), stack, sig, ra & rel, rb & rel, profile)
+        key = (rec, sig, ra & rel, rb & rel, profile)
         got = self.memo.get(key)
         if got is True:
             return
@@ -1099,18 +1098,15 @@ class _Machine:
                 return
         self.expansions += 1
         try:
-            if type(node) is Respond and not (
-                masks[-1][0] | masks[-1][1] if masks else ra | rb
-            ):
+            if type(node) is Respond and not va | vb:
                 self._expand_stone_free(node, stack, masks, ra, rb, replies)
             else:
-                if stack is self.root and type(node) is Respond:
-                    for k, mask in self._bw_replies(node):
-                        same = replies & mask
-                        if same & (same - 1):
-                            same &= ~self._bw_entry(stack, ra, k)[0]
-                            # keep the lowest: the others repeat its key
-                            replies ^= same & (same - 1)
+                for k, mask, home in rec.repeats:
+                    same = replies & mask
+                    if same & (same - 1) and not home & ~(va | vb):
+                        same &= ~self._bw_entry(stack, va, k)[0]
+                        # keep the lowest: the others repeat its key
+                        replies ^= same & (same - 1)
                 table = stack.table
                 for v in iter_bits(replies):
                     self._reply(node, stack, masks, ra, rb, v, table[v])
@@ -1144,7 +1140,7 @@ class _Machine:
         """
         table = stack.table
         board = stack.board
-        branch_map = self._branch_map(node)
+        branch_map = stack.nodes[id(node)].branches
         gens = None
         lifts: dict = {}  # index in gens -> its lift if accepted here, else None
         done: dict = {}  # reply known to succeed -> (coordinate, child)
@@ -1247,7 +1243,7 @@ class _Machine:
                 return
             child = node.default
             if kind == "vertex":
-                branch = self._branch_map(node).get(entry[1])
+                branch = stack.nodes[id(node)].branches.get(entry[1])
                 if branch is not None:
                     child = node.branches[branch][1]
             if child is None:
@@ -1273,8 +1269,8 @@ class _Machine:
     def _expand_bw(self, k: int, stack: _Stack, masks: tuple, ra: int, rb: int):
         """Search for a Maker win within ``k`` own moves.
 
-        Its memo key starts with ``k``; being one entry shorter than an
-        opponent node's, it cannot collide with one."""
+        Its memo key starts with the int ``k``, an opponent node's with a
+        ``_Dispatch`` record, so the two never compare equal."""
         va, vb = masks[-1] if masks else (ra, rb)
         rel, levels = self._bw_entry(stack, va, k)
         sig = tuple([masks[i] for i in stack.stateful])

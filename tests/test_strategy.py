@@ -3,6 +3,7 @@ their lifted versions, and the mutation suite."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import json
@@ -878,15 +879,7 @@ def test_members_of_a_held_home_are_relevant(monkeypatch):
         (("maker", 0), ("breaker", 5), ("maker", 1), ("breaker", 2)),
         "strategy claims occupied vertex 5",
     )
-    relevance = _Machine._relevance
-
-    def without_members(self, node, stack, masks):
-        if stack.homes:
-            va, vb = masks[-1]
-            masks = masks[:-1] + ((va & ~stack.homes, vb),)
-        return relevance(self, node, stack, masks)
-
-    monkeypatch.setattr(_Machine, "_relevance", without_members)
+    monkeypatch.setattr(verifier, "_held_rel", lambda stack, va: 0)
     assert verify_maker_strategy(h, tree).verified
 
 
@@ -2407,56 +2400,90 @@ def test_answered_pairs_answer_each_other_alone_outside_the_image():
     assert _pairs(h, whole, layer) is None
 
 
-def _entry_tag(machine, node, entry):
+def _entry_tag(rec, node, entry):
     """How ``node`` handles a reply that resolves to the table ``entry``:
     alike at a ``_BWAfter`` node; else by the real vertex an answer
-    claims, by the branch a coordinate falls in, or by the default."""
+    claims, by the branch of ``rec``, the node's record, that a coordinate
+    falls in, or by the default."""
     if isinstance(node, _BWAfter):
         return ("w",)
     if entry[0] == "answer":
         return ("a", entry[1])
     if entry[0] == "vertex":
-        branch = machine._branch_map(node).get(entry[1])
+        branch = rec.branches.get(entry[1])
         if branch is not None:
             return ("b", branch)
     return ("d",) if node.default is not None else ("u",)
 
 
-def _reference_groups(machine, stack, node) -> tuple:
-    """The reply groups of (``stack``, ``node``) by a plain merge: every
-    real vertex outside a dynamic group tagged by ``_entry_tag``, merged
-    per (visible effects, tag), and each dynamic group on its own.  As
-    (singles, sorted group masks)."""
+def _plain_merge(stack, node) -> dict:
+    """Every real vertex of ``stack`` by a plain merge at ``node``: each
+    vertex outside a dynamic group tagged by ``_entry_tag``, merged per
+    (visible effects, tag), and each dynamic group on its own, keyed by
+    ("dyn", home).  Each merge holds (real vertex, visible effects)
+    pairs."""
+    rec = stack.nodes[id(node)]
     merged: dict = {}
     for rv, entry in enumerate(stack.table):
+        visible = tuple((fi, c) for fi, c in entry[-1] if fi in stack.stateful)
         if entry[0] == "dyn":
             key = ("dyn", entry[1])
         else:
-            visible = tuple((fi, c) for fi, c in entry[-1] if fi in stack.stateful)
-            key = (visible, _entry_tag(machine, node, entry))
-        merged[key] = merged.get(key, 0) | 1 << rv
-    singles = sum(mask for mask in merged.values() if not mask & (mask - 1))
-    return singles, sorted(mask for mask in merged.values() if mask & (mask - 1))
+            key = (visible, _entry_tag(rec, node, entry))
+        merged.setdefault(key, []).append((rv, visible))
+    return merged
+
+
+def _reference_groups(stack, node) -> tuple:
+    """The reply groups of (``stack``, ``node``) by ``_plain_merge``, as
+    (singles, sorted group masks)."""
+    merged = _plain_merge(stack, node)
+    masks = [sum(1 << rv for rv, _visible in members) for members in merged.values()]
+    singles = sum(mask for mask in masks if not mask & (mask - 1))
+    return singles, sorted(mask for mask in masks if mask & (mask - 1))
+
+
+def _reference_repeats(stack, node) -> list:
+    """The ``repeats`` of (``stack``, ``Respond`` node ``node``) by
+    ``_plain_merge``: (k, member mask, home bit) for each merge of two or
+    more members, none of them answered and all with one visible effect,
+    whose child is ``BoundedWin(k)``: the branch a tag names, else the
+    default, which is also the child of a dynamic group (home bit set)
+    once its home is taken."""
+    repeats = []
+    for key, members in _plain_merge(stack, node).items():
+        home = 1 << key[1] if key[0] == "dyn" else 0
+        tag = () if home else key[1]
+        if tag[:1] == ("a",) or len(members) < 2 or len({v for _rv, v in members}) > 1:
+            continue
+        child = node.branches[tag[1]][1] if tag[:1] == ("b",) else node.default
+        if isinstance(child, BoundedWin):
+            repeats.append((child.k, sum(1 << rv for rv, _visible in members), home))
+    return sorted(repeats)
 
 
 def test_reply_groups_match_the_plain_merge(monkeypatch):
-    """Differential gate: at every (stack, node) whose reply groups the
-    four targets and the 20 mutants build, the groups built from the
-    stack's buckets are the plain merge's, as a partition of the real
-    vertices; only their order may differ.  gamma collapses no reply, and
-    13 of the mutants' 1,133 builds are at ``_BWAfter`` nodes."""
-    node_groups = _Machine._node_groups
+    """Differential gate: at every (stack, opponent node) that the four
+    targets and the 20 mutants visit, the groups its record holds, built
+    from the stack's buckets, are the plain merge's, as a partition of the
+    real vertices, and so are its repeats; only their order may differ.
+    The record is built once per visited (stack, node), and 13 of the
+    mutants' 1,274 builds are at ``_BWAfter`` nodes."""
+    dispatch = _Machine._dispatch
     built = []
 
     def spy(self, stack, node):
-        fresh = id(node) not in stack.groups
-        singles, groups = node_groups(self, stack, node)
-        if fresh:
-            assert (singles, sorted(groups)) == _reference_groups(self, stack, node)
-            built.append(type(node) is _BWAfter)
-        return singles, groups
+        assert id(node) not in stack.nodes
+        rec = dispatch(self, stack, node)
+        assert (rec.singles, sorted(rec.groups)) == _reference_groups(stack, node)
+        if type(node) is _BWAfter:
+            assert rec.repeats == ()
+        else:
+            assert sorted(rec.repeats) == _reference_repeats(stack, node)
+        built.append(type(node) is _BWAfter)
+        return rec
 
-    monkeypatch.setattr(_Machine, "_node_groups", spy)
+    monkeypatch.setattr(_Machine, "_dispatch", spy)
     counts = {}
     for name, (board, tree) in _pentagon_targets().items():
         assert verify_maker_strategy(board, tree).verified, name
@@ -2465,7 +2492,7 @@ def test_reply_groups_match_the_plain_merge(monkeypatch):
     for _name, board, tree in named_mutations():
         assert not verify_maker_strategy(board, tree).verified
     counts["mutants"] = len(built)
-    assert counts == {"gamma": 0, "gamma-prime": 324, "g4": 328, "g3-split": 5, "mutants": 1133}
+    assert counts == {"gamma": 58, "gamma-prime": 324, "g4": 329, "g3-split": 5, "mutants": 1274}
     assert sum(built) == 13
 
 
@@ -2494,8 +2521,8 @@ def test_a_bounded_win_node_groups_answers_with_their_visible_effects():
     passes 6 and 7; each embedded vertex marks the layer, so it stays on
     its own."""
     machine, stack, _node = _bucket_board(None)
-    singles, groups = machine._node_groups(stack, _bw_after(1))
-    assert (singles, groups) == (0b111, (0b11111000,))
+    rec = machine._dispatch(stack, _bw_after(1))
+    assert (rec.singles, rec.groups) == (0b111, (0b11111000,))
 
 
 @pytest.mark.parametrize("default", [None, Claim(1, WinNow(0))], ids=["no-default", "default"])
@@ -2505,9 +2532,9 @@ def test_a_respond_node_keeps_answered_replies_apart(default):
     on its own and the passes 6 and 7 share another, with or without a
     default to hand them to."""
     machine, stack, node = _bucket_board(default)
-    singles, groups = machine._node_groups(stack, node)
-    assert (singles, sorted(groups)) == (0b100111, [0b11000, 0b11000000])
-    assert (singles, sorted(groups)) == _reference_groups(machine, stack, node)
+    rec = machine._dispatch(stack, node)
+    assert (rec.singles, sorted(rec.groups)) == (0b100111, [0b11000, 0b11000000])
+    assert (rec.singles, sorted(rec.groups)) == _reference_groups(stack, node)
 
 
 # ----------------------------------------------------------------------
@@ -2794,8 +2821,16 @@ def test_finishing_keeps_every_line_on_random_layered_boards():
 
 
 def _repeats_off(monkeypatch):
-    """Play every reply, also one that repeats a sibling's bounded-win key."""
-    monkeypatch.setattr(_Machine, "_bw_replies", lambda self, node: ())
+    """Play every reply, also one that repeats a sibling's bounded-win key:
+    every record is built without repeats."""
+    dispatch = _Machine._dispatch
+
+    def without_repeats(self, stack, node):
+        rec = dispatch(self, stack, node)
+        rec.repeats = ()
+        return rec
+
+    monkeypatch.setattr(_Machine, "_dispatch", without_repeats)
 
 
 def _count_replies(monkeypatch) -> list:
@@ -2830,8 +2865,8 @@ def test_without_repeat_drops_every_reply_is_played_again(monkeypatch):
     depth, and every mutant fails with the same kind, moves, detail, lines
     and depth; the rule only skips memo hits, which count no line.  With
     the rule, gamma plays 8,548 replies instead of 27,897, gamma-prime
-    33,564 instead of 34,625 and the 20 mutants 36,131 instead of 60,639;
-    g4 and g3-split drop none."""
+    33,564 instead of 34,625, g4 42,465 instead of 43,529 and the 20
+    mutants 36,131 instead of 60,639; g3-split drops none."""
     calls = _count_replies(monkeypatch)
 
     def run():
@@ -2852,7 +2887,7 @@ def test_without_repeat_drops_every_reply_is_played_again(monkeypatch):
     assert fast_counts == {
         "gamma": 8_548,
         "gamma-prime": 33_564,
-        "g4": 43_529,
+        "g4": 42_465,
         "g3-split": 129_194,
         "mutants": 36_131,
     }
@@ -2928,12 +2963,135 @@ def test_a_reply_that_may_lead_to_another_key_is_played(monkeypatch, reply):
     assert reply in [line[1][1] for line in lines if len(line) == 2]
 
 
-def _random_bounded_tree(seed: int) -> StrategyTree:
+def test_a_layer_plays_one_reply_per_bounded_win_key(monkeypatch):
+    """On a layer that keeps no state, the ``Respond`` after Maker's
+    claims of 0 and 6 has the relevance {4, 5} and the default
+    ``BoundedWin(1)``, whose relevance is {0, 2, 3, 6}.  Every free real
+    vertex, the pass 7 too, is in the default's one reply group, which
+    plays 4 and 5 and, for the others, 2.  4 and 5 lie outside the
+    bounded win's relevance, lead to one key, and only the lower, 4, is
+    played.  The outcome is the one with every reply played."""
+    h = Hypergraph(8, [(0, 2, 6), (0, 3, 6)])
+    layer = Layer(
+        name="plain",
+        board=Hypergraph(7, [(0, 2, 6), (0, 3, 6)]),
+        embed=tuple(range(7)),
+        win_edges={0: 0, 1: 1},
+        relevance=0,
+    )
+    last = Respond((), BoundedWin(1), relevance=1 << 4 | 1 << 5)
+    tree = StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, Respond((), Claim(6, last)))))
+    line = (("maker", 0), ("breaker", 1), ("maker", 6))
+    lines = _played(monkeypatch)
+    report = verify_maker_strategy(h, tree)
+    assert report.verified
+    assert [p[-1][1] for p in lines if p[:-1] == line] == [2, 4]
+    _repeats_off(monkeypatch)
+    lines.clear()
+    assert _outcome(verify_maker_strategy(h, tree)) == _outcome(report)
+    assert [p[-1][1] for p in lines if p[:-1] == line] == [2, 4, 5]
+
+
+def test_replies_answered_alike_are_all_played(monkeypatch):
+    """A layer that embeds real 1..5 as its vertices 0..4, on the board
+    {0, 1}, {0, 2}, answers real 4 and 5 with 7, and its ``Respond`` after
+    Maker's claim of real 1 keeps them in its relevance, outside the
+    bounded win's, {1, 2, 3}.  They are one reply group, but each is
+    answered with a Maker claim, which counts a line, so both are played,
+    and the outcome is the one with every reply played."""
+    h = Hypergraph(8, [(1, 2), (1, 3)])
+    layer = Layer(
+        name="answers",
+        board=Hypergraph(5, [(0, 1), (0, 2)]),
+        embed=(1, 2, 3, 4, 5),
+        win_edges={0: 0, 1: 1},
+        answers={4: 7, 5: 7},
+        relevance=0,
+    )
+    node = Respond((), BoundedWin(1), relevance=1 << 3 | 1 << 4)
+    tree = StrategyTree(h, Side.A, EnterLayer(layer, Claim(0, node)))
+    lines = _played(monkeypatch)
+    report = verify_maker_strategy(h, tree)
+    assert report.verified
+    assert [p[-1][1] for p in lines if len(p) == 2] == [0, 2, 3, 4, 5]
+    _repeats_off(monkeypatch)
+    assert _outcome(verify_maker_strategy(h, tree)) == _outcome(report)
+
+
+def _dynamic_group_on_a_layer(outer_answers: dict | None) -> StrategyTree:
+    """A script on layer "inner", whose board embeds real 0..6 as itself
+    with the edges {0, 1, 6}, {0, 2, 6} and {0, 3, 6}, the real edges.
+    The layer sends real 4 and 5 to home 1 and, placed by ``embed`` too,
+    keeps them in the last ``Respond``'s relevance.  Maker claims 0 and,
+    after any reply, 6; then Maker claims 3 after a reply that counts as
+    the home, and every other reply goes to ``BoundedWin(1)``.
+
+    With ``outer_answers`` the layer sits on layer "outer", which copies
+    the real board with two more vertices and has those answers, so it
+    keeps state and a move on 4 or 5 marks it there."""
+    n = 7 if outer_answers is None else 9
+    edges = [(0, 1, 6), (0, 2, 6), (0, 3, 6)]
+    h = Hypergraph(n, edges)
+    inner = Layer(
+        name="inner",
+        board=Hypergraph(7, edges),
+        embed=tuple(range(7)),
+        win_edges={0: 0, 1: 1, 2: 2},
+        relevance=0,
+        dynamic_groups={4: 1, 5: 1},
+    )
+    home = ((ReplyClass("home", frozenset((1,))), Claim(3)),)
+    last = Respond(home, BoundedWin(1), relevance=1 << 4 | 1 << 5)
+    root = EnterLayer(inner, Claim(0, Respond((), Claim(6, last))))
+    if outer_answers is not None:
+        outer = Layer(
+            name="outer",
+            board=h,
+            embed=tuple(range(n)),
+            win_edges={0: 0, 1: 1, 2: 2},
+            answers=outer_answers,
+            relevance=0,
+        )
+        root = EnterLayer(outer, root)
+    return StrategyTree(h, Side.A, root)
+
+
+@pytest.mark.parametrize(
+    "outer_answers, first, played",
+    [(None, 1, [2, 3, 4]), ({7: 8}, 1, [2, 3, 4, 5, 7, 8]), (None, 2, [1, 3, 4, 5])],
+    ids=["taken-home", "outer-state", "free-home"],
+)
+def test_a_dynamic_group_repeats_only_at_a_taken_home_with_equal_effects(
+    monkeypatch, outer_answers, first, played
+):
+    """At the last ``Respond`` of ``_dynamic_group_on_a_layer``, 4 and 5
+    lie in its relevance but outside the bounded win's, {0, 1, 2, 3, 6}.
+    Once the opponent's first reply has taken home 1, a move on 4 or 5 is
+    a pass that goes to ``BoundedWin(1)``.  With no layer outside the
+    innermost they mark nothing else, lead to one key and only 4 is
+    played.  When the outer layer keeps state, 4 and 5 mark it at their
+    own coordinates, lead to two keys and are both played, as are 7,
+    which the outer layer answers, and 8, which marks it.  After a first
+    reply of 2 the home is free, a move on 4 or 5 counts as the home and
+    Maker claims 3 after each, so both are played.  Each time the outcome
+    is the one with every reply played."""
+    tree = _dynamic_group_on_a_layer(outer_answers)
+    line = (("maker", 0), ("breaker", first), ("maker", 6))
+    lines = _played(monkeypatch)
+    report = verify_maker_strategy(tree.board, tree)
+    assert [p[-1][1] for p in lines if p[:-1] == line] == played
+    _repeats_off(monkeypatch)
+    assert _outcome(verify_maker_strategy(tree.board, tree)) == _outcome(report)
+
+
+def _random_bounded_tree(seed: int, relevance: bool = False) -> StrategyTree:
     """A random small board's script, for either first mover, whose
     ``Respond`` nodes send each reply, by up to two branches or by the
     default, to a bounded win of one to three claims or to a further
     Maker claim.  The board's vertices 0, 1 and 2 lie on no edge, so they
-    are the first replies outside every bounded-win relevance."""
+    are the first replies outside every bounded-win relevance.  With
+    ``relevance`` most ``Respond`` nodes bound their relevance by a random
+    mask."""
     rng = random.Random(seed)
     base = random_hypergraph(rng, max_vertices=6, max_edges=5, size_range=(2, 3))
     n = base.vertex_count + 3
@@ -2950,32 +3108,107 @@ def _random_bounded_tree(seed: int) -> StrategyTree:
             (ReplyClass(f"b{i}", frozenset(rng.sample(range(n), rng.randint(1, 2)))), child())
             for i in range(rng.randint(0, 2))
         )
-        return Respond(branches, child())
+        default = child()
+        rel = rng.getrandbits(n) if relevance and rng.random() < 0.8 else None
+        return Respond(branches, default, rel)
 
     first = rng.choice((Side.A, Side.B))
     root = respond(2) if first is Side.B else Claim(free.pop(), respond(2))
     return StrategyTree(h, first, root)
 
 
+def _random_layered_bounded_tree(seed: int) -> StrategyTree:
+    """``_random_bounded_tree``'s script, with random ``Respond``
+    relevance, on a layer that embeds its board at random in a real board
+    with one to three more vertices, whose edges are the images of the
+    board's, under no, an empty or a random relevance.  On half the
+    layers one of the board's vertices 0, 1 and 2, which lie on no edge,
+    is the home of a dynamic group of two or more real vertices drawn from
+    the added ones and the images of the other two.  A third of those
+    layers sit on an outer layer that copies the real board with two more
+    vertices and answers one of them with the other, so it keeps state and
+    every other real vertex marks it at its own coordinate."""
+    script = _random_bounded_tree(seed, relevance=True)
+    rng = random.Random(seed + 2**32)
+    base = script.board
+    n = base.vertex_count
+    m = n + rng.randint(1, 3)
+    embed = tuple(rng.sample(range(m), n))
+    h = Hypergraph(m, [tuple(embed[v] for v in edge) for edge in base.edges])
+    groups = {}
+    if rng.random() < 0.5:
+        home = rng.randrange(3)
+        spare = [embed[c] for c in range(3) if c != home]
+        spare += [v for v in range(m) if v not in embed]
+        groups = dict.fromkeys(rng.sample(spare, rng.randint(2, len(spare))), home)
+    layer = Layer(
+        name="random",
+        board=base,
+        embed=embed,
+        win_edges={e: e for e in range(len(base.edges))},
+        relevance=rng.choice((None, 0, rng.getrandbits(m))),
+        dynamic_groups=groups,
+    )
+    root = EnterLayer(layer, script.root)
+    if groups and rng.random() < 1 / 3:
+        outer = Layer(
+            name="outer",
+            board=h,
+            embed=tuple(range(m)),
+            win_edges={e: e for e in range(len(h.edges))},
+            answers={m: m + 1},
+            relevance=0,
+        )
+        h = Hypergraph(m + 2, h.edges)
+        root = EnterLayer(outer, root)
+    return StrategyTree(h, script.first_mover, root)
+
+
+def _check_repeats(make_tree, examples: int = 200) -> list:
+    """Verify ``examples`` scripts that ``make_tree`` draws from random
+    seeds with every reply played and with the replies that repeat a
+    bounded-win key dropped, and assert that the verdict, the
+    counterexample, the lines and the depth agree.  Returns, per script,
+    how many replies were dropped by (whether on a layer stack, kind of
+    table entry)."""
+    records = []
+    reply = _Machine._reply
+
+    @settings(_SPLIT_SETTINGS, max_examples=examples)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        tree = make_tree(seed)
+        kinds = collections.Counter()
+
+        def spy(self, node, stack, masks, ra, rb, v, entry):
+            kinds[stack.layer is not None, entry[0]] += 1
+            return reply(self, node, stack, masks, ra, rb, v, entry)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Machine, "_reply", spy)
+            fast = verify_maker_strategy(tree.board, tree)
+            played = kinds.copy()
+            kinds.clear()
+            _repeats_off(patch)
+            slow = verify_maker_strategy(tree.board, tree)
+        assert _outcome(fast) == _outcome(slow)
+        records.append(kinds - played)
+
+    check()
+    return records
+
+
 def test_repeat_drops_keep_every_outcome_on_random_boards():
     """On random scripts on the real board, dropping the replies that
     repeat a bounded-win key keeps the verdict, the counterexample, the
     lines and the depth, and it drops some replies."""
-    dropped = []
+    assert any(_check_repeats(_random_bounded_tree))
 
-    @_SPLIT_SETTINGS
-    @given(st.integers(0, 2**32 - 1))
-    def check(seed):
-        tree = _random_bounded_tree(seed)
-        with pytest.MonkeyPatch.context() as patch:
-            calls = _count_replies(patch)
-            fast = verify_maker_strategy(tree.board, tree)
-            played = calls[0]
-            _repeats_off(patch)
-            slow = verify_maker_strategy(tree.board, tree)
-        assert _outcome(fast) == _outcome(slow)
-        # the counter ran on through the second verification
-        dropped.append(calls[0] - 2 * played)
 
-    check()
-    assert any(dropped)
+def test_repeat_drops_keep_every_outcome_on_random_layer_stacks():
+    """On ``_random_layered_bounded_tree``'s scripts, dropping the replies
+    that repeat a bounded-win key keeps the verdict, the counterexample,
+    the lines and the depth, and it drops some replies on a layer stack,
+    also some members of a dynamic group whose home is taken."""
+    records = _check_repeats(_random_layered_bounded_tree, 500)
+    assert any(sum(n for (layered, _kind), n in got.items() if layered) for got in records)
