@@ -358,13 +358,18 @@ def gen_g4() -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def gen_complete_multipartite(k: int, n: int, edge_cap: int = 10**6) -> Hypergraph:
+# the most edges ``gen_complete_multipartite`` builds
+_EDGE_CAP = 10**6
+
+
+def gen_complete_multipartite(k: int, n: int) -> Hypergraph:
     """k vertex classes of size n; the edges are all transversals (one vertex
-    per class), in lexicographic order.  k*n vertices and n**k edges."""
+    per class), in lexicographic order.  k*n vertices and n**k edges, at
+    most ``_EDGE_CAP``."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be at least 1")
-    if n**k > edge_cap:
-        raise ValueError(f"n**k = {n ** k} exceeds the edge cap {edge_cap}")
+    if n**k > _EDGE_CAP:
+        raise ValueError(f"n**k = {n ** k} exceeds the edge cap {_EDGE_CAP}")
     classes = [range(c * n, (c + 1) * n) for c in range(k)]
     return Hypergraph(k * n, list(itertools.product(*classes)))
 

@@ -21,28 +21,36 @@ bijection the representative's own keys use.
 
 A layer's ``answers`` pair the opponent's move on a vertex with a Maker
 claim of its partner, as a pairing strategy does (Hefetz, Krivelevich,
-Stojaković & Szabó, *Positional Games*, 2014).  At a ``Respond`` node,
-a free out-of-relevance pair {v, a} is taken out of the replies and the
-profile once it is dead (see ``_answered_pairs``): v and a answer each
-other alone and mark no layer, neither lies in the real image of the
-innermost board, and a Breaker stone inside the relevance meets each
-kill mask.  The kill masks are the real edges through v or a without the
-pair, and the real image of each virtual edge whose ``on_win``
-continuation does not end the line at Maker's next claim (see
-``_finishes``) or may take v or a with that claim.
-A pair is kept when dropping it would leave no reply.  This is exact.
-Let S' be the state S after the opponent plays v and Maker answers a;
-replies v and a lead to S' and its mirror image, which share its memo
-key.  Every other reply r leads to children of S and S' that differ
-only in the dead pair, which stays dead: no script on the stack or above
-it and no bounded-win search claims a vertex outside the innermost
-image, no continuation that may read the pair can still run, no edge
-through it can still be won and no other reply is answered with it.  A
-continuation that ends the line at once without taking the pair may run
-where the opponent can still play v, but such a move only passes, and
-the line fails only when Maker's every finishing claim is taken.  So, by
-induction on the free vertices, S succeeds exactly when every other
-reply does, and S and S' may share a key.
+Stojaković & Szabó, *Positional Games*, 2014).  At every opponent node,
+``Respond`` and ``_BWAfter`` alike, the replies outside the relevance
+skip the members of the stack's inert pairs (``_Stack.pairs``, see
+``_inert_pairs``) unless nothing else is left to play, so a board that
+only such pairs keep open still fails as exhausted.  The memo key does
+not change: its profile still shows every free member.  A pair {v, a} is
+inert when the stack answers v with a and a with v, marking no layer,
+and answers no third vertex with either, neither lies in the real image
+I of the innermost board, and every ``on_win`` continuation on the stack
+finishes (see ``_finishes``), one whose claims meet the pair claiming
+exactly v and a.  This is exact.  Let X be a state at the node with v
+free, and X' its child after the opponent's v and Maker's answer a, which
+returns to the node.  X' is no worse for Maker than X.  Every line from
+X' is one from X with the two stones added; no layer sees them, so both
+dispatch every move alike.  No script on the stack or inside it and no
+bounded-win search claims or branches on a vertex outside I, and no
+other reply is answered with v or a.  A continuation of a layer on the
+stack runs outside it but ends the line at Maker's next claim, so no
+script after it reads v or a either; one that may take v or a runs only
+once Maker holds its edge's real image, where, by finishing, Maker's a
+already completes a real edge, so in X' Maker has won by then.  So a
+Breaker stone on v only ends edges that Maker could not complete, the
+stone on a only helps Maker, and where X' runs out of board X has only
+v and a left, after which its line runs out too.  By induction on the
+free vertices, when every other reply succeeds at X it succeeds at X'
+with the exchange added, so X' succeeds, and so does the mirror exchange
+after a; X succeeds exactly when its other replies do.  Every move
+takes a vertex, so no line on a board of at most ``_LINE_LIMIT``
+vertices meets the line limit; a larger board marks no pair, since an
+exchange the rule skips may be what takes a line past it.
 
 A finishing ``on_win`` continuation (see ``_finishes``; each is
 classified once per stack, in its ``wins`` table) that runs on the root
@@ -296,11 +304,10 @@ class _Stack:
     to (continuation, real edge image from ``edges``, finishing claims from
     ``_finishes``), so each continuation is classified once per stack.
 
-    ``pairs`` is None or the stack's table of answered pairs (see
-    ``_answered_pairs``): per pair the kill masks that must all meet
-    Breaker's stones before ``_drop_dead_pairs`` drops it at a ``Respond``
-    node, the partner map as ``_segments`` and a cache of the dead pairs
-    per set of Breaker stones.
+    ``pairs`` is the real mask of the stack's inert pairs, built with the
+    stack from ``table`` and ``wins`` (see ``_inert_pairs``): the replies
+    that ``_Machine._expand_opponent`` need not play while anything else
+    is left.
 
     ``claims`` maps an innermost-board vertex to (real vertex, per-layer
     claim bits, masks of the real edges through it, ``on_win`` entries),
@@ -382,7 +389,7 @@ class _Stack:
                 edge = self.edges[e]
                 own[e] = (cont, edge, _finishes(cont, parent, edge, real))
             self.wins = parent.wins + (own,)
-        self.pairs = _answered_pairs(self)
+        self.pairs = _inert_pairs(self)
         self.buckets = None
         self.nodes: dict = {}
         self.claims: dict = {}
@@ -501,56 +508,45 @@ def _resolve_dyn(masks: tuple, entry):
     return ("vertex", home, effects + ((len(masks) - 1, home),))
 
 
-def _answered_pairs(stack: _Stack) -> tuple | None:
-    """The pairs ``_drop_dead_pairs`` may drop on ``stack``, or None.
+def _inert_pairs(stack: _Stack) -> int:
+    """The real vertices of the pairs whose replies ``stack``'s opponent
+    nodes need not play (see the module docstring), from ``stack.table``
+    and ``stack.wins``; 0 on a real board with more vertices than the line
+    limit.
 
-    A pair is two real vertices v and a that ``stack`` answers with each
-    other, marking no layer, outside the real image of its innermost
-    board, that answer no other vertex.  It is dead once a Breaker stone
-    meets every kill mask: each real edge through v or a without the pair,
-    and the real image of each virtual edge whose ``on_win`` continuation
-    does not finish (see ``_finishes``) or may take v or a with its
-    finishing claim, as ``stack.wins`` holds them.  Only whether a
-    continuation finishes is asked, not where it runs or what else it
-    claims.  Returns (kills, partner, union, by_killed): ``kills`` lists
-    (pair mask, kill masks) without duplicate masks, ``partner`` maps
-    each paired vertex to its partner in ``_segments`` form, ``union`` is
-    the union of the kill masks and ``by_killed`` caches the pairs that
-    Breaker's stones kill.
+    A pair is two real vertices v and a outside the real image of the
+    innermost board that the table answers with each other, marking no
+    layer, and with no third vertex.  Every ``on_win`` continuation in
+    ``wins`` must finish (see ``_finishes``), and one whose claims meet
+    the pair must claim exactly the pair.
     """
-    table = stack.table
     if not any(layer.answers for layer in stack.layers):
-        return None
+        return 0
+    if stack.outers[0].board.vertex_count > _LINE_LIMIT:
+        return 0
+    claims = set()
+    for own in stack.wins:
+        for _cont, _edge, got in own.values():
+            if not got:
+                return 0
+            claims.add(got)
+    table = stack.table
     answering: dict = {}  # real vertex -> how many vertices it answers
     for entry in table:
         if entry[0] == "answer":
             answering[entry[1]] = answering.get(entry[1], 0) + 1
-    real_board = stack.outers[0].board
-    edge_masks, incidence = real_board.edge_masks, real_board.incidence
     image = stack.to_real(stack.board.full_mask)
-    kills = []
-    partner: dict = {}
-    union = 0
+    pairs = 0
     for v, entry in enumerate(table):
         a = entry[1]
-        if entry != ("answer", a, ()) or a <= v or table[a] != ("answer", v, ()):
+        if entry != ("answer", a, ()) or table[a] != ("answer", v, ()):
             continue
         pair = 1 << v | 1 << a
         if pair & image or answering[v] != 1 or answering[a] != 1:
             continue
-        masks = {edge_masks[e] & ~pair for e in (*incidence[v], *incidence[a])}
-        for own in stack.wins:
-            for _cont, edge, claims in own.values():
-                if not claims or claims & pair:
-                    masks.add(edge)
-        kills.append((pair, tuple(sorted(masks))))
-        partner[a - v] = partner.get(a - v, 0) | 1 << v
-        partner[v - a] = partner.get(v - a, 0) | 1 << a
-        for mask in masks:
-            union |= mask
-    if not kills:
-        return None
-    return tuple(kills), tuple(sorted(partner.items())), union, {}
+        if all(got == pair or not got & pair for got in claims):
+            pairs |= pair
+    return pairs
 
 
 def _finishes(cont, outer: _Stack, edge: int, real: Hypergraph) -> int:
@@ -565,10 +561,11 @@ def _finishes(cont, outer: _Stack, edge: int, real: Hypergraph) -> int:
     edge inside ``edge`` and the vertex itself.  The line then fails only
     when every such vertex is taken, which a move off them does not change.
     Its one caller is ``_Stack``, which files the result in ``wins``.
-    ``_answered_pairs`` reads it there to let a finishing continuation run
-    where a dead pair is still open, and ``_Machine._claim_entry`` to hand
-    one on the root stack to ``_Machine._finish``, which decides it while
-    two of these vertices are free (see the module docstring)."""
+    ``_inert_pairs`` reads it there, since a pair is inert only while
+    every continuation finishes and none takes one vertex of it alone, and
+    ``_Machine._claim_entry`` to hand one on the root stack to
+    ``_Machine._finish``, which decides it while two of these vertices are
+    free (see the module docstring)."""
     if type(cont) is not Respond or cont.branches:
         return 0
     if cont.relevance is not None and cont.relevance >> len(outer.real):
@@ -1054,9 +1051,10 @@ class _Machine:
         of each dynamic group whose home the innermost Maker mask holds
         (``_held_rel``), or at a ``_BWAfter`` node the bounded-win
         relevance.  The replies outside it collapse to one per reply group
-        (``_profile``), and of each group in the record's ``repeats`` only
-        the lowest reply outside the bounded-win relevance is played (see
-        the module docstring)."""
+        (``_profile``), less the stack's inert pairs unless nothing else is
+        left, and of each group in the record's ``repeats`` only the lowest
+        reply outside the bounded-win relevance is played (see the module
+        docstring)."""
         if isinstance(node, EnterLayer):
             node, stack, masks = self._enter(node, stack, masks)
         if not isinstance(node, (Respond, _BWAfter)):
@@ -1081,9 +1079,11 @@ class _Machine:
         out = unclaimed & ~rel
         profile = 0
         if out:
-            if stack.pairs is not None and type(node) is Respond:
-                out = _drop_dead_pairs(stack.pairs, out, rb & rel, replies)
             collapsed, profile = self._profile(rec, out)
+            inert = collapsed & stack.pairs
+            # the inert pairs are played only when nothing else is left
+            if inert and (replies or inert != collapsed):
+                collapsed ^= inert
             replies |= collapsed
         sig = tuple([masks[i] for i in stack.stateful])
         key = (rec, sig, ra & rel, rb & rel, profile)
@@ -1296,30 +1296,6 @@ class _Machine:
         detail = f"no win within {k} Maker moves from here"
         self.memo[key] = ("bounded_win_failure", detail)
         self._fail("bounded_win_failure", detail)
-
-
-def _drop_dead_pairs(pairs: tuple, out: int, killed: int, replies: int) -> int:
-    """``out`` without the free pairs of ``pairs`` (see ``_answered_pairs``)
-    that are dead: a vertex of ``killed``, Breaker's stones in the memo
-    key, meets each of their kill masks.  ``out`` is kept whole when that
-    would leave no reply besides ``replies``, so a board that only dead
-    pairs leave open is still exhausted."""
-    kills, partner, union, by_killed = pairs
-    free = out & _apply_segments(partner, out)
-    if not free:
-        return out
-    killed &= union
-    dead = by_killed.get(killed)
-    if dead is None:
-        dead = 0
-        for pair, masks in kills:
-            if all(mask & killed for mask in masks):
-                dead |= pair
-        by_killed[killed] = dead
-    dead &= free
-    if dead and (replies or out != dead):
-        return out & ~dead
-    return out
 
 
 def _bw_claims(levels, vb: int):

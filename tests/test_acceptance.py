@@ -179,16 +179,20 @@ def test_verifier_counters_are_pinned():
     ``test_without_symmetry_the_unpruned_lines_come_back``); g3-split has
     no such node.
 
-    On g3-split an opponent node on the pendant layer drops each free
-    pendant pair whose base edge holds a Breaker stone from its replies and
-    memo key: that exchange changes nothing for either side.  This took
-    g3-split from 256,247 lines to 130,807 (see
-    ``test_without_dead_pairs_the_unpruned_lines_come_back``).  Completing
-    a base edge there hands over to a continuation that claims whichever
-    pendant of the edge is free; while both are free, no single reply can
-    stop it, so the verifier decides it as one line instead of expanding
-    every reply.  That took g3-split from 130,807 lines to 76,832, at the
-    same depth (see ``test_without_finishing_the_expanded_lines_come_back``).
+    On g3-split an opponent node on the pendant layer does not play the
+    free pendants: Breaker's move on one and Maker's answer on its partner
+    can only help Maker, since every continuation on the layer claims a
+    whole pendant pair and ends the line.  Completing a base edge there
+    hands over to a continuation that claims whichever pendant of the
+    edge is free; while both are free, no single reply can stop it, so the
+    verifier decides it as one line instead of expanding every reply.
+    With neither rule g3-split takes 256,247 lines at depth 28, with the
+    finishing rule alone 202,272, with the pendant rule alone 67,940 at
+    depth 11 and with both 13,965 at depth 11 (see
+    ``test_without_dead_pairs_the_unpruned_lines_come_back`` and
+    ``test_without_finishing_the_expanded_lines_come_back``).  It took
+    76,832 lines at depth 28 while a pendant pair was dropped only once
+    every edge through it held a Breaker stone.
 
     In a g4 copy, a move off the copy is a pass that the gadget script's
     opening answers as the opening on w_1 (``lift_g4``).  Before that the
@@ -207,7 +211,7 @@ def test_verifier_counters_are_pinned():
         gamma_report: (3_865, 20),
         gamma_prime_report: (41_398, 28),
         g4_report: (49_405, 33),
-        g3_split_report: (76_832, 28),
+        g3_split_report: (13_965, 11),
     }
     for report, (lines, depth) in expected.items():
         rep = report()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from posgames import constructions
 from posgames.constructions import (
     CONSTRUCTIONS,
     GENERATORS,
@@ -246,16 +247,18 @@ class TestCompleteMultipartite:
         h = gen_complete_multipartite(1, 3)
         assert h.edges == ((0,), (1,), (2,))
 
-    def test_rejects_bad_parameters(self):
+    def test_rejects_bad_parameters(self, monkeypatch):
         with pytest.raises(ValueError):
             gen_complete_multipartite(0, 2)
         with pytest.raises(ValueError):
             gen_complete_multipartite(2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge cap 1000000"):
             gen_complete_multipartite(7, 8)
+        monkeypatch.setattr(constructions, "_EDGE_CAP", 3)
         with pytest.raises(ValueError):
-            gen_complete_multipartite(2, 2, edge_cap=3)
-        assert len(gen_complete_multipartite(2, 2, edge_cap=4).edges) == 4
+            gen_complete_multipartite(2, 2)
+        monkeypatch.setattr(constructions, "_EDGE_CAP", 4)
+        assert len(gen_complete_multipartite(2, 2).edges) == 4
 
 
 class TestSplitPendant:

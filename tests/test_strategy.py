@@ -1372,12 +1372,12 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
     exactly the lines it took before the pruning, and every mutant fails on
     the same line; the pruning only skips work, most on
     ``opening-class-gap``.  The gate refuses only symmetry, so g3-split,
-    which has no stone-free node, keeps the dead-pair rule and the
-    decided finishing continuations, and its 76,832 lines (130,807
-    without the second rule, 256,247 without both).  gamma-prime took
-    212,418 lines and g4 233,530 while a gadget move whose tip is taken
-    counted as a move on a fallback x-vertex rather than as a pass (see
-    ``test_verifier_counters_are_pinned``)."""
+    which has no stone-free node, keeps the inert-pair rule and the
+    decided finishing continuations, and its 13,965 lines at depth 11
+    (67,940 without the second rule, 256,247 at depth 28 without both).
+    gamma-prime took 212,418 lines and g4 233,530 while a gadget move
+    whose tip is taken counted as a move on a fallback x-vertex rather
+    than as a pass (see ``test_verifier_counters_are_pinned``)."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
         for name, board, tree in named_mutations()
@@ -1387,7 +1387,7 @@ def test_without_symmetry_the_unpruned_lines_come_back(monkeypatch):
         "gamma": (20_806, 20),
         "gamma-prime": (215_788, 28),
         "g4": (224_962, 33),
-        "g3-split": (76_832, 28),
+        "g3-split": (13_965, 11),
     }
     for name, (board, tree) in _pentagon_targets().items():
         report = verify_maker_strategy(board, tree)
@@ -2092,36 +2092,21 @@ def test_counterexamples_are_deterministic():
 
 
 # ----------------------------------------------------------------------
-# dead answered pairs
+# inert answered pairs
 
 
 def _rule_off(monkeypatch):
-    monkeypatch.setattr(verifier, "_drop_dead_pairs", lambda pairs, out, killed, replies: out)
-
-
-_DROP_DEAD_PAIRS = verifier._drop_dead_pairs
-
-
-def _drops(monkeypatch) -> list:
-    """Record (out, kept) for every call of ``_drop_dead_pairs``."""
-    calls = []
-
-    def spy(pairs, out, killed, replies):
-        kept = _DROP_DEAD_PAIRS(pairs, out, killed, replies)
-        calls.append((out, kept))
-        return kept
-
-    monkeypatch.setattr(verifier, "_drop_dead_pairs", spy)
-    return calls
+    monkeypatch.setattr(verifier, "_inert_pairs", lambda stack: 0)
 
 
 def test_without_dead_pairs_the_unpruned_lines_come_back(monkeypatch):
-    """Differential gate: with dead answered pairs kept and every finishing
-    continuation expanded, g3-split explores exactly its 256,247 lines
-    again, the other targets do not move, and every mutant fails on the
-    same line with the same detail; the two rules only skip work.  With
-    only the dead pairs kept g3-split takes 202,272 lines.  The others
-    are the pinned counts of ``test_verifier_counters_are_pinned``."""
+    """Differential gate: with the inert pairs' replies played and every
+    finishing continuation expanded, g3-split explores exactly its 256,247
+    lines again, at depth 28, the other targets do not move, and every
+    mutant fails on the same line with the same detail; the two rules
+    only skip work.  With only the pairs played g3-split takes 202,272
+    lines.  The others are the pinned counts of
+    ``test_verifier_counters_are_pinned``."""
     pruned = [
         (name, verify_maker_strategy(board, tree))
         for name, board, tree in named_mutations()
@@ -2175,36 +2160,79 @@ def _random_split_tree(seed: int) -> StrategyTree:
     return lift_split(StrategyTree(h, first, root), h)
 
 
+def _random_bounded_split_tree(seed: int) -> StrategyTree:
+    """A ``BoundedWin(k)`` search, k from 1 to 4, on a random board of at
+    most 7 vertices, lifted to the board's pendant split: at the root
+    when Breaker moves first, after a claim of a random vertex when Maker
+    does.  Every other draw also joins some pendants to a base vertex by
+    a real edge of two, which no continuation's edge accounts for."""
+    rng = random.Random(seed)
+    h = random_hypergraph(rng, max_vertices=7, max_edges=5, size_range=(2, 3))
+    root = Respond((), BoundedWin(rng.randint(1, 4)))
+    first = rng.choice((Side.A, Side.B))
+    if first is Side.A:
+        root = Claim(rng.randrange(h.vertex_count), root)
+    tree = lift_split(StrategyTree(h, first, root), h)
+    board = tree.board
+    if rng.random() < 0.5:
+        pendants = range(h.vertex_count, board.vertex_count)
+        extra = {(rng.randrange(h.vertex_count), p) for p in pendants if rng.random() < 0.3}
+        board = Hypergraph(board.vertex_count, sorted(set(board.edges) | extra))
+    return StrategyTree(board, first, tree.root)
+
+
 _SPLIT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-def test_dead_pairs_keep_every_verdict_on_random_split_boards(monkeypatch):
-    """On random pendant splits of small boards, scripts of two or three
-    levels of claims, defaultful ``Respond`` nodes and bounded wins get the
-    same verdict and counterexample kind with and without the dead-pair
-    rule, and the rule fires on some of them."""
-    fired = []
+def _check_pairs(make_tree) -> list:
+    """Check, on the scripts ``make_tree`` draws from a seed, that skipping
+    the inert pairs' replies keeps the verdict and the counterexample and
+    plays no more lines; return (verified, fired) per script, where
+    fired means the rule left some reply unplayed."""
+    records = []
 
     @_SPLIT_SETTINGS
     @given(st.integers(0, 2**32 - 1))
     def check(seed):
-        tree = _random_split_tree(seed)
-        calls = _drops(monkeypatch)
-        fast = verify_maker_strategy(tree.board, tree)
-        _rule_off(monkeypatch)
-        slow = verify_maker_strategy(tree.board, tree)
+        tree = make_tree(seed)
+        # a fresh patch per script, so that each fast run has the rule on
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_replies(patch)
+            fast = verify_maker_strategy(tree.board, tree)
+            played = calls[0]
+            _rule_off(patch)
+            slow = verify_maker_strategy(tree.board, tree)
+            played_off = calls[0] - played
         assert fast.verified == slow.verified
-        if not fast.verified:
-            assert fast.counterexample.kind == slow.counterexample.kind
+        assert fast.counterexample == slow.counterexample
         assert fast.lines_checked <= slow.lines_checked
-        fired.append(any(out != kept for out, kept in calls))
+        records.append((fast.verified, played < played_off))
 
     check()
-    assert any(fired)
+    return records
 
 
-def _pairs(h: Hypergraph, *layers):
-    """``_answered_pairs`` of the stack that enters ``layers`` on ``h``."""
+def test_dead_pairs_keep_every_verdict_on_random_split_boards():
+    """On random pendant splits of small boards, scripts of two or three
+    levels of claims, defaultful ``Respond`` nodes and bounded wins get the
+    same verdict and counterexample with and without the inert-pair rule,
+    and the rule fires on some of them."""
+    records = _check_pairs(_random_split_tree)
+    assert any(fired for _verified, fired in records)
+
+
+def test_inert_pairs_keep_every_verdict_on_random_bounded_wins():
+    """Bounded-win scripts on random pendant splits, some with extra real
+    edges through pendants, get the same verdict and counterexample with
+    and without the inert-pair rule.  Unlike the scripts of
+    ``_random_split_tree``, which mostly fail, many verify, and the rule
+    fires on some script that verifies."""
+    records = _check_pairs(_random_bounded_split_tree)
+    assert any(verified and fired for verified, fired in records)
+
+
+def _pairs(h: Hypergraph, *layers) -> int:
+    """``_Stack.pairs`` of the stack that enters ``layers`` on ``h``."""
     machine = _Machine(h)
     stack = machine.root
     for layer in layers:
@@ -2213,27 +2241,17 @@ def _pairs(h: Hypergraph, *layers):
 
 
 def test_a_pair_named_by_a_live_continuation_is_kept():
-    """On the ``completion-leaves-shifted`` mutant, the continuation of base
-    edge 0 claims the pendants of edge 1, so that pair is kept while base
-    edge 0 holds no Breaker stone; on the shipped lift the pair's own edge
-    is enough.  The mutant's continuations no longer end the line at once,
-    so each of them keeps every pair alive until its edge is dead."""
+    """On the shipped g3-split lift every continuation claims the two
+    pendants of its own base edge and finishes, so all 20 pendants are
+    inert.  On the ``completion-leaves-shifted`` mutant the continuation
+    of each base edge claims the pendants of the next one, so it no
+    longer ends the line at once, and no pendant is inert."""
     g3 = gen_g3()
+    shipped = lift_split(build_g3_strategy(), g3)
+    assert _pairs(shipped.board, shipped.root.layer) == sum(1 << v for v in range(15, 35))
     mutants = {name: tree for name, _board, tree in named_mutations()}
     shifted = mutants["completion-leaves-shifted"]
-    shipped = lift_split(build_g3_strategy(), g3)
-    pair = 1 << 17 | 1 << 18  # the pendants of base edge 1
-    shifted_pairs = _pairs(shifted.board, shifted.root.layer)
-    shipped_pairs = _pairs(shipped.board, shipped.root.layer)
-    assert dict(shifted_pairs[0])[pair] == tuple(sorted(set(g3.edge_masks)))
-    assert dict(shipped_pairs[0])[pair] == (g3.edge_masks[1],)
-    out = pair | 1 << 19
-    breaker = 1 << 6  # a cell of base edge 1
-    assert _DROP_DEAD_PAIRS(shifted_pairs, out, breaker, 1) == out
-    assert _DROP_DEAD_PAIRS(shipped_pairs, out, breaker, 1) == 1 << 19
-    every = 0b1001001001111  # 0, 1, 2, 3, 6, 9 and 12 meet every base edge
-    assert _DROP_DEAD_PAIRS(shifted_pairs, out, every & ~(1 << 3), 1) == out
-    assert _DROP_DEAD_PAIRS(shifted_pairs, out, every, 1) == 1 << 19
+    assert _pairs(shifted.board, shifted.root.layer) == 0
 
 
 def _inner_continuation(cont):
@@ -2258,39 +2276,37 @@ def _inner_continuation(cont):
 
 
 @pytest.mark.parametrize(
-    "cont, kept",
+    "cont, inert",
     [
-        (Respond((), Claim(4)), True),
-        (Respond((), ClaimFirstFree((3, 5))), True),
-        (Respond((), BoundedWin(1)), True),
-        (Respond((), Claim(2)), True),
-        (Respond((), Claim(3)), False),
+        (Respond((), Claim(4)), 0),
+        (Respond((), ClaimFirstFree((3, 5))), 0),
+        (Respond((), BoundedWin(1)), 0),
+        (Respond((), Claim(2)), 0),
+        (Respond((), Claim(3)), 1 << 4 | 1 << 5),
     ],
     ids=["claim", "claim-first-free", "bounded-win", "claim-unfinished", "claim-elsewhere"],
 )
-def test_a_continuation_that_may_claim_a_pair_keeps_it(cont, kept):
-    """A continuation keeps the pair alive, even where the pair is still
-    answered, unless it ends the line at Maker's next claim without taking
-    4 or 5 (see ``_finishes``).  A claim of 4 completes {1, 4} but takes
-    the pair.  A claim of 5, of 2 (which leaves {2, 5} open although it
-    claims neither 4 nor 5) or a bounded-win search may not end the line.
-    A claim of 3 completes the edge {3} at once and drops the pair.  The
-    pair's real edges {1, 4} and {2, 5} give the kill masks {1} and {2}; a
-    continuation that keeps the pair adds its edge's image {0, 1}."""
+def test_a_continuation_that_may_claim_a_pair_keeps_it(cont, inert):
+    """The pair {4, 5} is inert only while every continuation ends the
+    line at Maker's next claim (see ``_finishes``) and none takes one of
+    4 and 5 without the other.  A claim of 4 completes {1, 4} but takes
+    only 4.  A claim of 3 or 5 (5 leaves {2, 5} open), of 2 (which leaves
+    {2, 5} open although it claims neither 4 nor 5) or a bounded-win
+    search may not end the line.  A claim of 3 completes the edge {3} at
+    once and leaves the pair inert, although the pair's own edges {1, 4}
+    and {2, 5} are not the continuation's {0, 1}: Maker never claims 4
+    or 5 on the stack, so an exchange on the pair only helps Maker."""
     h, outer, inner = _inner_continuation(cont)
-    kills = {0b10, 0b100} | ({0b11} if kept else set())
-    assert _pairs(h, outer, inner)[0] == ((1 << 4 | 1 << 5, tuple(sorted(kills))),)
+    assert _pairs(h, outer, inner) == inert
 
 
 def test_a_pair_an_open_continuation_may_read_is_kept(monkeypatch):
     """The continuations of the virtual edges {1} and {3} (real 3 and 8)
     run on the real board, where 0 and 1 are plain moves, and the one for
-    a move on 0 claims 2 or 5.  After Breaker 2 the pair {0, 1} is dead
-    by its real edge {0, 2}, but a continuation that branches on 0 may
-    still read it, so the pair is kept and the line that plays 0 there
-    fails as it does with the rule off.  Were the pair dropped, the state
-    would share the memo success of the same state after the exchange on
-    the pair, and the script would verify."""
+    a move on 0 claims 2 or 5.  Such a continuation branches, so it does
+    not finish and the pair {0, 1} is not inert: the line that plays 0
+    there fails as it does with the rule off.  Were the pair's replies
+    skipped at the layer's nodes, the script would verify."""
     edges = [(0, 2), (2, 3), (2, 8)] + [(w, u) for w in (3, 8) for u in (4, 6, 9, 10)]
     h = Hypergraph(11, edges)
     finish = Respond(
@@ -2310,7 +2326,7 @@ def test_a_pair_an_open_continuation_may_read_is_kept(monkeypatch):
         ClaimFirstFree((1, 3)),
     )
     tree = StrategyTree(h, Side.B, EnterLayer(layer, script))
-    assert _pairs(h, layer)[0] == ((0b11, (1 << 2, 1 << 3, 1 << 8)),)
+    assert _pairs(h, layer) == 0
     fast = verify_maker_strategy(h, tree)
     _rule_off(monkeypatch)
     slow = verify_maker_strategy(h, tree)
@@ -2323,8 +2339,8 @@ def test_a_pair_an_open_continuation_may_read_is_kept(monkeypatch):
 
 def test_a_board_left_to_dead_pairs_is_still_exhausted():
     """After Breaker 0 and Maker 1 on the split of the edge {0, 1}, only
-    the pendants 2 and 3 are free and their pair is dead.  Dropping it
-    would leave no reply, so it is kept and the line still runs out of
+    the pendants 2 and 3 are free and their pair is inert.  Skipping it
+    would leave no reply, so it is played and the line still runs out of
     board."""
     h = Hypergraph(2, [(0, 1)])
     script = Respond(
@@ -2342,10 +2358,73 @@ def test_a_board_left_to_dead_pairs_is_still_exhausted():
     )
 
 
-def _killer_layer(relevance):
-    """The edge {1, 2} under an identity layer that pairs 3 with 4, on a
-    real board where the pair's edges {0, 3} and {0, 4} die only at 0,
-    Breaker's lowest reply."""
+def _center_layer():
+    """Six isolated vertices 0-5 and the split of the base edges {6, 7}
+    and {6, 8}, with pendants 9, 10 and 11, 12, as (real board, layer):
+    the layer embeds 6, 7 and 8, answers each pendant with its partner
+    and continues each base edge with a claim of its pendants."""
+    h = Hypergraph(13, [(6, 7, 9), (6, 7, 10), (6, 8, 11), (6, 8, 12)])
+    layer = Layer(
+        name="center",
+        board=Hypergraph(3, [(0, 1), (0, 2)]),
+        embed=(6, 7, 8),
+        on_win={0: Respond((), ClaimFirstFree((9, 10))), 1: Respond((), ClaimFirstFree((11, 12)))},
+        answers={9: 10, 10: 9, 11: 12, 12: 11},
+    )
+    return h, layer
+
+
+def test_a_layer_entered_on_a_held_image_keeps_its_pairs_in_the_key(monkeypatch):
+    """Maker takes the center 6 on the real board before entering the
+    layer, so the layer never sees it and no continuation can fire.  After
+    Breaker 0 the script exchanges both pendant pairs on the real board
+    and enters the layer holding 10 and 12, where each of 7 and 8 wins.
+    After Breaker 1 it enters with both pairs free, where neither wins.
+    The two entries differ only in the pairs, so a key without them would
+    let the second read the first's success and verify the script; the
+    key keeps every free member, so the line after Breaker 1 fails as it
+    does with the rule off."""
+    h, layer = _center_layer()
+
+    def cls(*vertices):
+        return ReplyClass(str(vertices), frozenset(vertices))
+
+    enter = EnterLayer(layer, Respond(((cls(1), Claim(2)),), Claim(1)))
+    take_8 = Claim(8, Respond((), ClaimFirstFree((11, 12))))
+    take_7 = Claim(7, Respond((), ClaimFirstFree((9, 10))))
+    after_10 = Respond(((cls(11), Claim(12, enter)), (cls(7), take_8)), Claim(7))
+    after_9 = Respond(((cls(7), take_8),), Claim(7))
+    after_0 = Respond(
+        ((cls(9), Claim(10, after_10)), (cls(10), Claim(9, after_9)), (cls(7), take_8)),
+        take_7,
+    )
+    root = Claim(
+        6,
+        Respond(
+            (
+                (cls(0), Claim(3, after_0)),
+                (cls(1), Claim(2, enter)),
+                (cls(7), take_8),
+                (cls(9, 10), take_8),
+            ),
+            take_7,
+        ),
+    )
+    tree = StrategyTree(h, Side.A, root)
+    assert _pairs(h, layer) == 0b1111 << 9
+    fast = verify_maker_strategy(h, tree)
+    _rule_off(monkeypatch)
+    slow = verify_maker_strategy(h, tree)
+    assert fast.counterexample == slow.counterexample == Counterexample(
+        "leaf_without_win",
+        (("maker", 6), ("breaker", 1), ("maker", 2), ("breaker", 0), ("maker", 7)),
+        "leaf claims vertex 7 without completing an edge",
+    )
+
+
+def _pair_layer():
+    """The edge {1, 2} under a layer that pairs 3 with 4, on a real board
+    whose edges {0, 3} and {0, 4} hold the pair, as (real board, layer)."""
     h = Hypergraph(5, [(1, 2), (0, 3), (0, 4)])
     layer = Layer(
         name="pairs",
@@ -2353,51 +2432,45 @@ def _killer_layer(relevance):
         embed=(1, 2),
         win_edges={0: 0},
         answers={3: 4, 4: 3},
-        relevance=relevance,
     )
-    script = Respond((), Claim(0, Respond((), Claim(1, WinNow(0)))))
-    return h, StrategyTree(h, Side.B, EnterLayer(layer, script))
-
-
-def test_a_pair_killed_outside_the_relevance_is_kept(monkeypatch):
-    """Breaker's first stone, on 0, kills the pair {3, 4}.  While 0 lies
-    outside the relevance the memo key cannot see it, so the next opponent
-    node keeps the pair; with 0 relevant the same node drops it."""
-    pair = 1 << 3 | 1 << 4
-    h, tree = _killer_layer(None)
-    assert _pairs(h, tree.root.layer)[0] == ((pair, (1 << 0,)),)
-    calls = _drops(monkeypatch)
-    verify_maker_strategy(h, tree)
-    assert calls[1] == (pair, pair)
-    h, tree = _killer_layer(0b111)
-    calls.clear()
-    verify_maker_strategy(h, tree)
-    assert calls[1] == (pair, 0)
+    return h, layer
 
 
 def test_answered_pairs_answer_each_other_alone_outside_the_image():
-    """A pair is two vertices that answer each other, marking no layer,
-    that no third vertex is answered with, outside the image of the
-    innermost board."""
-    h, tree = _killer_layer(None)
-    layer = tree.root.layer
-    pair = 1 << 3 | 1 << 4
-    assert [p for p, _kills in _pairs(h, layer)[0]] == [pair]
-    assert _pairs(h, replace(layer, answers={3: 4})) is None
-    assert _pairs(h, replace(layer, answers={3: 4, 4: 3, 0: 4})) is None
-    inside = replace(
-        layer,
-        board=Hypergraph(3, [(0, 1)]),
-        embed=(1, 2, 3),
-    )
-    assert _pairs(h, inside) is None
+    """A pair is inert when its vertices answer each other, marking no
+    layer, no third vertex is answered with either, neither lies in the
+    image of the innermost board and every continuation finishes, one
+    that meets the pair claiming exactly the pair.  Each disqualifier
+    gives 0: a one-way answer, a third vertex answered with a member, a
+    pair inside the image, a pair with one member in it, a pair whose
+    moves mark an outer layer, a continuation that does not finish, and a
+    finishing continuation that claims one member of the pair, or one
+    vertex of each of two pairs.  A real edge through the pair that no
+    continuation accounts for, here {0, 3} and {0, 4}, disqualifies
+    nothing."""
+    h, layer = _pair_layer()
+    assert _pairs(h, layer) == 1 << 3 | 1 << 4
+    assert _pairs(h, replace(layer, answers={3: 4})) == 0
+    assert _pairs(h, replace(layer, answers={3: 4, 4: 3, 0: 4})) == 0
+    inside = replace(layer, board=Hypergraph(3, [(0, 1)]), embed=(1, 2, 3))
+    assert _pairs(h, inside) == 0
+    assert _pairs(h, replace(layer, answers={2: 3, 3: 2})) == 0
     whole = Layer(
         name="whole",
         board=h,
         embed=tuple(range(5)),
         win_edges={e: e for e in range(3)},
     )
-    assert _pairs(h, whole, layer) is None
+    assert _pairs(h, whole, layer) == 0
+    h, layer = _center_layer()
+    assert _pairs(h, layer) == 0b1111 << 9
+    # with {6, 7, 11} an edge too, a claim of 11 also finishes {6, 7}
+    h = Hypergraph(13, [*h.edges, (6, 7, 11)])
+    for claims, inert in [((9, 10), 0b1111 << 9), ((9,), 0b11 << 11), ((9, 11), 0)]:
+        on_win = {0: Respond((), ClaimFirstFree(claims)), 1: layer.on_win[1]}
+        assert _pairs(h, replace(layer, on_win=on_win)) == inert, claims
+    unfinished = {0: Respond((), BoundedWin(1)), 1: layer.on_win[1]}
+    assert _pairs(h, replace(layer, on_win=unfinished)) == 0
 
 
 def _entry_tag(rec, node, entry):
@@ -2581,7 +2654,7 @@ def _outcome(report) -> tuple:
 
 def test_without_finishing_the_expanded_lines_come_back(monkeypatch):
     """Differential gate: with every finishing continuation expanded,
-    g3-split explores its 130,807 lines again, at depth 28; the other
+    g3-split explores its 67,940 lines again, at depth 11; the other
     targets do not move, and every mutant fails with the same kind, moves,
     detail, lines and depth.  On g3-split the rule meets 3,417 pendant
     continuations and decides each of them, counted as one line instead
@@ -2589,7 +2662,7 @@ def test_without_finishing_the_expanded_lines_come_back(monkeypatch):
     calls = _finish_calls(monkeypatch)
     board, tree = _pentagon_targets()["g3-split"]
     report = verify_maker_strategy(board, tree)
-    assert (report.lines_checked, report.max_depth) == (76_832, 28)
+    assert (report.lines_checked, report.max_depth) == (13_965, 11)
     assert (calls.count(True), calls.count(False)) == (3_417, 0)
     pruned = [verify_maker_strategy(board, tree) for _name, board, tree in named_mutations()]
     _finish_off(monkeypatch)
@@ -2597,7 +2670,7 @@ def test_without_finishing_the_expanded_lines_come_back(monkeypatch):
         "gamma": (3_865, 20),
         "gamma-prime": (41_398, 28),
         "g4": (49_405, 33),
-        "g3-split": (130_807, 28),
+        "g3-split": (67_940, 11),
     }
     for name, (board, tree) in _pentagon_targets().items():
         slow = verify_maker_strategy(board, tree)
@@ -2770,7 +2843,7 @@ def _check_finishing(make_tree) -> list:
 
 
 def test_finishing_keeps_every_line_on_random_split_boards():
-    """On random pendant splits (the scripts of the dead-pair comparison),
+    """On random pendant splits (the scripts of the inert-pair comparison),
     deciding finishing continuations keeps the verdict, the counterexample
     and the depth, and it decides some."""
     records = _check_finishing(_random_split_tree)
@@ -2866,7 +2939,9 @@ def test_without_repeat_drops_every_reply_is_played_again(monkeypatch):
     and depth; the rule only skips memo hits, which count no line.  With
     the rule, gamma plays 8,548 replies instead of 27,897, gamma-prime
     33,564 instead of 34,625, g4 42,465 instead of 43,529 and the 20
-    mutants 36,131 instead of 60,639; g3-split drops none."""
+    mutants 36,131 instead of 60,639; g3-split drops none, and plays
+    7,920 either way, since its inert pendant pairs are skipped before
+    the repeat rule looks."""
     calls = _count_replies(monkeypatch)
 
     def run():
@@ -2888,21 +2963,21 @@ def test_without_repeat_drops_every_reply_is_played_again(monkeypatch):
         "gamma": 8_548,
         "gamma-prime": 33_564,
         "g4": 42_465,
-        "g3-split": 129_194,
+        "g3-split": 7_920,
         "mutants": 36_131,
     }
     assert slow_counts == {
         "gamma": 27_897,
         "gamma-prime": 34_625,
         "g4": 43_529,
-        "g3-split": 129_194,
+        "g3-split": 7_920,
         "mutants": 60_639,
     }
     want = {
         "gamma": (3_865, 20),
         "gamma-prime": (41_398, 28),
         "g4": (49_405, 33),
-        "g3-split": (76_832, 28),
+        "g3-split": (13_965, 11),
     }
     for name, (lines, depth) in want.items():
         assert slow[name] == (True, lines, depth, None), name
