@@ -23,34 +23,36 @@ A layer's ``answers`` pair the opponent's move on a vertex with a Maker
 claim of its partner, as a pairing strategy does (Hefetz, Krivelevich,
 Stojaković & Szabó, *Positional Games*, 2014).  At every opponent node,
 ``Respond`` and ``_BWAfter`` alike, the replies outside the relevance
-skip the members of the stack's inert pairs (``_Stack.pairs``, see
-``_inert_pairs``) unless nothing else is left to play, so a board that
-only such pairs keep open still fails as exhausted.  The memo key does
-not change: its profile still shows every free member.  A pair {v, a} is
-inert when the stack answers v with a and a with v, marking no layer,
-and answers no third vertex with either, neither lies in the real image
-I of the innermost board, and every ``on_win`` continuation on the stack
-finishes (see ``_finishes``), one whose claims meet the pair claiming
-exactly v and a.  This is exact.  Let X be a state at the node with v
-free, and X' its child after the opponent's v and Maker's answer a, which
-returns to the node.  X' is no worse for Maker than X.  Every line from
-X' is one from X with the two stones added; no layer sees them, so both
-dispatch every move alike.  No script on the stack or inside it and no
-bounded-win search claims or branches on a vertex outside I, and no
-other reply is answered with v or a.  A continuation of a layer on the
-stack runs outside it but ends the line at Maker's next claim, so no
-script after it reads v or a either; one that may take v or a runs only
-once Maker holds its edge's real image, where, by finishing, Maker's a
-already completes a real edge, so in X' Maker has won by then.  So a
-Breaker stone on v only ends edges that Maker could not complete, the
-stone on a only helps Maker, and where X' runs out of board X has only
-v and a left, after which its line runs out too.  By induction on the
-free vertices, when every other reply succeeds at X it succeeds at X'
-with the exchange added, so X' succeeds, and so does the mirror exchange
-after a; X succeeds exactly when its other replies do.  Every move
-takes a vertex, so no line on a board of at most ``_LINE_LIMIT``
-vertices meets the line limit; a larger board marks no pair, since an
-exchange the rule skips may be what takes a line past it.
+skip each member of the stack's inert pairs (``_Stack.pairs``, see
+``_inert_pairs``) whose partner is free too, unless nothing else is left
+to play, so a board that only such pairs keep open still fails as
+exhausted.  A member whose partner is taken stays a reply: the
+opponent's move there is not answered, so it is no exchange.  The memo
+key does not change: its profile still shows every free member.  A pair
+{v, a} is inert when the stack answers v with a and a with v, marking no
+layer, and answers no third vertex with either, neither lies in the real
+image I of the innermost board, and every ``on_win`` continuation on the
+stack finishes (see ``_finishes``), one whose claims meet the pair
+claiming exactly v and a.  This is exact.  Let X be a state at the node
+with v and a free, and X' its child after the opponent's v and Maker's
+answer a, which returns to the node.  X' is no worse for Maker than X.
+Every line from X' is one from X with the two stones added; no layer
+sees them, so both dispatch every move alike.  No script on the stack or
+inside it and no bounded-win search claims or branches on a vertex
+outside I, and no other reply is answered with v or a.  A continuation
+of a layer on the stack runs outside it but ends the line at Maker's
+next claim, so no script after it reads v or a either; one that may take
+v or a runs only once Maker holds its edge's real image, where, by
+finishing, Maker's a already completes a real edge, so in X' Maker has
+won by then.  So a Breaker stone on v only ends edges that Maker could
+not complete, the stone on a only helps Maker, and where X' runs out of
+board X has only v and a left, after which its line runs out too.  By
+induction on the free vertices, when every other reply succeeds at X it
+succeeds at X' with the exchange added, so X' succeeds, and so does the
+mirror exchange after a; X succeeds exactly when its other replies do.
+Every move takes a vertex, so no line on a board of at most
+``_LINE_LIMIT`` vertices meets the line limit; a larger board marks no
+pair, since an exchange the rule skips may be what takes a line past it.
 
 A finishing ``on_win`` continuation (see ``_finishes``; each is
 classified once per stack, in its ``wins`` table) that runs on the root
@@ -304,10 +306,11 @@ class _Stack:
     to (continuation, real edge image from ``edges``, finishing claims from
     ``_finishes``), so each continuation is classified once per stack.
 
-    ``pairs`` is the real mask of the stack's inert pairs, built with the
-    stack from ``table`` and ``wins`` (see ``_inert_pairs``): the replies
-    that ``_Machine._expand_opponent`` need not play while anything else
-    is left.
+    ``pairs`` maps each member of the stack's inert pairs to its partner,
+    as (shift, source mask) pairs built with the stack from ``table`` and
+    ``wins`` (see ``_inert_pairs``): a free member whose partner is free
+    too is a reply that ``_Machine._expand_opponent`` need not play while
+    anything else is left.
 
     ``claims`` maps an innermost-board vertex to (real vertex, per-layer
     claim bits, masks of the real edges through it, ``on_win`` entries),
@@ -508,11 +511,12 @@ def _resolve_dyn(masks: tuple, entry):
     return ("vertex", home, effects + ((len(masks) - 1, home),))
 
 
-def _inert_pairs(stack: _Stack) -> int:
-    """The real vertices of the pairs whose replies ``stack``'s opponent
-    nodes need not play (see the module docstring), from ``stack.table``
-    and ``stack.wins``; 0 on a real board with more vertices than the line
-    limit.
+def _inert_pairs(stack: _Stack) -> tuple:
+    """The pairs whose replies ``stack``'s opponent nodes need not play
+    while both members are free (see the module docstring), from
+    ``stack.table`` and ``stack.wins``, as the map from each member to its
+    partner in ``_segments`` form; empty on a real board with more
+    vertices than the line limit.
 
     A pair is two real vertices v and a outside the real image of the
     innermost board that the table answers with each other, marking no
@@ -521,14 +525,14 @@ def _inert_pairs(stack: _Stack) -> int:
     the pair must claim exactly the pair.
     """
     if not any(layer.answers for layer in stack.layers):
-        return 0
+        return ()
     if stack.outers[0].board.vertex_count > _LINE_LIMIT:
-        return 0
+        return ()
     claims = set()
     for own in stack.wins:
         for _cont, _edge, got in own.values():
             if not got:
-                return 0
+                return ()
             claims.add(got)
     table = stack.table
     answering: dict = {}  # real vertex -> how many vertices it answers
@@ -536,7 +540,7 @@ def _inert_pairs(stack: _Stack) -> int:
         if entry[0] == "answer":
             answering[entry[1]] = answering.get(entry[1], 0) + 1
     image = stack.to_real(stack.board.full_mask)
-    pairs = 0
+    partner: dict = {}
     for v, entry in enumerate(table):
         a = entry[1]
         if entry != ("answer", a, ()) or table[a] != ("answer", v, ()):
@@ -545,8 +549,8 @@ def _inert_pairs(stack: _Stack) -> int:
         if pair & image or answering[v] != 1 or answering[a] != 1:
             continue
         if all(got == pair or not got & pair for got in claims):
-            pairs |= pair
-    return pairs
+            partner[a - v] = partner.get(a - v, 0) | 1 << v
+    return tuple(sorted(partner.items()))
 
 
 def _finishes(cont, outer: _Stack, edge: int, real: Hypergraph) -> int:
@@ -1051,10 +1055,10 @@ class _Machine:
         of each dynamic group whose home the innermost Maker mask holds
         (``_held_rel``), or at a ``_BWAfter`` node the bounded-win
         relevance.  The replies outside it collapse to one per reply group
-        (``_profile``), less the stack's inert pairs unless nothing else is
-        left, and of each group in the record's ``repeats`` only the lowest
-        reply outside the bounded-win relevance is played (see the module
-        docstring)."""
+        (``_profile``), less each member of the stack's inert pairs whose
+        partner is free too unless nothing else is left, and of each group
+        in the record's ``repeats`` only the lowest reply outside the
+        bounded-win relevance is played (see the module docstring)."""
         if isinstance(node, EnterLayer):
             node, stack, masks = self._enter(node, stack, masks)
         if not isinstance(node, (Respond, _BWAfter)):
@@ -1080,10 +1084,12 @@ class _Machine:
         profile = 0
         if out:
             collapsed, profile = self._profile(rec, out)
-            inert = collapsed & stack.pairs
-            # the inert pairs are played only when nothing else is left
-            if inert and (replies or inert != collapsed):
-                collapsed ^= inert
+            if stack.pairs:
+                # a free member of an inert pair whose partner is free too
+                # is played only when nothing else is left
+                inert = collapsed & _apply_segments(stack.pairs, unclaimed)
+                if inert and (replies or inert != collapsed):
+                    collapsed ^= inert
             replies |= collapsed
         sig = tuple([masks[i] for i in stack.stateful])
         key = (rec, sig, ra & rel, rb & rel, profile)

@@ -77,6 +77,7 @@ from posgames.strategy import verifier
 from posgames.strategy.lifts import _block_mask
 from posgames.strategy.nodes import _relabel
 from posgames.strategy.verifier import (
+    _apply_segments,
     _bw_after,
     _bw_claims,
     _BWAfter,
@@ -2096,7 +2097,7 @@ def test_counterexamples_are_deterministic():
 
 
 def _rule_off(monkeypatch):
-    monkeypatch.setattr(verifier, "_inert_pairs", lambda stack: 0)
+    monkeypatch.setattr(verifier, "_inert_pairs", lambda stack: ())
 
 
 def test_without_dead_pairs_the_unpruned_lines_come_back(monkeypatch):
@@ -2232,12 +2233,13 @@ def test_inert_pairs_keep_every_verdict_on_random_bounded_wins():
 
 
 def _pairs(h: Hypergraph, *layers) -> int:
-    """``_Stack.pairs`` of the stack that enters ``layers`` on ``h``."""
+    """The members of the inert pairs in ``_Stack.pairs`` of the stack
+    that enters ``layers`` on ``h``, as a real mask."""
     machine = _Machine(h)
     stack = machine.root
     for layer in layers:
         stack = machine._push(stack, layer)
-    return stack.pairs
+    return _apply_segments(stack.pairs, machine.full)
 
 
 def test_a_pair_named_by_a_live_continuation_is_kept():
@@ -2355,6 +2357,67 @@ def test_a_board_left_to_dead_pairs_is_still_exhausted():
         "leaf_without_win",
         (("breaker", 0), ("maker", 1), ("breaker", 2), ("maker", 3)),
         "board exhausted before Maker won",
+    )
+
+
+def _k4_pendants():
+    """K4 on 0-3 and the pendants 4 and 5, as (real board, layer): the
+    layer embeds the K4 and answers each pendant with the other."""
+    h = Hypergraph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    layer = Layer(
+        name="k4",
+        board=Hypergraph(4, h.edges),
+        embed=(0, 1, 2, 3),
+        win_edges={e: e for e in range(6)},
+        answers={4: 5, 5: 4},
+    )
+    return h, layer
+
+
+def _cls(*vertices):
+    return ReplyClass(str(vertices), frozenset(vertices))
+
+
+def test_a_pair_entered_with_maker_on_one_member_is_played(monkeypatch):
+    """Maker takes the pendant 5 on the real board and then enters the
+    layer, whose first node covers the K4 but has no default.  The pair
+    {4, 5} is inert, but with 5 taken Breaker's 4 is not answered, so it
+    is no exchange: it passes to the missing default, and the line fails
+    as it does with the rule off.  Were 4 skipped the script would
+    verify."""
+    h, layer = _k4_pendants()
+    win = Respond((), ClaimFirstFree((0, 1, 2, 3)))
+    first = Respond(tuple((_cls(v), Claim(1 if v == 0 else 0, win)) for v in range(4)))
+    tree = StrategyTree(h, Side.A, Claim(5, EnterLayer(layer, first)))
+    assert _pairs(h, layer) == 0b11 << 4
+    fast = verify_maker_strategy(h, tree)
+    _rule_off(monkeypatch)
+    slow = verify_maker_strategy(h, tree)
+    assert fast.counterexample == slow.counterexample == Counterexample(
+        "uncovered_reply",
+        (("maker", 5), ("breaker", 4)),
+        "real reply 4 is a pass and there is no default",
+    )
+
+
+def test_a_pair_entered_with_breaker_on_one_member_is_played(monkeypatch):
+    """Breaker opens on the pendant 4, and Maker takes 0 and enters the
+    layer, whose first node covers the rest of the K4 but has no default;
+    every other opening is a bounded win.  Breaker's 5 is not answered,
+    since 4 is taken, so it passes to the missing default, and the line
+    fails as it does with the rule off.  Were 5 skipped the script would
+    verify."""
+    h, layer = _k4_pendants()
+    first = Respond(((_cls(1), Claim(2)), (_cls(2), Claim(1)), (_cls(3), Claim(1))))
+    root = Respond(((_cls(4), Claim(0, EnterLayer(layer, first))),), BoundedWin(2))
+    tree = StrategyTree(h, Side.B, root)
+    fast = verify_maker_strategy(h, tree)
+    _rule_off(monkeypatch)
+    slow = verify_maker_strategy(h, tree)
+    assert fast.counterexample == slow.counterexample == Counterexample(
+        "uncovered_reply",
+        (("breaker", 4), ("maker", 0), ("breaker", 5)),
+        "real reply 5 is a pass and there is no default",
     )
 
 
